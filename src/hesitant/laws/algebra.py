@@ -81,11 +81,6 @@ def grid_algebra(denominator: int) -> Algebra:
     return Algebra(active, denominator)
 
 
-def pure_grid_algebra(denominator: int) -> Algebra:
-    """Integer-grid algebra pinned to the pure kernel (for comparisons)."""
-    return Algebra(_pykernel, denominator)
-
-
 def hfs_to_plain(s: HFS) -> tuple:
     """Public HFS object -> plain value (tuple of degree tuples)."""
     return tuple(h.degrees for h in s.hfes)

@@ -11,6 +11,7 @@ live only on the in-memory objects.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ class GeneratorConfig:
     degree_grid: int = 100
     trials: int = 10_000
     family_size: tuple[int, int] = (1, 5)
+    # Unused (generators are constructive); kept since perfbench/pins.json pins the report.
     max_attempts: int = 1000
 
     def __post_init__(self) -> None:
@@ -58,6 +60,11 @@ class GeneratorConfig:
             raise ValueError(f"family_size must be within 1..{MAX_FAMILY}")
         if not 1 <= self.degree_grid <= MAX_GRID:
             raise ValueError(f"degree_grid must be within 1..{MAX_GRID}")
+        if MAX_GRID % self.degree_grid:
+            raise ValueError(
+                f"degree_grid must divide {MAX_GRID}, so that every degree k/grid "
+                "has an exact decimal form"
+            )
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if self.max_attempts < 1:
@@ -80,39 +87,37 @@ def _mix(seed: int, *parts) -> int:
     return h
 
 
-def _trial_stream(config: GeneratorConfig, law_id: str, index: int):
-    return active.Stream(_mix(config.seed, law_id, index))
+# --- the trial loop ------------------------------------------------------------
 
 
-# --- bindings ----------------------------------------------------------------
+def _trials(law: Law, alg: Algebra, config: GeneratorConfig):
+    """Yield (index, universe size, binding) for each trial of `law`.
+
+    The binding is built by the law's generator and re-checked by its guard;
+    it is None when either rejects the draw (starvation). Each trial draws
+    from its own stream, so a trial depends only on (seed, law id, index).
+    """
+    contexts = {
+        size: g.GenContext(
+            den=config.degree_grid,
+            size=size,
+            card_lo=config.cardinality[0],
+            card_hi=config.cardinality[1],
+            fam_lo=config.family_size[0],
+            fam_hi=config.family_size[1],
+        )
+        for size in range(config.universe_size[0], config.universe_size[1] + 1)
+    }
+    for index in range(config.trials):
+        stream = active.Stream(_mix(config.seed, law.id, index))
+        size = stream.randint(*config.universe_size)
+        binding = law.gen(alg, stream, contexts[size])
+        if binding is not None and law.guard is not None and not law.guard(alg, binding):
+            binding = None
+        yield index, size, binding
 
 
-def _random_binding(law: Law, alg: Algebra, stream, ctx: g.GenContext) -> dict:
-    binding = {}
-    for name, kind in law.params:
-        if kind == "set":
-            binding[name] = g.rand_hfs(alg, stream, ctx)
-        else:
-            binding[name] = g.rand_family(alg, stream, ctx)
-    return binding
-
-
-def _make_binding(law: Law, alg: Algebra, stream, ctx: g.GenContext, max_attempts: int):
-    """A guard-satisfying binding, or None on starvation."""
-    if law.gen is not None:
-        binding = law.gen(alg, stream, ctx)
-        if binding is None:
-            return None
-        if law.guard is not None and not law.guard(alg, binding):
-            return None
-        return binding
-    if law.guard is None:
-        return _random_binding(law, alg, stream, ctx)
-    for _ in range(max_attempts):
-        binding = _random_binding(law, alg, stream, ctx)
-        if law.guard(alg, binding):
-            return binding
-    return None
+# --- witnesses ------------------------------------------------------------------
 
 
 def _serialize_value(value, den: int):
@@ -163,6 +168,17 @@ class Witness:
             "guard": self.guard,
             "claim": self.claim,
         }
+
+
+def _witness(law: Law, config: GeneratorConfig, index: int, size: int, binding: dict) -> Witness:
+    return Witness(
+        law_id=law.id,
+        trial=index,
+        universe=_universe_names(size),
+        binding={
+            name: _serialize_value(binding[name], config.degree_grid) for name, _ in law.params
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -349,18 +365,7 @@ def run_law(law: Law | str, config: GeneratorConfig) -> LawResult:
     witnesses: list[Witness] = []
     trials_run = 0
     if law.status is LawStatus.PROVED:
-        for index in range(config.trials):
-            stream = _trial_stream(config, law.id, index)
-            size = stream.randint(*config.universe_size)
-            ctx = g.GenContext(
-                den=config.degree_grid,
-                size=size,
-                card_lo=config.cardinality[0],
-                card_hi=config.cardinality[1],
-                fam_lo=config.family_size[0],
-                fam_hi=config.family_size[1],
-            )
-            binding = _make_binding(law, alg, stream, ctx, config.max_attempts)
+        for index, size, binding in _trials(law, alg, config):
             if binding is None:
                 starved += 1
                 continue
@@ -368,17 +373,7 @@ def run_law(law: Law | str, config: GeneratorConfig) -> LawResult:
             if not law.claim(alg, binding):
                 violations += 1
                 if len(witnesses) < WITNESS_CAP:
-                    witnesses.append(
-                        Witness(
-                            law_id=law.id,
-                            trial=index,
-                            universe=_universe_names(size),
-                            binding={
-                                name: _serialize_value(binding[name], config.degree_grid)
-                                for name, _ in law.params
-                            },
-                        )
-                    )
+                    witnesses.append(_witness(law, config, index, size, binding))
     fixtures = replay_fixtures(law)
     return LawResult(
         law_id=law.id,
@@ -405,14 +400,16 @@ def run_suite(
     """Run the registry (or a selection) against one configuration.
 
     The report is identical for any `workers` value: per-law results depend
-    only on (config, law id) and are assembled in registry order.
+    only on (config, law id) and are assembled in registry order. At most
+    one worker process runs per law and per CPU.
     """
     started = time.perf_counter()
     if law_ids is None:
         laws = list(law_registry())
     else:
         laws = [get_law(law_id) for law_id in law_ids]
-    if workers > 1 and len(laws) > 1:
+    workers = min(workers, len(laws), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(_run_law_worker, [(law.id, config) for law in laws]))
     else:
@@ -428,30 +425,9 @@ def hunt_counterexample(law_id: str, config: GeneratorConfig) -> Optional[Witnes
     """
     law = get_law(law_id)
     alg = grid_algebra(config.degree_grid)
-    for index in range(config.trials):
-        stream = _trial_stream(config, law.id, index)
-        size = stream.randint(*config.universe_size)
-        ctx = g.GenContext(
-            den=config.degree_grid,
-            size=size,
-            card_lo=config.cardinality[0],
-            card_hi=config.cardinality[1],
-            fam_lo=config.family_size[0],
-            fam_hi=config.family_size[1],
-        )
-        binding = _make_binding(law, alg, stream, ctx, config.max_attempts)
-        if binding is None:
-            continue
-        if not law.claim(alg, binding):
-            return Witness(
-                law_id=law.id,
-                trial=index,
-                universe=_universe_names(size),
-                binding={
-                    name: _serialize_value(binding[name], config.degree_grid)
-                    for name, _ in law.params
-                },
-            )
+    for index, size, binding in _trials(law, alg, config):
+        if binding is not None and not law.claim(alg, binding):
+            return _witness(law, config, index, size, binding)
     return None
 
 

@@ -219,8 +219,8 @@ def necessary_equal_pair(alg, stream, ctx):
     return {"A": tuple(pas), "B": tuple(pbs)}
 
 
-def rand_family(alg, stream, ctx, size=None):
-    f = stream.randint(ctx.fam_lo, ctx.fam_hi) if size is None else size
+def rand_family(alg, stream, ctx):
+    f = stream.randint(ctx.fam_lo, ctx.fam_hi)
     return tuple(rand_hfs(alg, stream, ctx) for _ in range(f))
 
 

@@ -769,6 +769,8 @@ _BY_ID: dict[str, Law] = {}
 for _lw in LAWS:
     if _lw.id in _BY_ID:
         raise AssertionError(f"duplicate law id {_lw.id}")
+    if _lw.gen is None:
+        raise AssertionError(f"law {_lw.id} has no binding generator")
     _BY_ID[_lw.id] = _lw
 for _lw in LAWS:
     for _al in _lw.aliases:

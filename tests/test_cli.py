@@ -134,6 +134,15 @@ def test_hunt_command(capsys):
     assert code == 1
 
 
+def test_hunt_rejects_non_decimal_grid(capsys):
+    code, out, err = run_cli(
+        capsys, "hunt", "exam-sec2.6-distrib-m", "--grid", "7", "--trials", "2000"
+    )
+    assert code == 2
+    assert "witness" not in out
+    assert "degree_grid must divide" in err
+
+
 def test_ingest_command(tmp_path, capsys):
     table = tmp_path / "scores.csv"
     table.write_text(

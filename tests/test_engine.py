@@ -22,6 +22,8 @@ def test_config_validation():
         GeneratorConfig(degree_grid=0)
     with pytest.raises(ValueError):
         GeneratorConfig(trials=-1)
+    with pytest.raises(ValueError):
+        GeneratorConfig(degree_grid=7)  # 5/7 has no exact decimal form
 
 
 def test_random_hfs_deterministic():
@@ -120,6 +122,61 @@ def test_parallel_equals_sequential():
     seq = run_suite(cfg, workers=1).canonical_json()
     par = run_suite(cfg, workers=2).canonical_json()
     assert seq == par
+
+
+@pytest.mark.parametrize("cpus, expected", [(128, [3]), (2, [2]), (None, [])])
+def test_workers_capped_by_laws_and_cpus(monkeypatch, cpus, expected):
+    from hesitant.laws import engine
+
+    sizes = []
+
+    class SequentialPool:
+        """Stand-in for ProcessPoolExecutor: records its size, runs inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", SequentialPool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    cfg = GeneratorConfig(trials=20)
+    law_ids = ["thm1.1", "prop2.1", "prop3.1"]
+    report = run_suite(cfg, law_ids=law_ids, workers=64)
+    assert sizes == expected  # an unknown CPU count runs inline, without a pool
+    assert report.canonical_json() == run_suite(cfg, law_ids=law_ids).canonical_json()
+
+
+def test_stream_derivation_pinned():
+    """Streams, bindings and reports are a fixed function of the config:
+    these digests must hold on every kernel and after any refactor."""
+    import hashlib
+    import json
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    report = run_suite(GeneratorConfig(trials=20))
+    assert digest(report.canonical_json()) == (
+        "8d5eef3119e07f5d997f65281ad693f6cc18107a26fa6761a376eef9c5770736"
+    )
+    starving = run_suite(GeneratorConfig(trials=30, cardinality=(1, 1)))
+    assert len(starving.starved_laws) == 9
+    assert digest(starving.canonical_json()) == (
+        "d06d82f16803448db4823c4bccd653e654a5618308d8f1a5194ac9cfac171a5d"
+    )
+    witness = hunt_counterexample("exam-sec2.5-s-union-m", GeneratorConfig(trials=50_000))
+    assert witness.trial == 16
+    assert digest(json.dumps(witness.as_dict(), sort_keys=True).encode()) == (
+        "188db3c22681afd3d85ac99ef0e853e03a0a59ebb197b02842d898adefe91c64"
+    )
 
 
 def test_violation_is_recorded_with_witness():
