@@ -8,6 +8,13 @@ part (layer 1 holds the schemes nothing beats strictly), and the unresolved
 preorder, the others may leave pairs incomparable, and that is reported, not
 hidden.
 
+Cost, for n schemes: every degree is converted once onto the integer grid of
+the set's common denominator, which leaves every verdict unchanged because
+the relations only compare and add degrees; then n² integer verdicts fill
+the matrix. Layers are longest paths over the strict part, in O(n²).
+`ranking_dot` reduces the strict part transitively with one bitset of the
+schemes above each scheme, in O(n²) big-integer operations of n bits.
+
 ⊂t is not rankable: it is irreflexive by cardinality and admits no equality,
 so its strict part is not a preorder over arbitrary scheme sets.
 """
@@ -15,9 +22,14 @@ so its strict part is not a preorder over arbitrary scheme sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping
 
-from .elements import HFE
+# The pure kernel on purpose: it works on unbounded Python ints, and the
+# common denominator of non-decimal degrees can exceed a C integer.
+from ._kernel import _pykernel as _ops
+# `element_relation` stays bound here for perfbench/tracing.py, which rebinds
+# it in this module to count calls; ranking itself calls the kernel directly.
 from .relations import Inclusion, element_relation
 
 RANKABLE = (
@@ -41,6 +53,20 @@ class Ranking:
         return self.matrix[(low, high)] and not self.matrix[(high, low)]
 
 
+def _grid(hfes) -> list[tuple[int, ...]]:
+    """Each HFE's degrees as integers on the grid of the common denominator."""
+    den = lcm(*{g.denominator for h in hfes for g in h.degrees})
+    return [tuple(g.numerator * (den // g.denominator) for g in h.degrees) for h in hfes]
+
+
+def _above(verdict: list[list[bool]]) -> list[list[int]]:
+    """For each scheme i, the schemes j strictly above it: i ⊂ j, not j ⊂ i."""
+    return [
+        [j for j, up in enumerate(row) if up and not verdict[j][i]]
+        for i, row in enumerate(verdict)
+    ]
+
+
 def rank_schemes(scores, kind: Inclusion) -> Ranking:
     """Rank the universe elements of one HFS by pairwise inclusion."""
     if kind not in RANKABLE:
@@ -49,61 +75,70 @@ def rank_schemes(scores, kind: Inclusion) -> Ranking:
             + ", ".join(k.letter for k in RANKABLE)
         )
     schemes = scores.universe.elements
-    hfes: dict[str, HFE] = {e: scores[e] for e in schemes}
+    grid = _grid(scores.hfes)
+    rel, code = _ops.e_rel, kind.code
+    verdict = [[rel(code, a, b) for b in grid] for a in grid]
     matrix = {
-        (a, b): element_relation(kind, hfes[a], hfes[b]) for a in schemes for b in schemes
+        (a, b): v for a, row in zip(schemes, verdict) for b, v in zip(schemes, row)
     }
 
-    def strictly_above(low: str, high: str) -> bool:
-        return matrix[(low, high)] and not matrix[(high, low)]
-
-    remaining = list(schemes)
-    layers: list[tuple[str, ...]] = []
-    while remaining:
-        top = [s for s in remaining if not any(strictly_above(s, t) for t in remaining)]
-        if not top:
+    # The strict part is transitive and irreflexive: when j is strictly above
+    # i, above[i] holds all of above[j] and j itself, so ascending
+    # len(above) is a topological order, best first.
+    above = _above(verdict)
+    layer = [0] * len(schemes)
+    for i in sorted(range(len(schemes)), key=lambda i: len(above[i])):
+        depths = [layer[j] for j in above[i]]
+        if 0 in depths:
             raise AssertionError("strict part of a transitive relation cannot cycle")
-        layers.append(tuple(top))
-        remaining = [s for s in remaining if s not in top]
+        layer[i] = 1 + max(depths, default=0)
+    layers: list[list[str]] = [[] for _ in range(max(layer))]
+    for s, k in zip(schemes, layer):
+        layers[k - 1].append(s)
 
     unresolved = tuple(
-        (a, b)
+        (a, schemes[j])
         for i, a in enumerate(schemes)
-        for b in schemes[i + 1 :]
-        if not matrix[(a, b)] and not matrix[(b, a)]
+        for j in range(i + 1, len(schemes))
+        if not verdict[i][j] and not verdict[j][i]
     )
     return Ranking(
         kind=kind,
         schemes=schemes,
         matrix=matrix,
-        layers=tuple(layers),
+        layers=tuple(map(tuple, layers)),
         unresolved=unresolved,
     )
+
+
+def _dot_id(s: str) -> str:
+    """A DOT quoted id: backslash and double quote escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def ranking_dot(ranking: Ranking) -> str:
     """Graph description (DOT) of the strict part, transitively reduced."""
     schemes = ranking.schemes
-    strict = {
-        (a, b)
-        for a in schemes
-        for b in schemes
-        if a != b and ranking.strictly_above(a, b)
-    }
-    reduced = {
-        (a, b)
-        for (a, b) in strict
-        if not any((a, c) in strict and (c, b) in strict for c in schemes)
-    }
+    matrix = ranking.matrix
+    verdict = [[matrix[(a, b)] for b in schemes] for a in schemes]
+    above = _above(verdict)
+    masks = [sum(1 << j for j in js) for js in above]
+    edges = []
+    for a, js in zip(schemes, above):
+        # j covers a unless j lies above some other scheme above a
+        implied = 0
+        for j in js:
+            implied |= masks[j]
+        edges.extend((a, schemes[j]) for j in js if not implied >> j & 1)
     lines = [
         "digraph ranking {",
         f'  label="strict ⊂{ranking.kind.letter} (edge points to the better scheme)";',
         "  rankdir=BT;",
     ]
     for s in schemes:
-        lines.append(f'  "{s}";')
-    for a, b in sorted(reduced):
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f"  {_dot_id(s)};")
+    for a, b in sorted(edges):
+        lines.append(f"  {_dot_id(a)} -> {_dot_id(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
