@@ -2,7 +2,10 @@
 
 `active` is the module the law engine uses for its integer-grid hot loop.
 Set HESITANT_PURE=1 to force the pure implementation. The exact public API
-(Fraction degrees) always uses the scalar-generic `pure` module directly.
+(HFE and HFS algebra, relations, ranking) always uses the `pure` module
+directly: its degrees are Python-int numerators over a common denominator,
+which for non-decimal degrees can outgrow a C integer. The Fraction-scalar
+`laws.algebra.EXACT` algebra uses `pure` too.
 """
 
 import os

@@ -3,10 +3,11 @@
 Everything here works on plain tuples. An element value ("hfe") is a
 non-empty tuple of degree scalars sorted descending; a set value ("hfs") is a
 tuple of hfes, one per universe position. The functions are scalar-generic:
-they only compare, add and subtract degrees, so they run unchanged on exact
-`Fraction` degrees (the public API) and on integer grid degrees (the law
-engine and the scheme ranking, where a degree k stands for k/den and `one`
-is den; the ranking's den can exceed a C integer).
+they only compare, add and subtract degrees, so they run unchanged on integer
+grid degrees (the public HFE algebra, the law engine and the scheme ranking,
+where a degree k stands for k/den and `one` is den; outside the engine den
+can exceed a C integer) and on exact `Fraction` degrees (the
+`laws.algebra.EXACT` algebra that replays fixtures).
 
 The compiled twin `_ckernel` implements the identical contract for integer
 degrees, including bit-identical random streams. `tests/test_kernel.py` pins

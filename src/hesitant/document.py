@@ -23,9 +23,17 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .degrees import DegreeError, format_degree, parse_degree
+# `format_degree` and `parse_degree` stay bound here for perfbench/tracing.py,
+# which rebinds them in this module; documents parse and format on the grid.
+from .degrees import SCALE, DegreeError, format_degree, format_grid, parse_degree, parse_grid
+from .elements import HFE
 from .errors import DocumentError
 from .sets import HFS, Family, Universe
+
+
+def _decimals(h: HFE) -> tuple[str, ...]:
+    """An HFE's degrees as minimal decimal strings, in canonical order."""
+    return tuple(format_grid(n, h._den) for n in h._nums)
 
 
 @dataclass(frozen=True)
@@ -57,15 +65,22 @@ class Document:
                 if not degrees:
                     raise DocumentError(f"set {name!r}, element {e!r}: membership is empty")
                 try:
-                    parsed = sorted((parse_degree(d) for d in degrees), reverse=True)
+                    parsed = sorted((parse_grid(d) for d in degrees), reverse=True)
                 except DegreeError as exc:
                     raise DocumentError(f"set {name!r}, element {e!r}: {exc}") from None
-                canon_members[e] = tuple(format_degree(d) for d in parsed)
+                canon_members[e] = tuple(format_grid(k, SCALE) for k in parsed)
             canon_sets[name] = canon_members
         object.__setattr__(self, "sets", canon_sets)
         canon_families: dict[str, tuple[str, ...]] = {}
         for fname in sorted(self.families):
-            members = tuple(self.families[fname])
+            members = self.families[fname]
+            if (
+                isinstance(members, str)
+                or not isinstance(members, Sequence)
+                or not all(isinstance(m, str) for m in members)
+            ):
+                raise DocumentError(f"family {fname!r}: expected a list of set names")
+            members = tuple(members)
             if not members:
                 raise DocumentError(f"family {fname!r}: no members")
             unknown = [m for m in members if m not in canon_sets]
@@ -104,9 +119,7 @@ class Document:
         if hfs.universe.elements != self.universe:
             raise DocumentError(f"set {name!r} lives on a different universe")
         sets = {k: dict(v) for k, v in self.sets.items()}
-        sets[name] = {
-            e: tuple(format_degree(g) for g in h.degrees) for e, h in hfs.items()
-        }
+        sets[name] = {e: _decimals(h) for e, h in hfs.items()}
         return Document(universe=self.universe, sets=sets, families=dict(self.families))
 
 
@@ -121,7 +134,7 @@ def document_of(sets: Mapping[str, HFS], families: Mapping[str, Sequence[str]] |
     return Document(
         universe=uni.elements,
         sets={
-            name: {e: tuple(format_degree(g) for g in h.degrees) for e, h in s.items()}
+            name: {e: _decimals(h) for e, h in s.items()}
             for name, s in sets.items()
         },
         families={name: tuple(members) for name, members in (families or {}).items()},

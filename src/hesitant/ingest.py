@@ -12,7 +12,9 @@ import csv
 import io
 from typing import Iterable
 
-from .degrees import DegreeError, parse_degree
+# `parse_degree` stays bound here for perfbench/tracing.py, which rebinds it
+# in this module; scores are validated on the grid.
+from .degrees import DegreeError, parse_degree, parse_grid
 from .document import Document
 from .errors import DocumentError
 
@@ -53,7 +55,7 @@ def ingest_scores(source, set_name: str = "H") -> Document:
         if not raw:
             continue  # the expert skipped this scheme
         try:
-            parse_degree(raw)
+            parse_grid(raw)
         except DegreeError as exc:
             raise DocumentError(f"row {lineno}: {exc}") from None
         scores[scheme].append(raw)

@@ -15,12 +15,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .._kernel import IMPLEMENTATION, active
-from ..degrees import format_degree
+from ..degrees import format_grid
 from ..errors import UniverseMismatchError
+from ..elements import HFE
 from ..sets import HFS, Family, Universe
 from . import generators as g
 from .algebra import EXACT, Algebra, grid_algebra, hfs_to_plain
@@ -124,7 +124,7 @@ def _serialize_value(value, den: int):
     """Plain grid value -> JSON-able structure with exact decimal degrees."""
     if value and isinstance(value[0], tuple) and value[0] and isinstance(value[0][0], tuple):
         return [_serialize_value(member, den) for member in value]
-    return [[format_degree(Fraction(num, den)) for num in h] for h in value]
+    return [[format_grid(num, den) for num in h] for h in value]
 
 
 def _universe_names(size: int) -> tuple[str, ...]:
@@ -349,8 +349,7 @@ def random_hfs(config: GeneratorConfig, stream_index: int) -> HFS:
         stream, config.degree_grid, size, config.cardinality[0], config.cardinality[1]
     )
     uni = Universe(_universe_names(size))
-    den = config.degree_grid
-    return HFS(uni, {e: [Fraction(num, den) for num in plain[i]] for i, e in enumerate(uni)})
+    return HFS._wrap(uni, tuple(HFE._from_grid(h, config.degree_grid) for h in plain))
 
 
 def run_law(law: Law | str, config: GeneratorConfig) -> LawResult:

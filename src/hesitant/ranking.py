@@ -8,10 +8,10 @@ part (layer 1 holds the schemes nothing beats strictly), and the unresolved
 preorder, the others may leave pairs incomparable, and that is reported, not
 hidden.
 
-Cost, for n schemes: every degree is converted once onto the integer grid of
-the set's common denominator, which leaves every verdict unchanged because
-the relations only compare and add degrees; then n² integer verdicts fill
-the matrix. Layers are longest paths over the strict part, in O(n²).
+Cost, for n schemes: every HFE's integer numerators are rescaled once onto
+the grid of the set's common denominator, which leaves every verdict
+unchanged because the relations only compare and add degrees; then n²
+integer verdicts fill the matrix. Layers are longest paths over the strict part, in O(n²).
 `ranking_dot` reduces the strict part transitively with one bitset of the
 schemes above each scheme, in O(n²) big-integer operations of n bits.
 
@@ -28,6 +28,7 @@ from typing import Mapping
 # The pure kernel on purpose: it works on unbounded Python ints, and the
 # common denominator of non-decimal degrees can exceed a C integer.
 from ._kernel import _pykernel as _ops
+from .elements import _scaled
 # `element_relation` stays bound here for perfbench/tracing.py, which rebinds
 # it in this module to count calls; ranking itself calls the kernel directly.
 from .relations import Inclusion, element_relation
@@ -54,9 +55,9 @@ class Ranking:
 
 
 def _grid(hfes) -> list[tuple[int, ...]]:
-    """Each HFE's degrees as integers on the grid of the common denominator."""
-    den = lcm(*{g.denominator for h in hfes for g in h.degrees})
-    return [tuple(g.numerator * (den // g.denominator) for g in h.degrees) for h in hfes]
+    """Each HFE's numerators rescaled onto the lcm of all their denominators."""
+    den = lcm(*{h._den for h in hfes})
+    return [_scaled(h._nums, den // h._den) for h in hfes]
 
 
 def _above(verdict: list[list[bool]]) -> list[list[int]]:

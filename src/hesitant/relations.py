@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from ._kernel import _pykernel as _ops
 from .degrees import coerce_degree
-from .elements import HFE
+from .elements import HFE, _common
 from .errors import UniverseMismatchError
 
 
@@ -91,17 +91,24 @@ def best_subsequence(h: HFE, q: int) -> HFE:
 def is_subsequence(sub: HFE, whole: HFE) -> bool:
     """Multiset containment: every degree of sub occurs in whole with at
     least the same multiplicity."""
-    return _ops.is_subseq(sub.degrees, whole.degrees)
+    s, w, _ = _common(sub, whole)
+    return _ops.is_subseq(s, w)
 
 
 def element_relation(kind: Inclusion, a: HFE, b: HFE) -> bool:
-    """Does a ⊂kind b hold for two memberships?"""
-    return _ops.e_rel(kind.code, a.degrees, b.degrees)
+    """Does a ⊂kind b hold for two memberships?
+
+    The relations only compare and add degrees, so they hold on the common
+    integer grid of the two exactly when they hold on the degrees.
+    """
+    ga, gb, _ = _common(a, b)
+    return _ops.e_rel(kind.code, ga, gb)
 
 
 def classify_strong_or_tail(a: HFE, b: HFE) -> Optional[Inclusion]:
     """STRONG if a ⊂s b, TAIL if a ⊂t b, None otherwise (never both)."""
-    verdict = _ops.e_sot(a.degrees, b.degrees)
+    ga, gb, _ = _common(a, b)
+    verdict = _ops.e_sot(ga, gb)
     if verdict == 1:
         return Inclusion.STRONG
     if verdict == 2:

@@ -166,3 +166,19 @@ def test_ingest_bad_table(tmp_path, capsys):
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "relate", "/nonexistent.json", "A", "B")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "members", [5, [["A"]], "AB", [1]], ids=["number", "nested-list", "string", "number-member"]
+)
+def test_ops_rejects_families_that_are_not_lists_of_names(tmp_path, capsys, members):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "universe": ["x"],
+        "sets": {"A": {"x": ["0.5"]}, "B": {"x": ["0.4"]}},
+        "families": {"F": members},
+    }))
+    code, out, err = run_cli(capsys, "ops", path, "A | B")
+    assert code == 2
+    assert out == ""
+    assert "family 'F': expected a list of set names" in err

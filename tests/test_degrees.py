@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hesitant import DegreeError, format_degree, parse_degree, render_rational
-from hesitant.degrees import coerce_degree
+from hesitant.degrees import SCALE, coerce_degree, format_grid, parse_grid
 
 
 def test_parse_exact_decimals():
@@ -27,6 +27,30 @@ def test_parse_strips_whitespace_and_keeps_leading_zeros():
 def test_parse_rejects_malformed_or_out_of_range(bad):
     with pytest.raises(DegreeError):
         parse_degree(bad)
+
+
+@pytest.mark.parametrize("bad", ["١.٠", "٠.٥", "0.５", "１"])
+def test_parse_rejects_non_ascii_digits(bad):
+    with pytest.raises(DegreeError, match="malformed degree"):
+        parse_degree(bad)
+
+
+def test_parse_rejects_huge_digit_strings_as_out_of_range():
+    with pytest.raises(DegreeError, match="outside"):
+        parse_degree("9" * 5000)
+    with pytest.raises(DegreeError, match="outside"):
+        parse_degree("0" * 4999 + "2")
+    assert parse_degree("0" * 5000 + ".5") == Fraction(1, 2)
+
+
+def test_grid_parse_and_format():
+    assert parse_grid("0.45") == 450_000_000
+    assert parse_grid(" 1 ") == SCALE
+    assert format_grid(450_000_000, SCALE) == "0.45"
+    assert format_grid(6, 12) == "0.5"  # unreduced input
+    assert format_grid(0, 7) == "0"
+    with pytest.raises(DegreeError, match="1/3 has no exact decimal form"):
+        format_grid(2, 6)
 
 
 def test_parse_rejects_excess_precision_even_in_range():
@@ -65,3 +89,5 @@ def test_render_rational_exact_and_approximate():
 def test_grid_round_trip(num):
     value = Fraction(num, 10**9)
     assert parse_degree(format_degree(value)) == value
+    assert format_grid(num, SCALE) == format_degree(value)
+    assert parse_grid(format_grid(num, SCALE)) == num
