@@ -9,9 +9,16 @@ where a degree k stands for k/den and `one` is den; outside the engine den
 can exceed a C integer) and on exact `Fraction` degrees (the
 `laws.algebra.EXACT` algebra that replays fixtures).
 
+Random generation draws from a SplitMix64 `Stream`. `gen_hfe` and `gen_hfs`
+load the stream's state into a local once, run every draw on that local and
+store it back once, and `Stream.below`/`randint` repeat the step of `u64`
+inline; the numbers drawn and the state left behind are exactly those of one
+`u64` call per draw. `tests/test_streams.py` pins that against a
+method-per-draw oracle.
+
 The compiled twin `_ckernel` implements the identical contract for integer
-degrees, including bit-identical random streams. `tests/test_kernel.py` pins
-the equivalence.
+degrees, including bit-identical random streams: its output must stay
+bit-identical to this module's. `tests/test_kernel.py` pins the equivalence.
 """
 
 from __future__ import annotations
@@ -23,9 +30,21 @@ REL_P, REL_A, REL_M, REL_S, REL_T, REL_N = range(6)
 
 _MASK = (1 << 64) - 1
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the state advances by
+# _GOLDEN and each output is the state mixed by two xor-shift-multiply rounds.
+# The names and values match `_ckernel.pyx`.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
 
 class Stream:
-    """SplitMix64 random stream; deterministic function of its seed."""
+    """SplitMix64 random stream; deterministic function of its seed.
+
+    `below` and `randint` repeat the step of `u64` inline: they are the
+    generators' hottest calls, and a chain of method calls per draw
+    (`randint` -> `below` -> `u64`) is a large share of the draw's cost.
+    """
 
     __slots__ = ("state",)
 
@@ -33,19 +52,24 @@ class Stream:
         self.state = seed & _MASK
 
     def u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        self.state = z = (self.state + _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
         """Uniform draw from range(n) via 64-bit fixed-point scaling."""
-        return (self.u64() * n) >> 64
+        self.state = z = (self.state + _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        return ((z ^ (z >> 31)) * n) >> 64
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform draw from the inclusive range [lo, hi]."""
-        return lo + self.below(hi - lo + 1)
+        self.state = z = (self.state + _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        return lo + (((z ^ (z >> 31)) * (hi - lo + 1)) >> 64)
 
 
 def canon(values):
@@ -56,13 +80,17 @@ def canon(values):
 def e_union(a, b):
     """Concatenate and keep degrees >= max of the two minima (descending)."""
     lo = a[-1] if a[-1] >= b[-1] else b[-1]
-    return tuple(sorted((g for g in a + b if g >= lo), reverse=True))
+    out = [g for g in a + b if g >= lo]
+    out.sort(reverse=True)
+    return tuple(out)
 
 
 def e_inter(a, b):
     """Concatenate and keep degrees <= min of the two maxima (descending)."""
     hi = a[0] if a[0] <= b[0] else b[0]
-    return tuple(sorted((g for g in a + b if g <= hi), reverse=True))
+    out = [g for g in a + b if g <= hi]
+    out.sort(reverse=True)
+    return tuple(out)
 
 
 def e_compl(a, one):
@@ -132,15 +160,15 @@ def is_subseq(sub, whole):
 
 
 def u_union(A, B):
-    return tuple(e_union(a, b) for a, b in zip(A, B))
+    return tuple([e_union(a, b) for a, b in zip(A, B)])
 
 
 def u_inter(A, B):
-    return tuple(e_inter(a, b) for a, b in zip(A, B))
+    return tuple([e_inter(a, b) for a, b in zip(A, B)])
 
 
 def u_compl(A, one):
-    return tuple(e_compl(a, one) for a in A)
+    return tuple([e_compl(a, one) for a in A])
 
 
 def u_rel(code, A, B):
@@ -158,13 +186,40 @@ def u_equal(A, B):
 # --- random generation on the integer grid ---
 
 
+def _draw_hfe(z, den, card_lo, card_hi):
+    """SplitMix64 state `z` -> (state after the draws, random hfe).
+
+    The draws of `Stream.randint(card_lo, card_hi)` followed by that many
+    `Stream.below(den + 1)`, run on a local state.
+    """
+    z = s = (z + _GOLDEN) & _MASK
+    s = ((s ^ (s >> 30)) * _MIX1) & _MASK
+    s = ((s ^ (s >> 27)) * _MIX2) & _MASK
+    k = card_lo + (((s ^ (s >> 31)) * (card_hi - card_lo + 1)) >> 64)
+    n = den + 1
+    out = []
+    for _ in range(k):
+        z = s = (z + _GOLDEN) & _MASK
+        s = ((s ^ (s >> 30)) * _MIX1) & _MASK
+        s = ((s ^ (s >> 27)) * _MIX2) & _MASK
+        out.append(((s ^ (s >> 31)) * n) >> 64)
+    out.sort(reverse=True)
+    return z, tuple(out)
+
+
 def gen_hfe(stream, den, card_lo, card_hi):
     """Random hfe: cardinality uniform in [card_lo, card_hi], degrees uniform
     on the grid {0, 1, ..., den} (meaning k/den)."""
-    k = stream.randint(card_lo, card_hi)
-    return tuple(sorted((stream.below(den + 1) for _ in range(k)), reverse=True))
+    stream.state, hfe = _draw_hfe(stream.state, den, card_lo, card_hi)
+    return hfe
 
 
 def gen_hfs(stream, den, size, card_lo, card_hi):
     """Random hfs over `size` universe positions."""
-    return tuple(gen_hfe(stream, den, card_lo, card_hi) for _ in range(size))
+    z = stream.state
+    out = []
+    for _ in range(size):
+        z, hfe = _draw_hfe(z, den, card_lo, card_hi)
+        out.append(hfe)
+    stream.state = z
+    return tuple(out)

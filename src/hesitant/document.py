@@ -151,6 +151,8 @@ def load_document(source) -> Document:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         raise DocumentError("document root must be an object")
     unknown = set(data) - {"universe", "sets", "families"}

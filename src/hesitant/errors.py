@@ -19,3 +19,6 @@ class DocumentError(HesitantError, ValueError):
 
 class UnknownLawError(HesitantError, KeyError):
     """A law id is not present in the registry."""
+
+    # KeyError.__str__ would quote the message as if it were the missing key.
+    __str__ = Exception.__str__

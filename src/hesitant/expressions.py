@@ -9,6 +9,11 @@ Grammar (whitespace-insensitive)::
 
 Intersection binds tighter than union; complement is a postfix and binds
 tightest. Names may contain letters, digits, "_", "." and "-".
+
+Parsing, evaluation, printing and comparison of trees all recurse, so an
+expression may nest at most MAX_DEPTH levels: parentheses inside
+parentheses, and operators over operators (a chain of n operators is n
+levels deep). Deeper input is a ValueError, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 Node = Union["Var", "Compl", "Join", "Meet"]
+
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -85,10 +92,20 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _level(height: int) -> int:
+    """The height of a node over a child `height` levels deep, checked."""
+    if height >= MAX_DEPTH:
+        raise ValueError(f"expression nests deeper than {MAX_DEPTH} levels")
+    return height + 1
+
+
 class _Parser:
+    """Recursive descent; each method returns (node, height of the node)."""
+
     def __init__(self, tokens: list[tuple[str, str]]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.parens = 0  # parentheses open at the current position
 
     def peek(self) -> str:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else "end"
@@ -98,38 +115,42 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple[Node, int]:
+        node, height = self.term()
         while self.peek() == "union":
             self.take()
-            node = Join(node, self.term())
-        return node
+            right, right_height = self.term()
+            node, height = Join(node, right), _level(max(height, right_height))
+        return node, height
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> tuple[Node, int]:
+        node, height = self.factor()
         while self.peek() == "inter":
             self.take()
-            node = Meet(node, self.factor())
-        return node
+            right, right_height = self.factor()
+            node, height = Meet(node, right), _level(max(height, right_height))
+        return node, height
 
-    def factor(self) -> Node:
-        node = self.atom()
+    def factor(self) -> tuple[Node, int]:
+        node, height = self.atom()
         while self.peek() == "compl":
             self.take()
-            node = Compl(node)
-        return node
+            node, height = Compl(node), _level(height)
+        return node, height
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, int]:
         kind = self.peek()
         if kind == "name":
-            return Var(self.take()[1])
+            return Var(self.take()[1]), 0
         if kind == "open":
             self.take()
-            node = self.expr()
+            self.parens = _level(self.parens)
+            found = self.expr()
             if self.peek() != "close":
                 raise ValueError("missing closing parenthesis")
             self.take()
-            return node
+            self.parens -= 1
+            return found
         raise ValueError(f"expected a set name or '(', found {kind}")
 
 
@@ -138,7 +159,7 @@ def parse_expression(text: str) -> Node:
     if not tokens:
         raise ValueError("empty expression")
     parser = _Parser(tokens)
-    node = parser.expr()
+    node, _ = parser.expr()
     if parser.pos != len(tokens):
         raise ValueError(f"trailing input after expression: {tokens[parser.pos:]}")
     return node

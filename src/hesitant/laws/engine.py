@@ -79,11 +79,18 @@ _MASK64 = (1 << 64) - 1
 
 
 def _mix(seed: int, *parts) -> int:
+    """FNV-1a over the seed and the parts: str parts as their UTF-8 bytes, int
+    parts as 8 little-endian bytes. The state after a prefix of the parts
+    extends to the state after all of them."""
     h = (_FNV_OFFSET ^ (seed & _MASK64)) * _FNV_PRIME & _MASK64
     for part in parts:
-        data = part.encode() if isinstance(part, str) else int(part).to_bytes(8, "little")
-        for byte in data:
-            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+        h = _extend(h, part.encode() if isinstance(part, str) else int(part).to_bytes(8, "little"))
+    return h
+
+
+def _extend(h: int, data: bytes) -> int:
+    for byte in data:
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
 
 
@@ -95,7 +102,9 @@ def _trials(law: Law, alg: Algebra, config: GeneratorConfig):
 
     The binding is built by the law's generator and re-checked by its guard;
     it is None when either rejects the draw (starvation). Each trial draws
-    from its own stream, so a trial depends only on (seed, law id, index).
+    from its own stream, so a trial depends only on (seed, law id, index):
+    its seed is `_mix(seed, law id, index)`, computed here by hashing the
+    (seed, law id) prefix once and extending it by the index bytes.
     """
     contexts = {
         size: g.GenContext(
@@ -108,8 +117,9 @@ def _trials(law: Law, alg: Algebra, config: GeneratorConfig):
         )
         for size in range(config.universe_size[0], config.universe_size[1] + 1)
     }
+    prefix = _mix(config.seed, law.id)
     for index in range(config.trials):
-        stream = active.Stream(_mix(config.seed, law.id, index))
+        stream = active.Stream(_extend(prefix, index.to_bytes(8, "little")))
         size = stream.randint(*config.universe_size)
         binding = law.gen(alg, stream, contexts[size])
         if binding is not None and law.guard is not None and not law.guard(alg, binding):

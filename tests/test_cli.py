@@ -182,3 +182,30 @@ def test_ops_rejects_families_that_are_not_lists_of_names(tmp_path, capsys, memb
     assert code == 2
     assert out == ""
     assert "family 'F': expected a list of set names" in err
+
+
+def test_deeply_nested_json_is_a_document_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_cli(capsys, "relate", path, "A", "B")
+    assert code == 2
+    assert err == "error: not valid JSON: arrays or objects nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 5000 + "A" + ")" * 5000, "A" + "ᶜ" * 5000, " ∪ ".join(["A"] * 3000)],
+    ids=["parentheses", "complements", "unions"],
+)
+def test_ops_rejects_too_deep_expressions(docs_dir, capsys, expr):
+    code, out, err = run_cli(capsys, "ops", docs_dir / "expression-types.json", expr)
+    assert code == 2
+    assert out == ""
+    assert err == "error: expression nests deeper than 100 levels\n"
+
+
+def test_check_unknown_law_message(capsys):
+    code, out, err = run_cli(capsys, "check", "--law", "nope")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown law id 'nope'\n"

@@ -1,7 +1,7 @@
 import pytest
 
 from hesitant import Universe, hfe, make_hfs, parse_expression
-from hesitant.expressions import evaluate_on_hfs, variables
+from hesitant.expressions import MAX_DEPTH, evaluate_on_hfs, variables
 
 
 def _doc_sets():
@@ -54,3 +54,27 @@ def test_parse_errors(bad):
 def test_statement_rendering_round_trips():
     node = parse_expression("(A & B) | C^c")
     assert parse_expression(str(node)) == node
+
+
+def _nested(shape, d):
+    """An expression d levels deep, in one of four shapes."""
+    return {
+        "parentheses": "(" * d + "A" + ")" * d,
+        "complements": "A" + "ᶜ" * d,
+        "unions": " | ".join(["A"] * (d + 1)),
+        "intersections": " & ".join(["B"] * (d + 1)),
+    }[shape]
+
+
+@pytest.mark.parametrize("shape", ["parentheses", "complements", "unions", "intersections"])
+def test_depth_limit(shape):
+    text = _nested(shape, MAX_DEPTH)
+    node = parse_expression(text)
+    # everything that recurses over the tree works at the limit
+    assert parse_expression(str(node)) == node
+    assert hash(node) == hash(parse_expression(text))
+    assert variables(node) <= {"A", "B"}
+    _eval(text)
+    for deeper in (_nested(shape, MAX_DEPTH + 1), f"({text})^c"):
+        with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse_expression(deeper)

@@ -39,8 +39,16 @@ def test_streams_identical():
 
 def test_generation_identical():
     for seed in (0, 1, 2**63, 2**64 - 1):
-        a, b = pure.Stream(seed), compiled.Stream(seed)
-        assert pure.gen_hfs(a, 100, 4, 1, 6) == compiled.gen_hfs(b, 100, 4, 1, 6)
+        for den in (1, 100, 10**9):
+            for lo, hi in ((1, 1), (6, 6), (1, 6), (1, 64)):
+                a, b = pure.Stream(seed), compiled.Stream(seed)
+                for size in (1, 4, 16):
+                    assert pure.gen_hfs(a, den, size, lo, hi) == compiled.gen_hfs(
+                        b, den, size, lo, hi
+                    )
+                    assert pure.gen_hfe(a, den, lo, hi) == compiled.gen_hfe(b, den, lo, hi)
+                    assert a.randint(1, 4) == b.randint(1, 4)
+                assert a.state == b.state
 
 
 def test_exhaustive_small_grid_equivalence():

@@ -1,0 +1,106 @@
+"""The pure kernel's random streams are pinned to a method-per-draw oracle.
+
+`_pykernel` runs its SplitMix64 draws inline on a local copy of the stream
+state. The oracle below is the plain form: every draw goes through `u64`.
+Both must produce the same numbers, the same hfes and hfss, and leave the
+stream in the same state, so that a draw after a generation call continues
+the same sequence.
+"""
+
+import pytest
+
+from hesitant._kernel import _pykernel as pure
+from hesitant.laws.engine import _extend, _mix
+
+_MASK = (1 << 64) - 1
+
+
+class _OracleStream:
+    def __init__(self, seed):
+        self.state = seed & _MASK
+
+    def u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+
+    def below(self, n):
+        return (self.u64() * n) >> 64
+
+    def randint(self, lo, hi):
+        return lo + self.below(hi - lo + 1)
+
+
+def _oracle_gen_hfe(stream, den, card_lo, card_hi):
+    k = stream.randint(card_lo, card_hi)
+    return tuple(sorted((stream.below(den + 1) for _ in range(k)), reverse=True))
+
+
+def _oracle_gen_hfs(stream, den, size, card_lo, card_hi):
+    return tuple(_oracle_gen_hfe(stream, den, card_lo, card_hi) for _ in range(size))
+
+
+SEEDS = (0, 1, 2**63, 2**64 - 1)
+DENS = (1, 100, 10**9)
+CARDS = ((1, 1), (3, 3), (64, 64), (1, 6), (1, 64))
+
+
+def _pair(seed):
+    return pure.Stream(seed), _OracleStream(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS + (-1, 2**64 + 5))
+def test_single_draws_match(seed):
+    a, b = _pair(seed)
+    for n in (1, 2, 101, 10**9 + 1, 2**64):
+        assert [a.below(n) for _ in range(50)] == [b.below(n) for _ in range(50)]
+        assert a.state == b.state
+    for lo, hi in ((0, 0), (3, 9), (0, 10**9), (5, 5)):
+        assert [a.randint(lo, hi) for _ in range(50)] == [b.randint(lo, hi) for _ in range(50)]
+        assert a.state == b.state
+    assert [a.u64() for _ in range(50)] == [b.u64() for _ in range(50)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("den", DENS)
+@pytest.mark.parametrize("card", CARDS)
+def test_generation_matches(seed, den, card):
+    lo, hi = card
+    a, b = _pair(seed)
+    for _ in range(5):
+        assert pure.gen_hfe(a, den, lo, hi) == _oracle_gen_hfe(b, den, lo, hi)
+        assert a.state == b.state
+    for size in (1, 16):
+        assert pure.gen_hfs(a, den, size, lo, hi) == _oracle_gen_hfs(b, den, size, lo, hi)
+        assert a.state == b.state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_interleaved_calls_hand_the_state_over(seed):
+    a, b = _pair(seed)
+    for step in range(40):
+        den = DENS[step % 3]
+        lo, hi = CARDS[step % len(CARDS)]
+        size = (1, 16, 3)[step % 3]
+        assert pure.gen_hfs(a, den, size, lo, hi) == _oracle_gen_hfs(b, den, size, lo, hi)
+        assert a.randint(1, 4) == b.randint(1, 4)
+        assert pure.gen_hfe(a, den, lo, hi) == _oracle_gen_hfe(b, den, lo, hi)
+        assert a.below(den + 1) == b.below(den + 1)
+    assert a.state == b.state
+
+
+def test_empty_hfs_draws_nothing():
+    a, b = _pair(7)
+    assert pure.gen_hfs(a, 100, 0, 1, 6) == ()
+    assert a.state == b.state
+
+
+@pytest.mark.parametrize("seed", (0, 20250808, 2**64 - 1))
+def test_trial_seed_extends_the_law_prefix(seed):
+    """The engine hashes (seed, law id) once and extends it per trial."""
+    for law_id in ("prop2.1", "thm5.6", "exam-sec2.5-s-union-m"):
+        prefix = _mix(seed, law_id)
+        for index in (0, 1, 255, 10_000, 2**40):
+            assert _extend(prefix, index.to_bytes(8, "little")) == _mix(seed, law_id, index)
