@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -107,6 +108,16 @@ def test_counterexamples_all(capsys):
     assert code == 0
     assert out.count("falsifies the claim") == 51
     assert "PASS: 51 refuted law(s) replayed" in out
+
+
+def test_counterexamples_output_pinned(capsys):
+    # every refuted statement, premise, claim and exact trace, byte for byte
+    code, out, _ = run_cli(capsys, "counterexamples")
+    assert code == 0
+    assert len(out.splitlines()) == 676
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ae6cc181983c0bbabee143dda62dcc3d801314e137a02b3c024b6abe78e293ad"
+    )
 
 
 def test_counterexamples_single_trace(capsys):

@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +135,57 @@ def test_statuses_well_formed():
         assert law.status in (LawStatus.PROVED, LawStatus.REFUTED)
         assert law.statement
         assert law.params
+
+
+# --- verdict pins --------------------------------------------------------------
+#
+# A weakened claim still shows zero violations, so the canonical report cannot
+# catch it. Each law's (guard, claim) verdicts on a fixed set of grid bindings
+# are hashed instead: 200 bindings from the law's own generator and 200 from
+# independent random sets and families of the same parameter shape, drawn
+# from streams seeded as the engine seeds its trials.
+
+VERDICT_BINDINGS = 200
+VERDICTS = Path(__file__).resolve().parent / "law_verdicts.json"
+
+
+def _unguarded(params):
+    from hesitant.laws import generators as g
+
+    def gen(alg, stream, ctx):
+        return {
+            name: (g.rand_hfs if kind == "set" else g.rand_family)(alg, stream, ctx)
+            for name, kind in params
+        }
+
+    return gen
+
+
+def verdict_digest(law) -> str:
+    import dataclasses
+    import hashlib
+
+    from hesitant.laws.algebra import grid_algebra
+    from hesitant.laws.engine import GeneratorConfig, _trials
+
+    config = GeneratorConfig(trials=VERDICT_BINDINGS)
+    alg = grid_algebra(config.degree_grid)
+    h = hashlib.sha256()
+    for tag, gen in (("own", law.gen), ("free", _unguarded(law.params))):
+        # guard=None: _trials must hand over every binding, guard-true or not
+        source = dataclasses.replace(law, id=f"{law.id}/{tag}", gen=gen, guard=None)
+        for index, _, binding in _trials(source, alg, config):
+            if binding is None:
+                verdict = "-"
+            else:
+                guard = True if law.guard is None else bool(law.guard(alg, binding))
+                verdict = f"{guard:d}{bool(law.claim(alg, binding)):d}"
+            h.update(f"{index}:{verdict};".encode())
+    return h.hexdigest()
+
+
+def test_law_verdicts_pinned():
+    pinned = json.loads(VERDICTS.read_text())
+    assert sorted(pinned) == sorted(law.id for law in law_registry())
+    changed = [law.id for law in law_registry() if verdict_digest(law) != pinned[law.id]]
+    assert not changed
