@@ -52,7 +52,10 @@ class Join:
     right: Node
 
     def __str__(self) -> str:
-        return f"{self.left} ∪ {self.right}"
+        # both operators parse left to right: a right operand of the same
+        # operator keeps its parentheses
+        right = f"({self.right})" if isinstance(self.right, Join) else str(self.right)
+        return f"{self.left} ∪ {right}"
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,10 @@ class Meet:
     left: Node
     right: Node
 
-    def _wrap(self, node: Node) -> str:
-        return f"({node})" if isinstance(node, Join) else str(node)
-
     def __str__(self) -> str:
-        return f"{self._wrap(self.left)} ∩ {self._wrap(self.right)}"
+        left = f"({self.left})" if isinstance(self.left, Join) else str(self.left)
+        right = f"({self.right})" if isinstance(self.right, (Join, Meet)) else str(self.right)
+        return f"{left} ∩ {right}"
 
 
 _TOKEN = re.compile(

@@ -56,6 +56,12 @@ def test_statement_rendering_round_trips():
     assert parse_expression(str(node)) == node
 
 
+@pytest.mark.parametrize("text", ["A & (B & C)", "A | (B | C)", "(A | B) & (C | D) & (E & F)"])
+def test_right_operand_of_same_operator_round_trips(text):
+    node = parse_expression(text)
+    assert parse_expression(str(node)) == node
+
+
 def _nested(shape, d):
     """An expression d levels deep, in one of four shapes."""
     return {
