@@ -7,7 +7,8 @@ they only compare, add and subtract degrees, so they run unchanged on integer
 grid degrees (the public HFE algebra, the law engine and the scheme ranking,
 where a degree k stands for k/den and `one` is den; outside the engine den
 can exceed a C integer) and on exact `Fraction` degrees (the
-`laws.algebra.EXACT` algebra that replays fixtures).
+`laws.algebra.EXACT` algebra, through which the compiled law predicates
+replay fixtures).
 
 Random generation draws from a SplitMix64 `Stream`. `gen_hfe` and `gen_hfs`
 load the stream's state into a local once, run every draw on that local and

@@ -28,7 +28,7 @@ from .ingest import ingest_scores
 from .laws.algebra import EXACT, hfs_to_plain
 from .laws.engine import GeneratorConfig, hunt_counterexample, run_suite
 from .laws.fixtures import Fixture
-from .laws.registry import Law, LawStatus, get_law, refuted_laws
+from .laws.registry import Law, LawStatus, Rel, at, get_law, refuted_laws
 from .ranking import format_ranking, rank_schemes, ranking_dot
 from .relations import Inclusion, relation_profile, set_relation
 from .sets import HFS
@@ -160,25 +160,15 @@ def cmd_check(args) -> int:
 # --- counterexamples -------------------------------------------------------------
 
 
-def _at(ast, element: str) -> str:
-    from .expressions import Var
-
-    text = str(ast)
-    return f"{text}({element})" if isinstance(ast, Var) else f"({text})({element})"
-
-
 def _spec_detail(spec, plain, universe) -> list[str]:
     """Describe the two sides of a claim/guard on one binding."""
-    from .expressions import evaluate as eval_plain
-
-    lhs_ast = parse_expression(spec.lhs)
-    rhs_ast = parse_expression(spec.rhs)
-    L = eval_plain(lhs_ast, plain.__getitem__, EXACT.union, EXACT.inter, EXACT.compl)
-    R = eval_plain(rhs_ast, plain.__getitem__, EXACT.union, EXACT.inter, EXACT.compl)
+    if not isinstance(spec, Rel):
+        return []
+    L, R = spec.sides(EXACT, plain)
     lines = []
     for i, e in enumerate(universe):
         lh, rh = HFE(L[i]), HFE(R[i])
-        lname, rname = _at(lhs_ast, e), _at(rhs_ast, e)
+        lname, rname = at(spec.lhs, e), at(spec.rhs, e)
         lines.append(f"    {lname} = {lh}")
         lines.append(f"    {rname} = {rh}")
         if spec.mode in ("rel", "eq") and spec.kind is Inclusion.MEAN:
@@ -219,16 +209,14 @@ def _print_fixture_trace(law: Law, fixture: Fixture) -> bool:
         memberships = " + ".join(f"{hfs[e]}/{e}" for e in fixture.universe)
         print(f"    {var} = {memberships}")
     plain = {name: hfs_to_plain(value) for name, value in binding.items()}
-    if law.guard_spec is not None:
-        print(f"  premise {law.guard_spec.render()}: {_fmt_bool(verdict['guard'])}")
-        for line in _spec_detail(law.guard_spec, plain, fixture.universe):
-            print(line)
-    if law.claim_spec is not None:
-        print(f"  claim {law.claim_spec.render()}: {_fmt_bool(verdict['claim'])}")
-        for line in _spec_detail(law.claim_spec, plain, fixture.universe):
-            print(line)
-    else:
-        print(f"  claim holds: {_fmt_bool(verdict['claim'])}")
+    for label, spec, holds in (
+        ("premise", law.premise, verdict["guard"]),
+        ("claim", law.conclusion, verdict["claim"]),
+    ):
+        if spec is not None:
+            print(f"  {label} {spec}: {_fmt_bool(holds)}")
+            for line in _spec_detail(spec, plain, fixture.universe):
+                print(line)
     print(f"  => fixture {'falsifies the claim' if falsifies else 'DOES NOT falsify'}")
     print()
     return falsifies

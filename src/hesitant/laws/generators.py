@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from ..relations import Inclusion
 
@@ -307,7 +308,7 @@ def set_family_iff(kind):
             return forall(alg, stream, ctx)
         if r == 3:
             F = rand_family(alg, stream, ctx)
-            fold = alg.fold_inter(F)
+            fold = reduce(alg.kern.u_inter, F)
             A = _hfs_below(alg, stream, ctx, fold, kind)
             if A is None:
                 return None
@@ -357,7 +358,7 @@ def meet_tail_pair(alg, stream, ctx):
     """Guard A ⊂t (B ∩ C): draw B and C, then build A under their meet."""
     B = rand_hfs(alg, stream, ctx)
     C = rand_hfs(alg, stream, ctx)
-    I = alg.inter(B, C)
+    I = alg.kern.u_inter(B, C)
     A = _hfs_below(alg, stream, ctx, I, T)
     if A is None:
         return None

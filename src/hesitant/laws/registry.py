@@ -1,25 +1,32 @@
 """The law registry: every proved statement and every refuted one.
 
-A law binds named variables (sets, or a family of sets) and carries a guard
-(its premises) and a claim (its conclusion). A *violation* is a binding where
-the guard holds and the claim fails. Proved laws must show zero violations
-under randomized trials; refuted laws carry at least one fixture binding that
-exhibits a violation, frozen from the worked counterexamples.
+A law binds named variables (sets, or a family of sets) and states one
+formula, its *spec*: a claim, or a premise ⇒ claim. The premise is the law's
+guard. A *violation* is a binding where the guard holds and the claim fails.
+Proved laws must show zero violations under randomized trials; refuted laws
+carry at least one fixture binding that exhibits a violation, frozen from
+the worked counterexamples.
+
+Specs are data, written with the small formula type below. They are the one
+documented source for what each law means: `Law.statement` is rendered from
+the spec, and `Law.guard` and `Law.claim` are closures compiled from it once,
+at import. A compiled closure takes `(alg, binding)`, fetches the kernel from
+`alg.kern` once per call and has its relation codes bound already.
+`render_table()` regenerates docs/laws.md from the statements.
 
 Ids are stable text keys: `propN.i` / `thmN.i` for proved laws (with semantic
-aliases for the equality-algebra items), `exam-*` for refuted ones. The
-statement strings are the single documented source for what each id means;
-`render_table()` regenerates docs/laws.md from them.
+aliases for the equality-algebra items), `exam-*` for refuted ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from functools import reduce
+from typing import Callable, Optional, Union
 
 from ..errors import UnknownLawError
-from ..expressions import evaluate, parse_expression
+from ..expressions import Compl, Join, Node, Var, parse_expression
 from ..relations import Inclusion
 from . import generators as g
 from .fixtures import (
@@ -48,48 +55,324 @@ class LawStatus(Enum):
     REFUTED = "refuted"
 
 
-@dataclass(frozen=True)
-class RelSpec:
-    """Declarative predicate: LHS-expression related to RHS-expression.
+# --------------------------------------------------------------------------
+# The formula type. Terms are set expressions (`expressions.Node`) or folds
+# of a family; formulas are built from the nodes below. Every node renders
+# itself with `str` and compiles itself, once, to a closure
+# (kern, one, binding) -> value, where `one` is the complement unit.
+# --------------------------------------------------------------------------
 
-    mode is "rel" (set-level ⊂kind), "eq" (=kind), "sot" (elementwise
-    strong-or-tail) or "multiset" (exact equality). Refuted laws carry these
-    so the counterexample traces can show the computed composites.
-    """
+
+@dataclass(frozen=True)
+class Fold:
+    """⋂F or ⋃F: the meet or the join of every member of family F."""
+
+    op: str  # "⋂" or "⋃"
+    family: str
+
+    def __str__(self) -> str:
+        return f"{self.op}{self.family}"
+
+
+Term = Union[Node, Fold]
+
+
+def _term(text: str) -> Term:
+    return Fold(text[0], text[1:]) if text[0] in "⋂⋃" else parse_expression(text)
+
+
+def at(term: Term, element: str = "x") -> str:
+    """The term's membership at one element: `A(x)`, `(A ∩ B)(x)`."""
+    return f"{term}({element})" if isinstance(term, Var) else f"({term})({element})"
+
+
+def _value(term: Term) -> Callable:
+    """Compile a term to a closure (kern, one, binding) -> its hfs value."""
+    if isinstance(term, Var):
+        name = term.name
+
+        def var(k, one, b):
+            return b[name]
+
+        return var
+    if isinstance(term, Fold):
+        family = term.family
+        if term.op == "⋂":
+
+            def meet_all(k, one, b):
+                return reduce(k.u_inter, b[family])
+
+            return meet_all
+
+        def join_all(k, one, b):
+            return reduce(k.u_union, b[family])
+
+        return join_all
+    if isinstance(term, Compl):
+        child = _value(term.child)
+
+        def compl(k, one, b):
+            return k.u_compl(child(k, one, b), one)
+
+        return compl
+    left, right = _value(term.left), _value(term.right)
+    if isinstance(term, Join):
+
+        def join(k, one, b):
+            return k.u_union(left(k, one, b), right(k, one, b))
+
+        return join
+
+    def meet(k, one, b):
+        return k.u_inter(left(k, one, b), right(k, one, b))
+
+    return meet
+
+
+@dataclass(frozen=True)
+class Rel:
+    """lhs related to rhs. mode is "rel" (set-level ⊂kind), "eq" (=kind),
+    "sot" (strong-or-tail at every element) or "multiset" (exact equality).
+    Counterexample traces show its two sides."""
 
     mode: str
-    lhs: str
-    rhs: str
+    lhs: Term
+    rhs: Term
     kind: Optional[Inclusion] = None
 
-    def render(self) -> str:
-        lhs = str(parse_expression(self.lhs))
-        rhs = str(parse_expression(self.rhs))
+    def __str__(self) -> str:
         if self.mode == "rel":
-            return f"{lhs} ⊂{self.kind.letter} {rhs}"
+            return f"{self.lhs} ⊂{self.kind.letter} {self.rhs}"
         if self.mode == "eq":
-            return f"{lhs} ={self.kind.letter} {rhs}"
+            return f"{self.lhs} ={self.kind.letter} {self.rhs}"
         if self.mode == "sot":
-            return f"{lhs} ⊂s-or-⊂t {rhs} at every x"
-        return f"{lhs} = {rhs} as multisets"
+            return f"{self.lhs} ⊂s-or-⊂t {self.rhs} at every x"
+        return f"{self.lhs} = {self.rhs} as multisets"
 
-    def predicate(self) -> Callable:
-        lhs = parse_expression(self.lhs)
-        rhs = parse_expression(self.rhs)
-        mode, kind = self.mode, self.kind
+    def sides(self, alg, binding) -> tuple:
+        """The values of lhs and rhs on one binding."""
+        return tuple(_value(t)(alg.kern, alg.one, binding) for t in (self.lhs, self.rhs))
 
-        def pred(alg, b):
-            L = evaluate(lhs, b.__getitem__, alg.union, alg.inter, alg.compl)
-            R = evaluate(rhs, b.__getitem__, alg.union, alg.inter, alg.compl)
-            if mode == "rel":
-                return alg.rel(kind, L, R)
-            if mode == "eq":
-                return alg.eq(kind, L, R)
-            if mode == "sot":
-                return alg.sot(L, R)
-            return alg.equal(L, R)
+    def compile(self) -> Callable:
+        lhs, rhs = _value(self.lhs), _value(self.rhs)
+        if self.mode == "sot":
 
-        return pred
+            def sot(k, one, b):
+                return k.u_sot(lhs(k, one, b), rhs(k, one, b))
+
+            return sot
+        if self.mode == "multiset":
+
+            def same(k, one, b):
+                return k.u_equal(lhs(k, one, b), rhs(k, one, b))
+
+            return same
+        code = self.kind.code
+        if self.mode == "rel":
+
+            def rel(k, one, b):
+                return k.u_rel(code, lhs(k, one, b), rhs(k, one, b))
+
+            return rel
+
+        def eq(k, one, b):
+            left, right = lhs(k, one, b), rhs(k, one, b)
+            return k.u_rel(code, left, right) and k.u_rel(code, right, left)
+
+        return eq
+
+
+def inc(kind: Inclusion, lhs: str, rhs: str) -> Rel:
+    return Rel("rel", _term(lhs), _term(rhs), kind)
+
+
+def eq(kind: Inclusion, lhs: str, rhs: str) -> Rel:
+    return Rel("eq", _term(lhs), _term(rhs), kind)
+
+
+def sot(lhs: str, rhs: str) -> Rel:
+    return Rel("sot", _term(lhs), _term(rhs))
+
+
+def same(lhs: str, rhs: str) -> Rel:
+    return Rel("multiset", _term(lhs), _term(rhs))
+
+
+@dataclass(frozen=True, init=False)
+class And:
+    parts: tuple
+
+    def __init__(self, *parts) -> None:
+        object.__setattr__(self, "parts", parts)
+
+    def __str__(self) -> str:
+        return " and ".join(map(str, self.parts))
+
+    def compile(self) -> Callable:
+        return reduce(_both, [part.compile() for part in reversed(self.parts)])
+
+
+def _both(rest: Callable, first: Callable) -> Callable:
+    def both(k, one, b):
+        return first(k, one, b) and rest(k, one, b)
+
+    return both
+
+
+@dataclass(frozen=True)
+class Iff:
+    left: object
+    right: object
+
+    def __str__(self) -> str:
+        return f"{self.left} ⇔ {self.right}"
+
+    def compile(self) -> Callable:
+        left, right = self.left.compile(), self.right.compile()
+
+        def iff(k, one, b):
+            return left(k, one, b) == right(k, one, b)
+
+        return iff
+
+
+@dataclass(frozen=True)
+class Each:
+    """body for all (or some) members `var` of a family."""
+
+    quantifier: str  # "all" or "some"
+    var: str
+    family: str
+    body: object
+
+    def __str__(self) -> str:
+        return f"{self.body} for {self.quantifier} {self.var} in {self.family}"
+
+    def compile(self) -> Callable:
+        body, var, family = self.body.compile(), self.var, self.family
+        test = all if self.quantifier == "all" else any
+
+        def each(k, one, b):
+            return test(body(k, one, {**b, var: H}) for H in b[family])
+
+        return each
+
+
+def for_all(body, family: str = "F") -> Each:
+    return Each("all", "H", family, body)
+
+
+def for_some(body, family: str = "F") -> Each:
+    return Each("some", "H", family, body)
+
+
+@dataclass(frozen=True)
+class Subfamily:
+    """small ⊏ big: every member of small is a member of big."""
+
+    small: str
+    big: str
+
+    def __str__(self) -> str:
+        return f"{self.small} ⊏ {self.big}"
+
+    def compile(self) -> Callable:
+        small, big = self.small, self.big
+
+        def subfamily(k, one, b):
+            return all(any(k.u_equal(h1, h2) for h2 in b[big]) for h1 in b[small])
+
+        return subfamily
+
+
+@dataclass(frozen=True)
+class EitherAt:
+    """At every element, the first or the second element-level inclusion."""
+
+    first: Rel
+    second: Rel
+
+    def __str__(self) -> str:
+        return "at every x, " + " or ".join(
+            f"{at(r.lhs)} ⊂{r.kind.letter} {at(r.rhs)}" for r in (self.first, self.second)
+        )
+
+    def compile(self) -> Callable:
+        l1, r1, l2, r2 = (_value(t) for r in (self.first, self.second) for t in (r.lhs, r.rhs))
+        c1, c2 = self.first.kind.code, self.second.kind.code
+
+        def either(k, one, b):
+            e_rel = k.e_rel
+            return all(
+                e_rel(c1, a1, b1) or e_rel(c2, a2, b2)
+                for a1, b1, a2, b2 in zip(l1(k, one, b), r1(k, one, b), l2(k, one, b), r2(k, one, b))
+            )
+
+        return either
+
+
+@dataclass(frozen=True)
+class Coincide:
+    """At every element, all degrees of both memberships are one value."""
+
+    lhs: str
+    rhs: str
+
+    def __str__(self) -> str:
+        return f"at every x, all degrees of {self.lhs}(x) and {self.rhs}(x) coincide"
+
+    def compile(self) -> Callable:
+        lhs, rhs = self.lhs, self.rhs
+
+        def coincide(k, one, b):
+            return all(len(set(a) | set(c)) == 1 for a, c in zip(b[lhs], b[rhs]))
+
+        return coincide
+
+
+@dataclass(frozen=True)
+class FewerDegrees:
+    """At every element, the set has fewer degrees than every member."""
+
+    name: str
+    family: str
+
+    def __str__(self) -> str:
+        return f"|{self.name}(x)| < |H(x)| at every x for all H in {self.family}"
+
+    def compile(self) -> Callable:
+        name, family = self.name, self.family
+
+        def fewer(k, one, b):
+            return all(len(a) < len(h) for H in b[family] for a, h in zip(b[name], H))
+
+        return fewer
+
+
+@dataclass(frozen=True)
+class Implies:
+    """premise ⇒ claim; only ever the whole spec of a law."""
+
+    premise: object
+    claim: object
+
+    def __str__(self) -> str:
+        return f"{self.premise} ⇒ {self.claim}"
+
+
+def _checker(formula) -> Callable:
+    """Compile a formula to the (alg, binding) predicate the engine calls."""
+    check = formula.compile()
+
+    def predicate(alg, binding):
+        return check(alg.kern, alg.one, binding)
+
+    return predicate
+
+
+# --------------------------------------------------------------------------
+# Laws
+# --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -97,430 +380,177 @@ class Law:
     id: str
     status: LawStatus
     params: tuple[tuple[str, str], ...]  # (name, "set" | "family")
-    statement: str
-    claim: Callable
-    guard: Optional[Callable] = None
-    gen: Optional[Callable] = None
+    spec: object  # a formula, or Implies(premise, claim)
+    claim: Callable  # compiled from the spec's claim
+    guard: Optional[Callable]  # compiled from the spec's premise, if any
+    gen: Optional[Callable]
     fixtures: tuple[Fixture, ...] = ()
     aliases: tuple[str, ...] = ()
-    guard_spec: Optional[RelSpec] = None
-    claim_spec: Optional[RelSpec] = None
+    note: str = ""
 
     @property
     def arity(self) -> int:
         return len(self.params)
+
+    @property
+    def premise(self):
+        return self.spec.premise if isinstance(self.spec, Implies) else None
+
+    @property
+    def conclusion(self):
+        return self.spec.claim if isinstance(self.spec, Implies) else self.spec
+
+    @property
+    def statement(self) -> str:
+        text = str(self.spec)
+        if self.status is LawStatus.REFUTED:
+            text += f" (fails; {self.note})" if self.note else " (fails)"
+        return text
+
+
+_LAWS: list[Law] = []
+
+
+def _law(id: str, params, spec, gen, *, status=LawStatus.PROVED, fixtures=(), aliases=(), note=""):
+    premise, claim = (spec.premise, spec.claim) if isinstance(spec, Implies) else (None, spec)
+    _LAWS.append(Law(
+        id=id,
+        status=status,
+        params=params,
+        spec=spec,
+        claim=_checker(claim),
+        guard=None if premise is None else _checker(premise),
+        gen=gen,
+        fixtures=fixtures,
+        aliases=aliases,
+        note=note,
+    ))
+
+
+def _refuted(id: str, params, spec, gen, fixtures, note: str = "") -> None:
+    _law(id, params, spec, gen, status=LawStatus.REFUTED, fixtures=fixtures, note=note)
 
 
 def _sets(*names: str) -> tuple[tuple[str, str], ...]:
     return tuple((n, "set") for n in names)
 
 
-def _refuted(
-    id: str,
-    params: tuple[tuple[str, str], ...],
-    claim_spec: RelSpec,
-    gen,
-    fixtures: tuple[Fixture, ...],
-    guard_spec: Optional[RelSpec] = None,
-    note: str = "",
-) -> None:
-    statement = claim_spec.render()
-    if guard_spec is not None:
-        statement = f"{guard_spec.render()} ⇒ {statement}"
-    statement += f" (fails; {note})" if note else " (fails)"
-    _law(Law(
-        id=id,
-        status=LawStatus.REFUTED,
-        params=params,
-        statement=statement,
-        claim=claim_spec.predicate(),
-        guard=None if guard_spec is None else guard_spec.predicate(),
-        gen=gen,
-        fixtures=fixtures,
-        guard_spec=guard_spec,
-        claim_spec=claim_spec,
-    ))
-
-
-_LAWS: list[Law] = []
-
-
-def _law(law: Law) -> None:
-    _LAWS.append(law)
-
+AB, ABC = _sets("A", "B"), _sets("A", "B", "C")
 
 # --------------------------------------------------------------------------
 # Complement, commutativity, associativity: exact multiset identities
 # --------------------------------------------------------------------------
 
-_law(Law(
-    id="thm1.1", status=LawStatus.PROVED, params=_sets("A"),
-    statement="(Aᶜ)ᶜ = A",
-    claim=lambda alg, b: alg.equal(alg.compl(alg.compl(b["A"])), b["A"]),
-    gen=g.rand_sets("A"),
-))
-_law(Law(
-    id="thm1.2", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="(A ∩ B)ᶜ = Aᶜ ∪ Bᶜ",
-    claim=lambda alg, b: alg.equal(
-        alg.compl(alg.inter(b["A"], b["B"])),
-        alg.union(alg.compl(b["A"]), alg.compl(b["B"])),
-    ),
-    gen=g.rand_sets("A", "B"),
-))
-_law(Law(
-    id="thm1.3", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="(A ∪ B)ᶜ = Aᶜ ∩ Bᶜ",
-    claim=lambda alg, b: alg.equal(
-        alg.compl(alg.union(b["A"], b["B"])),
-        alg.inter(alg.compl(b["A"]), alg.compl(b["B"])),
-    ),
-    gen=g.rand_sets("A", "B"),
-))
-_law(Law(
-    id="thm1.4", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A ∩ B = B ∩ A and A ∪ B = B ∪ A",
-    claim=lambda alg, b: alg.equal(alg.inter(b["A"], b["B"]), alg.inter(b["B"], b["A"]))
-    and alg.equal(alg.union(b["A"], b["B"]), alg.union(b["B"], b["A"])),
-    gen=g.rand_sets("A", "B"),
-))
-_law(Law(
-    id="thm1.5", status=LawStatus.PROVED, params=_sets("A", "B", "C"),
-    statement="(A ∩ B) ∩ C = A ∩ (B ∩ C) and (A ∪ B) ∪ C = A ∪ (B ∪ C)",
-    claim=lambda alg, b: alg.equal(
-        alg.inter(alg.inter(b["A"], b["B"]), b["C"]),
-        alg.inter(b["A"], alg.inter(b["B"], b["C"])),
-    )
-    and alg.equal(
-        alg.union(alg.union(b["A"], b["B"]), b["C"]),
-        alg.union(b["A"], alg.union(b["B"], b["C"])),
-    ),
-    gen=g.rand_sets("A", "B", "C"),
-))
+_law("thm1.1", _sets("A"), same("A^c^c", "A"), g.rand_sets("A"))
+_law("thm1.2", AB, same("(A & B)^c", "A^c | B^c"), g.rand_sets("A", "B"))
+_law("thm1.3", AB, same("(A | B)^c", "A^c & B^c"), g.rand_sets("A", "B"))
+_law("thm1.4", AB, And(same("A & B", "B & A"), same("A | B", "B | A")), g.rand_sets("A", "B"))
+_law(
+    "thm1.5", ABC,
+    And(same("(A & B) & C", "A & (B & C)"), same("(A | B) | C", "A | (B | C)")),
+    g.rand_sets("A", "B", "C"),
+)
 
 # --------------------------------------------------------------------------
 # The implication lattice between the six inclusions
 # --------------------------------------------------------------------------
 
-
-def _implication(i: int, premise: Inclusion, conclusion: Inclusion) -> None:
-    _law(Law(
-        id=f"prop2.{i}", status=LawStatus.PROVED, params=_sets("A", "B"),
-        statement=f"A ⊂{premise.letter} B ⇒ A ⊂{conclusion.letter} B",
-        guard=lambda alg, b, k=premise: alg.rel(k, b["A"], b["B"]),
-        claim=lambda alg, b, k=conclusion: alg.rel(k, b["A"], b["B"]),
-        gen=g.pair(premise),
-    ))
-
-
-_implication(1, A_, P)
-_implication(2, S, P)
-_implication(3, S, A_)
-_implication(4, S, M)
-_implication(5, T, P)
-_implication(6, N, P)
-_implication(7, N, A_)
-_implication(8, N, M)
-_law(Law(
-    id="prop2.9", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A ⊂n B ⇒ at every x, A(x) ⊂s B(x) or A(x) ⊂t B(x)",
-    guard=lambda alg, b: alg.rel(N, b["A"], b["B"]),
-    claim=lambda alg, b: alg.sot(b["A"], b["B"]),
-    gen=g.pair(N),
-))
+for _i, (_premise, _conclusion) in enumerate(
+    ((A_, P), (S, P), (S, A_), (S, M), (T, P), (N, P), (N, A_), (N, M)), start=1
+):
+    _law(f"prop2.{_i}", AB, Implies(inc(_premise, "A", "B"), inc(_conclusion, "A", "B")), g.pair(_premise))
+_law("prop2.9", AB, Implies(inc(N, "A", "B"), sot("A", "B")), g.pair(N))
 
 # --------------------------------------------------------------------------
 # Meet and join against their operands
 # --------------------------------------------------------------------------
 
 for _num, _kind in ((3, P), (4, A_)):
-    _law(Law(
-        id=f"prop{_num}.1", status=LawStatus.PROVED, params=_sets("A", "B"),
-        statement=f"A ∩ B ⊂{_kind.letter} A and A ∩ B ⊂{_kind.letter} B",
-        claim=lambda alg, b, k=_kind: (
-            alg.rel(k, alg.inter(b["A"], b["B"]), b["A"])
-            and alg.rel(k, alg.inter(b["A"], b["B"]), b["B"])
-        ),
-        gen=g.rand_sets("A", "B"),
-    ))
-    _law(Law(
-        id=f"prop{_num}.2", status=LawStatus.PROVED, params=_sets("A", "B"),
-        statement=f"A ⊂{_kind.letter} A ∪ B and B ⊂{_kind.letter} A ∪ B",
-        claim=lambda alg, b, k=_kind: (
-            alg.rel(k, b["A"], alg.union(b["A"], b["B"]))
-            and alg.rel(k, b["B"], alg.union(b["A"], b["B"]))
-        ),
-        gen=g.rand_sets("A", "B"),
-    ))
-    _law(Law(
-        id=f"prop{_num}.3", status=LawStatus.PROVED, params=_sets("A", "B"),
-        statement=f"A ∩ B ⊂{_kind.letter} A ∪ B",
-        claim=lambda alg, b, k=_kind: alg.rel(
-            k, alg.inter(b["A"], b["B"]), alg.union(b["A"], b["B"])
-        ),
-        gen=g.rand_sets("A", "B"),
-    ))
+    _law(f"prop{_num}.1", AB, And(inc(_kind, "A & B", "A"), inc(_kind, "A & B", "B")), g.rand_sets("A", "B"))
+    _law(f"prop{_num}.2", AB, And(inc(_kind, "A", "A | B"), inc(_kind, "B", "A | B")), g.rand_sets("A", "B"))
+    _law(f"prop{_num}.3", AB, inc(_kind, "A & B", "A | B"), g.rand_sets("A", "B"))
 
-_law(Law(
-    id="prop5.1", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="at every x, (A∩B)(x) ⊂m A(x) or (A∩B)(x) ⊂m B(x)",
-    claim=lambda alg, b: all(
-        alg.erel(M, i, a) or alg.erel(M, i, bb)
-        for i, a, bb in zip(alg.inter(b["A"], b["B"]), b["A"], b["B"])
-    ),
-    gen=g.rand_sets("A", "B"),
-))
-_law(Law(
-    id="prop5.2", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="at every x, A(x) ⊂m (A∪B)(x) or B(x) ⊂m (A∪B)(x)",
-    claim=lambda alg, b: all(
-        alg.erel(M, a, u) or alg.erel(M, bb, u)
-        for u, a, bb in zip(alg.union(b["A"], b["B"]), b["A"], b["B"])
-    ),
-    gen=g.rand_sets("A", "B"),
-))
-_law(Law(
-    id="prop5.3", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A ∩ B ⊂m A ∪ B",
-    claim=lambda alg, b: alg.rel(M, alg.inter(b["A"], b["B"]), alg.union(b["A"], b["B"])),
-    gen=g.rand_sets("A", "B"),
-))
-_law(Law(
-    id="prop5.4", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A ⊂m B ⇒ A ∩ B ⊂m B",
-    guard=lambda alg, b: alg.rel(M, b["A"], b["B"]),
-    claim=lambda alg, b: alg.rel(M, alg.inter(b["A"], b["B"]), b["B"]),
-    gen=g.pair(M),
-))
-_law(Law(
-    id="prop5.5", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A ⊂m B ⇒ A ⊂m A ∪ B",
-    guard=lambda alg, b: alg.rel(M, b["A"], b["B"]),
-    claim=lambda alg, b: alg.rel(M, b["A"], alg.union(b["A"], b["B"])),
-    gen=g.pair(M),
-))
+_law("prop5.1", AB, EitherAt(inc(M, "A & B", "A"), inc(M, "A & B", "B")), g.rand_sets("A", "B"))
+_law("prop5.2", AB, EitherAt(inc(M, "A", "A | B"), inc(M, "B", "A | B")), g.rand_sets("A", "B"))
+_law("prop5.3", AB, inc(M, "A & B", "A | B"), g.rand_sets("A", "B"))
+_law("prop5.4", AB, Implies(inc(M, "A", "B"), inc(M, "A & B", "B")), g.pair(M))
+_law("prop5.5", AB, Implies(inc(M, "A", "B"), inc(M, "A", "A | B")), g.pair(M))
 
-_law(Law(
-    id="prop6.1", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="at every x, A(x) and B(x) are each ⊂s-or-⊂t below (A∪B)(x)",
-    claim=lambda alg, b: alg.sot(b["A"], alg.union(b["A"], b["B"]))
-    and alg.sot(b["B"], alg.union(b["A"], b["B"])),
-    gen=g.rand_sets("A", "B"),
-))
-_law(Law(
-    id="prop6.2", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="at every x, (A∩B)(x) is ⊂s-or-⊂t below (A∪B)(x)",
-    claim=lambda alg, b: alg.sot(alg.inter(b["A"], b["B"]), alg.union(b["A"], b["B"])),
-    gen=g.rand_sets("A", "B"),
-))
+_law("prop6.1", AB, And(sot("A", "A | B"), sot("B", "A | B")), g.rand_sets("A", "B"))
+_law("prop6.2", AB, sot("A & B", "A | B"), g.rand_sets("A", "B"))
 
 for _i, _kind in enumerate((P, A_, S, T, N), start=1):
-    _law(Law(
-        id=f"prop7.{_i}", status=LawStatus.PROVED, params=_sets("A", "B"),
-        statement=f"A ⊂{_kind.letter} B ⇒ at every x, A(x) ⊂s-or-⊂t (A∩B)(x)",
-        guard=lambda alg, b, k=_kind: alg.rel(k, b["A"], b["B"]),
-        claim=lambda alg, b: alg.sot(b["A"], alg.inter(b["A"], b["B"])),
-        gen=g.pair(_kind),
-    ))
+    _law(f"prop7.{_i}", AB, Implies(inc(_kind, "A", "B"), sot("A", "A & B")), g.pair(_kind))
 
-_law(Law(
-    id="prop8.1", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A ⊂n B ⇒ A ∩ B ⊂n B",
-    guard=lambda alg, b: alg.rel(N, b["A"], b["B"]),
-    claim=lambda alg, b: alg.rel(N, alg.inter(b["A"], b["B"]), b["B"]),
-    gen=g.pair(N),
-))
-_law(Law(
-    id="prop8.2", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A ⊂n B ⇒ A ⊂n A ∪ B",
-    guard=lambda alg, b: alg.rel(N, b["A"], b["B"]),
-    claim=lambda alg, b: alg.rel(N, b["A"], alg.union(b["A"], b["B"])),
-    gen=g.pair(N),
-))
-_law(Law(
-    id="prop8.3", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A ⊂n B ⇒ A ∩ B ⊂n A ∪ B",
-    guard=lambda alg, b: alg.rel(N, b["A"], b["B"]),
-    claim=lambda alg, b: alg.rel(N, alg.inter(b["A"], b["B"]), alg.union(b["A"], b["B"])),
-    gen=g.pair(N),
-))
+for _i, (_lhs, _rhs) in enumerate((("A & B", "B"), ("A", "A | B"), ("A & B", "A | B")), start=1):
+    _law(f"prop8.{_i}", AB, Implies(inc(N, "A", "B"), inc(N, _lhs, _rhs)), g.pair(N))
 
 # --------------------------------------------------------------------------
 # Monotonicity against a third set
 # --------------------------------------------------------------------------
 
 for _i, _kind in enumerate((P, A_, S, T, N), start=1):
-    if _kind in (P, A_):
-        _law(Law(
-            id=f"prop9.{_i}", status=LawStatus.PROVED, params=_sets("A", "B", "C"),
-            statement=f"A ⊂{_kind.letter} B ⇒ A ⊂{_kind.letter} B ∪ C",
-            guard=lambda alg, b, k=_kind: alg.rel(k, b["A"], b["B"]),
-            claim=lambda alg, b, k=_kind: alg.rel(k, b["A"], alg.union(b["B"], b["C"])),
-            gen=g.pair(_kind, extra=1),
-        ))
-    else:
-        _law(Law(
-            id=f"prop9.{_i}", status=LawStatus.PROVED, params=_sets("A", "B", "C"),
-            statement=f"A ⊂{_kind.letter} B ⇒ at every x, A(x) ⊂s-or-⊂t (B∪C)(x)",
-            guard=lambda alg, b, k=_kind: alg.rel(k, b["A"], b["B"]),
-            claim=lambda alg, b: alg.sot(b["A"], alg.union(b["B"], b["C"])),
-            gen=g.pair(_kind, extra=1),
-        ))
+    _claim = inc(_kind, "A", "B | C") if _kind in (P, A_) else sot("A", "B | C")
+    _law(f"prop9.{_i}", ABC, Implies(inc(_kind, "A", "B"), _claim), g.pair(_kind, extra=1))
 
 _MONO_WEAKENING = {P: P, A_: A_, S: A_, T: P, N: A_}
 
-for _i, _kind in enumerate((P, A_, S, T, N), start=1):
-    _out = _MONO_WEAKENING[_kind]
-    _law(Law(
-        id=f"prop10.{_i}", status=LawStatus.PROVED, params=_sets("A", "B", "C"),
-        statement=f"A ⊂{_kind.letter} B ⇒ A ∩ C ⊂{_out.letter} B ∩ C",
-        guard=lambda alg, b, k=_kind: alg.rel(k, b["A"], b["B"]),
-        claim=lambda alg, b, k=_out: alg.rel(
-            k, alg.inter(b["A"], b["C"]), alg.inter(b["B"], b["C"])
-        ),
-        gen=g.pair(_kind, extra=1),
-    ))
-
-for _i, _kind in enumerate((P, A_, S, T, N), start=1):
-    _out = _MONO_WEAKENING[_kind]
-    _law(Law(
-        id=f"prop11.{_i}", status=LawStatus.PROVED, params=_sets("A", "B", "C"),
-        statement=f"A ⊂{_kind.letter} B ⇒ A ∪ C ⊂{_out.letter} B ∪ C",
-        guard=lambda alg, b, k=_kind: alg.rel(k, b["A"], b["B"]),
-        claim=lambda alg, b, k=_out: alg.rel(
-            k, alg.union(b["A"], b["C"]), alg.union(b["B"], b["C"])
-        ),
-        gen=g.pair(_kind, extra=1),
-    ))
+for _num, _sym in ((10, "&"), (11, "|")):
+    for _i, _kind in enumerate((P, A_, S, T, N), start=1):
+        _law(
+            f"prop{_num}.{_i}", ABC,
+            Implies(inc(_kind, "A", "B"), inc(_MONO_WEAKENING[_kind], f"A {_sym} C", f"B {_sym} C")),
+            g.pair(_kind, extra=1),
+        )
 
 for _i, _kind in zip((6, 7, 8), (S, T, N)):
-    _law(Law(
-        id=f"prop11.{_i}", status=LawStatus.PROVED, params=_sets("A", "B", "C"),
-        statement=f"A ⊂{_kind.letter} B ⇒ at every x, (A∪C)(x) ⊂s-or-⊂t (B∪C)(x)",
-        guard=lambda alg, b, k=_kind: alg.rel(k, b["A"], b["B"]),
-        claim=lambda alg, b: alg.sot(alg.union(b["A"], b["C"]), alg.union(b["B"], b["C"])),
-        gen=g.pair(_kind, extra=1),
-    ))
+    _law(f"prop11.{_i}", ABC, Implies(inc(_kind, "A", "B"), sot("A | C", "B | C")), g.pair(_kind, extra=1))
 
 # --------------------------------------------------------------------------
 # Complement monotonicity and transitivity
 # --------------------------------------------------------------------------
 
 for _i, _kind in ((1, A_), (2, M), (4, N)):
-    _law(Law(
-        id=f"prop12.{_i}", status=LawStatus.PROVED, params=_sets("A", "B"),
-        statement=f"A ⊂{_kind.letter} B ⇒ Bᶜ ⊂{_kind.letter} Aᶜ",
-        guard=lambda alg, b, k=_kind: alg.rel(k, b["A"], b["B"]),
-        claim=lambda alg, b, k=_kind: alg.rel(k, alg.compl(b["B"]), alg.compl(b["A"])),
-        gen=g.pair(_kind),
-    ))
-_law(Law(
-    id="prop12.3", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A ⊂s B ⇒ at every x, Bᶜ(x) ⊂s-or-⊂t Aᶜ(x)",
-    guard=lambda alg, b: alg.rel(S, b["A"], b["B"]),
-    claim=lambda alg, b: alg.sot(alg.compl(b["B"]), alg.compl(b["A"])),
-    gen=g.pair(S),
-))
+    _law(f"prop12.{_i}", AB, Implies(inc(_kind, "A", "B"), inc(_kind, "B^c", "A^c")), g.pair(_kind))
+_law("prop12.3", AB, Implies(inc(S, "A", "B"), sot("B^c", "A^c")), g.pair(S))
 
 for _i, _kind in enumerate((P, A_, M, S, T, N), start=1):
-    _law(Law(
-        id=f"prop13.{_i}", status=LawStatus.PROVED, params=_sets("A", "B", "C"),
-        statement=f"A ⊂{_kind.letter} B and B ⊂{_kind.letter} C ⇒ A ⊂{_kind.letter} C",
-        guard=lambda alg, b, k=_kind: alg.rel(k, b["A"], b["B"]) and alg.rel(k, b["B"], b["C"]),
-        claim=lambda alg, b, k=_kind: alg.rel(k, b["A"], b["C"]),
-        gen=g.chain(_kind),
-    ))
+    _law(
+        f"prop13.{_i}", ABC,
+        Implies(And(inc(_kind, "A", "B"), inc(_kind, "B", "C")), inc(_kind, "A", "C")),
+        g.chain(_kind),
+    )
 
 # --------------------------------------------------------------------------
 # Equality results
 # --------------------------------------------------------------------------
 
-_law(Law(
-    id="thm2.1", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A = B ⇒ A =p B, A =a B and A =m B",
-    guard=lambda alg, b: alg.equal(b["A"], b["B"]),
-    claim=lambda alg, b: alg.eq(P, b["A"], b["B"])
-    and alg.eq(A_, b["A"], b["B"])
-    and alg.eq(M, b["A"], b["B"]),
-    gen=g.equal_pair,
-))
-_law(Law(
-    id="thm2.2", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A =s B ⇔ A = B",
-    claim=lambda alg, b: alg.eq(S, b["A"], b["B"]) == alg.equal(b["A"], b["B"]),
-    gen=g.maybe_equal_pair,
-))
-_law(Law(
-    id="thm2.3", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A =s B ⇒ A =p B, A =a B and A =m B",
-    guard=lambda alg, b: alg.eq(S, b["A"], b["B"]),
-    claim=lambda alg, b: alg.eq(P, b["A"], b["B"])
-    and alg.eq(A_, b["A"], b["B"])
-    and alg.eq(M, b["A"], b["B"]),
-    gen=g.equal_pair,
-))
-_law(Law(
-    id="thm2.4", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A =n B ⇒ at every x, all degrees of A(x) and B(x) coincide",
-    guard=lambda alg, b: alg.eq(N, b["A"], b["B"]),
-    claim=lambda alg, b: all(
-        len(set(a) | set(bb)) == 1 for a, bb in zip(b["A"], b["B"])
-    ),
-    gen=g.necessary_equal_pair,
-))
-_law(Law(
-    id="thm2.5", status=LawStatus.PROVED, params=_sets("A", "B"),
-    statement="A =n B ⇒ A =p B, A =a B and A =m B",
-    guard=lambda alg, b: alg.eq(N, b["A"], b["B"]),
-    claim=lambda alg, b: alg.eq(P, b["A"], b["B"])
-    and alg.eq(A_, b["A"], b["B"])
-    and alg.eq(M, b["A"], b["B"]),
-    gen=g.necessary_equal_pair,
-))
+_EQ_PAM = And(eq(P, "A", "B"), eq(A_, "A", "B"), eq(M, "A", "B"))
+_law("thm2.1", AB, Implies(same("A", "B"), _EQ_PAM), g.equal_pair)
+_law("thm2.2", AB, Iff(eq(S, "A", "B"), same("A", "B")), g.maybe_equal_pair)
+_law("thm2.3", AB, Implies(eq(S, "A", "B"), _EQ_PAM), g.equal_pair)
+_law("thm2.4", AB, Implies(eq(N, "A", "B"), Coincide("A", "B")), g.necessary_equal_pair)
+_law("thm2.5", AB, Implies(eq(N, "A", "B"), _EQ_PAM), g.necessary_equal_pair)
 
 for _i, _kind, _alias in ((1, P, "thm3.idem-p"), (2, A_, "thm3.idem-a"), (3, M, "thm3.idem-m")):
-    _law(Law(
-        id=f"thm3.{_i}", status=LawStatus.PROVED, params=_sets("A",),
-        statement=f"A ∩ A ={_kind.letter} A and A ∪ A ={_kind.letter} A",
-        claim=lambda alg, b, k=_kind: alg.eq(k, alg.inter(b["A"], b["A"]), b["A"])
-        and alg.eq(k, alg.union(b["A"], b["A"]), b["A"]),
-        gen=g.rand_sets("A"),
-        aliases=(_alias,),
-    ))
+    _law(
+        f"thm3.{_i}", _sets("A"), And(eq(_kind, "A & A", "A"), eq(_kind, "A | A", "A")),
+        g.rand_sets("A"), aliases=(_alias,),
+    )
 for _i, _kind, _alias in ((4, P, "thm3.abs-p"), (5, A_, "thm3.abs-a")):
-    _law(Law(
-        id=f"thm3.{_i}", status=LawStatus.PROVED, params=_sets("A", "B"),
-        statement=f"(A ∪ B) ∩ A ={_kind.letter} A and (A ∩ B) ∪ A ={_kind.letter} A",
-        claim=lambda alg, b, k=_kind: alg.eq(
-            k, alg.inter(alg.union(b["A"], b["B"]), b["A"]), b["A"]
-        )
-        and alg.eq(k, alg.union(alg.inter(b["A"], b["B"]), b["A"]), b["A"]),
-        gen=g.rand_sets("A", "B"),
-        aliases=(_alias,),
-    ))
+    _law(
+        f"thm3.{_i}", AB, And(eq(_kind, "(A | B) & A", "A"), eq(_kind, "(A & B) | A", "A")),
+        g.rand_sets("A", "B"), aliases=(_alias,),
+    )
 for _i, _kind, _alias in ((6, P, "thm3.distrib-p"), (7, A_, "thm3.distrib-a")):
-    _law(Law(
-        id=f"thm3.{_i}", status=LawStatus.PROVED, params=_sets("A", "B", "C"),
-        statement=(
-            f"(A ∪ B) ∩ C ={_kind.letter} (C ∩ A) ∪ (C ∩ B) and "
-            f"(A ∩ B) ∪ C ={_kind.letter} (C ∪ A) ∩ (C ∪ B)"
-        ),
-        claim=lambda alg, b, k=_kind: alg.eq(
-            k,
-            alg.inter(alg.union(b["A"], b["B"]), b["C"]),
-            alg.union(alg.inter(b["C"], b["A"]), alg.inter(b["C"], b["B"])),
-        )
-        and alg.eq(
-            k,
-            alg.union(alg.inter(b["A"], b["B"]), b["C"]),
-            alg.inter(alg.union(b["C"], b["A"]), alg.union(b["C"], b["B"])),
-        ),
-        gen=g.rand_sets("A", "B", "C"),
-        aliases=(_alias,),
-    ))
+    _law(
+        f"thm3.{_i}", ABC,
+        And(eq(_kind, "(A | B) & C", "(C & A) | (C & B)"), eq(_kind, "(A & B) | C", "(C | A) & (C | B)")),
+        g.rand_sets("A", "B", "C"), aliases=(_alias,),
+    )
 
 # --------------------------------------------------------------------------
-# Families: meet below join
+# Families: meet below join, one set against every member, subfamilies
 # --------------------------------------------------------------------------
 
 _FAMILY = (("F", "family"),)
@@ -528,113 +558,31 @@ _SET_FAMILY = (("A", "set"), ("F", "family"))
 _TWO_FAMILIES = (("F1", "family"), ("F2", "family"))
 
 for _i, _kind in ((1, P), (2, A_), (3, M)):
-    _law(Law(
-        id=f"thm4.{_i}", status=LawStatus.PROVED, params=_FAMILY,
-        statement=f"⋂F ⊂{_kind.letter} ⋃F",
-        claim=lambda alg, b, k=_kind: alg.rel(k, alg.fold_inter(b["F"]), alg.fold_union(b["F"])),
-        gen=g.family_only,
-    ))
-_law(Law(
-    id="thm4.4", status=LawStatus.PROVED, params=_FAMILY,
-    statement="at every x, (⋂F)(x) ⊂s-or-⊂t (⋃F)(x)",
-    claim=lambda alg, b: alg.sot(alg.fold_inter(b["F"]), alg.fold_union(b["F"])),
-    gen=g.family_only,
-))
-
-# --------------------------------------------------------------------------
-# Families: one set against every member
-# --------------------------------------------------------------------------
+    _law(f"thm4.{_i}", _FAMILY, inc(_kind, "⋂F", "⋃F"), g.family_only)
+_law("thm4.4", _FAMILY, sot("⋂F", "⋃F"), g.family_only)
 
 for _i, _kind in ((1, P), (3, A_), (7, N)):
-    _law(Law(
-        id=f"thm5.{_i}", status=LawStatus.PROVED, params=_SET_FAMILY,
-        statement=f"A ⊂{_kind.letter} H for all H in F ⇔ A ⊂{_kind.letter} ⋂F",
-        claim=lambda alg, b, k=_kind: (
-            all(alg.rel(k, b["A"], H) for H in b["F"])
-            == alg.rel(k, b["A"], alg.fold_inter(b["F"]))
-        ),
-        gen=g.set_family_iff(_kind),
-    ))
+    _law(
+        f"thm5.{_i}", _SET_FAMILY, Iff(for_all(inc(_kind, "A", "H")), inc(_kind, "A", "⋂F")),
+        g.set_family_iff(_kind),
+    )
 for _i, _kind in ((2, P), (4, A_), (8, N)):
-    _law(Law(
-        id=f"thm5.{_i}", status=LawStatus.PROVED, params=_SET_FAMILY,
-        statement=f"A ⊂{_kind.letter} H for some H in F ⇒ A ⊂{_kind.letter} ⋃F",
-        guard=lambda alg, b, k=_kind: any(alg.rel(k, b["A"], H) for H in b["F"]),
-        claim=lambda alg, b, k=_kind: alg.rel(k, b["A"], alg.fold_union(b["F"])),
-        gen=g.set_family_exists(_kind),
-    ))
-_law(Law(
-    id="thm5.5", status=LawStatus.PROVED, params=_SET_FAMILY,
-    statement="A ⊂t H for all H in F ⇒ A ⊂t ⋂F",
-    guard=lambda alg, b: all(alg.rel(T, b["A"], H) for H in b["F"]),
-    claim=lambda alg, b: alg.rel(T, b["A"], alg.fold_inter(b["F"])),
-    gen=g.set_family_forall(T),
-))
-_law(Law(
-    id="thm5.6", status=LawStatus.PROVED, params=_SET_FAMILY,
-    statement=(
-        "A ⊂t H for some H in F, and |A(x)| < |H(x)| for every H and x "
-        "⇒ A ⊂t ⋃F"
-    ),
-    guard=lambda alg, b: any(alg.rel(T, b["A"], H) for H in b["F"])
-    and all(len(a) < len(h) for H in b["F"] for a, h in zip(b["A"], H)),
-    claim=lambda alg, b: alg.rel(T, b["A"], alg.fold_union(b["F"])),
-    gen=g.tail_exists_with_small_cards,
-))
+    _law(
+        f"thm5.{_i}", _SET_FAMILY, Implies(for_some(inc(_kind, "A", "H")), inc(_kind, "A", "⋃F")),
+        g.set_family_exists(_kind),
+    )
+_law("thm5.5", _SET_FAMILY, Implies(for_all(inc(T, "A", "H")), inc(T, "A", "⋂F")), g.set_family_forall(T))
+_law(
+    "thm5.6", _SET_FAMILY,
+    Implies(And(for_some(inc(T, "A", "H")), FewerDegrees("A", "F")), inc(T, "A", "⋃F")),
+    g.tail_exists_with_small_cards,
+)
 
-# --------------------------------------------------------------------------
-# Families: subfamily monotonicity
-# --------------------------------------------------------------------------
-
-
-def _subfamily(alg, b) -> bool:
-    return all(any(alg.equal(h1, h2) for h2 in b["F2"]) for h1 in b["F1"])
-
-
-for _i, _kind in ((1, P), (4, A_)):
-    _law(Law(
-        id=f"thm6.{_i}", status=LawStatus.PROVED, params=_TWO_FAMILIES,
-        statement=f"F1 ⊏ F2 ⇒ ⋂F2 ⊂{_kind.letter} ⋂F1",
-        guard=_subfamily,
-        claim=lambda alg, b, k=_kind: alg.rel(
-            k, alg.fold_inter(b["F2"]), alg.fold_inter(b["F1"])
-        ),
-        gen=g.subfamily_pair,
-    ))
-for _i, _kind in ((2, P), (5, A_)):
-    _law(Law(
-        id=f"thm6.{_i}", status=LawStatus.PROVED, params=_TWO_FAMILIES,
-        statement=f"F1 ⊏ F2 ⇒ ⋃F1 ⊂{_kind.letter} ⋃F2",
-        guard=_subfamily,
-        claim=lambda alg, b, k=_kind: alg.rel(
-            k, alg.fold_union(b["F1"]), alg.fold_union(b["F2"])
-        ),
-        gen=g.subfamily_pair,
-    ))
-for _i, _kind in ((3, P), (6, A_)):
-    _law(Law(
-        id=f"thm6.{_i}", status=LawStatus.PROVED, params=_TWO_FAMILIES,
-        statement=f"F1 ⊏ F2 ⇒ ⋂F1 ⊂{_kind.letter} ⋃F2",
-        guard=_subfamily,
-        claim=lambda alg, b, k=_kind: alg.rel(
-            k, alg.fold_inter(b["F1"]), alg.fold_union(b["F2"])
-        ),
-        gen=g.subfamily_pair,
-    ))
-_law(Law(
-    id="thm6.7", status=LawStatus.PROVED, params=_TWO_FAMILIES,
-    statement="F1 ⊏ F2 ⇒ at every x, (⋃F1)(x) ⊂s-or-⊂t (⋃F2)(x)",
-    guard=_subfamily,
-    claim=lambda alg, b: alg.sot(alg.fold_union(b["F1"]), alg.fold_union(b["F2"])),
-    gen=g.subfamily_pair,
-))
-_law(Law(
-    id="thm6.8", status=LawStatus.PROVED, params=_TWO_FAMILIES,
-    statement="F1 ⊏ F2 ⇒ at every x, (⋂F1)(x) ⊂s-or-⊂t (⋃F2)(x)",
-    guard=_subfamily,
-    claim=lambda alg, b: alg.sot(alg.fold_inter(b["F1"]), alg.fold_union(b["F2"])),
-    gen=g.subfamily_pair,
-))
+for _first, _lhs, _rhs in ((1, "⋂F2", "⋂F1"), (2, "⋃F1", "⋃F2"), (3, "⋂F1", "⋃F2")):
+    for _i, _kind in ((_first, P), (_first + 3, A_)):
+        _law(f"thm6.{_i}", _TWO_FAMILIES, Implies(Subfamily("F1", "F2"), inc(_kind, _lhs, _rhs)), g.subfamily_pair)
+_law("thm6.7", _TWO_FAMILIES, Implies(Subfamily("F1", "F2"), sot("⋃F1", "⋃F2")), g.subfamily_pair)
+_law("thm6.8", _TWO_FAMILIES, Implies(Subfamily("F1", "F2"), sot("⋂F1", "⋃F2")), g.subfamily_pair)
 
 # --------------------------------------------------------------------------
 # Refuted laws: classical-set intuitions that fail, each with the worked
@@ -642,28 +590,12 @@ _law(Law(
 # --------------------------------------------------------------------------
 
 _MEAN_FIX = (whole("mean-failures", ("x", "y", "z"), MEAN_FAILURES, "A", "B"),)
-_refuted(
-    "exam-sec2.3-m-intersection", _sets("A", "B"),
-    RelSpec("rel", "A & B", "A", M),
-    gen=g.rand_sets("A", "B"), fixtures=_MEAN_FIX,
-)
-_refuted(
-    "exam-sec2.3-m-union", _sets("A", "B"),
-    RelSpec("rel", "B", "A | B", M),
-    gen=g.rand_sets("A", "B"), fixtures=_MEAN_FIX,
-)
+_refuted("exam-sec2.3-m-intersection", AB, inc(M, "A & B", "A"), g.rand_sets("A", "B"), _MEAN_FIX)
+_refuted("exam-sec2.3-m-union", AB, inc(M, "B", "A | B"), g.rand_sets("A", "B"), _MEAN_FIX)
 
 _SOT_FIX = (whole("sot-failures", ("x", "y"), SOT_FAILURES, "A", "B"),)
-_refuted(
-    "exam-sec2.3-sot-inter-left", _sets("A", "B"),
-    RelSpec("sot", "A & B", "A"),
-    gen=g.rand_sets("A", "B"), fixtures=_SOT_FIX,
-)
-_refuted(
-    "exam-sec2.3-sot-inter-right", _sets("A", "B"),
-    RelSpec("sot", "A & B", "B"),
-    gen=g.rand_sets("A", "B"), fixtures=_SOT_FIX,
-)
+_refuted("exam-sec2.3-sot-inter-left", AB, sot("A & B", "A"), g.rand_sets("A", "B"), _SOT_FIX)
+_refuted("exam-sec2.3-sot-inter-right", AB, sot("A & B", "B"), g.rand_sets("A", "B"), _SOT_FIX)
 
 _NEC_FIX = (whole("necessity-failures", ("x",), NECESSITY_FAILURES, "A", "B"),)
 for _slug, _lhs, _rhs in (
@@ -673,11 +605,7 @@ for _slug, _lhs, _rhs in (
     ("union-right", "B", "A | B"),
     ("inter-union", "A & B", "A | B"),
 ):
-    _refuted(
-        f"exam-sec2.3-n-{_slug}", _sets("A", "B"),
-        RelSpec("rel", _lhs, _rhs, N),
-        gen=g.rand_sets("A", "B"), fixtures=_NEC_FIX,
-    )
+    _refuted(f"exam-sec2.3-n-{_slug}", AB, inc(N, _lhs, _rhs), g.rand_sets("A", "B"), _NEC_FIX)
 
 # guarded monotonicity strengthenings that fail, one per (guard, op, claim)
 _MONO_CASES = (
@@ -698,69 +626,43 @@ _MONO_CASES = (
 for _gk, _op, _ck, _elem in _MONO_CASES:
     _sym = "&" if _op == "inter" else "|"
     _refuted(
-        f"exam-sec2.5-{_gk.letter}-{_op}-{_ck.letter}", _sets("A", "B", "C"),
-        RelSpec("rel", f"A {_sym} C", f"B {_sym} C", _ck),
-        guard_spec=RelSpec("rel", "A", "B", _gk),
-        gen=g.pair(_gk, extra=1),
-        fixtures=(
-            slice_at(f"monotonicity-failures@{_elem}", _elem, MONOTONICITY_FAILURES, "A", "B", "C"),
-        ),
+        f"exam-sec2.5-{_gk.letter}-{_op}-{_ck.letter}", ABC,
+        Implies(inc(_gk, "A", "B"), inc(_ck, f"A {_sym} C", f"B {_sym} C")),
+        g.pair(_gk, extra=1),
+        (slice_at(f"monotonicity-failures@{_elem}", _elem, MONOTONICITY_FAILURES, "A", "B", "C"),),
     )
 
 # complement contrapositives that fail
-for _ck in (P, M):
-    _refuted(
-        f"exam-sec2.5c-p-compl-{_ck.letter}", _sets("A", "B"),
-        RelSpec("rel", "B^c", "A^c", _ck),
-        guard_spec=RelSpec("rel", "A", "B", P),
-        gen=g.pair(P),
-        fixtures=(slice_at("complement-failures@x", "x", COMPLEMENT_FAILURES, "A", "B"),),
-    )
-for _ck in (P, A_, M, S, T, N):
-    _refuted(
-        f"exam-sec2.5c-t-compl-{_ck.letter}", _sets("A", "B"),
-        RelSpec("rel", "B^c", "A^c", _ck),
-        guard_spec=RelSpec("rel", "A", "B", T),
-        gen=g.pair(T),
-        fixtures=(slice_at("complement-failures@y", "y", COMPLEMENT_FAILURES, "A", "B"),),
-    )
+for _gk, _elem, _claims in ((P, "x", (P, M)), (T, "y", (P, A_, M, S, T, N))):
+    for _ck in _claims:
+        _refuted(
+            f"exam-sec2.5c-{_gk.letter}-compl-{_ck.letter}", AB,
+            Implies(inc(_gk, "A", "B"), inc(_ck, "B^c", "A^c")),
+            g.pair(_gk),
+            (slice_at(f"complement-failures@{_elem}", _elem, COMPLEMENT_FAILURES, "A", "B"),),
+        )
 
 # equality beyond =p/=a fails for absorption and distributivity
 _EQ_FIX2 = (whole("equality-failures", ("x",), EQUALITY_FAILURES, "A", "B"),)
 _EQ_FIX3 = (whole("equality-failures", ("x",), EQUALITY_FAILURES, "A", "B", "C"),)
+_refuted("exam-sec2.6-absorb-union-m", AB, eq(M, "(A & B) | A", "A"), g.rand_sets("A", "B"), _EQ_FIX2)
+_refuted("exam-sec2.6-absorb-inter-m", AB, eq(M, "(A | B) & A", "A"), g.rand_sets("A", "B"), _EQ_FIX2)
 _refuted(
-    "exam-sec2.6-absorb-union-m", _sets("A", "B"),
-    RelSpec("eq", "(A & B) | A", "A", M),
-    gen=g.rand_sets("A", "B"), fixtures=_EQ_FIX2,
+    "exam-sec2.6-distrib-m", ABC, eq(M, "(A | B) & C", "(A & C) | (B & C)"),
+    g.rand_sets("A", "B", "C"), _EQ_FIX3,
 )
 _refuted(
-    "exam-sec2.6-absorb-inter-m", _sets("A", "B"),
-    RelSpec("eq", "(A | B) & A", "A", M),
-    gen=g.rand_sets("A", "B"), fixtures=_EQ_FIX2,
+    "exam-sec2.6-distrib2-m", ABC, eq(M, "(A & B) | C", "(A | C) & (B | C)"),
+    g.rand_sets("A", "B", "C"), _EQ_FIX3,
 )
 _refuted(
-    "exam-sec2.6-distrib-m", _sets("A", "B", "C"),
-    RelSpec("eq", "(A | B) & C", "(A & C) | (B & C)", M),
-    gen=g.rand_sets("A", "B", "C"), fixtures=_EQ_FIX3,
-)
-_refuted(
-    "exam-sec2.6-distrib2-m", _sets("A", "B", "C"),
-    RelSpec("eq", "(A & B) | C", "(A | C) & (B | C)", M),
-    gen=g.rand_sets("A", "B", "C"), fixtures=_EQ_FIX3,
-)
-_refuted(
-    "exam-sec2.6-distrib2-eq", _sets("A", "B", "C"),
-    RelSpec("multiset", "(A & B) | C", "(A | C) & (B | C)"),
-    gen=g.rand_sets("A", "B", "C"), fixtures=_EQ_FIX3,
-    note="0.4 appears on the right only",
+    "exam-sec2.6-distrib2-eq", ABC, same("(A & B) | C", "(A | C) & (B | C)"),
+    g.rand_sets("A", "B", "C"), _EQ_FIX3, note="0.4 appears on the right only",
 )
 
 _refuted(
-    "exam-sec2.4-tconv", _sets("A", "B", "C"),
-    RelSpec("rel", "A", "B", T),
-    guard_spec=RelSpec("rel", "A", "B & C", T),
-    gen=g.meet_tail_pair,
-    fixtures=(whole("truncation-remark", ("x",), TRUNCATION_REMARK, "A", "B", "C"),),
+    "exam-sec2.4-tconv", ABC, Implies(inc(T, "A", "B & C"), inc(T, "A", "B")), g.meet_tail_pair,
+    (whole("truncation-remark", ("x",), TRUNCATION_REMARK, "A", "B", "C"),),
 )
 
 LAWS: tuple[Law, ...] = tuple(_LAWS)

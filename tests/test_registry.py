@@ -15,7 +15,7 @@ from hesitant import (
     refuted_laws,
 )
 from hesitant.laws import LawStatus, fixture_binding, replay_fixtures
-from hesitant.laws.registry import render_table
+from hesitant.laws.registry import Rel, render_table
 
 
 def test_registry_counts():
@@ -78,8 +78,16 @@ def test_every_refuted_law_fixture_falsifies():
 
 
 def test_refuted_laws_carry_specs_for_traces():
+    # counterexample traces print the two sides of each premise and claim
     for law in refuted_laws():
-        assert law.claim_spec is not None, law.id
+        for part in (law.premise, law.conclusion):
+            assert part is None or isinstance(part, Rel), law.id
+
+
+def test_statement_guard_and_claim_come_from_the_spec():
+    for law in law_registry():
+        assert law.statement.startswith(str(law.spec)), law.id
+        assert (law.guard is None) == (law.premise is None), law.id
 
 
 def test_evaluate_law_on_scheme_pair():
