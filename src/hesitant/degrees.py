@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DegreeError
+from .errors import DegreeError, shown
 
 #: Maximum number of fractional digits accepted on input.
 MAX_FRACTION_DIGITS = 9
@@ -38,18 +38,18 @@ def parse_grid(text: str) -> int:
         raise DegreeError(f"degree must be a decimal string, got {type(text).__name__}")
     m = _DECIMAL.fullmatch(text.strip())
     if m is None:
-        raise DegreeError(f"malformed degree {text!r}: expected a plain decimal like 0.45")
+        raise DegreeError(f"malformed degree {shown(text)}: expected a plain decimal like 0.45")
     whole, frac = m.groups("")
     if len(frac) > MAX_FRACTION_DIGITS:
         raise DegreeError(
-            f"degree {text!r} has {len(frac)} fractional digits; at most "
+            f"degree {shown(text)} has {len(frac)} fractional digits; at most "
             f"{MAX_FRACTION_DIGITS} are accepted"
         )
     # Past one significant whole digit the value exceeds 1, however long the
     # string; checking that first keeps `int` away from huge digit strings.
     whole = whole.lstrip("0")
     if len(whole) > 1 or (value := int(whole + frac.ljust(MAX_FRACTION_DIGITS, "0"))) > SCALE:
-        raise DegreeError(f"degree {text!r} is outside [0, 1]")
+        raise DegreeError(f"degree {shown(text)} is outside [0, 1]")
     return value
 
 

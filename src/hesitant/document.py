@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 # which rebinds them in this module; documents parse and format on the grid.
 from .degrees import SCALE, DegreeError, format_degree, format_grid, parse_degree, parse_grid
 from .elements import HFE
-from .errors import DocumentError
+from .errors import DocumentError, shown
 from .sets import HFS, Family, Universe
 
 
@@ -53,21 +53,21 @@ class Document:
             memberships = self.sets[name]
             missing = [e for e in uni if e not in memberships]
             if missing:
-                raise DocumentError(f"set {name!r}: missing element {missing[0]!r}")
+                raise DocumentError(f"set {shown(name)}: missing element {shown(missing[0])}")
             extra = [e for e in memberships if e not in uni]
             if extra:
-                raise DocumentError(f"set {name!r}: unknown element {sorted(extra)[0]!r}")
+                raise DocumentError(f"set {shown(name)}: unknown element {shown(sorted(extra)[0])}")
             canon_members: dict[str, tuple[str, ...]] = {}
             for e in uni:
                 degrees = memberships[e]
                 if isinstance(degrees, str) or not isinstance(degrees, Sequence):
-                    raise DocumentError(f"set {name!r}, element {e!r}: expected a list of degrees")
+                    raise DocumentError(f"set {shown(name)}, element {shown(e)}: expected a list of degrees")
                 if not degrees:
-                    raise DocumentError(f"set {name!r}, element {e!r}: membership is empty")
+                    raise DocumentError(f"set {shown(name)}, element {shown(e)}: membership is empty")
                 try:
                     parsed = sorted((parse_grid(d) for d in degrees), reverse=True)
                 except DegreeError as exc:
-                    raise DocumentError(f"set {name!r}, element {e!r}: {exc}") from None
+                    raise DocumentError(f"set {shown(name)}, element {shown(e)}: {exc}") from None
                 canon_members[e] = tuple(format_grid(k, SCALE) for k in parsed)
             canon_sets[name] = canon_members
         object.__setattr__(self, "sets", canon_sets)
@@ -79,15 +79,15 @@ class Document:
                 or not isinstance(members, Sequence)
                 or not all(isinstance(m, str) for m in members)
             ):
-                raise DocumentError(f"family {fname!r}: expected a list of set names")
+                raise DocumentError(f"family {shown(fname)}: expected a list of set names")
             members = tuple(members)
             if not members:
-                raise DocumentError(f"family {fname!r}: no members")
+                raise DocumentError(f"family {shown(fname)}: no members")
             unknown = [m for m in members if m not in canon_sets]
             if unknown:
-                raise DocumentError(f"family {fname!r}: unknown set {unknown[0]!r}")
+                raise DocumentError(f"family {shown(fname)}: unknown set {shown(unknown[0])}")
             if len(set(members)) != len(members):
-                raise DocumentError(f"family {fname!r}: duplicate members")
+                raise DocumentError(f"family {shown(fname)}: duplicate members")
             canon_families[fname] = members
         object.__setattr__(self, "families", canon_families)
 
@@ -104,20 +104,20 @@ class Document:
         try:
             memberships = self.sets[name]
         except KeyError:
-            raise DocumentError(f"unknown set {name!r}") from None
+            raise DocumentError(f"unknown set {shown(name)}") from None
         return HFS(self.universe_obj, {e: degrees for e, degrees in memberships.items()})
 
     def family(self, name: str) -> Family:
         try:
             members = self.families[name]
         except KeyError:
-            raise DocumentError(f"unknown family {name!r}") from None
+            raise DocumentError(f"unknown family {shown(name)}") from None
         return Family([(m, self.hfs(m)) for m in members])
 
     def with_set(self, name: str, hfs: HFS) -> "Document":
         """A new document with one more (or replaced) set."""
         if hfs.universe.elements != self.universe:
-            raise DocumentError(f"set {name!r} lives on a different universe")
+            raise DocumentError(f"set {shown(name)} lives on a different universe")
         sets = {k: dict(v) for k, v in self.sets.items()}
         sets[name] = {e: _decimals(h) for e, h in hfs.items()}
         return Document(universe=self.universe, sets=sets, families=dict(self.families))
@@ -157,7 +157,7 @@ def load_document(source) -> Document:
         raise DocumentError("document root must be an object")
     unknown = set(data) - {"universe", "sets", "families"}
     if unknown:
-        raise DocumentError(f"unknown document key {sorted(unknown)[0]!r}")
+        raise DocumentError(f"unknown document key {shown(sorted(unknown)[0])}")
     universe = data.get("universe")
     if not isinstance(universe, list):
         raise DocumentError("'universe' must be a list of element ids")
@@ -169,7 +169,7 @@ def load_document(source) -> Document:
         raise DocumentError("'families' must be an object")
     for name, memberships in sets.items():
         if not isinstance(memberships, dict):
-            raise DocumentError(f"set {name!r}: expected an object of memberships")
+            raise DocumentError(f"set {shown(name)}: expected an object of memberships")
     return Document(universe=tuple(universe), sets=sets, families=families)
 
 

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how messages quote input."""
+
+import reprlib
+
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 2
+_REPR.maxstring = _REPR.maxother = 40
+
+
+def shown(value) -> str:
+    """The repr of a value that came from outside the program, cut to at
+    most 60 characters so that an error message stays short whatever the
+    input (reprlib also stops at the second level of nesting)."""
+    text = _REPR.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 class HesitantError(Exception):

@@ -16,7 +16,7 @@ from typing import Iterable
 # in this module; scores are validated on the grid.
 from .degrees import DegreeError, parse_degree, parse_grid
 from .document import Document
-from .errors import DocumentError
+from .errors import DocumentError, shown
 
 
 def ingest_scores(source, set_name: str = "H") -> Document:
@@ -62,7 +62,7 @@ def ingest_scores(source, set_name: str = "H") -> Document:
     empty = [scheme for scheme in order if not scores[scheme]]
     if empty:
         raise DocumentError(
-            f"scheme {empty[0]!r} has no scores at all; a membership cannot be empty"
+            f"scheme {shown(empty[0])} has no scores at all; a membership cannot be empty"
         )
     return Document(
         universe=tuple(order),

@@ -14,7 +14,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .elements import HFE
-from .errors import UniverseMismatchError
+from .errors import UniverseMismatchError, shown
 
 
 class Universe:
@@ -28,10 +28,10 @@ class Universe:
             raise ValueError("a universe needs at least one element")
         for e in elems:
             if not isinstance(e, str) or not e:
-                raise ValueError(f"universe element ids must be non-empty strings, got {e!r}")
+                raise ValueError(f"universe element ids must be non-empty strings, got {shown(e)}")
         if len(set(elems)) != len(elems):
             dupes = sorted({e for e in elems if elems.count(e) > 1})
-            raise ValueError(f"duplicate universe elements: {', '.join(dupes)}")
+            raise ValueError(f"duplicate universe element {shown(dupes[0])}")
         object.__setattr__(self, "_elements", elems)
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(elems)})
 
@@ -43,7 +43,7 @@ class Universe:
         try:
             return self._index[element]
         except KeyError:
-            raise KeyError(f"element {element!r} is not in the universe") from None
+            raise KeyError(f"element {shown(element)} is not in the universe") from None
 
     def __len__(self) -> int:
         return len(self._elements)

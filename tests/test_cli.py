@@ -220,3 +220,21 @@ def test_check_unknown_law_message(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: unknown law id 'nope'\n"
+
+
+@pytest.mark.parametrize(
+    "doc, start",
+    [
+        ('{"universe": [' + "[" * 800 + "]" * 800 + "]}", "error: universe: "),
+        (json.dumps({"universe": ["x"], "sets": {"N" * 5000: {"x": ["1.5"]}}}), "error: set 'NNN"),
+        (json.dumps({"universe": ["x"], "sets": {"A": {"x": ["0." + "1" * 5000]}}}), "error: set 'A'"),
+    ],
+    ids=["nested-universe-element", "long-set-name", "long-degree"],
+)
+def test_validation_errors_quote_input_briefly(tmp_path, capsys, doc, start):
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    code, out, err = run_cli(capsys, "relate", path, "A", "B")
+    assert code == 2
+    assert err.startswith(start)
+    assert len(err) < 200
