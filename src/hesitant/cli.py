@@ -28,7 +28,7 @@ from .ingest import ingest_scores
 from .laws.algebra import EXACT, hfs_to_plain
 from .laws.engine import GeneratorConfig, hunt_counterexample, run_suite
 from .laws.fixtures import Fixture
-from .laws.registry import Law, LawStatus, Rel, at, get_law, refuted_laws
+from .laws.registry import Law, LawStatus, at, get_law, refuted_laws
 from .ranking import format_ranking, rank_schemes, ranking_dot
 from .relations import Inclusion, relation_profile, set_relation
 from .sets import HFS
@@ -161,9 +161,7 @@ def cmd_check(args) -> int:
 
 
 def _spec_detail(spec, plain, universe) -> list[str]:
-    """Describe the two sides of a claim/guard on one binding."""
-    if not isinstance(spec, Rel):
-        return []
+    """Describe the two sides of a claim/guard (a `Rel`) on one binding."""
     L, R = spec.sides(EXACT, plain)
     lines = []
     for i, e in enumerate(universe):

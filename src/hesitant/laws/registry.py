@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from typing import Callable, Optional, Union
+from functools import cache, reduce
+from typing import Callable, NamedTuple, Optional, Union
 
 from ..errors import UnknownLawError
 from ..expressions import Compl, Join, Node, Var, parse_expression
@@ -59,12 +59,12 @@ class LawStatus(Enum):
 # The formula type. Terms are set expressions (`expressions.Node`) or folds
 # of a family; formulas are built from the nodes below. Every node renders
 # itself with `str` and compiles itself, once, to a closure
-# (kern, one, binding) -> value, where `one` is the complement unit.
+# (kern, one, binding) -> value, where `one` is the complement unit. Nodes
+# are NamedTuples because a frozen dataclass costs about 1 ms at import.
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fold:
+class Fold(NamedTuple):
     """⋂F or ⋃F: the meet or the join of every member of family F."""
 
     op: str  # "⋂" or "⋃"
@@ -77,6 +77,7 @@ class Fold:
 Term = Union[Node, Fold]
 
 
+@cache  # the specs repeat a few dozen term texts
 def _term(text: str) -> Term:
     return Fold(text[0], text[1:]) if text[0] in "⋂⋃" else parse_expression(text)
 
@@ -129,8 +130,7 @@ def _value(term: Term) -> Callable:
     return meet
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(NamedTuple):
     """lhs related to rhs. mode is "rel" (set-level ⊂kind), "eq" (=kind),
     "sot" (strong-or-tail at every element) or "multiset" (exact equality).
     Counterexample traces show its two sides."""
@@ -198,18 +198,17 @@ def same(lhs: str, rhs: str) -> Rel:
     return Rel("multiset", _term(lhs), _term(rhs))
 
 
-@dataclass(frozen=True, init=False)
-class And:
-    parts: tuple
+class And(tuple):
+    """The conjunction of its parts, evaluated left to right."""
 
-    def __init__(self, *parts) -> None:
-        object.__setattr__(self, "parts", parts)
+    def __new__(cls, *parts):
+        return super().__new__(cls, parts)
 
     def __str__(self) -> str:
-        return " and ".join(map(str, self.parts))
+        return " and ".join(map(str, self))
 
     def compile(self) -> Callable:
-        return reduce(_both, [part.compile() for part in reversed(self.parts)])
+        return reduce(_both, [part.compile() for part in reversed(self)])
 
 
 def _both(rest: Callable, first: Callable) -> Callable:
@@ -219,8 +218,7 @@ def _both(rest: Callable, first: Callable) -> Callable:
     return both
 
 
-@dataclass(frozen=True)
-class Iff:
+class Iff(NamedTuple):
     left: object
     right: object
 
@@ -236,8 +234,7 @@ class Iff:
         return iff
 
 
-@dataclass(frozen=True)
-class Each:
+class Each(NamedTuple):
     """body for all (or some) members `var` of a family."""
 
     quantifier: str  # "all" or "some"
@@ -266,8 +263,7 @@ def for_some(body, family: str = "F") -> Each:
     return Each("some", "H", family, body)
 
 
-@dataclass(frozen=True)
-class Subfamily:
+class Subfamily(NamedTuple):
     """small ⊏ big: every member of small is a member of big."""
 
     small: str
@@ -285,8 +281,7 @@ class Subfamily:
         return subfamily
 
 
-@dataclass(frozen=True)
-class EitherAt:
+class EitherAt(NamedTuple):
     """At every element, the first or the second element-level inclusion."""
 
     first: Rel
@@ -313,8 +308,7 @@ class EitherAt:
         return either
 
 
-@dataclass(frozen=True)
-class Coincide:
+class Coincide(NamedTuple):
     """At every element, all degrees of both memberships are one value."""
 
     lhs: str
@@ -332,8 +326,7 @@ class Coincide:
         return coincide
 
 
-@dataclass(frozen=True)
-class FewerDegrees:
+class FewerDegrees(NamedTuple):
     """At every element, the set has fewer degrees than every member."""
 
     name: str
@@ -351,8 +344,7 @@ class FewerDegrees:
         return fewer
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(NamedTuple):
     """premise ⇒ claim; only ever the whole spec of a law."""
 
     premise: object
