@@ -1,13 +1,12 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
-`active` is the module the law engine uses for its integer-grid hot loop:
-`laws.algebra.grid_algebra` binds it as `kern`, and the compiled law
-predicates call its functions directly. Set HESITANT_PURE=1 to force the
-pure implementation. The exact public API (HFE and HFS algebra, relations,
-ranking) always uses the `pure` module directly: its degrees are Python-int
-numerators over a common denominator, which for non-decimal degrees can
-outgrow a C integer. The Fraction-scalar `laws.algebra.EXACT` algebra, with
-which the law predicates replay fixtures, binds `pure` too.
+Both kernels take int numerators over a common denominator. `active` is the
+module of the law engine's randomized trials: `laws.algebra.grid_algebra`
+binds it as `kern`, and the compiled law predicates call its functions
+directly. Set HESITANT_PURE=1 to force the pure implementation. Every exact
+path (HFE and HFS algebra, relations, ranking, and law evaluation through
+`laws.algebra.EXACT`) uses the `pure` module: the lcm of arbitrary degrees'
+denominators can outgrow a C integer.
 """
 
 import os

@@ -1,14 +1,11 @@
 """Pure-Python kernel: the reference implementation of the hot primitives.
 
-Everything here works on plain tuples. An element value ("hfe") is a
-non-empty tuple of degree scalars sorted descending; a set value ("hfs") is a
-tuple of hfes, one per universe position. The functions are scalar-generic:
-they only compare, add and subtract degrees, so they run unchanged on integer
-grid degrees (the public HFE algebra, the law engine and the scheme ranking,
-where a degree k stands for k/den and `one` is den; outside the engine den
-can exceed a C integer) and on exact `Fraction` degrees (the
-`laws.algebra.EXACT` algebra, through which the compiled law predicates
-replay fixtures).
+Everything here works on plain tuples of ints over one denominator den: a
+degree k stands for k/den, and the complement unit `one` is den. An element
+value ("hfe") is a non-empty descending tuple of degrees; a set value
+("hfs") is a tuple of hfes, one per universe position. The functions only
+compare, add and subtract degrees, so they are exact rational arithmetic;
+den may exceed a C integer.
 
 Random generation draws from a SplitMix64 `Stream`. `gen_hfe` and `gen_hfs`
 load the stream's state into a local once, run every draw on that local and
@@ -17,9 +14,9 @@ inline; the numbers drawn and the state left behind are exactly those of one
 `u64` call per draw. `tests/test_streams.py` pins that against a
 method-per-draw oracle.
 
-The compiled twin `_ckernel` implements the identical contract for integer
-degrees, including bit-identical random streams: its output must stay
-bit-identical to this module's. `tests/test_kernel.py` pins the equivalence.
+The compiled twin `_ckernel` implements the identical contract for degrees
+that fit a C integer, including bit-identical random streams: its output must
+stay bit-identical to this module's. `tests/test_kernel.py` pins the equivalence.
 """
 
 from __future__ import annotations
@@ -106,7 +103,7 @@ def e_rel(code, a, b):
     if code == REL_A:
         return a[0] <= b[0] and a[-1] <= b[-1]
     if code == REL_M:
-        # mean(a) <= mean(b), cross-multiplied: exact for ints and Fractions
+        # mean(a) <= mean(b), cross-multiplied
         return sum(a) * len(b) <= sum(b) * len(a)
     if code == REL_S:
         if len(a) < len(b):

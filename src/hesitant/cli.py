@@ -25,7 +25,6 @@ from .elements import HFE
 from .errors import HesitantError
 from .expressions import evaluate_on_hfs, parse_expression, variables
 from .ingest import ingest_scores
-from .laws.algebra import EXACT, hfs_to_plain
 from .laws.engine import GeneratorConfig, hunt_counterexample, run_suite
 from .laws.fixtures import Fixture
 from .laws.registry import Law, LawStatus, at, get_law, refuted_laws
@@ -160,12 +159,12 @@ def cmd_check(args) -> int:
 # --- counterexamples -------------------------------------------------------------
 
 
-def _spec_detail(spec, plain, universe) -> list[str]:
-    """Describe the two sides of a claim/guard (a `Rel`) on one binding."""
-    L, R = spec.sides(EXACT, plain)
+def _spec_detail(spec, alg, plain, universe) -> list[str]:
+    """Describe the two sides of a claim/guard (a `Rel`) on one grid binding."""
+    L, R = spec.sides(alg, plain)
     lines = []
     for i, e in enumerate(universe):
-        lh, rh = HFE(L[i]), HFE(R[i])
+        lh, rh = HFE._from_grid(L[i], alg.one), HFE._from_grid(R[i], alg.one)
         lname, rname = at(spec.lhs, e), at(spec.rhs, e)
         lines.append(f"    {lname} = {lh}")
         lines.append(f"    {rname} = {rh}")
@@ -196,7 +195,7 @@ def _spec_detail(spec, plain, universe) -> list[str]:
 
 
 def _print_fixture_trace(law: Law, fixture: Fixture) -> bool:
-    from .laws.engine import evaluate_law, fixture_binding
+    from .laws.engine import evaluate_law, exact_binding, fixture_binding
 
     binding = fixture_binding(law, fixture)
     verdict = evaluate_law(law, binding)
@@ -206,14 +205,14 @@ def _print_fixture_trace(law: Law, fixture: Fixture) -> bool:
     for var, hfs in binding.items():
         memberships = " + ".join(f"{hfs[e]}/{e}" for e in fixture.universe)
         print(f"    {var} = {memberships}")
-    plain = {name: hfs_to_plain(value) for name, value in binding.items()}
+    alg, plain = exact_binding(law, binding)
     for label, spec, holds in (
         ("premise", law.premise, verdict["guard"]),
         ("claim", law.conclusion, verdict["claim"]),
     ):
         if spec is not None:
             print(f"  {label} {spec}: {_fmt_bool(holds)}")
-            for line in _spec_detail(spec, plain, fixture.universe):
+            for line in _spec_detail(spec, alg, plain, fixture.universe):
                 print(line)
     print(f"  => fixture {'falsifies the claim' if falsifies else 'DOES NOT falsify'}")
     print()

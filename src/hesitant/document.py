@@ -10,11 +10,13 @@ A document is a JSON object::
       "families": {"F": ["A", "B"]}
     }
 
-Degrees are decimal strings end-to-end so exactness survives the wire.
-Loading validates totality and ranges (errors carry the set/element path) and
-canonicalizes: set and family names sorted, memberships in universe order,
-degrees descending in minimal decimal form. Saving a canonical document is
-byte-stable, so load(save(doc)) == doc and save(load(save(doc))) == save(doc).
+Degrees are decimal strings on the wire only; a `Document` holds each set as
+its canonical `HFS`. Loading validates totality and ranges (errors carry the
+set/element path) and parses each degree string once. Saving formats each
+degree once, canonically: set and family names sorted, memberships in
+universe order, degrees descending in minimal decimal form. So saving is
+byte-stable, load(save(doc)) == doc, and a set with a degree that has no
+exact decimal form (1/3) is refused at construction with a `DegreeError`.
 """
 
 from __future__ import annotations
@@ -31,45 +33,39 @@ from .errors import DocumentError, shown
 from .sets import HFS, Family, Universe
 
 
-def _decimals(h: HFE) -> tuple[str, ...]:
-    """An HFE's degrees as minimal decimal strings, in canonical order."""
-    return tuple(format_grid(n, h._den) for n in h._nums)
+def _decimals(h: HFE) -> list[str]:
+    """An HFE's degrees as minimal decimal strings, in canonical order;
+    raises DegreeError for a degree with no exact decimal form."""
+    return [format_grid(n, h._den) for n in h._nums]
+
+
+def _universe(elements) -> Universe:
+    try:
+        return Universe(elements)
+    except ValueError as exc:
+        raise DocumentError(f"universe: {exc}") from None
 
 
 @dataclass(frozen=True)
 class Document:
     universe: tuple[str, ...]
-    sets: Mapping[str, Mapping[str, tuple[str, ...]]]
+    sets: Mapping[str, HFS]
     families: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        try:
-            uni = Universe(self.universe)
-        except ValueError as exc:
-            raise DocumentError(f"universe: {exc}") from None
+        uni = _universe(self.universe)
         object.__setattr__(self, "universe", uni.elements)
-        canon_sets: dict[str, dict[str, tuple[str, ...]]] = {}
+        canon_sets: dict[str, HFS] = {}
         for name in sorted(self.sets):
-            memberships = self.sets[name]
-            missing = [e for e in uni if e not in memberships]
-            if missing:
-                raise DocumentError(f"set {shown(name)}: missing element {shown(missing[0])}")
-            extra = [e for e in memberships if e not in uni]
-            if extra:
-                raise DocumentError(f"set {shown(name)}: unknown element {shown(sorted(extra)[0])}")
-            canon_members: dict[str, tuple[str, ...]] = {}
-            for e in uni:
-                degrees = memberships[e]
-                if isinstance(degrees, str) or not isinstance(degrees, Sequence):
-                    raise DocumentError(f"set {shown(name)}, element {shown(e)}: expected a list of degrees")
-                if not degrees:
-                    raise DocumentError(f"set {shown(name)}, element {shown(e)}: membership is empty")
-                try:
-                    parsed = sorted((parse_grid(d) for d in degrees), reverse=True)
-                except DegreeError as exc:
-                    raise DocumentError(f"set {shown(name)}, element {shown(e)}: {exc}") from None
-                canon_members[e] = tuple(format_grid(k, SCALE) for k in parsed)
-            canon_sets[name] = canon_members
+            s = self.sets[name]
+            if not isinstance(s, HFS):
+                raise DocumentError(f"set {shown(name)}: expected an HFS")
+            if s.universe != uni:
+                raise DocumentError(f"set {shown(name)} lives on a different universe")
+            for h in s.hfes:
+                if SCALE % h._den:
+                    _decimals(h)  # raises the DegreeError that names the degree
+            canon_sets[name] = s
         object.__setattr__(self, "sets", canon_sets)
         canon_families: dict[str, tuple[str, ...]] = {}
         for fname in sorted(self.families):
@@ -93,52 +89,59 @@ class Document:
 
     # --- object views ---------------------------------------------------
 
-    @property
-    def universe_obj(self) -> Universe:
-        return Universe(self.universe)
-
     def set_names(self) -> tuple[str, ...]:
         return tuple(self.sets)
 
     def hfs(self, name: str) -> HFS:
         try:
-            memberships = self.sets[name]
+            return self.sets[name]
         except KeyError:
             raise DocumentError(f"unknown set {shown(name)}") from None
-        return HFS(self.universe_obj, {e: degrees for e, degrees in memberships.items()})
 
     def family(self, name: str) -> Family:
         try:
             members = self.families[name]
         except KeyError:
             raise DocumentError(f"unknown family {shown(name)}") from None
-        return Family([(m, self.hfs(m)) for m in members])
+        return Family([(m, self.sets[m]) for m in members])
 
     def with_set(self, name: str, hfs: HFS) -> "Document":
-        """A new document with one more (or replaced) set."""
-        if hfs.universe.elements != self.universe:
-            raise DocumentError(f"set {shown(name)} lives on a different universe")
-        sets = {k: dict(v) for k, v in self.sets.items()}
-        sets[name] = {e: _decimals(h) for e, h in hfs.items()}
-        return Document(universe=self.universe, sets=sets, families=dict(self.families))
+        """A new document with one more (or replaced) set; the other sets
+        are shared."""
+        return Document(universe=self.universe, sets={**self.sets, name: hfs}, families=self.families)
 
 
 def document_of(sets: Mapping[str, HFS], families: Mapping[str, Sequence[str]] | None = None) -> Document:
     """Build a document from HFS objects sharing one universe."""
     if not sets:
         raise DocumentError("a document needs at least one set")
-    universes = {s.universe for s in sets.values()}
-    if len(universes) != 1:
-        raise DocumentError("document sets must share one universe")
-    uni = next(iter(universes))
     return Document(
-        universe=uni.elements,
-        sets={
-            name: {e: _decimals(h) for e, h in s.items()}
-            for name, s in sets.items()
-        },
+        universe=next(iter(sets.values())).universe.elements,
+        sets=sets,
         families={name: tuple(members) for name, members in (families or {}).items()},
     )
+
+
+def _parse_set(name: str, memberships: Mapping, uni: Universe) -> HFS:
+    """One set's memberships of degree strings, parsed once, as an HFS."""
+    missing = [e for e in uni if e not in memberships]
+    if missing:
+        raise DocumentError(f"set {shown(name)}: missing element {shown(missing[0])}")
+    extra = [e for e in memberships if e not in uni]
+    if extra:
+        raise DocumentError(f"set {shown(name)}: unknown element {shown(sorted(extra)[0])}")
+    hfes = []
+    for e in uni:
+        degrees = memberships[e]
+        if isinstance(degrees, str) or not isinstance(degrees, Sequence):
+            raise DocumentError(f"set {shown(name)}, element {shown(e)}: expected a list of degrees")
+        if not degrees:
+            raise DocumentError(f"set {shown(name)}, element {shown(e)}: membership is empty")
+        try:
+            hfes.append(HFE._from_grid(sorted(map(parse_grid, degrees), reverse=True), SCALE))
+        except DegreeError as exc:
+            raise DocumentError(f"set {shown(name)}, element {shown(e)}: {exc}") from None
+    return HFS._wrap(uni, tuple(hfes))
 
 
 def load_document(source) -> Document:
@@ -170,14 +173,16 @@ def load_document(source) -> Document:
     for name, memberships in sets.items():
         if not isinstance(memberships, dict):
             raise DocumentError(f"set {shown(name)}: expected an object of memberships")
-    return Document(universe=tuple(universe), sets=sets, families=families)
+    uni = _universe(universe)
+    parsed = {name: _parse_set(name, sets[name], uni) for name in sorted(sets)}
+    return Document(universe=uni.elements, sets=parsed, families=families)
 
 
 def save_document(doc: Document) -> bytes:
     """Canonical serialization; an empty families section is omitted."""
     payload: dict = {
         "universe": list(doc.universe),
-        "sets": {name: {e: list(v) for e, v in mem.items()} for name, mem in doc.sets.items()},
+        "sets": {name: {e: _decimals(h) for e, h in s.items()} for name, s in doc.sets.items()},
     }
     if doc.families:
         payload["families"] = {name: list(v) for name, v in doc.families.items()}

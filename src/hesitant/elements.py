@@ -50,6 +50,13 @@ def _scaled(nums: tuple, factor: int) -> tuple:
     return nums if factor == 1 else tuple(n * factor for n in nums)
 
 
+def _on_grid(hfes) -> tuple[list[tuple], int]:
+    """The numerators of every HFE in `hfes` over the lcm of all their
+    denominators, and that lcm."""
+    den = lcm(*{h._den for h in hfes})
+    return [_scaled(h._nums, den // h._den) for h in hfes], den
+
+
 def _common(a: "HFE", b: "HFE") -> tuple[tuple, tuple, int]:
     """The numerators of a and b over the lcm of their denominators, and
     that lcm."""

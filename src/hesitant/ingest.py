@@ -13,10 +13,12 @@ import io
 from typing import Iterable
 
 # `parse_degree` stays bound here for perfbench/tracing.py, which rebinds it
-# in this module; scores are validated on the grid.
-from .degrees import DegreeError, parse_degree, parse_grid
+# in this module; scores are parsed once, onto the grid.
+from .degrees import SCALE, DegreeError, parse_degree, parse_grid
 from .document import Document
+from .elements import HFE
 from .errors import DocumentError, shown
+from .sets import HFS
 
 
 def ingest_scores(source, set_name: str = "H") -> Document:
@@ -40,34 +42,28 @@ def ingest_scores(source, set_name: str = "H") -> Document:
         raise DocumentError(
             "scores table needs a header row with 'scheme' and 'score' columns"
         ) from None
-    order: list[str] = []
-    scores: dict[str, list[str]] = {}
+    scores: dict[str, list[int]] = {}  # scheme -> score numerators, in first-seen order
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) <= max(scheme_col, score_col):
             raise DocumentError(f"row {lineno}: too few columns")
         scheme = row[scheme_col].strip()
         if not scheme:
             raise DocumentError(f"row {lineno}: blank scheme name")
-        if scheme not in scores:
-            order.append(scheme)
-            scores[scheme] = []
+        members = scores.setdefault(scheme, [])
         raw = row[score_col].strip()
         if not raw:
             continue  # the expert skipped this scheme
         try:
-            parse_grid(raw)
+            members.append(parse_grid(raw))
         except DegreeError as exc:
             raise DocumentError(f"row {lineno}: {exc}") from None
-        scores[scheme].append(raw)
-    empty = [scheme for scheme in order if not scores[scheme]]
+    empty = [scheme for scheme, members in scores.items() if not members]
     if empty:
         raise DocumentError(
             f"scheme {shown(empty[0])} has no scores at all; a membership cannot be empty"
         )
-    return Document(
-        universe=tuple(order),
-        sets={set_name: {scheme: tuple(v) for scheme, v in scores.items()}},
-    )
+    hfs = HFS(scores, {e: HFE._from_grid(sorted(v, reverse=True), SCALE) for e, v in scores.items()})
+    return Document(universe=hfs.universe.elements, sets={set_name: hfs})
 
 
 def scores_csv(rows: Iterable[tuple[str, str, str]]) -> str:

@@ -1,29 +1,21 @@
 """Evaluation contexts for law predicates.
 
-Laws are compiled once, to predicates over *plain values*:
+Laws are compiled once, to predicates over *plain values* on an integer grid:
 
-    hfe     = non-empty descending tuple of degree scalars
+    hfe     = non-empty descending tuple of int numerators k, meaning k/den
     hfs     = tuple of hfes (one per universe position)
     family  = tuple of hfs
 
-and an `Algebra`: the kernel module whose functions they call, and the
-complement unit `one` of its scalars. Two algebras exist:
-
-  * the exact algebra — Fraction scalars, pure-Python kernel; used to replay
-    fixtures, evaluate witnesses, and back the public `evaluate_law`;
-  * a grid algebra — integer scalars standing for k/den, fastest available
-    kernel; used by the randomized suite, where the whole computation stays
-    on the grid so integer arithmetic *is* exact rational arithmetic.
-
-Both share semantics; the kernel equivalence tests pin them together.
+and an `Algebra`: the kernel module they call, and the complement unit
+`one` = den. The randomized suite draws on the grid 1/degree_grid and runs
+the fastest kernel (`grid_algebra`). Exact evaluation (`evaluate_law`,
+fixture and witness replay) puts a binding on the lcm of its denominators,
+which can outgrow a C integer, and so runs the pure kernel, `EXACT.kern`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .._kernel import _pykernel, active
-from ..sets import HFS
 
 
 class Algebra:
@@ -37,16 +29,11 @@ class Algebra:
         self.one = one
 
 
-#: Exact algebra over Fraction scalars (reference semantics).
-EXACT = Algebra(_pykernel, Fraction(1))
+#: Exact evaluation's kernel is `EXACT.kern`, the pure one; each evaluation
+#: pairs it with its binding's denominator.
+EXACT = Algebra(_pykernel, 1)
 
 
 def grid_algebra(denominator: int) -> Algebra:
     """Integer-grid algebra over the fastest available kernel."""
     return Algebra(active, denominator)
-
-
-def hfs_to_plain(s: HFS) -> tuple:
-    """Public HFS object -> plain value (tuple of degree tuples)."""
-    return tuple(h.degrees for h in s.hfes)
-

@@ -13,17 +13,16 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .._kernel import IMPLEMENTATION, active
 from ..degrees import format_grid
 from ..errors import UniverseMismatchError
-from ..elements import HFE
+from ..elements import HFE, _on_grid
 from ..sets import HFS, Family, Universe
 from . import generators as g
-from .algebra import EXACT, Algebra, grid_algebra, hfs_to_plain
+from .algebra import EXACT, Algebra, grid_algebra
 from .fixtures import Fixture
 from .registry import Law, LawStatus, get_law, law_registry
 
@@ -295,6 +294,30 @@ def fixture_binding(law: Law, fixture: Fixture) -> dict:
     }
 
 
+def exact_binding(law: Law, binding: Mapping[str, object]) -> tuple[Algebra, dict]:
+    """A binding of public HFS/Family objects as plain values on the lcm of
+    all its denominators, and the exact algebra of that grid."""
+    sets_of = {}
+    for name, kind in law.params:
+        try:
+            value = binding[name]
+        except KeyError:
+            raise ValueError(f"law {law.id} needs a value for variable {name!r}") from None
+        if not isinstance(value, HFS if kind == "set" else Family):
+            article = "an HFS" if kind == "set" else "a Family"
+            raise TypeError(f"variable {name!r} of law {law.id} must be {article}")
+        sets_of[name] = (value,) if kind == "set" else value.sets
+    if len({s.universe for sets_ in sets_of.values() for s in sets_}) > 1:
+        raise UniverseMismatchError(f"binding of law {law.id} mixes universes")
+    nums, den = _on_grid([h for sets_ in sets_of.values() for s in sets_ for h in s.hfes])
+    grid = iter(nums)
+    plain = {}
+    for name, kind in law.params:
+        hfss = tuple(tuple(next(grid) for _ in s.hfes) for s in sets_of[name])
+        plain[name] = hfss[0] if kind == "set" else hfss
+    return Algebra(EXACT.kern, den), plain
+
+
 def evaluate_law(law: Law | str, binding: Mapping[str, object]) -> dict:
     """Exact evaluation of one law on public HFS/Family objects.
 
@@ -303,29 +326,9 @@ def evaluate_law(law: Law | str, binding: Mapping[str, object]) -> dict:
     """
     if isinstance(law, str):
         law = get_law(law)
-    plain = {}
-    universe = None
-    for name, kind in law.params:
-        try:
-            value = binding[name]
-        except KeyError:
-            raise ValueError(f"law {law.id} needs a value for variable {name!r}") from None
-        if kind == "set":
-            if not isinstance(value, HFS):
-                raise TypeError(f"variable {name!r} of law {law.id} must be an HFS")
-            uni = value.universe
-            plain[name] = hfs_to_plain(value)
-        else:
-            if not isinstance(value, Family):
-                raise TypeError(f"variable {name!r} of law {law.id} must be a Family")
-            uni = value.universe
-            plain[name] = tuple(hfs_to_plain(s) for s in value.sets)
-        if universe is None:
-            universe = uni
-        elif uni != universe:
-            raise UniverseMismatchError(f"binding of law {law.id} mixes universes")
-    guard = True if law.guard is None else bool(law.guard(EXACT, plain))
-    claim = bool(law.claim(EXACT, plain))
+    alg, plain = exact_binding(law, binding)
+    guard = True if law.guard is None else bool(law.guard(alg, plain))
+    claim = bool(law.claim(alg, plain))
     return {"guard": guard, "claim": claim}
 
 
@@ -419,6 +422,10 @@ def run_suite(
         laws = [get_law(law_id) for law_id in law_ids]
     workers = min(workers, len(laws), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: `concurrent.futures.process` is a noticeable share
+        # of `import hesitant`, and only this branch needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(_run_law_worker, [(law.id, config) for law in laws]))
     else:

@@ -1,8 +1,9 @@
 """Fixture data: the worked examples behind the refuted laws.
 
-Every table is carried as decimal strings end-to-end; fixture bindings feed
-`evaluate_law` through the exact algebra. `fixture_documents()` exposes the
-same data as round-trippable documents for the CLI and the tests.
+Every table is written as decimal strings, as in a document; `evaluate_law`
+runs a fixture binding on its common integer grid, on the exact kernel.
+`fixture_documents()` exposes the same data as round-trippable documents for
+the CLI and the tests.
 """
 
 from __future__ import annotations
@@ -183,8 +184,9 @@ DOCUMENT_TABLES: dict[str, tuple[tuple[str, ...], Table]] = {
 def fixture_documents():
     """All fixture tables as canonical `Document` objects, keyed by name."""
     from ..document import Document
+    from ..sets import HFS
 
     return {
-        name: Document(universe=universe, sets={k: dict(v) for k, v in table.items()})
+        name: Document(universe=universe, sets={k: HFS(universe, v) for k, v in table.items()})
         for name, (universe, table) in DOCUMENT_TABLES.items()
     }

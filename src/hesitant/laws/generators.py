@@ -16,7 +16,6 @@ a construction bug can only surface as starvation, never as a wrong verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from ..relations import Inclusion
@@ -159,11 +158,10 @@ def chain(kind):
         pas, pbs, pcs = [], [], []
         for _ in range(ctx.size):
             if kind is M:
-                triple = sorted(
-                    (_rand_hfe(alg, stream, ctx) for _ in range(3)),
-                    key=lambda h: Fraction(sum(h), len(h)),
-                )
-                a, b, c = triple
+                a, b, c = (_rand_hfe(alg, stream, ctx) for _ in range(3))
+                a, b = _order_by_mean(a, b)  # a stable sort of three by mean
+                b, c = _order_by_mean(b, c)
+                a, b = _order_by_mean(a, b)
             else:
                 if kind is T:
                     a = _rand_hfe(alg, stream, ctx, card_hi=ctx.card_hi - 2)

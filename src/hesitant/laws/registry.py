@@ -293,16 +293,18 @@ class EitherAt(NamedTuple):
         )
 
     def compile(self) -> Callable:
-        l1, r1, l2, r2 = (_value(t) for r in (self.first, self.second) for t in (r.lhs, r.rhs))
+        # Each distinct term (prop5.1/5.2 share A ∩ B or A ∪ B) is evaluated once.
+        terms = [t for r in (self.first, self.second) for t in (r.lhs, r.rhs)]
+        distinct = list(dict.fromkeys(terms))
+        values = [_value(t) for t in distinct]
+        picks = [distinct.index(t) for t in terms]
         c1, c2 = self.first.kind.code, self.second.kind.code
 
         def either(k, one, b):
             e_rel = k.e_rel
+            v = [value(k, one, b) for value in values]
             return all(
-                e_rel(c1, a1, b1) or e_rel(c2, a2, b2)
-                for a1, b1, a2, b2 in zip(
-                    l1(k, one, b), r1(k, one, b), l2(k, one, b), r2(k, one, b)
-                )
+                e_rel(c1, a1, b1) or e_rel(c2, a2, b2) for a1, b1, a2, b2 in zip(*(v[i] for i in picks))
             )
 
         return either

@@ -22,13 +22,12 @@ so its strict part is not a preorder over arbitrary scheme sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Mapping
 
 # The pure kernel on purpose: it works on unbounded Python ints, and the
 # common denominator of non-decimal degrees can exceed a C integer.
 from ._kernel import _pykernel as _ops
-from .elements import _scaled
+from .elements import _on_grid
 # `element_relation` stays bound here for perfbench/tracing.py, which rebinds
 # it in this module to count calls; ranking itself calls the kernel directly.
 from .relations import Inclusion, element_relation
@@ -54,12 +53,6 @@ class Ranking:
         return self.matrix[(low, high)] and not self.matrix[(high, low)]
 
 
-def _grid(hfes) -> list[tuple[int, ...]]:
-    """Each HFE's numerators rescaled onto the lcm of all their denominators."""
-    den = lcm(*{h._den for h in hfes})
-    return [_scaled(h._nums, den // h._den) for h in hfes]
-
-
 def _above(verdict: list[list[bool]]) -> list[list[int]]:
     """For each scheme i, the schemes j strictly above it: i ⊂ j, not j ⊂ i."""
     return [
@@ -76,7 +69,7 @@ def rank_schemes(scores, kind: Inclusion) -> Ranking:
             + ", ".join(k.letter for k in RANKABLE)
         )
     schemes = scores.universe.elements
-    grid = _grid(scores.hfes)
+    grid, _ = _on_grid(scores.hfes)
     rel, code = _ops.e_rel, kind.code
     verdict = [[rel(code, a, b) for b in grid] for a in grid]
     matrix = {

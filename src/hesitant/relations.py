@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import lcm
 from typing import Optional, Sequence
 
 from ._kernel import _pykernel as _ops
-from .degrees import coerce_degree
+from .degrees import degree_ratio
 from .elements import HFE, _common
 from .errors import UniverseMismatchError
 
@@ -75,12 +76,15 @@ _CODES = {
 def pointwise_leq(v: Sequence, w: Sequence) -> bool:
     """True iff w dominates v componentwise (equal-length descending seqs).
 
-    Accepts HFEs or raw degree sequences; raises ValueError on length
-    mismatch.
+    Accepts HFEs or raw degree sequences, compared on their common integer
+    grid; raises ValueError on length mismatch.
     """
-    vt = v.degrees if isinstance(v, HFE) else tuple(coerce_degree(g) for g in v)
-    wt = w.degrees if isinstance(w, HFE) else tuple(coerce_degree(g) for g in w)
-    return _ops.pointwise_leq(vt, wt)
+    rv, rw = (
+        [(n, s._den) for n in s._nums] if isinstance(s, HFE) else [degree_ratio(g) for g in s]
+        for s in (v, w)
+    )
+    den = lcm(*(d for _, d in rv + rw))
+    return _ops.pointwise_leq(*(tuple(n * (den // d) for n, d in r) for r in (rv, rw)))
 
 
 def best_subsequence(h: HFE, q: int) -> HFE:

@@ -126,6 +126,8 @@ def test_parallel_equals_sequential():
 
 @pytest.mark.parametrize("cpus, expected", [(128, [3]), (2, [2]), (None, [])])
 def test_workers_capped_by_laws_and_cpus(monkeypatch, cpus, expected):
+    import concurrent.futures
+
     from hesitant.laws import engine
 
     sizes = []
@@ -145,7 +147,8 @@ def test_workers_capped_by_laws_and_cpus(monkeypatch, cpus, expected):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", SequentialPool)
+    # run_suite imports the pool class when it needs one, so patch its source.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SequentialPool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
     cfg = GeneratorConfig(trials=20)
     law_ids = ["thm1.1", "prop2.1", "prop3.1"]
