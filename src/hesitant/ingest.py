@@ -30,8 +30,13 @@ def ingest_scores(source, set_name: str = "H") -> Document:
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    reader = csv.reader(io.StringIO(source))
-    rows = [row for row in reader if any(cell.strip() for cell in row)]
+    rows = []
+    try:
+        for row in csv.reader(io.StringIO(source)):
+            if any(cell.strip() for cell in row):
+                rows.append(row)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise DocumentError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise DocumentError("scores table is empty")
     header = [cell.strip().lower() for cell in rows[0]]

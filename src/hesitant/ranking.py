@@ -8,12 +8,28 @@ part (layer 1 holds the schemes nothing beats strictly), and the unresolved
 preorder, the others may leave pairs incomparable, and that is reported, not
 hidden.
 
-Cost, for n schemes: every HFE's integer numerators are rescaled once onto
-the grid of the set's common denominator, which leaves every verdict
-unchanged because the relations only compare and add degrees; then n²
-integer verdicts fill the matrix. Layers are longest paths over the strict part, in O(n²).
-`ranking_dot` reduces the strict part transitively with one bitset of the
-schemes above each scheme, in O(n²) big-integer operations of n bits.
+Every rankable relation is a conjunction of threshold tests on per-scheme
+integer keys: a ⊂ b iff f(a) <= g(b) for each of its (f, g) key pairs.
+⊂p compares maxima, ⊂m means (exact: each sum scaled to the lcm of the
+cardinalities), ⊂n a maximum with a minimum, ⊂a maxima and minima, and ⊂s
+the cardinalities and then the degrees position by position. The keys are
+the HFEs' numerators rescaled once onto the grid of the set's common
+denominator, which leaves every verdict unchanged because the relations
+only compare and add degrees.
+
+Cost, for n schemes holding D degrees in all: one sort of the schemes per
+key, then one bitset row per scheme (bit j of row i is set when scheme i ⊂
+scheme j) and one column (who is ⊂ scheme i), each the AND of one
+threshold mask per test, found by bisection. That is O(n log n) for ⊂p,
+⊂m, ⊂a and ⊂n and O(D log n) for ⊂s, in operations on n-bit integers, and
+n²/4 bytes of rows and columns. Layers are longest paths over the strict
+bitsets (row minus column), found per scheme by bisecting over the masks
+of the layers above it. `Ranking.matrix` is a read-only `Mapping` view
+over the rows, and `Ranking.unresolved` a read-only `Sequence` view over one
+bitset per scheme of the later schemes incomparable with it, so no n² table
+of verdicts or pairs is built. `format_ranking` renders each matrix row from
+its bitset and `ranking_dot` reduces the strict part transitively from the
+same bitsets; both also accept a `Ranking` built with any other `Mapping`.
 
 ⊂t is not rankable: it is irreflexive by cardinality and admits no equality,
 so its strict part is not a preorder over arbitrary scheme sets.
@@ -21,15 +37,17 @@ so its strict part is not a preorder over arbitrary scheme sets.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping
+from functools import reduce
+from itertools import accumulate, chain, compress, islice, product, repeat
+from math import lcm
+from operator import index, or_
 
-# The pure kernel on purpose: it works on unbounded Python ints, and the
-# common denominator of non-decimal degrees can exceed a C integer.
-from ._kernel import _pykernel as _ops
 from .elements import _on_grid
 # `element_relation` stays bound here for perfbench/tracing.py, which rebinds
-# it in this module to count calls; ranking itself calls the kernel directly.
+# it in this module to count calls; ranking itself never calls it.
 from .relations import Inclusion, element_relation
 
 RANKABLE = (
@@ -41,24 +59,179 @@ RANKABLE = (
 )
 
 
+class _Matrix(Mapping):
+    """Read-only view (a, b) -> a ⊂ b over one bitset row per scheme,
+    iterated row-major in scheme order."""
+
+    __slots__ = ("_schemes", "_index", "rows", "cols")
+
+    def __init__(self, schemes: tuple[str, ...], rows: list[int], cols: list[int]) -> None:
+        self._schemes = schemes
+        self._index = {s: i for i, s in enumerate(schemes)}
+        self.rows = rows  # bit j of rows[i]: schemes[i] ⊂ schemes[j]
+        self.cols = cols  # bit j of cols[i]: schemes[j] ⊂ schemes[i]
+
+    def __getitem__(self, key) -> bool:
+        if isinstance(key, tuple) and len(key) == 2:
+            i, j = map(self._index.get, key)
+            if i is not None and j is not None:
+                return self.rows[i] >> j & 1 == 1
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return len(self._schemes) ** 2
+
+    def __iter__(self):
+        return product(self._schemes, repeat=2)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class _Pairs(Sequence):
+    """Read-only view of the unresolved pairs (a, b), a before b, in scheme
+    order, over one bitset per scheme of the later schemes incomparable with
+    it; equal to the tuple of the same pairs."""
+
+    __slots__ = ("_schemes", "_later", "_ends")
+
+    def __init__(self, schemes: tuple[str, ...], later: list[int]) -> None:
+        self._schemes = schemes
+        self._later = later  # bit k of later[i]: schemes[i] and schemes[i + 1 + k]
+        self._ends = list(accumulate((m.bit_count() for m in later), initial=0))
+
+    def _row(self, i: int):
+        return _members(self._later[i], self._schemes[i + 1 :])
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __iter__(self):
+        return chain.from_iterable(
+            zip(repeat(a), self._row(i)) for i, a in enumerate(self._schemes) if self._later[i]
+        )
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        k = index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("unresolved pair index out of range")
+        i = bisect_right(self._ends, k) - 1
+        return self._schemes[i], next(islice(self._row(i), k - self._ends[i], None))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Pairs)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Ranking:
     kind: Inclusion
     schemes: tuple[str, ...]
     matrix: Mapping[tuple[str, str], bool]
     layers: tuple[tuple[str, ...], ...]
-    unresolved: tuple[tuple[str, str], ...]
+    unresolved: Sequence[tuple[str, str]]
 
     def strictly_above(self, low: str, high: str) -> bool:
         return self.matrix[(low, high)] and not self.matrix[(high, low)]
 
 
-def _above(verdict: list[list[bool]]) -> list[list[int]]:
-    """For each scheme i, the schemes j strictly above it: i ⊂ j, not j ⊂ i."""
-    return [
-        [j for j, up in enumerate(row) if up and not verdict[j][i]]
-        for i, row in enumerate(verdict)
-    ]
+def _bits(mask: int, n: int) -> str:
+    """The low n bits of `mask` as '0'/'1' characters, bit 0 first."""
+    return format(mask, f"0{n}b")[::-1]
+
+
+def _members(mask: int, items):
+    """The items at the set bits of `mask`, in order."""
+    return compress(items, map("1".__eq__, _bits(mask, len(items))))
+
+
+def _thresholds(keyed: list[tuple], full: int):
+    """For (key, index) pairs, the functions v -> mask of the indices whose
+    key is >= v, and v -> mask of those whose key is <= v. An index of
+    `full` with no key is unconstrained, so it is in every mask."""
+    keyed = sorted(keyed)
+    keys = [k for k, _ in keyed]
+    suffix = list(accumulate((1 << i for _, i in reversed(keyed)), or_, initial=0))[::-1]
+    keyless = full ^ suffix[0]
+    return (
+        lambda v: keyless | suffix[bisect_left(keys, v)],
+        lambda v: keyless | (suffix[0] ^ suffix[bisect_right(keys, v)]),
+    )
+
+
+def _tests(grid: list[tuple], kind: Inclusion):
+    """The (f, g) keys, as (key, index) pairs, with a ⊂ b iff f(a) <= g(b)
+    for every pair; a scheme missing from a key list is unconstrained by it."""
+    if kind is Inclusion.MEAN:
+        # mean(a) <= mean(b) with every sum on the lcm of the cardinalities
+        scale = lcm(*{len(a) for a in grid})
+        means = [(sum(a) * (scale // len(a)), i) for i, a in enumerate(grid)]
+        return [(means, means)]
+    tops = [(a[0], i) for i, a in enumerate(grid)]
+    bottoms = [(a[-1], i) for i, a in enumerate(grid)]
+    if kind is Inclusion.POSSIBLE:
+        return [(tops, tops)]
+    if kind is Inclusion.ACCEPTABLE:
+        return [(tops, tops), (bottoms, bottoms)]
+    if kind is Inclusion.NECESSARY:
+        return [(tops, bottoms)]
+    # ⊂s: |b| <= |a|, and a[k] <= b[k] at each position k that both have
+    sizes = [(-len(a), i) for i, a in enumerate(grid)]
+    at: list[list[tuple]] = []
+    for i, a in enumerate(grid):
+        at.extend([] for _ in range(len(a) - len(at)))
+        for k, x in enumerate(a):
+            at[k].append((x, i))
+    return [(sizes, sizes)] + [(keyed, keyed) for keyed in at]
+
+
+def _relation(grid: list[tuple], kind: Inclusion) -> tuple[list[int], list[int]]:
+    """The bitset row (who i is ⊂ of) and column (who is ⊂ i) of every scheme."""
+    n = len(grid)
+    full = (1 << n) - 1
+    rows, cols = [full] * n, [full] * n
+    for f, g in _tests(grid, kind):
+        g_at_least, g_at_most = _thresholds(g, full)
+        f_at_most = g_at_most if f is g else _thresholds(f, full)[1]
+        for key, i in f:
+            rows[i] &= g_at_least(key)
+        for key, i in g:
+            cols[i] &= f_at_most(key)
+    return rows, cols
+
+
+def _depths(strict: list[int]) -> list[int]:
+    """The layer of each scheme: 1 + the longest chain strictly above it."""
+    depth = [0] * len(strict)
+    layers: list[int] = []  # layers[d]: mask of the schemes at layer d + 1
+    placed = 0
+    # The strict part is transitive and irreflexive: when j is strictly above
+    # i, strict[i] holds all of strict[j] and j itself, so ascending bit
+    # count is a topological order, best first.
+    for i in sorted(range(len(strict)), key=lambda i: strict[i].bit_count()):
+        above = strict[i]
+        if above & ~placed:
+            raise AssertionError("strict part of a transitive relation cannot cycle")
+        # A scheme above i at layer d has one above it at layer d - 1, also
+        # above i: the layers meeting `above` are a prefix, so bisect it.
+        d = bisect_left(layers, True, key=lambda mask: not above & mask)
+        if d == len(layers):
+            layers.append(0)
+        layers[d] |= 1 << i
+        placed |= 1 << i
+        depth[i] = d + 1
+    return depth
 
 
 def rank_schemes(scores, kind: Inclusion) -> Ranking:
@@ -70,39 +243,36 @@ def rank_schemes(scores, kind: Inclusion) -> Ranking:
         )
     schemes = scores.universe.elements
     grid, _ = _on_grid(scores.hfes)
-    rel, code = _ops.e_rel, kind.code
-    verdict = [[rel(code, a, b) for b in grid] for a in grid]
-    matrix = {
-        (a, b): v for a, row in zip(schemes, verdict) for b, v in zip(schemes, row)
-    }
+    rows, cols = _relation(grid, kind)
+    depth = _depths([r & ~c for r, c in zip(rows, cols)])
+    layers: list[list[str]] = [[] for _ in range(max(depth))]
+    for s, d in zip(schemes, depth):
+        layers[d - 1].append(s)
 
-    # The strict part is transitive and irreflexive: when j is strictly above
-    # i, above[i] holds all of above[j] and j itself, so ascending
-    # len(above) is a topological order, best first.
-    above = _above(verdict)
-    layer = [0] * len(schemes)
-    for i in sorted(range(len(schemes)), key=lambda i: len(above[i])):
-        depths = [layer[j] for j in above[i]]
-        if 0 in depths:
-            raise AssertionError("strict part of a transitive relation cannot cycle")
-        layer[i] = 1 + max(depths, default=0)
-    layers: list[list[str]] = [[] for _ in range(max(layer))]
-    for s, k in zip(schemes, layer):
-        layers[k - 1].append(s)
-
-    unresolved = tuple(
-        (a, schemes[j])
-        for i, a in enumerate(schemes)
-        for j in range(i + 1, len(schemes))
-        if not verdict[i][j] and not verdict[j][i]
-    )
+    full = (1 << len(schemes)) - 1
+    later = [(full ^ (r | c)) >> (i + 1) for i, (r, c) in enumerate(zip(rows, cols))]
     return Ranking(
         kind=kind,
         schemes=schemes,
-        matrix=matrix,
+        matrix=_Matrix(schemes, rows, cols),
         layers=tuple(map(tuple, layers)),
-        unresolved=unresolved,
+        unresolved=_Pairs(schemes, later),
     )
+
+
+def _bitsets(ranking: Ranking) -> tuple[list[int], list[int]]:
+    """The bitset rows and columns of a ranking's matrix: those of the view
+    that `rank_schemes` returns, or built from any other `Mapping`."""
+    matrix, schemes = ranking.matrix, ranking.schemes
+    if isinstance(matrix, _Matrix) and matrix._schemes == schemes:
+        return matrix.rows, matrix.cols
+
+    def mask(flags) -> int:
+        return int("".join("1" if f else "0" for f in flags)[::-1], 2)
+
+    rows = [mask(matrix[(a, b)] for b in schemes) for a in schemes]
+    cols = [mask(matrix[(b, a)] for b in schemes) for a in schemes]
+    return rows, cols
 
 
 def _dot_id(s: str) -> str:
@@ -113,26 +283,24 @@ def _dot_id(s: str) -> str:
 def ranking_dot(ranking: Ranking) -> str:
     """Graph description (DOT) of the strict part, transitively reduced."""
     schemes = ranking.schemes
-    matrix = ranking.matrix
-    verdict = [[matrix[(a, b)] for b in schemes] for a in schemes]
-    above = _above(verdict)
-    masks = [sum(1 << j for j in js) for js in above]
+    rows, cols = _bitsets(ranking)
+    strict = [r & ~c for r, c in zip(rows, cols)]
+    indices = range(len(schemes))
     edges = []
-    for a, js in zip(schemes, above):
+    for a, above in zip(schemes, strict):
         # j covers a unless j lies above some other scheme above a
-        implied = 0
-        for j in js:
-            implied |= masks[j]
-        edges.extend((a, schemes[j]) for j in js if not implied >> j & 1)
+        implied = reduce(or_, map(strict.__getitem__, _members(above, indices)), 0)
+        edges.extend(zip(repeat(a), _members(above & ~implied, schemes)))
+    ids = {s: _dot_id(s) for s in schemes}
     lines = [
         "digraph ranking {",
         f'  label="strict ⊂{ranking.kind.letter} (edge points to the better scheme)";',
         "  rankdir=BT;",
     ]
     for s in schemes:
-        lines.append(f"  {_dot_id(s)};")
+        lines.append(f"  {ids[s]};")
     for a, b in sorted(edges):
-        lines.append(f"  {_dot_id(a)} -> {_dot_id(b)};")
+        lines.append(f"  {ids[a]} -> {ids[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -144,17 +312,18 @@ def format_ranking(ranking: Ranking) -> str:
     lines = [f"pairwise ⊂{ranking.kind.letter} (row ⊂ column):"]
     header = " " * (width + 2) + "  ".join(s.rjust(width) for s in schemes)
     lines.append(header)
-    for a in schemes:
-        row = "  ".join(
-            ("y" if ranking.matrix[(a, b)] else ".").rjust(width) for b in schemes
-        )
-        lines.append(f"{a.rjust(width)}  {row}")
+    # each cell is "y" or "." right-aligned to the width, two spaces apart
+    pad = " " * (width + 1)
+    cells = str.maketrans({"0": pad + ".", "1": pad + "y"})
+    rows, _ = _bitsets(ranking)
+    for a, row in zip(schemes, rows):
+        lines.append(a.rjust(width) + _bits(row, len(schemes)).translate(cells))
     lines.append("")
     lines.append("layers, best first:")
     for i, layer in enumerate(ranking.layers, start=1):
         lines.append(f"  {i}. {', '.join(layer)}")
     if ranking.unresolved:
-        pairs = ", ".join(f"{a}/{b}" for a, b in ranking.unresolved)
+        pairs = ", ".join(map("/".join, ranking.unresolved))
         lines.append(f"unresolved pairs (incomparable): {pairs}")
     else:
         lines.append("no unresolved pairs")

@@ -174,6 +174,16 @@ def test_ingest_bad_table(tmp_path, capsys):
     assert code == 2
 
 
+def test_ingest_oversized_field(tmp_path, capsys):
+    # a quoted field past csv.field_size_limit() (131072 characters)
+    table = tmp_path / "big.csv"
+    table.write_text('scheme,expert,score\nA,e1,"' + "x" * 200_000 + '"\n')
+    code, _, err = run_cli(capsys, "ingest", table, "-o", tmp_path / "doc.json")
+    assert code == 2
+    assert err == "error: row 2: field larger than field limit (131072)\n"
+    assert not (tmp_path / "doc.json").exists()
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "relate", "/nonexistent.json", "A", "B")
     assert code == 2

@@ -57,12 +57,45 @@ def test_layers_are_topological(scores, kind):
 def test_matrix_matches_library_calls(scores):
     from hesitant import element_relation
 
-    ranking = rank_schemes(scores, Inclusion.POSSIBLE)
-    for a in ranking.schemes:
-        for b in ranking.schemes:
-            assert ranking.matrix[(a, b)] == element_relation(
-                Inclusion.POSSIBLE, scores[a], scores[b]
-            )
+    for kind in RANKABLE:
+        ranking = rank_schemes(scores, kind)
+        for a in ranking.schemes:
+            for b in ranking.schemes:
+                assert ranking.matrix[(a, b)] == element_relation(kind, scores[a], scores[b])
+
+
+def test_matrix_is_a_read_only_mapping(scores):
+    from collections.abc import Mapping
+
+    ranking = rank_schemes(scores, Inclusion.ACCEPTABLE)
+    matrix, schemes = ranking.matrix, ranking.schemes
+    assert isinstance(matrix, Mapping)
+    assert len(matrix) == len(schemes) ** 2
+    # row-major, as the dict it replaces was filled
+    assert list(matrix) == [(a, b) for a in schemes for b in schemes]
+    assert matrix == dict(matrix) == _oracle_rank(scores, Inclusion.ACCEPTABLE).matrix
+    for key in [("nope", schemes[0]), (schemes[0], "nope"), schemes[0], (schemes[0],), None]:
+        with pytest.raises(KeyError):
+            matrix[key]
+        assert key not in matrix
+    with pytest.raises(TypeError):
+        matrix[(schemes[0], schemes[0])] = False
+    with pytest.raises(TypeError):
+        del matrix[(schemes[0], schemes[0])]
+
+
+def test_unresolved_is_a_sequence_equal_to_the_tuple(scores):
+    ranking = rank_schemes(scores, Inclusion.NECESSARY)
+    want = _oracle_rank(scores, Inclusion.NECESSARY).unresolved
+    got = ranking.unresolved
+    assert len(got) == len(want) > 1
+    assert got == want and want == got and not got != want
+    assert hash(got) == hash(want)
+    assert [got[k] for k in range(len(got))] == list(want) == list(got)
+    assert got[-1] == want[-1] and got[1:3] == want[1:3]
+    with pytest.raises(IndexError):
+        got[len(want)]
+    assert rank_schemes(scores, Inclusion.MEAN).unresolved == ()
 
 
 def test_dot_output_contains_reduced_edges(scores):
@@ -167,6 +200,52 @@ def test_ranking_matches_quadratic_oracle(kind):
         assert got.unresolved == want.unresolved, seed
         assert format_ranking(got) == format_ranking(want), seed
         assert ranking_dot(got) == _oracle_dot(want), seed
+
+
+def _boundary_scores(n):
+    """n schemes under shuffled names, with degrees drawn from seven values
+    (dense ties) mixing thirds, sevenths and decimals, and four memberships
+    of mean 1/3 at cardinalities 1 to 3."""
+    from fractions import Fraction
+
+    from hesitant import make_hfs, Universe
+
+    rng = random.Random(f"boundary/{n}")
+    third = Fraction(1, 3)
+    pool = [Fraction(0), third, Fraction(2, 7), Fraction(1, 2), 2 * third, Fraction(9, 10), 1]
+    names = [f"s{i}" for i in rng.sample(range(10 * n), n)]
+    members = {s: [rng.choice(pool) for _ in range(rng.randint(1, 4))] for s in names}
+    means = [[third], [Fraction(2, 6)] * 2, [third / 2, third * 3 / 2], [0, third, 2 * third]]
+    members.update(zip(rng.sample(names, len(means)), means))
+    return make_hfs(Universe(names), members)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 200])
+def test_ranking_matches_oracle_at_word_boundaries(n):
+    scores = _boundary_scores(n)
+    for kind in RANKABLE:
+        got, want = rank_schemes(scores, kind), _oracle_rank(scores, kind)
+        assert got.matrix == want.matrix, kind
+        assert got.layers == want.layers, kind
+        assert got.unresolved == want.unresolved, kind
+        assert format_ranking(got) == format_ranking(want), kind
+        assert ranking_dot(got) == _oracle_dot(want) == ranking_dot(want), kind
+
+
+@pytest.mark.parametrize("kind", [Inclusion.POSSIBLE, Inclusion.MEAN])
+def test_rank_memory_stays_far_below_a_pairwise_table(kind):
+    import tracemalloc
+
+    # an n² dict keyed by name pairs takes about 500 MB at 2000 schemes
+    scores = _boundary_scores(2000)
+    tracemalloc.start()
+    try:
+        ranking = rank_schemes(scores, kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ranking.matrix) == 2000**2
+    assert peak < 40 * 2**20
 
 
 def test_oracle_sets_reach_denominators_beyond_64_bits():
