@@ -1,5 +1,8 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
+The compiled extension is the hand-written C module `_ckernel.c`, built by
+`setup.py` when a C compiler is present; `_pykernel` is its pure-Python twin.
+
 Both kernels take int numerators over a common denominator. `active` is the
 module of the law engine's randomized trials: `laws.algebra.grid_algebra`
 binds it as `kern`, and the compiled law predicates call its functions

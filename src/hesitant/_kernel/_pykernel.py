@@ -14,9 +14,11 @@ inline; the numbers drawn and the state left behind are exactly those of one
 `u64` call per draw. `tests/test_streams.py` pins that against a
 method-per-draw oracle.
 
-The compiled twin `_ckernel` implements the identical contract for degrees
-that fit a C integer, including bit-identical random streams: its output must
-stay bit-identical to this module's. `tests/test_kernel.py` pins the equivalence.
+The compiled twin, the hand-written C module `_ckernel.c`, implements the
+identical contract for degrees that fit int64, including bit-identical random
+streams: for every input it returns exactly what this module returns or
+raises a Python exception (`OverflowError` outside int64, `TypeError` for an
+hfe that is not a tuple). `tests/test_kernel.py` pins the equivalence.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ _MASK = (1 << 64) - 1
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the state advances by
 # _GOLDEN and each output is the state mixed by two xor-shift-multiply rounds.
-# The names and values match `_ckernel.pyx`.
+# The names and values match `_ckernel.c`.
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB

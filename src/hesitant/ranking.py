@@ -29,7 +29,9 @@ over the rows, and `Ranking.unresolved` a read-only `Sequence` view over one
 bitset per scheme of the later schemes incomparable with it, so no n² table
 of verdicts or pairs is built. `format_ranking` renders each matrix row from
 its bitset and `ranking_dot` reduces the strict part transitively from the
-same bitsets; both also accept a `Ranking` built with any other `Mapping`.
+same bitsets, walking each scheme's above-set closest first and ORing away
+the rows of its covers only; both also accept a `Ranking` built with any
+other `Mapping`.
 
 ⊂t is not rankable: it is irreflexive by cardinality and admits no equality,
 so its strict part is not a preorder over arbitrary scheme sets.
@@ -40,10 +42,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, chain, compress, islice, product, repeat
 from math import lcm
-from operator import index, or_
+from operator import index, itemgetter, or_
 
 from .elements import _on_grid
 # `element_relation` stays bound here for perfbench/tracing.py, which rebinds
@@ -285,12 +286,24 @@ def ranking_dot(ranking: Ranking) -> str:
     schemes = ranking.schemes
     rows, cols = _bitsets(ranking)
     strict = [r & ~c for r, c in zip(rows, cols)]
-    indices = range(len(schemes))
+    # Renumber the schemes closest first: a scheme strictly above another
+    # has strictly fewer schemes strictly above it, so in order of
+    # descending count every scheme comes after all the schemes below it.
+    # above[p] is strict[order[p]] with its bits renumbered the same way.
+    order = sorted(range(len(schemes)), key=lambda i: -strict[i].bit_count())
+    pick = itemgetter(*order) if order else None
+    above = [int("".join(pick(_bits(strict[i], len(order))))[::-1], 2) for i in order]
     edges = []
-    for a, above in zip(schemes, strict):
-        # j covers a unless j lies above some other scheme above a
-        implied = reduce(or_, map(strict.__getitem__, _members(above, indices)), 0)
-        edges.extend(zip(repeat(a), _members(above & ~implied, schemes)))
+    for a, rest in zip(map(schemes.__getitem__, order), above):
+        # The lowest scheme left above a covers it: every scheme below it
+        # and above a came earlier, as a cover or above one. Whatever lies
+        # above a cover is not one, so only the covers' rows are ORed away:
+        # O(cover edges) operations on n-bit ints.
+        while rest:
+            low = rest & -rest
+            p = low.bit_length() - 1
+            edges.append((a, schemes[order[p]]))
+            rest &= ~(above[p] | low)
     ids = {s: _dot_id(s) for s in schemes}
     lines = [
         "digraph ranking {",

@@ -1,5 +1,10 @@
+import importlib.util
 import itertools
+import shutil
+import subprocess
+import sysconfig
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -46,3 +51,40 @@ def all_small_hfes(denominator=2, max_card=3):
 @pytest.fixture(scope="session")
 def small_hfes():
     return all_small_hfes()
+
+
+KERNEL_C = Path(__file__).resolve().parent.parent / "src" / "hesitant" / "_kernel" / "_ckernel.c"
+
+
+@pytest.fixture(scope="session")
+def ckernel_build(tmp_path_factory):
+    """`_ckernel.c` compiled with `gcc -O2 -Wall -Werror` into a temporary
+    directory: (the finished gcc process, the path of the module).
+
+    The module is never written under `src/`, where it would become the
+    active kernel. Skips where gcc or `Python.h` is missing."""
+    include = sysconfig.get_paths()
+    if shutil.which("gcc") is None or not Path(include["include"], "Python.h").is_file():
+        pytest.skip("gcc or Python.h not available")
+    out = tmp_path_factory.mktemp("ckernel") / ("_ckernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = ["gcc", "-O2", "-Wall", "-Werror", "-shared", "-fPIC"]
+    cmd += ["-I" + include["include"], "-I" + include["platinclude"], str(KERNEL_C), "-o", str(out)]
+    return subprocess.run(cmd, capture_output=True, text=True), out
+
+
+@pytest.fixture(scope="session")
+def compiled(request):
+    """The compiled kernel: the built extension when it imports, otherwise
+    the `ckernel_build` of `_ckernel.c`, imported without registering it in
+    `sys.modules` (the package's `active` kernel stays what it was)."""
+    from hesitant._kernel import compiled as installed
+
+    if installed is not None:
+        return installed
+    proc, path = request.getfixturevalue("ckernel_build")
+    if proc.returncode != 0:
+        pytest.fail("_ckernel.c does not build:\n" + proc.stderr)
+    spec = importlib.util.spec_from_file_location("hesitant._kernel._ckernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

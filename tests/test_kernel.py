@@ -1,17 +1,22 @@
 """Pure and compiled kernels must agree operation-for-operation and share
-bit-identical random streams."""
+bit-identical random streams.
+
+`compiled` (see `conftest.py`) is the built extension, or else `_ckernel.c`
+compiled by gcc into a temporary directory, so these tests run wherever gcc
+and `Python.h` exist. The boundary probes run the compiled kernel in a
+subprocess, so that a crash fails one test instead of the session.
+"""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hesitant._kernel import _pykernel as pure
-from hesitant._kernel import compiled
-
-pytestmark = pytest.mark.skipif(
-    compiled is None, reason="compiled kernel not built in this environment"
-)
 
 int_hfes = st.lists(st.integers(0, 10), min_size=1, max_size=6).map(
     lambda v: tuple(sorted(v, reverse=True))
@@ -28,7 +33,7 @@ def _all_small(den=2, cmax=3):
     return out
 
 
-def test_streams_identical():
+def test_streams_identical(compiled):
     a, b = pure.Stream(12345), compiled.Stream(12345)
     assert [a.u64() for _ in range(100)] == [b.u64() for _ in range(100)]
     a, b = pure.Stream(7), compiled.Stream(7)
@@ -37,7 +42,7 @@ def test_streams_identical():
     assert [a.randint(3, 9) for _ in range(100)] == [b.randint(3, 9) for _ in range(100)]
 
 
-def test_generation_identical():
+def test_generation_identical(compiled):
     for seed in (0, 1, 2**63, 2**64 - 1):
         for den in (1, 100, 10**9):
             for lo, hi in ((1, 1), (6, 6), (1, 6), (1, 64)):
@@ -51,7 +56,7 @@ def test_generation_identical():
                 assert a.state == b.state
 
 
-def test_exhaustive_small_grid_equivalence():
+def test_exhaustive_small_grid_equivalence(compiled):
     hfes = _all_small()
     for a, b in itertools.product(hfes, repeat=2):
         assert pure.e_union(a, b) == compiled.e_union(a, b)
@@ -67,7 +72,7 @@ def test_exhaustive_small_grid_equivalence():
 
 
 @given(int_hfes, int_hfes)
-def test_randomized_equivalence(a, b):
+def test_randomized_equivalence(compiled, a, b):
     assert pure.e_union(a, b) == compiled.e_union(a, b)
     assert pure.e_inter(a, b) == compiled.e_inter(a, b)
     assert pure.e_compl(a, 10) == compiled.e_compl(a, 10)
@@ -77,7 +82,7 @@ def test_randomized_equivalence(a, b):
 
 
 @given(st.lists(int_hfes, min_size=1, max_size=4), st.lists(int_hfes, min_size=1, max_size=4))
-def test_set_level_equivalence(A, B):
+def test_set_level_equivalence(compiled, A, B):
     n = min(len(A), len(B))
     A, B = tuple(A[:n]), tuple(B[:n])
     assert pure.u_union(A, B) == compiled.u_union(A, B)
@@ -87,7 +92,7 @@ def test_set_level_equivalence(A, B):
         assert pure.u_rel(code, A, B) == compiled.u_rel(code, A, B)
 
 
-def test_canon_and_errors():
+def test_canon_and_errors(compiled):
     assert compiled.canon([3, 1, 2]) == (3, 2, 1) == pure.canon([3, 1, 2])
     with pytest.raises(ValueError):
         compiled.best_q((3, 2, 1), 0)
@@ -97,3 +102,78 @@ def test_canon_and_errors():
         pure.e_rel(17, (1,), (1,))
     with pytest.raises(ValueError):
         compiled.e_rel(17, (1,), (1,))
+
+
+# Each probe is an expression over `k`, a kernel module, evaluated on the
+# compiled and on the pure kernel. The compiled kernel must not crash: it
+# returns pure's value, or raises where pure raises. Only the probes in
+# MAY_RAISE, where a value leaves int64 or a list stands for an hfe tuple,
+# may raise where pure returns.
+PROBES = {
+    "e_union_1500": "k.e_union(tuple(range(1500, 0, -1)), tuple(range(1600, 100, -1)))",
+    "e_inter_1500": "k.e_inter(tuple(range(1500, 0, -1)), tuple(range(1600, 100, -1)))",
+    "gen_hfe_3000": "k.gen_hfe(k.Stream(1), 100, 3000, 3000)",
+    "gen_hfs_3000": "k.gen_hfs(k.Stream(2), 10**9, 3, 2500, 3000)",
+    "u_union_short_b": "k.u_union(((3, 1), (2,), (5,)), ((2,),))",
+    "u_inter_short_b": "k.u_inter(((3, 1), (2,)), ((2,),))",
+    "u_rel_short_b": "[k.u_rel(c, ((3, 1), (2,), (5,)), ((4,),)) for c in range(6)]",
+    "u_sot_short_b": "k.u_sot(((3, 1), (2,), (5,)), ((4,),))",
+    "u_union_list_hfe": "k.u_union(([1],), ((1,),))",
+    "u_rel_list_hfe": "k.u_rel(0, ([1],), ((1,),))",
+    "e_union_empty_a": "k.e_union((), (1,))",
+    "e_union_empty_b": "k.e_union((1,), ())",
+    "e_inter_empty_b": "k.e_inter((1,), ())",
+    "e_rel_p_empty_a": "k.e_rel(0, (), (1,))",
+    "e_rel_n_empty_b": "k.e_rel(5, (1,), ())",
+    "e_rel_empty_each": "[(k.e_rel(c, (), (1,)), k.e_rel(c, (1,), ())) for c in (2, 3, 4)]",
+    "e_sot_empty_a": "k.e_sot((), (1,))",
+    "e_rel_m_wraps": "k.e_rel(2, (2**62, 2**62), (1,))",
+    "e_rel_m_extremes": "k.e_rel(2, (2**63 - 1,) * 40, (-2**63,) * 3)",
+    "gen_hfe_empty_range": "k.gen_hfe(k.Stream(7), 100, 5, 1)",
+    "canon_3000": "k.canon(range(3000))",
+    "is_subseq_3000": "k.is_subseq(tuple(range(3000, 0, -2)), tuple(range(3000, -1, -1)))",
+    "randint_full_int64": "[k.Stream(5).randint(-2**63, 2**63 - 1) for _ in range(3)]",
+    "randint_empty_range": "k.Stream(5).randint(-2**63 + 3, -2**63)",
+    "randint_past_2_63": "k.Stream(5).randint(0, 2**63)",
+    "below_past_2_63": "k.Stream(5).below(2**64)",
+    "e_compl_int64_edge": "k.e_compl((2**63 - 1, 0), 2**63 - 1)",
+    "e_compl_past_2_63": "k.e_compl((0,), 2**63)",
+    "e_compl_wraps": "k.e_compl((-1,), 2**63 - 1)",
+    "e_rel_degree_past_2_63": "k.e_rel(0, (2**64,), (1,))",
+}
+MAY_RAISE = {
+    "u_rel_list_hfe", "randint_past_2_63", "below_past_2_63", "e_compl_past_2_63",
+    "e_compl_wraps", "e_rel_degree_past_2_63",
+}
+
+_PROBE = """
+import importlib.util, sys
+from hesitant._kernel import _pykernel as pure
+spec = importlib.util.spec_from_file_location("hesitant._kernel._ckernel", sys.argv[1])
+compiled = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compiled)
+
+def run(k):
+    try:
+        return "returned", eval(sys.argv[2], {"k": k})
+    except Exception as exc:
+        return "raised", type(exc).__name__
+
+c, p = run(compiled), run(pure)
+print("same" if c == p else "raised" if c[0] == "raised" else "differs", c[1] if c[0] == "raised" else "")
+"""
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_boundary_probe(compiled, name):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, compiled.__file__, PROBES[name]],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdict = proc.stdout.split()
+    assert verdict[0] in (("same", "raised") if name in MAY_RAISE else ("same",)), verdict
