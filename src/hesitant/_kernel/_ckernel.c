@@ -1,7 +1,9 @@
 /* Compiled kernel: the integer-grid twin of `_pykernel`, written against the
  * CPython C API.
  *
- * It has the pure kernel's surface and contract, for degrees that fit a C
+ * It has the part of the pure kernel's surface that the law engine's trials
+ * call (`Stream`, `canon`, `e_rel`, the set-level `u_*` functions, `gen_hfe`
+ * and `gen_hfs`) and the pure kernel's contract, for degrees that fit a C
  * long long. Every call returns exactly what `_pykernel` returns, or raises a
  * Python exception:
  *   - a value outside int64, or a mean cross-product outside __int128,
@@ -279,10 +281,6 @@ static int as_code(PyObject *o, long *code) {
 
 #define FASTCALL(name) static PyObject *name(PyObject *m, PyObject *const *args, Py_ssize_t nargs)
 
-FASTCALL(e_union) { return arity("e_union", nargs, 2) ? NULL : elem(UNION, args[0], args[1]); }
-FASTCALL(e_inter) { return arity("e_inter", nargs, 2) ? NULL : elem(INTER, args[0], args[1]); }
-FASTCALL(e_compl) { return arity("e_compl", nargs, 2) ? NULL : elem(COMPL, args[0], args[1]); }
-
 FASTCALL(e_rel) {
     long code;
     int r;
@@ -290,13 +288,6 @@ FASTCALL(e_rel) {
         || (r = rel(code, args[1], args[2])) < 0)
         return NULL;
     return PyBool_FromLong(r);
-}
-
-FASTCALL(e_sot) {
-    int r;
-    if (arity("e_sot", nargs, 2) || two_tuples(args[0], args[1], "hfe") || (r = sot(args[0], args[1])) < 0)
-        return NULL;
-    return PyLong_FromLong(r);
 }
 
 static PyObject *canon(PyObject *m, PyObject *values) {
@@ -311,53 +302,6 @@ static PyObject *canon(PyObject *m, PyObject *values) {
     drop(&s);
     Py_DECREF(seq);
     return out;
-}
-
-FASTCALL(pointwise_leq) {
-    if (arity("pointwise_leq", nargs, 2) || two_tuples(args[0], args[1], "vector"))
-        return NULL;
-    Py_ssize_t n = PyTuple_GET_SIZE(args[0]), k = PyTuple_GET_SIZE(args[1]);
-    if (n != k)
-        return PyErr_Format(PyExc_ValueError, "length mismatch: %zd vs %zd", n, k);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        i64 x, y;
-        if (item_at(args[0], i, &x) || item_at(args[1], i, &y))
-            return NULL;
-        if (x > y)
-            Py_RETURN_FALSE;
-    }
-    Py_RETURN_TRUE;
-}
-
-FASTCALL(best_q) {
-    Py_ssize_t n, q;
-    if (arity("best_q", nargs, 2) || (n = PyObject_Size(args[0])) < 0
-        || ((q = PyNumber_AsSsize_t(args[1], NULL)) == -1 && PyErr_Occurred()))
-        return NULL;
-    if (q < 1 || q > n)
-        return PyErr_Format(PyExc_ValueError, "q=%S out of range 1..%zd", args[1], n);
-    return PySequence_GetSlice(args[0], 0, q);
-}
-
-FASTCALL(is_subseq) {
-    if (arity("is_subseq", nargs, 2) || two_tuples(args[0], args[1], "hfe"))
-        return NULL;
-    PyObject *sub = args[0], *whole = args[1];
-    Py_ssize_t i = 0, n = PyTuple_GET_SIZE(whole);
-    for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(sub); j++, i++) {
-        i64 g, w = 0;
-        if (item_at(sub, j, &g))
-            return NULL;
-        for (; i < n; i++) {
-            if (item_at(whole, i, &w))
-                return NULL;
-            if (w <= g)
-                break;
-        }
-        if (i >= n || w != g)
-            Py_RETURN_FALSE;
-    }
-    Py_RETURN_TRUE;
 }
 
 /* --- set level: tuples of hfes, pointwise over universe positions --- */
@@ -549,19 +493,12 @@ static PyTypeObject StreamType = {
 
 static PyMethodDef kernel_methods[] = {
     METHOD(canon, "canon", METH_O, "Canonical form of a degree multiset: descending tuple."),
-    FAST(e_union, "Concatenate and keep degrees >= max of the two minima (descending)."),
-    FAST(e_inter, "Concatenate and keep degrees <= min of the two maxima (descending)."),
-    FAST(e_compl, "Complement each degree: {one - g}; stays descending."),
     FAST(e_rel, "The six inclusion relations on descending degree tuples."),
-    FAST(e_sot, "Classify strong-or-tail: 1 if a ⊂s b, 2 if a ⊂t b, else 0."),
-    FAST(pointwise_leq, "True iff v[i] <= w[i] for every position (lengths must match)."),
-    FAST(best_q, "The q largest degrees of a descending tuple, with multiplicity."),
-    FAST(is_subseq, "Multiset containment of descending tuples (multiplicity-aware)."),
-    FAST(u_union, "e_union at every universe position."),
-    FAST(u_inter, "e_inter at every universe position."),
-    FAST(u_compl, "e_compl at every universe position."),
+    FAST(u_union, "Union (degrees >= the larger minimum) at every universe position."),
+    FAST(u_inter, "Intersection (degrees <= the smaller maximum) at every universe position."),
+    FAST(u_compl, "Complement {one - g} at every universe position."),
     FAST(u_rel, "True iff e_rel holds at every universe position."),
-    FAST(u_sot, "True iff e_sot is non-zero at every universe position."),
+    FAST(u_sot, "True iff a ⊂s b or a ⊂t b at every universe position."),
     FAST(u_equal, "A == B."),
     FAST(gen_hfe, "Random hfe: cardinality uniform in [card_lo, card_hi], degrees uniform on {0, ..., den}."),
     FAST(gen_hfs, "Random hfs over `size` universe positions."),

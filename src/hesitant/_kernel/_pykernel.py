@@ -14,11 +14,12 @@ inline; the numbers drawn and the state left behind are exactly those of one
 `u64` call per draw. `tests/test_streams.py` pins that against a
 method-per-draw oracle.
 
-The compiled twin, the hand-written C module `_ckernel.c`, implements the
-identical contract for degrees that fit int64, including bit-identical random
-streams: for every input it returns exactly what this module returns or
-raises a Python exception (`OverflowError` outside int64, `TypeError` for an
-hfe that is not a tuple). `tests/test_kernel.py` pins the equivalence.
+The compiled twin, the hand-written C module `_ckernel.c`, has only what the
+trials call (`Stream`, `canon`, `e_rel`, `u_*`, `gen_hfe`, `gen_hfs`), with
+the identical contract for degrees that fit int64, including bit-identical
+random streams: for every input it returns exactly what this module returns
+or raises a Python exception (`OverflowError` outside int64, `TypeError` for
+an hfe that is not a tuple). `tests/test_kernel.py` pins the equivalence.
 """
 
 from __future__ import annotations

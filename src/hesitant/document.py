@@ -11,12 +11,14 @@ A document is a JSON object::
     }
 
 Degrees are decimal strings on the wire only; a `Document` holds each set as
-its canonical `HFS`. Loading validates totality and ranges (errors carry the
-set/element path) and parses each degree string once. Saving formats each
-degree once, canonically: set and family names sorted, memberships in
-universe order, degrees descending in minimal decimal form. So saving is
-byte-stable, load(save(doc)) == doc, and a set with a degree that has no
-exact decimal form (1/3) is refused at construction with a `DegreeError`.
+its canonical `HFS`, one integer grid over one denominator. Loading
+validates totality and ranges (errors carry the set/element path) and parses
+each degree string once, straight onto a grid over 10**9. Saving formats
+each degree of the grid once, canonically: set and family names sorted,
+memberships in universe order, degrees descending in minimal decimal form.
+So saving is byte-stable, load(save(doc)) == doc, and a set with a degree
+that has no exact decimal form (1/3) is refused at construction with a
+`DegreeError`.
 """
 
 from __future__ import annotations
@@ -28,15 +30,15 @@ from typing import Mapping, Sequence
 # `format_degree` and `parse_degree` stay bound here for perfbench/tracing.py,
 # which rebinds them in this module; documents parse and format on the grid.
 from .degrees import SCALE, DegreeError, format_degree, format_grid, parse_degree, parse_grid
-from .elements import HFE
 from .errors import DocumentError, shown
 from .sets import HFS, Family, Universe
 
 
-def _decimals(h: HFE) -> list[str]:
-    """An HFE's degrees as minimal decimal strings, in canonical order;
-    raises DegreeError for a degree with no exact decimal form."""
-    return [format_grid(n, h._den) for n in h._nums]
+def _decimals(s: HFS) -> list[list[str]]:
+    """A set's degrees as minimal decimal strings, per element; raises
+    DegreeError for the first degree with no exact decimal form."""
+    den = s._den
+    return [[format_grid(n, den) for n in h] for h in s._grid]
 
 
 def _universe(elements) -> Universe:
@@ -62,9 +64,8 @@ class Document:
                 raise DocumentError(f"set {shown(name)}: expected an HFS")
             if s.universe != uni:
                 raise DocumentError(f"set {shown(name)} lives on a different universe")
-            for h in s.hfes:
-                if SCALE % h._den:
-                    _decimals(h)  # raises the DegreeError that names the degree
+            if SCALE % s._den:
+                _decimals(s)  # raises the DegreeError that names the degree
             canon_sets[name] = s
         object.__setattr__(self, "sets", canon_sets)
         canon_families: dict[str, tuple[str, ...]] = {}
@@ -130,7 +131,7 @@ def _parse_set(name: str, memberships: Mapping, uni: Universe) -> HFS:
     extra = [e for e in memberships if e not in uni]
     if extra:
         raise DocumentError(f"set {shown(name)}: unknown element {shown(sorted(extra)[0])}")
-    hfes = []
+    grid = []
     for e in uni:
         degrees = memberships[e]
         if isinstance(degrees, str) or not isinstance(degrees, Sequence):
@@ -138,10 +139,10 @@ def _parse_set(name: str, memberships: Mapping, uni: Universe) -> HFS:
         if not degrees:
             raise DocumentError(f"set {shown(name)}, element {shown(e)}: membership is empty")
         try:
-            hfes.append(HFE._from_grid(sorted(map(parse_grid, degrees), reverse=True), SCALE))
+            grid.append(tuple(sorted(map(parse_grid, degrees), reverse=True)))
         except DegreeError as exc:
             raise DocumentError(f"set {shown(name)}, element {shown(e)}: {exc}") from None
-    return HFS._wrap(uni, tuple(hfes))
+    return HFS._from_grid(uni, tuple(grid), SCALE)
 
 
 def load_document(source) -> Document:
@@ -182,7 +183,7 @@ def save_document(doc: Document) -> bytes:
     """Canonical serialization; an empty families section is omitted."""
     payload: dict = {
         "universe": list(doc.universe),
-        "sets": {name: {e: _decimals(h) for e, h in s.items()} for name, s in doc.sets.items()},
+        "sets": {name: dict(zip(doc.universe, _decimals(s))) for name, s in doc.sets.items()},
     }
     if doc.families:
         payload["families"] = {name: list(v) for name, v in doc.families.items()}

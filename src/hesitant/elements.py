@@ -23,7 +23,8 @@ different denominators are first rescaled to their lcm, and results are
 reduced by the gcd of the denominator and the numerators — so they are exact
 rational arithmetic without building a `Fraction`. Degrees come out as
 `Fraction` values only at the API edge (`degrees`, iteration, `upper`,
-`lower`, `bounds`, `mean`).
+`lower`, `bounds`, `mean`). An HFS stores one grid for all its elements and
+builds an element's HFE (`_from_grid`) on access.
 """
 
 from __future__ import annotations
@@ -48,13 +49,6 @@ def _fmt(num: int, den: int) -> str:
 
 def _scaled(nums: tuple, factor: int) -> tuple:
     return nums if factor == 1 else tuple(n * factor for n in nums)
-
-
-def _on_grid(hfes) -> tuple[list[tuple], int]:
-    """The numerators of every HFE in `hfes` over the lcm of all their
-    denominators, and that lcm."""
-    den = lcm(*{h._den for h in hfes})
-    return [_scaled(h._nums, den // h._den) for h in hfes], den
 
 
 def _common(a: "HFE", b: "HFE") -> tuple[tuple, tuple, int]:

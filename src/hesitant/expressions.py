@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
+from .sets import HFS
+
 Node = Union["Var", "Compl", "Join", "Meet"]
 
 MAX_DEPTH = 100
@@ -167,30 +169,18 @@ def parse_expression(text: str) -> Node:
     return node
 
 
-def evaluate(node: Node, resolve: Callable[[str], object], union, inter, compl):
-    """Evaluate an expression tree with caller-supplied operations."""
+def evaluate_on_hfs(node: Node, resolve: Callable[[str], HFS]) -> HFS:
+    """Evaluate over public HFS objects, through the `HFS.union`,
+    `intersection` and `complement` attributes as bound at each call."""
     if isinstance(node, Var):
         return resolve(node.name)
     if isinstance(node, Compl):
-        return compl(evaluate(node.child, resolve, union, inter, compl))
+        return HFS.complement(evaluate_on_hfs(node.child, resolve))
     if isinstance(node, Join):
-        return union(
-            evaluate(node.left, resolve, union, inter, compl),
-            evaluate(node.right, resolve, union, inter, compl),
-        )
+        return HFS.union(evaluate_on_hfs(node.left, resolve), evaluate_on_hfs(node.right, resolve))
     if isinstance(node, Meet):
-        return inter(
-            evaluate(node.left, resolve, union, inter, compl),
-            evaluate(node.right, resolve, union, inter, compl),
-        )
+        return HFS.intersection(evaluate_on_hfs(node.left, resolve), evaluate_on_hfs(node.right, resolve))
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def evaluate_on_hfs(node: Node, resolve: Callable[[str], object]):
-    """Evaluate over public HFS objects."""
-    from .sets import HFS
-
-    return evaluate(node, resolve, HFS.union, HFS.intersection, HFS.complement)
 
 
 def variables(node: Node) -> set[str]:

@@ -16,9 +16,8 @@ from typing import Iterable
 # in this module; scores are parsed once, onto the grid.
 from .degrees import SCALE, DegreeError, parse_degree, parse_grid
 from .document import Document
-from .elements import HFE
 from .errors import DocumentError, shown
-from .sets import HFS
+from .sets import HFS, Universe
 
 
 def ingest_scores(source, set_name: str = "H") -> Document:
@@ -67,7 +66,8 @@ def ingest_scores(source, set_name: str = "H") -> Document:
         raise DocumentError(
             f"scheme {shown(empty[0])} has no scores at all; a membership cannot be empty"
         )
-    hfs = HFS(scores, {e: HFE._from_grid(sorted(v, reverse=True), SCALE) for e, v in scores.items()})
+    grid = tuple(tuple(sorted(v, reverse=True)) for v in scores.values())
+    hfs = HFS._from_grid(Universe(scores), grid, SCALE)
     return Document(universe=hfs.universe.elements, sets={set_name: hfs})
 
 

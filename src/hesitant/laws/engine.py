@@ -14,12 +14,12 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .._kernel import IMPLEMENTATION, active
 from ..degrees import format_grid
 from ..errors import UniverseMismatchError
-from ..elements import HFE, _on_grid
 from ..sets import HFS, Family, Universe
 from . import generators as g
 from .algebra import EXACT, Algebra, grid_algebra
@@ -309,11 +309,10 @@ def exact_binding(law: Law, binding: Mapping[str, object]) -> tuple[Algebra, dic
         sets_of[name] = (value,) if kind == "set" else value.sets
     if len({s.universe for sets_ in sets_of.values() for s in sets_}) > 1:
         raise UniverseMismatchError(f"binding of law {law.id} mixes universes")
-    nums, den = _on_grid([h for sets_ in sets_of.values() for s in sets_ for h in s.hfes])
-    grid = iter(nums)
+    den = lcm(*{s._den for sets_ in sets_of.values() for s in sets_})
     plain = {}
     for name, kind in law.params:
-        hfss = tuple(tuple(next(grid) for _ in s.hfes) for s in sets_of[name])
+        hfss = tuple(s._over(den) for s in sets_of[name])
         plain[name] = hfss[0] if kind == "set" else hfss
     return Algebra(EXACT.kern, den), plain
 
@@ -362,7 +361,7 @@ def random_hfs(config: GeneratorConfig, stream_index: int) -> HFS:
         stream, config.degree_grid, size, config.cardinality[0], config.cardinality[1]
     )
     uni = Universe(_universe_names(size))
-    return HFS._wrap(uni, tuple(HFE._from_grid(h, config.degree_grid) for h in plain))
+    return HFS._from_grid(uni, plain, config.degree_grid)
 
 
 def run_law(law: Law | str, config: GeneratorConfig) -> LawResult:

@@ -13,9 +13,9 @@ integer keys: a ⊂ b iff f(a) <= g(b) for each of its (f, g) key pairs.
 ⊂p compares maxima, ⊂m means (exact: each sum scaled to the lcm of the
 cardinalities), ⊂n a maximum with a minimum, ⊂a maxima and minima, and ⊂s
 the cardinalities and then the degrees position by position. The keys are
-the HFEs' numerators rescaled once onto the grid of the set's common
-denominator, which leaves every verdict unchanged because the relations
-only compare and add degrees.
+the numerators of the set's grid, over its one common denominator, which
+leaves every verdict unchanged because the relations only compare and add
+degrees.
 
 Cost, for n schemes holding D degrees in all: one sort of the schemes per
 key, then one bitset row per scheme (bit j of row i is set when scheme i ⊂
@@ -46,7 +46,6 @@ from itertools import accumulate, chain, compress, islice, product, repeat
 from math import lcm
 from operator import index, itemgetter, or_
 
-from .elements import _on_grid
 # `element_relation` stays bound here for perfbench/tracing.py, which rebinds
 # it in this module to count calls; ranking itself never calls it.
 from .relations import Inclusion, element_relation
@@ -171,7 +170,7 @@ def _thresholds(keyed: list[tuple], full: int):
     )
 
 
-def _tests(grid: list[tuple], kind: Inclusion):
+def _tests(grid: tuple[tuple, ...], kind: Inclusion):
     """The (f, g) keys, as (key, index) pairs, with a ⊂ b iff f(a) <= g(b)
     for every pair; a scheme missing from a key list is unconstrained by it."""
     if kind is Inclusion.MEAN:
@@ -197,7 +196,7 @@ def _tests(grid: list[tuple], kind: Inclusion):
     return [(sizes, sizes)] + [(keyed, keyed) for keyed in at]
 
 
-def _relation(grid: list[tuple], kind: Inclusion) -> tuple[list[int], list[int]]:
+def _relation(grid: tuple[tuple, ...], kind: Inclusion) -> tuple[list[int], list[int]]:
     """The bitset row (who i is ⊂ of) and column (who is ⊂ i) of every scheme."""
     n = len(grid)
     full = (1 << n) - 1
@@ -243,8 +242,7 @@ def rank_schemes(scores, kind: Inclusion) -> Ranking:
             + ", ".join(k.letter for k in RANKABLE)
         )
     schemes = scores.universe.elements
-    grid, _ = _on_grid(scores.hfes)
-    rows, cols = _relation(grid, kind)
+    rows, cols = _relation(scores._grid, kind)
     depth = _depths([r & ~c for r, c in zip(rows, cols)])
     layers: list[list[str]] = [[] for _ in range(max(depth))]
     for s, d in zip(schemes, depth):

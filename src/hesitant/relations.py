@@ -184,7 +184,8 @@ def set_relation(kind: Inclusion, A, B) -> bool:
     """A ⊂kind B at set level: the element relation holds at every x."""
     if A.universe != B.universe:
         raise UniverseMismatchError("set relation needs a shared universe")
-    return all(element_relation(kind, a, b) for a, b in zip(A.hfes, B.hfes))
+    den = lcm(A._den, B._den)
+    return _ops.u_rel(kind.code, A._over(den), B._over(den))
 
 
 def set_equality(kind: Inclusion, A, B) -> bool:

@@ -5,15 +5,25 @@ are pointwise and never merge differing universes. A Family is a non-empty
 ordered collection of named HFSs over one shared universe; folds over a
 family are left-folds, and commutativity/associativity of the binary
 operations make the fold order-irrelevant up to multiset equality.
+
+An HFS stores one integer grid, the value the law engine evaluates: `_grid`,
+a descending tuple of int numerators per element, over the lcm `_den` of the
+memberships' reduced denominators, so equal sets have identical fields. The
+operations rescale two sets once to their lcm and run the pure kernel's set
+functions; `hfes`, `items()` and `hfs[e]` build their HFEs on access.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from functools import reduce
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .elements import HFE
+from ._kernel import _pykernel as _ops
+from .elements import HFE, _scaled
 from .errors import UniverseMismatchError, shown
 
 
@@ -30,8 +40,8 @@ class Universe:
             if not isinstance(e, str) or not e:
                 raise ValueError(f"universe element ids must be non-empty strings, got {shown(e)}")
         if len(set(elems)) != len(elems):
-            dupes = sorted({e for e in elems if elems.count(e) > 1})
-            raise ValueError(f"duplicate universe element {shown(dupes[0])}")
+            dupe = min(e for e, n in Counter(elems).items() if n > 1)
+            raise ValueError(f"duplicate universe element {shown(dupe)}")
         object.__setattr__(self, "_elements", elems)
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(elems)})
 
@@ -86,7 +96,7 @@ class SetOp(Enum):
 class HFS:
     """A total mapping from universe elements to HFEs; immutable."""
 
-    __slots__ = ("_universe", "_hfes")
+    __slots__ = ("_universe", "_grid", "_den")
 
     def __init__(self, universe, memberships: Mapping[str, object]) -> None:
         uni = _as_universe(universe)
@@ -96,19 +106,27 @@ class HFS:
         extra = [e for e in memberships if e not in uni]
         if extra:
             raise ValueError(f"unknown element(s): {', '.join(sorted(extra))}")
-        hfes = []
-        for e in uni:
-            m = memberships[e]
-            hfes.append(m if isinstance(m, HFE) else HFE(m))
-        object.__setattr__(self, "_universe", uni)
-        object.__setattr__(self, "_hfes", tuple(hfes))
+        hfes = [m if isinstance(m, HFE) else HFE(m) for m in (memberships[e] for e in uni)]
+        # each HFE is canonical, so the lcm of their denominators is too
+        self._universe = uni
+        self._den = den = lcm(*{h._den for h in hfes})
+        self._grid = tuple(_scaled(h._nums, den // h._den) for h in hfes)
 
     @classmethod
-    def _wrap(cls, universe: Universe, hfes: tuple[HFE, ...]) -> "HFS":
+    def _from_grid(cls, universe: Universe, grid: tuple, den: int) -> "HFS":
+        """The HFS of the descending numerator tuples `grid`, one per element
+        of `universe` in order, over `den`."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_universe", universe)
-        object.__setattr__(obj, "_hfes", hfes)
+        obj._universe = universe
+        g = gcd(den, *chain.from_iterable(grid))
+        obj._grid = grid if g == 1 else tuple(tuple(n // g for n in h) for h in grid)
+        obj._den = den // g
         return obj
+
+    def _over(self, den: int) -> tuple:
+        """The grid over `den`, a multiple of `_den`."""
+        f = den // self._den
+        return self._grid if f == 1 else tuple(_scaled(h, f) for h in self._grid)
 
     @property
     def universe(self) -> Universe:
@@ -117,30 +135,26 @@ class HFS:
     @property
     def hfes(self) -> tuple[HFE, ...]:
         """Memberships in universe order."""
-        return self._hfes
+        return tuple(HFE._from_grid(h, self._den) for h in self._grid)
 
     def __getitem__(self, element: str) -> HFE:
-        return self._hfes[self._universe.index(element)]
+        return HFE._from_grid(self._grid[self._universe.index(element)], self._den)
 
     def items(self) -> Iterator[tuple[str, HFE]]:
-        return zip(self._universe, self._hfes)
+        return zip(self._universe, self.hfes)
 
     def union(self, other: "HFS") -> "HFS":
         _require_same_universe(self, other)
-        return HFS._wrap(
-            self._universe,
-            tuple(a.union(b) for a, b in zip(self._hfes, other._hfes)),
-        )
+        den = lcm(self._den, other._den)
+        return HFS._from_grid(self._universe, _ops.u_union(self._over(den), other._over(den)), den)
 
     def intersection(self, other: "HFS") -> "HFS":
         _require_same_universe(self, other)
-        return HFS._wrap(
-            self._universe,
-            tuple(a.intersection(b) for a, b in zip(self._hfes, other._hfes)),
-        )
+        den = lcm(self._den, other._den)
+        return HFS._from_grid(self._universe, _ops.u_inter(self._over(den), other._over(den)), den)
 
     def complement(self) -> "HFS":
-        return HFS._wrap(self._universe, tuple(a.complement() for a in self._hfes))
+        return HFS._from_grid(self._universe, _ops.u_compl(self._grid, self._den), self._den)
 
     __or__ = union
     __and__ = intersection
@@ -148,11 +162,11 @@ class HFS:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, HFS):
-            return self._universe == other._universe and self._hfes == other._hfes
+            return self._den == other._den and self._grid == other._grid and self._universe == other._universe
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._universe, self._hfes))
+        return hash((self._universe, self._grid, self._den))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{e}: {h}" for e, h in self.items())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -34,6 +35,17 @@ def test_relate_unknown_set(docs_dir, capsys):
     code, _, err = run_cli(capsys, "relate", docs_dir / "expression-types.json", "A", "Z")
     assert code == 2
     assert "Z" in err
+
+
+def test_relate_rejects_a_large_universe_with_one_duplicate(tmp_path, capsys):
+    # the last id repeats the first; finding it must not take quadratic time
+    ids = [f"x{i}" for i in range(100_000)] + ["x0"]
+    path = tmp_path / "dupe.json"
+    path.write_text(json.dumps({"universe": ids, "sets": {}}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "relate", path, "A", "B")
+    assert time.perf_counter() - start < 10
+    assert (code, out, err) == (2, "", "error: universe: duplicate universe element 'x0'\n")
 
 
 def test_relate_complement_failure_sets(docs_dir, capsys):

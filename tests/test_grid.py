@@ -1,16 +1,39 @@
-"""The integer-grid HFE against the Fraction-tuple algebra it replaced.
+"""The integer-grid HFE and HFS against the algebras they replaced.
 
-The oracle below is the earlier implementation: descending tuples of
-`Fraction` degrees, operated on directly. The grid HFE must give the same
-degrees, verdicts, means and bounds on every input, including non-decimal
-degrees whose common denominator passes 64 bits.
+The element oracle below is the earlier HFE: descending tuples of `Fraction`
+degrees, operated on directly. The grid HFE must give the same degrees,
+verdicts, means and bounds on every input, including non-decimal degrees
+whose common denominator passes 64 bits.
+
+The set oracle is the earlier HFS: one HFE per element, each on its own
+denominator, operated on HFE by HFE. The one-grid HFS must give the same
+memberships, verdicts, text, equality and hashing on the same inputs, and
+one content must get identical grid fields on every route that builds a set.
 """
 
+import json
 import random
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
-from hesitant import HFE, Inclusion, element_relation, hfe
+from hesitant import (
+    HFE,
+    HFS,
+    Family,
+    Inclusion,
+    SetOp,
+    Universe,
+    element_relation,
+    evaluate_on_hfs,
+    family_fold,
+    hfe,
+    ingest_scores,
+    load_document,
+    parse_expression,
+    set_equality,
+    set_relation,
+)
 from hesitant.relations import classify_strong_or_tail, is_subsequence
 
 # --- the oracle: Fraction tuples, sorted descending ---------------------------
@@ -150,4 +173,151 @@ def test_random_hfs_matches_fraction_construction():
             want = HFS(uni, {e: [Fraction(n, grid) for n in plain[j]] for j, e in enumerate(uni)})
             got = random_hfs(config, i)
             assert got == want, (grid, i)
+            assert _fields(got) == _fields(want), (grid, i)
             assert all(_canonical(h) for h in got.hfes), (grid, i)
+
+
+# --- the set oracle: one HFE per element, operated on HFE by HFE --------------
+
+
+class _PerElement:
+    """The earlier HFS: a universe and one canonical HFE per element."""
+
+    def __init__(self, universe, hfes):
+        self.universe, self.hfes = universe, tuple(hfes)
+
+    def union(self, other):
+        return _PerElement(self.universe, map(HFE.union, self.hfes, other.hfes))
+
+    def intersection(self, other):
+        return _PerElement(self.universe, map(HFE.intersection, self.hfes, other.hfes))
+
+    def complement(self):
+        return _PerElement(self.universe, map(HFE.complement, self.hfes))
+
+    def relation(self, kind, other):
+        return all(map(element_relation, [kind] * len(self.hfes), self.hfes, other.hfes))
+
+    def __eq__(self, other):
+        return self.universe == other.universe and self.hfes == other.hfes
+
+    def __repr__(self):
+        return "HFS(" + ", ".join(f"{e}: {h}" for e, h in zip(self.universe, self.hfes)) + ")"
+
+
+def _evaluate(node, resolve):
+    """An expression tree over oracle sets."""
+    if hasattr(node, "name"):
+        return resolve(node.name)
+    if hasattr(node, "child"):
+        return _evaluate(node.child, resolve).complement()
+    left, right = _evaluate(node.left, resolve), _evaluate(node.right, resolve)
+    return left.union(right) if type(node).__name__ == "Join" else left.intersection(right)
+
+
+_EXPRESSIONS = [parse_expression(t) for t in ("(A | B) & Cᶜ", "A & (B | C)ᶜ", "(A ∩ B)ᶜ ∪ (B ∩ C)")]
+
+
+def _fields(s):
+    return s._grid, s._den
+
+
+def _check_set(got, want):
+    """The one-grid `got` shows exactly the memberships of the oracle `want`,
+    and its fields are those of the constructor on the same content."""
+    uni = want.universe
+    assert got.universe == uni
+    assert got.hfes == want.hfes
+    assert tuple(got[e] for e in uni) == want.hfes
+    assert list(got.items()) == list(zip(uni, want.hfes))
+    assert str(got) == repr(got) == repr(want)
+    built = HFS(uni, dict(zip(uni, want.hfes)))
+    assert got == built and hash(got) == hash(built)
+    assert _fields(got) == _fields(built)
+    den = lcm(*(h._den for h in want.hfes))
+    assert got._den == den
+    assert got._grid == tuple(tuple(n * (den // h._den) for n in h._nums) for h in want.hfes)
+
+
+def _set_cases(count=300):
+    """Per seed, three sets A, B, C on one universe of 1 to 4 elements, with
+    their oracles; degrees as in `_pool`, every third seed from all the
+    primes."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        pool = _pool(rng, len(_PRIMES) if seed % 3 == 0 else 2)
+        uni = Universe(f"x{i}" for i in range(rng.randint(1, 4)))
+        sets = {}
+        for name in "ABC":
+            degrees = {e: [rng.choice(pool) for _ in range(rng.randint(1, 5))] for e in uni}
+            sets[name] = (HFS(uni, degrees), _PerElement(uni, map(HFE, degrees.values())))
+        yield seed, uni, sets
+
+
+def _family_names(seed):
+    """One to three of the names A, B, C, in a seeded order."""
+    rng = random.Random(-seed - 1)
+    return rng.sample("ABC", rng.randint(1, 3))
+
+
+def test_set_algebra_matches_per_element_oracle():
+    widest = 0
+    for seed, uni, sets in _set_cases():
+        (A, oa), (B, ob), (C, oc) = sets.values()
+        widest = max(widest, lcm(A._den, B._den, C._den))
+        for got, want in (
+            (A, oa),
+            (A | B, oa.union(ob)),
+            (A & B, oa.intersection(ob)),
+            (~A, oa.complement()),
+            (A.union(C).intersection(B), oa.union(oc).intersection(ob)),
+            (~~B, ob),
+        ):
+            _check_set(got, want)
+        assert (A == B) == (oa == ob), seed
+        assert (A | B == B | A) and (A & B == B & A), seed
+        for kind in Inclusion:
+            assert set_relation(kind, A, B) == oa.relation(kind, ob), (seed, kind)
+            assert set_relation(kind, B, A | C) == ob.relation(kind, oa.union(oc)), (seed, kind)
+            if kind is not Inclusion.TAIL:
+                want = oa.relation(kind, ob) and ob.relation(kind, oa)
+                assert set_equality(kind, A, B) == want, (seed, kind)
+        members = [sets[n] for n in _family_names(seed)]
+        fam = Family([(f"F{i}", s) for i, (s, _) in enumerate(members)])
+        oracles = [o for _, o in members]
+        _check_set(family_fold(SetOp.UNION, fam), reduce(_PerElement.union, oracles))
+        _check_set(family_fold(SetOp.INTERSECTION, fam), reduce(_PerElement.intersection, oracles))
+        resolve = {n: s for n, (s, _) in sets.items()}.__getitem__
+        resolve_oracle = {n: o for n, (_, o) in sets.items()}.__getitem__
+        for node in _EXPRESSIONS:
+            _check_set(evaluate_on_hfs(node, resolve), _evaluate(node, resolve_oracle))
+    assert widest >= 2**64
+
+
+def _decimal(rng):
+    """A 2- or 9-digit decimal string, sometimes with trailing zeros."""
+    if rng.random() < 0.5:
+        return f"0.{rng.randrange(100):02d}" if rng.random() < 0.9 else "1"
+    return f"0.{rng.randrange(10**9):09d}"
+
+
+def test_one_content_gets_one_grid_on_every_route():
+    for seed in range(100):
+        rng = random.Random(seed)
+        uni = Universe(f"s{i}" for i in range(rng.randint(1, 5)))
+        degrees = {e: [_decimal(rng) for _ in range(rng.randint(1, 4))] for e in uni}
+        built = HFS(uni, degrees)
+        want = _fields(built)
+        assert _fields(HFS(uni, {e: [Fraction(d) for d in v] for e, v in degrees.items()})) == want
+        text = json.dumps({"universe": list(uni), "sets": {"A": degrees}})
+        assert _fields(load_document(text).hfs("A")) == want, seed
+        rows = [(e, f"expert{j}", d) for e, v in degrees.items() for j, d in enumerate(v)]
+        rng.shuffle(rows)
+        table = "scheme,expert,score\n" + "".join(f"{e},{x},{d}\n" for e, x, d in rows)
+        ingested = ingest_scores(table).hfs("H")
+        order = list(dict.fromkeys(e for e, _, _ in rows))
+        assert _fields(ingested) == _fields(HFS(Universe(order), degrees)), seed
+        for result in (~~built, built & built.complement().complement() & built):
+            oracle = _PerElement(uni, result.hfes)
+            assert _fields(result) == _fields(HFS(uni, dict(zip(uni, oracle.hfes)))), seed
+        assert _fields(~~built) == want, seed

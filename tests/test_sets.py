@@ -24,6 +24,8 @@ def test_universe_validation():
         Universe([])
     with pytest.raises(ValueError):
         Universe(["x", "x"])
+    with pytest.raises(ValueError, match="^duplicate universe element 'a'$"):
+        Universe(["c", "b", "a", "c", "b", "a"])
     uni = Universe(["x", "y"])
     assert list(uni) == ["x", "y"]
     assert "x" in uni and "z" not in uni
