@@ -9,7 +9,8 @@
  *   - a value outside int64, or a mean cross-product outside __int128,
  *     raises OverflowError;
  *   - an hfe or hfs that is not a tuple raises TypeError;
- *   - indexing an empty hfe raises IndexError, as `a[0]` and `a[-1]` do.
+ *   - an empty hfe raises IndexError in every function that reads its
+ *     degrees, as pure does.
  * Scratch space is sized from the input. Relations read only the positions
  * the pure kernel reads, and the set-level functions stop at the shorter
  * operand, as `zip` does. The SplitMix64 streams are bit-identical to the
@@ -86,6 +87,14 @@ static int item_at(PyObject *t, Py_ssize_t i, i64 *out) {
         return -1;
     }
     return as_i64(PyTuple_GET_ITEM(t, i), out);
+}
+
+/* IndexError for an empty hfe, where pure raises it explicitly. */
+static int nonempty(Py_ssize_t n) {
+    if (n)
+        return 0;
+    PyErr_SetString(PyExc_IndexError, "empty hfe");
+    return -1;
 }
 
 /* Stores o at t[i] and returns t; for a NULL o, frees t and returns NULL. */
@@ -185,15 +194,15 @@ static PyObject *combine(PyObject *a, PyObject *b, int is_union) {
     return out;
 }
 
-/* {one - g} for g in reversed(a); `one` is read only when a is non-empty. */
+/* {one - g} for g in reversed(a); IndexError for an empty a. */
 static PyObject *compl(PyObject *a, PyObject *one) {
-    if (need_tuple(a, "hfe"))
+    if (need_tuple(a, "hfe") || nonempty(PyTuple_GET_SIZE(a)))
         return NULL;
     Py_ssize_t n = PyTuple_GET_SIZE(a);
     PyObject *t = PyTuple_New(n);
     i64 u, g, r;
-    if (!t || n == 0)
-        return t;
+    if (!t)
+        return NULL;
     if (as_i64(one, &u))
         return put(t, 0, NULL);
     for (Py_ssize_t i = 0; t && i < n; i++) {
@@ -229,6 +238,8 @@ static int rel(long code, PyObject *a, PyObject *b) {
         return item_at(a, na - 1, &x) || item_at(b, nb - 1, &y) ? -1 : x <= y;
     case REL_M: {
         i128 sa = 0, sb = 0, l, r;
+        if (nonempty(na) || nonempty(nb))
+            return -1;
         for (i = 0; i < na; i++) {
             if (item_at(a, i, &x))
                 return -1;
@@ -249,6 +260,8 @@ static int rel(long code, PyObject *a, PyObject *b) {
     case REL_T:
         /* ⊂s: a at least as long, b >= a over b's positions;
          * ⊂t: a strictly shorter, b >= a over a's positions */
+        if (nonempty(na) || nonempty(nb))
+            return -1;
         if (code == REL_S ? na < nb : na >= nb)
             return 0;
         for (i = 0; i < (code == REL_S ? nb : na); i++) {

@@ -5,14 +5,19 @@ degree k stands for k/den, and the complement unit `one` is den. An element
 value ("hfe") is a non-empty descending tuple of degrees; a set value
 ("hfs") is a tuple of hfes, one per universe position. The functions only
 compare, add and subtract degrees, so they are exact rational arithmetic;
-den may exceed a C integer.
+den may exceed a C integer. Every function that reads a degree of an hfe
+raises IndexError for an empty one.
 
-Random generation draws from a SplitMix64 `Stream`. `gen_hfe` and `gen_hfs`
-load the stream's state into a local once, run every draw on that local and
-store it back once, and `Stream.below`/`randint` repeat the step of `u64`
-inline; the numbers drawn and the state left behind are exactly those of one
-`u64` call per draw. `tests/test_streams.py` pins that against a
-method-per-draw oracle.
+Each set-level function (`u_union`, `u_inter`, `u_compl`, `u_rel`, `u_sot`)
+is one loop over the universe positions, and holds the only copy of its
+semantics: the element-level `e_*` functions are its one-position case.
+
+Random generation draws from a SplitMix64 `Stream`. Output i of a stream is
+the mix of state + i·γ, so a stream computes its outputs a block at a time,
+one per 128-bit lane of a single Python int, and `u64`, `below`, `randint`,
+`gen_hfe` and `gen_hfs` read them from that buffer. The numbers drawn and
+the `state` seen between calls are exactly those of one `u64` call per draw;
+`tests/test_streams.py` pins that against a method-per-draw oracle.
 
 The compiled twin, the hand-written C module `_ckernel.c`, has only what the
 trials call (`Stream`, `canon`, `e_rel`, `u_*`, `gen_hfe`, `gen_hfs`), with
@@ -23,6 +28,10 @@ an hfe that is not a tuple). `tests/test_kernel.py` pins the equivalence.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import ge, sub
+from struct import Struct
 
 IMPLEMENTATION = "pure"
 
@@ -38,96 +47,98 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# A block holds the next _BLOCK outputs, output j in bits 128j..128j+63 of
+# one int. A lane's value stays below 2**64 after every mask, so a product
+# with a 64-bit constant fits its 128 bits, and a right shift moves the next
+# lane's bits only into the high half, which the mask that follows clears.
+_BLOCK = 32
+_LANES = sum(1 << (128 * j) for j in range(_BLOCK))  # 1 in every lane
+_LOW = _MASK * _LANES  # the low 64 bits of every lane
+_STEPS = sum(((j + 1) * _GOLDEN & _MASK) << (128 * j) for j in range(_BLOCK))
+_UNPACK = Struct(f"<{2 * _BLOCK}Q").unpack
+
+
+def _block(z: int) -> tuple:
+    """Outputs 1.._BLOCK of the SplitMix64 stream at state z, in order."""
+    x = (z * _LANES + _STEPS) & _LOW
+    x = ((x ^ (x >> 30)) & _LOW) * _MIX1 & _LOW
+    x = ((x ^ (x >> 27)) & _LOW) * _MIX2 & _LOW
+    x = (x ^ (x >> 31)) & _LOW
+    return _UNPACK(x.to_bytes(16 * _BLOCK, "little"))[::2]
+
 
 class Stream:
     """SplitMix64 random stream; deterministic function of its seed.
 
-    `below` and `randint` repeat the step of `u64` inline: they are the
-    generators' hottest calls, and a chain of method calls per draw
-    (`randint` -> `below` -> `u64`) is a large share of the draw's cost.
+    `_buf[_i:]` are the outputs not yet drawn, and `_base` is the state
+    before `_buf[0]`. `state` reads and writes the state of the plain
+    one-output-at-a-time stream. `below` and `randint` repeat the read of
+    `u64` inline: they are the generators' hottest calls.
     """
 
-    __slots__ = ("state",)
+    __slots__ = ("_base", "_buf", "_i")
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK
+        self._base = z = seed & _MASK
+        self._buf = _block(z)
+        self._i = 0
+
+    @property
+    def state(self) -> int:
+        i = self._i
+        return (self._base + i * _GOLDEN) & _MASK if i else self._base
+
+    @state.setter
+    def state(self, z: int) -> None:
+        self._base = z
+        self._buf = _block(z & _MASK)
+        self._i = 0
+
+    def _refill(self, need: int) -> tuple:
+        """Drop the drawn outputs and compute blocks until at least `need`
+        are unread; the new buffer starts at the next output."""
+        i = self._i
+        base = self._base = (self._base + i * _GOLDEN) & _MASK
+        buf = self._buf[i:]
+        while len(buf) < need:
+            buf += _block((base + len(buf) * _GOLDEN) & _MASK)
+        self._buf = buf
+        self._i = 0
+        return buf
 
     def u64(self) -> int:
-        self.state = z = (self.state + _GOLDEN) & _MASK
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        i = self._i
+        try:
+            z = self._buf[i]
+        except IndexError:
+            z, i = self._refill(1)[0], 0
+        self._i = i + 1
+        return z
 
     def below(self, n: int) -> int:
         """Uniform draw from range(n) via 64-bit fixed-point scaling."""
-        self.state = z = (self.state + _GOLDEN) & _MASK
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return ((z ^ (z >> 31)) * n) >> 64
+        i = self._i
+        try:
+            z = self._buf[i]
+        except IndexError:
+            z, i = self._refill(1)[0], 0
+        self._i = i + 1
+        return (z * n) >> 64
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform draw from the inclusive range [lo, hi]."""
-        self.state = z = (self.state + _GOLDEN) & _MASK
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return lo + (((z ^ (z >> 31)) * (hi - lo + 1)) >> 64)
+        i = self._i
+        try:
+            z = self._buf[i]
+        except IndexError:
+            z, i = self._refill(1)[0], 0
+        self._i = i + 1
+        return lo + ((z * (hi - lo + 1)) >> 64)
 
 
 def canon(values):
     """Canonical form of a degree multiset: descending tuple."""
     return tuple(sorted(values, reverse=True))
-
-
-def e_union(a, b):
-    """Concatenate and keep degrees >= max of the two minima (descending)."""
-    lo = a[-1] if a[-1] >= b[-1] else b[-1]
-    out = [g for g in a + b if g >= lo]
-    out.sort(reverse=True)
-    return tuple(out)
-
-
-def e_inter(a, b):
-    """Concatenate and keep degrees <= min of the two maxima (descending)."""
-    hi = a[0] if a[0] <= b[0] else b[0]
-    out = [g for g in a + b if g <= hi]
-    out.sort(reverse=True)
-    return tuple(out)
-
-
-def e_compl(a, one):
-    """Complement each degree: {one - g}; stays descending."""
-    return tuple(one - g for g in reversed(a))
-
-
-def e_rel(code, a, b):
-    """The six inclusion relations on descending degree tuples."""
-    if code == REL_P:
-        return a[0] <= b[0]
-    if code == REL_A:
-        return a[0] <= b[0] and a[-1] <= b[-1]
-    if code == REL_M:
-        # mean(a) <= mean(b), cross-multiplied
-        return sum(a) * len(b) <= sum(b) * len(a)
-    if code == REL_S:
-        if len(a) < len(b):
-            return False
-        return all(b[i] >= a[i] for i in range(len(b)))
-    if code == REL_T:
-        if len(a) >= len(b):
-            return False
-        return all(b[i] >= a[i] for i in range(len(a)))
-    if code == REL_N:
-        return a[0] <= b[-1]
-    raise ValueError(f"unknown relation code {code}")
-
-
-def e_sot(a, b):
-    """Classify strong-or-tail: 1 if a ⊂s b, 2 if a ⊂t b, else 0."""
-    if e_rel(REL_S, a, b):
-        return 1
-    if e_rel(REL_T, a, b):
-        return 2
-    return 0
 
 
 def pointwise_leq(v, w):
@@ -161,66 +172,164 @@ def is_subseq(sub, whole):
 
 
 def u_union(A, B):
-    return tuple([e_union(a, b) for a, b in zip(A, B)])
+    """At each position, the degrees of a + b that are >= the larger
+    minimum, descending: all of the hfe with that minimum and the prefix of
+    the other that clears it."""
+    out = []
+    for a, b in zip(A, B):
+        if a[-1] < b[-1]:
+            a, b = b, a
+        lo = a[-1]
+        j = 0
+        for g in b:
+            if g < lo:
+                break
+            j += 1
+        c = list(a + b[:j])
+        c.sort(reverse=True)
+        out.append(tuple(c))
+    return tuple(out)
 
 
 def u_inter(A, B):
-    return tuple([e_inter(a, b) for a, b in zip(A, B)])
+    """At each position, the degrees of a + b that are <= the smaller
+    maximum, descending: all of the hfe with that maximum and the suffix of
+    the other under it."""
+    out = []
+    for a, b in zip(A, B):
+        if a[0] > b[0]:
+            a, b = b, a
+        hi = a[0]
+        j = 0
+        for g in b:
+            if g <= hi:
+                break
+            j += 1
+        c = list(a + b[j:])
+        c.sort(reverse=True)
+        out.append(tuple(c))
+    return tuple(out)
 
 
 def u_compl(A, one):
-    return tuple([e_compl(a, one) for a in A])
+    """At each position {one - g}, which stays descending."""
+    ones = repeat(one)
+    out = []
+    for a in A:
+        if not a:
+            raise IndexError("empty hfe")
+        out.append(tuple(map(sub, ones, reversed(a))))
+    return tuple(out)
 
 
 def u_rel(code, A, B):
-    return all(e_rel(code, a, b) for a, b in zip(A, B))
+    """True iff a ⊂code b at every position; the code is checked once a
+    position is compared. ⊂s and ⊂t hold when b >= a over the shorter hfe,
+    so they compare the first degrees before the lengths, and an empty hfe
+    raises as it does for the other relations."""
+    pairs = zip(A, B)
+    if code == REL_P:
+        for a, b in pairs:
+            if a[0] > b[0]:
+                return False
+    elif code == REL_A:
+        for a, b in pairs:
+            if a[0] > b[0] or a[-1] > b[-1]:
+                return False
+    elif code == REL_M:
+        for a, b in pairs:
+            if not a or not b:
+                raise IndexError("empty hfe")
+            # mean(a) <= mean(b), cross-multiplied
+            if sum(a) * len(b) > sum(b) * len(a):
+                return False
+    elif code == REL_S:
+        for a, b in pairs:
+            if a[0] > b[0] or len(a) < len(b) or not all(map(ge, b, a)):
+                return False
+    elif code == REL_T:
+        for a, b in pairs:
+            if a[0] > b[0] or len(a) >= len(b) or not all(map(ge, b, a)):
+                return False
+    elif code == REL_N:
+        for a, b in pairs:
+            if a[0] > b[-1]:
+                return False
+    else:
+        for _ in pairs:
+            raise ValueError(f"unknown relation code {code}")
+    return True
 
 
 def u_sot(A, B):
-    return all(e_sot(a, b) != 0 for a, b in zip(A, B))
+    """True iff a ⊂s b or a ⊂t b at every position: whichever hfe is
+    shorter, b >= a over its length."""
+    for a, b in zip(A, B):
+        if a[0] > b[0] or not all(map(ge, b, a)):
+            return False
+    return True
 
 
 def u_equal(A, B):
     return A == B
 
 
+# --- element level: the one-position case of the set level ---
+
+
+def e_union(a, b):
+    return u_union((a,), (b,))[0]
+
+
+def e_inter(a, b):
+    return u_inter((a,), (b,))[0]
+
+
+def e_compl(a, one):
+    return u_compl((a,), one)[0]
+
+
+def e_rel(code, a, b):
+    """The six inclusion relations on descending degree tuples."""
+    return u_rel(code, (a,), (b,))
+
+
+def e_sot(a, b):
+    """Classify strong-or-tail: 1 if a ⊂s b, 2 if a ⊂t b, else 0."""
+    if not u_sot((a,), (b,)):
+        return 0
+    return 1 if len(a) >= len(b) else 2
+
+
 # --- random generation on the integer grid ---
 
 
-def _draw_hfe(z, den, card_lo, card_hi):
-    """SplitMix64 state `z` -> (state after the draws, random hfe).
-
-    The draws of `Stream.randint(card_lo, card_hi)` followed by that many
-    `Stream.below(den + 1)`, run on a local state.
-    """
-    z = s = (z + _GOLDEN) & _MASK
-    s = ((s ^ (s >> 30)) * _MIX1) & _MASK
-    s = ((s ^ (s >> 27)) * _MIX2) & _MASK
-    k = card_lo + (((s ^ (s >> 31)) * (card_hi - card_lo + 1)) >> 64)
+def gen_hfs(stream, den, size, card_lo, card_hi):
+    """Random hfs over `size` universe positions: each hfe a cardinality
+    uniform in [card_lo, card_hi], then that many degrees uniform on the grid
+    {0, 1, ..., den} (meaning k/den)."""
     n = den + 1
+    span = card_hi - card_lo + 1
+    most = 1 + max(card_lo, card_hi, 0)  # the outputs one hfe can use
+    buf, i = stream._buf, stream._i
     out = []
-    for _ in range(k):
-        z = s = (z + _GOLDEN) & _MASK
-        s = ((s ^ (s >> 30)) * _MIX1) & _MASK
-        s = ((s ^ (s >> 27)) * _MIX2) & _MASK
-        out.append(((s ^ (s >> 31)) * n) >> 64)
-    out.sort(reverse=True)
-    return z, tuple(out)
+    for _ in range(size):
+        if len(buf) - i < most:
+            stream._i = i
+            buf, i = stream._refill(most), 0
+        k = card_lo + ((buf[i] * span) >> 64)
+        i += 1
+        if k > 0:
+            h = [(z * n) >> 64 for z in buf[i : i + k]]
+            h.sort(reverse=True)
+            out.append(tuple(h))
+            i += k
+        else:
+            out.append(())
+    stream._i = i
+    return tuple(out)
 
 
 def gen_hfe(stream, den, card_lo, card_hi):
-    """Random hfe: cardinality uniform in [card_lo, card_hi], degrees uniform
-    on the grid {0, 1, ..., den} (meaning k/den)."""
-    stream.state, hfe = _draw_hfe(stream.state, den, card_lo, card_hi)
-    return hfe
-
-
-def gen_hfs(stream, den, size, card_lo, card_hi):
-    """Random hfs over `size` universe positions."""
-    z = stream.state
-    out = []
-    for _ in range(size):
-        z, hfe = _draw_hfe(z, den, card_lo, card_hi)
-        out.append(hfe)
-    stream.state = z
-    return tuple(out)
+    """Random hfe: `gen_hfs` at one universe position."""
+    return gen_hfs(stream, den, 1, card_lo, card_hi)[0]

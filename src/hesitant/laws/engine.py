@@ -93,6 +93,11 @@ def _extend(h: int, data: bytes) -> int:
     return h
 
 
+# A zero byte only multiplies the FNV-1a state by the prime, so n trailing
+# zero bytes fold into one multiply by _FNV_POWERS[n].
+_FNV_POWERS = tuple(pow(_FNV_PRIME, n, 1 << 64) for n in range(9))
+
+
 # --- the trial loop ------------------------------------------------------------
 
 
@@ -103,7 +108,8 @@ def _trials(law: Law, alg: Algebra, config: GeneratorConfig):
     it is None when either rejects the draw (starvation). Each trial draws
     from its own stream, so a trial depends only on (seed, law id, index):
     its seed is `_mix(seed, law id, index)`, computed here by hashing the
-    (seed, law id) prefix once and extending it by the index bytes.
+    (seed, law id) prefix once and extending it by the index bytes, the
+    trailing zero bytes in one multiply.
     """
     contexts = {
         size: g.GenContext(
@@ -118,7 +124,8 @@ def _trials(law: Law, alg: Algebra, config: GeneratorConfig):
     }
     prefix = _mix(config.seed, law.id)
     for index in range(config.trials):
-        stream = active.Stream(_extend(prefix, index.to_bytes(8, "little")))
+        data = index.to_bytes(8, "little").rstrip(b"\0")
+        stream = active.Stream(_extend(prefix, data) * _FNV_POWERS[8 - len(data)] & _MASK64)
         size = stream.randint(*config.universe_size)
         binding = law.gen(alg, stream, contexts[size])
         if binding is not None and law.guard is not None and not law.guard(alg, binding):

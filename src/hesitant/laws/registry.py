@@ -264,7 +264,9 @@ def for_some(body, family: str = "F") -> Each:
 
 
 class Subfamily(NamedTuple):
-    """small ⊏ big: every member of small is a member of big."""
+    """small ⊏ big: small is a sub-multiset of big (its index set is a
+    subset of big's). Each member of big matches at most one member of
+    small, so a member that small holds twice, big must hold twice."""
 
     small: str
     big: str
@@ -276,7 +278,15 @@ class Subfamily(NamedTuple):
         small, big = self.small, self.big
 
         def subfamily(k, one, b):
-            return all(any(k.u_equal(h1, h2) for h2 in b[big]) for h1 in b[small])
+            unmatched = list(b[big])
+            for h1 in b[small]:
+                for j, h2 in enumerate(unmatched):
+                    if k.u_equal(h1, h2):
+                        del unmatched[j]
+                        break
+                else:
+                    return False
+            return True
 
         return subfamily
 

@@ -252,7 +252,18 @@ def family_fold(op: SetOp, fam: Family) -> HFS:
 
 
 def is_subfamily(f1: Family, f2: Family) -> bool:
-    """True iff every member of f1 equals (as multisets) some member of f2."""
+    """f1 ⊏ f2: True iff f1 is a sub-multiset of f2, matching members by
+    equality (degrees as multisets, names ignored).
+
+    Multiplicity counts: each member of f2 matches at most one member of f1,
+    so a family holding X twice is not a subfamily of one holding X once.
+    """
     if f1.universe != f2.universe:
         raise UniverseMismatchError("families live on different universes")
-    return all(any(a == b for b in f2.sets) for a in f1.sets)
+    unmatched = list(f2.sets)
+    for a in f1.sets:
+        try:
+            unmatched.remove(a)
+        except ValueError:
+            return False
+    return True

@@ -99,6 +99,105 @@ def test_canon_and_errors(compiled):
             k.u_rel(17, ((1,),), ((1,),))
 
 
+# --- the set loops against the per-element definitions ----------------------
+#
+# The pure kernel runs each set-level function as one loop over the universe
+# positions. Below are the element-level definitions they replaced, applied
+# position by position; both must agree on every input, on grids past 2**64.
+
+
+def _union(a, b):
+    lo = a[-1] if a[-1] >= b[-1] else b[-1]
+    return tuple(sorted((g for g in a + b if g >= lo), reverse=True))
+
+
+def _inter(a, b):
+    hi = a[0] if a[0] <= b[0] else b[0]
+    return tuple(sorted((g for g in a + b if g <= hi), reverse=True))
+
+
+def _rel(code, a, b):
+    if code == pure.REL_P:
+        return a[0] <= b[0]
+    if code == pure.REL_A:
+        return a[0] <= b[0] and a[-1] <= b[-1]
+    if code == pure.REL_M:
+        return sum(a) * len(b) <= sum(b) * len(a)
+    if code == pure.REL_S:
+        return len(a) >= len(b) and all(b[i] >= a[i] for i in range(len(b)))
+    if code == pure.REL_T:
+        return len(a) < len(b) and all(b[i] >= a[i] for i in range(len(a)))
+    return a[0] <= b[-1]
+
+
+@st.composite
+def _hfs_pair(draw):
+    """Two hfss of possibly different lengths on one grid (zip stops at the
+    shorter), with a unit `one` that may pass 2**64."""
+    one = draw(st.sampled_from([1, 10, 2**64 - 1, 2**64 + 13, 3**50]))
+    hfe = st.lists(st.integers(0, one), min_size=1, max_size=7).map(
+        lambda v: tuple(sorted(v, reverse=True))
+    )
+    A = tuple(draw(st.lists(hfe, max_size=5)))
+    B = tuple(draw(st.lists(hfe, max_size=5)))
+    return one, A, B
+
+
+@given(_hfs_pair())
+def test_set_loops_equal_the_per_element_definitions(pair):
+    one, A, B = pair
+    pairs = list(zip(A, B))
+    assert pure.u_union(A, B) == tuple(_union(a, b) for a, b in pairs)
+    assert pure.u_inter(A, B) == tuple(_inter(a, b) for a, b in pairs)
+    assert pure.u_compl(A, one) == tuple(tuple(one - g for g in reversed(a)) for a in A)
+    for code in range(6):
+        assert pure.u_rel(code, A, B) == all(_rel(code, a, b) for a, b in pairs)
+    sot = [1 if _rel(pure.REL_S, a, b) else 2 if _rel(pure.REL_T, a, b) else 0 for a, b in pairs]
+    assert pure.u_sot(A, B) == all(sot)
+    for (a, b), verdict in zip(pairs, sot):
+        assert pure.e_sot(a, b) == verdict
+        assert pure.e_union(a, b) == _union(a, b)
+        assert pure.e_inter(a, b) == _inter(a, b)
+        assert pure.e_compl(a, one) == tuple(one - g for g in reversed(a))
+        assert [pure.e_rel(c, a, b) for c in range(6)] == [_rel(c, a, b) for c in range(6)]
+
+
+def test_unknown_relation_code_raises_value_error(compiled):
+    """Codes outside 0..5 raise ValueError once a position is compared; an
+    empty set compares none."""
+    for k in (pure, compiled):
+        for code in (-1, 6, 17):
+            with pytest.raises(ValueError):
+                k.e_rel(code, (1,), (1,))
+            with pytest.raises(ValueError):
+                k.u_rel(code, ((1,), (2,)), ((1,), (2,)))
+            assert k.u_rel(code, (), ()) is True
+
+
+# Every function that reads the degrees of an hfe rejects an empty one with
+# IndexError, in both kernels alike.
+EMPTY_HFE = {
+    "e_union_empty_a": "k.u_union(((),), ((1,),))",
+    "e_union_empty_b": "k.u_union(((1,),), ((),))",
+    "e_inter_empty_b": "k.u_inter(((1,),), ((),))",
+    "e_rel_p_empty_a": "k.e_rel(0, (), (1,))",
+    "e_rel_n_empty_b": "k.e_rel(5, (1,), ())",
+    "e_rel_empty_each": "[(k.e_rel(c, (), (1,)), k.e_rel(c, (1,), ())) for c in (2, 3, 4)]",
+    "e_rel_m_empty_a": "k.e_rel(2, (), (1, 0))",
+    "e_rel_m_empty_b": "k.e_rel(2, (1,), ())",
+    "e_rel_m_empty_both": "k.e_rel(2, (), ())",
+    "e_rel_s_empty_a": "k.e_rel(3, (), (1,))",
+    "e_rel_s_empty_b": "k.e_rel(3, (1, 0), ())",
+    "e_rel_s_empty_both": "k.e_rel(3, (), ())",
+    "e_rel_t_empty_a": "k.e_rel(4, (), (1, 0))",
+    "e_rel_t_empty_b": "k.e_rel(4, (1,), ())",
+    "u_rel_m_empty_later": "k.u_rel(2, ((1,), ()), ((1,), (1,)))",
+    "e_sot_empty_a": "k.u_sot(((),), ((1,),))",
+    "e_sot_empty_b": "k.u_sot(((1,),), ((),))",
+    "e_compl_empty": "k.u_compl(((),), 1)",
+    "u_compl_empty_later": "k.u_compl(((1,), ()), 1)",
+}
+
 # Each probe is an expression over `k`, a kernel module, evaluated on the
 # compiled and on the pure kernel. The compiled kernel must not crash: it
 # returns pure's value, or raises where pure raises. Only the probes in
@@ -117,13 +216,7 @@ PROBES = {
     "u_sot_short_b": "k.u_sot(((3, 1), (2,), (5,)), ((4,),))",
     "u_union_list_hfe": "k.u_union(([1],), ((1,),))",
     "u_rel_list_hfe": "k.u_rel(0, ([1],), ((1,),))",
-    "e_union_empty_a": "k.u_union(((),), ((1,),))",
-    "e_union_empty_b": "k.u_union(((1,),), ((),))",
-    "e_inter_empty_b": "k.u_inter(((1,),), ((),))",
-    "e_rel_p_empty_a": "k.e_rel(0, (), (1,))",
-    "e_rel_n_empty_b": "k.e_rel(5, (1,), ())",
-    "e_rel_empty_each": "[(k.e_rel(c, (), (1,)), k.e_rel(c, (1,), ())) for c in (2, 3, 4)]",
-    "e_sot_empty_a": "k.u_sot(((),), ((1,),))",
+    **EMPTY_HFE,
     "e_rel_m_wraps": "k.e_rel(2, (2**62, 2**62), (1,))",
     "e_rel_m_extremes": "k.e_rel(2, (2**63 - 1,) * 40, (-2**63,) * 3)",
     "gen_hfe_empty_range": "k.gen_hfe(k.Stream(7), 100, 5, 1)",
@@ -173,3 +266,10 @@ def test_boundary_probe(compiled, name):
     assert proc.returncode == 0, proc.stderr
     verdict = proc.stdout.split()
     assert verdict[0] in (("same", "raised") if name in MAY_RAISE else ("same",)), verdict
+
+
+@pytest.mark.parametrize("name", EMPTY_HFE)
+def test_empty_hfe_raises_index_error(compiled, name):
+    for k in (pure, compiled):
+        with pytest.raises(IndexError):
+            eval(EMPTY_HFE[name], {"k": k})

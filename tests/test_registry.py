@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from hesitant import (
+    Family,
     UnknownLawError,
     Universe,
     evaluate_law,
@@ -114,6 +115,18 @@ def test_evaluate_law_validates_binding():
     other = make_hfs(Universe(["y"]), {"y": ["0.5"]})
     with pytest.raises(Exception):
         evaluate_law("prop2.3", {"A": A, "B": other})
+
+
+@pytest.mark.parametrize("law", ["thm6.7", "thm6.8"])
+def test_subfamily_premise_counts_multiplicity(law):
+    """F1 = [X, X] is not a subfamily of F2 = [X]. Read without
+    multiplicity, the premise held and the claim failed: the union fold
+    doubles X's degrees to {0.25, 0.25, 0, 0}."""
+    uni = Universe(["x"])
+    X = make_hfs(uni, {"x": ["0.25", "0"]})
+    twice, once = Family([("a", X), ("b", X)]), Family([("c", X)])
+    assert evaluate_law(law, {"F1": twice, "F2": once})["guard"] is False
+    assert evaluate_law(law, {"F1": once, "F2": twice}) == {"guard": True, "claim": True}
 
 
 def test_absorption_claim_true_while_mean_equality_fails():

@@ -108,6 +108,16 @@ def test_is_subfamily_uses_multiset_equality():
     assert is_subfamily(fam, fam)
 
 
+def test_is_subfamily_counts_multiplicity():
+    """Each member of the larger family matches at most one member of the
+    smaller: [X, X] is not a subfamily of [X]."""
+    X = make_hfs(Universe(["x"]), {"x": ["0.25", "0"]})
+    once, twice = Family([("c", X)]), Family([("a", X), ("b", X)])
+    assert not is_subfamily(twice, once)
+    assert is_subfamily(once, twice)
+    assert is_subfamily(twice, twice)
+
+
 @given(st.data())
 def test_family_fold_order_independent(data):
     uni = Universe(["x", "y"])

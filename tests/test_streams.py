@@ -1,13 +1,14 @@
 """The pure kernel's random streams are pinned to a method-per-draw oracle.
 
-`_pykernel` runs its SplitMix64 draws inline on a local copy of the stream
-state. The oracle below is the plain form: every draw goes through `u64`.
-Both must produce the same numbers, the same hfes and hfss, and leave the
-stream in the same state, so that a draw after a generation call continues
-the same sequence.
+`_pykernel` computes its SplitMix64 outputs a block at a time and reads the
+draws from that buffer. The oracle below is the plain form: every draw goes
+through `u64`, which advances the state once. Both must produce the same
+numbers, the same hfes and hfss, and show the same state between calls, so
+that a draw after a generation call continues the same sequence.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hesitant._kernel import _pykernel as pure
 from hesitant.laws.engine import _extend, _mix
@@ -88,6 +89,45 @@ def test_interleaved_calls_hand_the_state_over(seed):
         assert a.randint(1, 4) == b.randint(1, 4)
         assert pure.gen_hfe(a, den, lo, hi) == _oracle_gen_hfe(b, den, lo, hi)
         assert a.below(den + 1) == b.below(den + 1)
+    assert a.state == b.state
+
+
+_BIG = 2**64
+_CARD = st.integers(-3, 80)  # past one 32-output block; lo > hi reverses the range
+_CALLS = st.one_of(
+    st.tuples(st.just("u64")),
+    st.tuples(st.just("below"), st.integers(1, _BIG)),
+    st.tuples(st.just("randint"), st.integers(-_BIG, _BIG), st.integers(-_BIG, _BIG)),
+    st.tuples(st.just("gen_hfe"), st.sampled_from(DENS), _CARD, _CARD),
+    st.tuples(st.just("gen_hfs"), st.sampled_from(DENS), st.integers(0, 5), _CARD, _CARD),
+    st.tuples(st.just("read")),
+    st.tuples(st.just("write"), st.integers(-_BIG, 4 * _BIG)),
+)
+
+
+def _call(stream, gen_hfe, gen_hfs, call):
+    name, *args = call
+    if name == "read":
+        return stream.state
+    if name == "write":
+        stream.state = args[0]
+        return None
+    if name == "gen_hfe":
+        return gen_hfe(stream, *args)
+    if name == "gen_hfs":
+        return gen_hfs(stream, *args)
+    return getattr(stream, name)(*args)
+
+
+@given(st.integers(-_BIG, 2 * _BIG), st.lists(_CALLS, max_size=60))
+def test_random_interleavings_match_the_oracle(seed, calls):
+    """Any sequence of draws, generation calls and state reads and writes
+    gives the oracle's values, mid-block writes and multi-block hfes
+    included."""
+    a, b = _pair(seed)
+    for call in calls:
+        got = _call(a, pure.gen_hfe, pure.gen_hfs, call)
+        assert got == _call(b, _oracle_gen_hfe, _oracle_gen_hfs, call), call
     assert a.state == b.state
 
 
