@@ -26,6 +26,10 @@ SCALE = 10**MAX_FRACTION_DIGITS
 # ASCII digits only: `\d` would also take other scripts' digits, which `int`
 # then reads as the same values.
 _DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]+))?")
+# A membership list whose degrees all have a plain form ("0", "0.45", "1",
+# "1.00"), joined with commas.
+_PLAIN = rf"(?:0(?:\.[0-9]{{1,{MAX_FRACTION_DIGITS}}})?|1(?:\.0{{1,{MAX_FRACTION_DIGITS}}})?)"
+_PLAIN_ROW = re.compile(f"{_PLAIN}(?:,{_PLAIN})*")
 
 
 def parse_grid(text: str) -> int:
@@ -51,6 +55,25 @@ def parse_grid(text: str) -> int:
     if len(whole) > 1 or (value := int(whole + frac.ljust(MAX_FRACTION_DIGITS, "0"))) > SCALE:
         raise DegreeError(f"degree {shown(text)} is outside [0, 1]")
     return value
+
+
+def parse_grid_row(texts) -> list[int]:
+    """`parse_grid` over one membership list, in list order.
+
+    A list written only in the plain forms "0", "0.d" with one to nine
+    digits, "1" and "1.0…0" (these cover all that `save_document` writes) is
+    checked by one match over the joined strings and converted in one pass.
+    Any other list goes through `parse_grid` degree by degree, so it gets the
+    same values, and the error names the first bad degree.
+    """
+    try:
+        joined = ",".join(texts)
+    except TypeError:  # a non-string degree
+        joined = ""
+    # A degree that contains the separator itself would read as two degrees.
+    if _PLAIN_ROW.fullmatch(joined) and joined.count(",") == len(texts) - 1:
+        return [int(t[2:].ljust(MAX_FRACTION_DIGITS, "0")) if t[0] == "0" else SCALE for t in texts]
+    return [parse_grid(t) for t in texts]
 
 
 def parse_degree(text: str) -> Fraction:

@@ -13,23 +13,30 @@ A document is a JSON object::
 Degrees are decimal strings on the wire only; a `Document` holds each set as
 its canonical `HFS`, one integer grid over one denominator. Loading
 validates totality and ranges (errors carry the set/element path) and parses
-each degree string once, straight onto a grid over 10**9. Saving formats
-each degree of the grid once, canonically: set and family names sorted,
-memberships in universe order, degrees descending in minimal decimal form.
-So saving is byte-stable, load(save(doc)) == doc, and a set with a degree
-that has no exact decimal form (1/3) is refused at construction with a
-`DegreeError`.
+each degree string once, straight onto a grid over 10**9: `parse_grid_row`
+checks a membership list of plain decimals with one match and converts it in
+one pass, and hands any other list to `parse_grid` degree by degree.
+
+Saving is canonical: set and family names sorted, memberships in universe
+order, degrees descending in minimal decimal form, each set's degrees
+brought onto 10**9 by one multiplier. The bytes are those of `json.dumps`
+with `indent=2` and `ensure_ascii=False`, laid out by hand around the C
+string escaper of the `json` module. So saving is byte-stable,
+load(save(doc)) == doc, and a set with a degree that has no exact decimal
+form (1/3) is refused at construction with a `DegreeError`. Set and family
+names must be strings.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as quote
 from typing import Mapping, Sequence
 
 # `format_degree` and `parse_degree` stay bound here for perfbench/tracing.py,
 # which rebinds them in this module; documents parse and format on the grid.
-from .degrees import SCALE, DegreeError, format_degree, format_grid, parse_degree, parse_grid
+from .degrees import SCALE, DegreeError, format_degree, format_grid, parse_degree, parse_grid_row
 from .errors import DocumentError, shown
 from .sets import HFS, Family, Universe
 
@@ -38,7 +45,11 @@ def _decimals(s: HFS) -> list[list[str]]:
     """A set's degrees as minimal decimal strings, per element; raises
     DegreeError for the first degree with no exact decimal form."""
     den = s._den
-    return [[format_grid(n, den) for n in h] for h in s._grid]
+    scale, rest = divmod(SCALE, den)
+    if rest:  # `format_grid` raises the error that names the degree
+        return [[format_grid(n, den) for n in h] for h in s._grid]
+    # `format_grid`, with one multiplier onto SCALE for the whole set.
+    return [[f"0.{n * scale:09d}".rstrip("0") if 0 < n < den else "1" if n else "0" for n in h] for h in s._grid]
 
 
 def _universe(elements) -> Universe:
@@ -60,6 +71,8 @@ class Document:
         canon_sets: dict[str, HFS] = {}
         for name in sorted(self.sets):
             s = self.sets[name]
+            if not isinstance(name, str):
+                raise DocumentError(f"set name {shown(name)} is not a string")
             if not isinstance(s, HFS):
                 raise DocumentError(f"set {shown(name)}: expected an HFS")
             if s.universe != uni:
@@ -71,6 +84,8 @@ class Document:
         canon_families: dict[str, tuple[str, ...]] = {}
         for fname in sorted(self.families):
             members = self.families[fname]
+            if not isinstance(fname, str):
+                raise DocumentError(f"family name {shown(fname)} is not a string")
             if (
                 isinstance(members, str)
                 or not isinstance(members, Sequence)
@@ -128,18 +143,18 @@ def _parse_set(name: str, memberships: Mapping, uni: Universe) -> HFS:
     missing = [e for e in uni if e not in memberships]
     if missing:
         raise DocumentError(f"set {shown(name)}: missing element {shown(missing[0])}")
-    extra = [e for e in memberships if e not in uni]
-    if extra:
+    if len(memberships) != len(uni):  # then some element is not in the universe
+        extra = [e for e in memberships if e not in uni]
         raise DocumentError(f"set {shown(name)}: unknown element {shown(sorted(extra)[0])}")
     grid = []
     for e in uni:
         degrees = memberships[e]
-        if isinstance(degrees, str) or not isinstance(degrees, Sequence):
+        if not isinstance(degrees, list):  # json.loads makes every array a list
             raise DocumentError(f"set {shown(name)}, element {shown(e)}: expected a list of degrees")
         if not degrees:
             raise DocumentError(f"set {shown(name)}, element {shown(e)}: membership is empty")
         try:
-            grid.append(tuple(sorted(map(parse_grid, degrees), reverse=True)))
+            grid.append(tuple(sorted(parse_grid_row(degrees), reverse=True)))
         except DegreeError as exc:
             raise DocumentError(f"set {shown(name)}, element {shown(e)}: {exc}") from None
     return HFS._from_grid(uni, tuple(grid), SCALE)
@@ -180,11 +195,31 @@ def load_document(source) -> Document:
 
 
 def save_document(doc: Document) -> bytes:
-    """Canonical serialization; an empty families section is omitted."""
-    payload: dict = {
-        "universe": list(doc.universe),
-        "sets": {name: dict(zip(doc.universe, _decimals(s))) for name, s in doc.sets.items()},
-    }
+    """Canonical serialization; an empty families section is omitted.
+
+    Writes the bytes of `json.dumps(payload, indent=2, ensure_ascii=False)`
+    plus a newline, from one list of pieces. Names and element ids go
+    through the string escaper that call uses; degrees are digits and a
+    point, which need no escaping.
+    """
+    universe = [quote(e) for e in doc.universe]
+    out = ['{\n  "universe": [\n    ', ",\n    ".join(universe), '\n  ],\n  "sets": {']
+    heads = [f'      {e}: [\n        "' for e in universe]
+    between = '",\n        "'
+    sep = "\n    "
+    for name, s in doc.sets.items():
+        out += sep, quote(name), ": {\n"
+        for head, row in zip(heads, _decimals(s)):
+            out += head, between.join(row), '"\n      ],\n'
+        out[-1] = '"\n      ]\n    }'  # no comma after the last membership
+        sep = ",\n    "
+    out.append("\n  }" if doc.sets else "}")
     if doc.families:
-        payload["families"] = {name: list(v) for name, v in doc.families.items()}
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        out.append(',\n  "families": {')
+        sep = "\n    "
+        for name, members in doc.families.items():
+            out += sep, quote(name), ": [\n      ", ",\n      ".join(map(quote, members)), "\n    ]"
+            sep = ",\n    "
+        out.append("\n  }")
+    out.append("\n}\n")
+    return "".join(out).encode("utf-8")

@@ -421,6 +421,8 @@ def run_suite(
     only on (config, law id) and are assembled in registry order. At most
     one worker process runs per law and per CPU.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     started = time.perf_counter()
     if law_ids is None:
         laws = list(law_registry())

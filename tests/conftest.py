@@ -23,6 +23,26 @@ settings.load_profile("default")
 grid_degrees = st.integers(min_value=0, max_value=100).map(lambda k: Fraction(k, 100))
 
 
+# membership lists as a document carries them: plain decimal strings (the
+# forms save_document writes), or anything else JSON can hold
+plain_degree_texts = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "1.0", "1.000000000", "0.000000001"]),
+    st.text("0123456789", min_size=1, max_size=9).map(lambda digits: "0." + digits),
+    st.integers(1, 9).map(lambda zeros: "1." + "0" * zeros),
+)
+degree_texts = st.one_of(
+    plain_degree_texts,
+    st.sampled_from([" 0.5", "0.5 ", "\t1\n", "00.5", "01", "0.1234567890", "1.0000000000", "1.000000001",
+                     "\u0663", "", ".5", "5.", "0.", "2", "+0.5", "0,5", "0.5,0.3", "0.5\x000.3", "1,0"]),
+    st.text("01.,5 \x00\u0663", max_size=12),
+    st.integers(-2, 2), st.booleans(), st.none(), st.floats(0, 1),
+)
+degree_lists = st.one_of(
+    st.lists(plain_degree_texts, min_size=1, max_size=6),
+    st.lists(degree_texts, min_size=1, max_size=6),
+)
+
+
 @st.composite
 def hfes(draw, max_size=6, degrees=grid_degrees):
     values = draw(st.lists(degrees, min_size=1, max_size=max_size))

@@ -244,6 +244,14 @@ def test_check_unknown_law_message(capsys):
     assert err == "error: unknown law id 'nope'\n"
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_check_rejects_fewer_than_one_worker(capsys, workers):
+    code, out, err = run_cli(capsys, "check", "--law", "thm1.1", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: workers must be at least 1, got {workers}\n"
+
+
 @pytest.mark.parametrize(
     "doc, start",
     [

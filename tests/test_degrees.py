@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hesitant import DegreeError, format_degree, parse_degree, render_rational
-from hesitant.degrees import SCALE, coerce_degree, format_grid, parse_grid
+from hesitant.degrees import SCALE, coerce_degree, format_grid, parse_grid, parse_grid_row
+
+from conftest import degree_lists
 
 
 def test_parse_exact_decimals():
@@ -91,3 +93,32 @@ def test_grid_round_trip(num):
     assert parse_degree(format_degree(value)) == value
     assert format_grid(num, SCALE) == format_degree(value)
     assert parse_grid(format_grid(num, SCALE)) == num
+
+
+def _parsed(parse, texts):
+    try:
+        return parse(texts)
+    except DegreeError as exc:
+        return str(exc)
+
+
+@given(degree_lists)
+def test_row_parser_matches_parse_grid_per_degree(texts):
+    assert _parsed(parse_grid_row, texts) == _parsed(lambda ts: [parse_grid(t) for t in ts], texts)
+
+
+@pytest.mark.parametrize(
+    "texts, expected",
+    [
+        (["0", "0.5", "1", "1.000000000", "0.123456789"], [0, 500_000_000, SCALE, SCALE, 123_456_789]),
+        ([" 0.5", "00.5", "0.50"], [500_000_000] * 3),
+        (["0.5", "0.5,0.3"], "malformed degree '0.5,0.3': expected a plain decimal like 0.45"),
+        (["0.5\x000.3"], "malformed degree '0.5\\x000.3': expected a plain decimal like 0.45"),
+        (["0.5", "", "٣"], "malformed degree '': expected a plain decimal like 0.45"),
+        (["0.1234567890"], "degree '0.1234567890' has 10 fractional digits; at most 9 are accepted"),
+        (["0.5", 0.5, None], "degree must be a decimal string, got float"),
+        (["1.5", True], "degree '1.5' is outside [0, 1]"),
+    ],
+)
+def test_row_parser_values_and_first_error(texts, expected):
+    assert _parsed(parse_grid_row, texts) == expected

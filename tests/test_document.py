@@ -2,10 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import hesitant.degrees
 import hesitant.document
 from hesitant import (
+    HFS,
     Document,
     DegreeError,
     DocumentError,
@@ -16,7 +18,11 @@ from hesitant import (
     make_hfs,
     save_document,
     set_equality,
+    Universe,
 )
+from hesitant.degrees import SCALE, format_grid, parse_grid
+
+from conftest import degree_lists
 
 
 def _abc_doc_text() -> str:
@@ -147,22 +153,109 @@ def test_with_set_rejects_a_foreign_universe():
 
 
 def test_degree_strings_are_parsed_once_at_load(monkeypatch):
-    calls = []
-    parse = hesitant.degrees.parse_grid
+    rows, singles = [], []
+    parse_row, parse = hesitant.degrees.parse_grid_row, hesitant.degrees.parse_grid
+
+    def counted_row(texts):
+        rows.append(list(texts))
+        return parse_row(texts)
 
     def counted(text):
-        calls.append(text)
+        singles.append(text)
         return parse(text)
 
+    monkeypatch.setattr(hesitant.document, "parse_grid_row", counted_row)
     monkeypatch.setattr(hesitant.degrees, "parse_grid", counted)
-    monkeypatch.setattr(hesitant.document, "parse_grid", counted)
     text = _abc_doc_text()
     doc = load_document(text)
     data = json.loads(text)
-    assert len(calls) == sum(len(v) for mem in data["sets"].values() for v in mem.values())
-    calls.clear()
+    # One row parse per membership list, and the plain degrees never reach
+    # the per-degree parser.
+    assert sorted(rows) == sorted(v for mem in data["sets"].values() for v in mem.values())
+    assert singles == []
+    rows.clear()
     for name in doc.set_names():
         doc.hfs(name)
     out = doc.with_set("AB", doc.hfs("A") | doc.hfs("B"))
     save_document(out)
-    assert calls == []
+    assert rows == [] and singles == []
+
+
+# --- save: the hand-laid layout against json.dumps ------------------------
+
+# Characters that JSON escapes, or that only ensure_ascii=True would escape.
+_AWKWARD = '"\\/\x00\x01\x1f\x7f\n\t\b\u2028\u2029éß€😀'
+_names = st.text(st.one_of(st.sampled_from(_AWKWARD), st.characters(blacklist_categories=("Cs",))), max_size=6)
+
+
+def _dumps_save(doc: Document) -> bytes:
+    """The oracle: the `json.dumps` layout that `save_document` writes by hand."""
+    payload: dict = {
+        "universe": list(doc.universe),
+        "sets": {
+            name: {e: [format_grid(n, s._den) for n in h] for e, h in zip(doc.universe, s._grid)}
+            for name, s in doc.sets.items()
+        },
+    }
+    if doc.families:
+        payload["families"] = {name: list(v) for name, v in doc.families.items()}
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+@st.composite
+def _documents(draw):
+    universe = draw(st.lists(_names.filter(bool), min_size=1, max_size=6, unique=True))
+
+    def membership():
+        den = 10 ** draw(st.sampled_from([2, 9]))
+        degree = st.one_of(st.just(0), st.just(den), st.integers(0, den))
+        return [Fraction(k, den) for k in draw(st.lists(degree, min_size=1, max_size=4))]
+
+    sets = {name: make_hfs(universe, {e: membership() for e in universe})
+            for name in draw(st.lists(_names, max_size=4, unique=True))}
+    families = {}
+    if sets and draw(st.booleans()):
+        members = st.lists(st.sampled_from(sorted(sets)), min_size=1, max_size=len(sets), unique=True)
+        families = draw(st.dictionaries(_names, members, max_size=3))
+    return Document(universe=tuple(universe), sets=sets, families=families)
+
+
+@given(_documents())
+def test_save_writes_the_json_dumps_layout(doc):
+    blob = save_document(doc)
+    assert blob == _dumps_save(doc)
+    assert load_document(blob) == doc
+
+
+def test_save_layout_of_the_edge_shapes():
+    x = make_hfs(["x"], {"x": ["1", "0", "0.000000001", "0.99"]})
+    for doc in (
+        Document(universe=("x",), sets={}),
+        Document(universe=("x",), sets={"": x}),
+        Document(universe=("x",), sets={"A": x, "B": x}, families={"F": ("B", "A"), "": ("A",)}),
+        *fixture_documents().values(),
+    ):
+        assert save_document(doc) == _dumps_save(doc)
+
+
+def test_set_and_family_names_must_be_strings():
+    x = make_hfs(["x"], {"x": ["0.5"]})
+    with pytest.raises(DocumentError, match="set name 1 is not a string"):
+        Document(universe=("x",), sets={1: x})
+    with pytest.raises(DocumentError, match="family name None is not a string"):
+        Document(universe=("x",), sets={"A": x}, families={None: ("A",)})
+
+
+# --- load: the row parser against parse_grid per degree --------------------
+
+@given(degree_lists)
+def test_load_parses_each_list_as_parse_grid_does(texts):
+    text = json.dumps({"universe": ["x"], "sets": {"A": {"x": texts}}})
+    try:
+        expected = sorted((parse_grid(t) for t in texts), reverse=True)
+    except DegreeError as exc:
+        with pytest.raises(DocumentError) as info:
+            load_document(text)
+        assert str(info.value) == f"set 'A', element 'x': {exc}"
+    else:
+        assert load_document(text).hfs("A") == HFS._from_grid(Universe(["x"]), (tuple(expected),), SCALE)

@@ -157,6 +157,12 @@ def test_workers_capped_by_laws_and_cpus(monkeypatch, cpus, expected):
     assert report.canonical_json() == run_suite(cfg, law_ids=law_ids).canonical_json()
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_suite_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_suite(GeneratorConfig(trials=1), law_ids=["thm1.1"], workers=workers)
+
+
 def test_stream_derivation_pinned():
     """Streams, bindings and reports are a fixed function of the config:
     these digests must hold on every kernel and after any refactor."""
