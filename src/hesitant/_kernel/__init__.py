@@ -1,8 +1,8 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
 The compiled extension is the hand-written C module `_ckernel.c`, built by
-`setup.py` when a C compiler is present; it has the part of `_pykernel`, its
-pure-Python twin, that the trials call.
+`setup.py` when a C compiler is present; it exports exactly the public names
+of `_pykernel`, its pure-Python twin.
 
 Both kernels take int numerators over a common denominator. `active` is the
 module of the law engine's randomized trials: `laws.algebra.grid_algebra`

@@ -217,7 +217,7 @@ static PyObject *compl(PyObject *a, PyObject *one) {
     return t;
 }
 
-/* e_union, e_inter, or e_compl with b the unit `one` */
+/* The union, intersection, or complement (b the unit `one`) of one position */
 static PyObject *elem(int op, PyObject *a, PyObject *b) {
     return op == COMPL ? compl(a, b) : combine(a, b, op == UNION);
 }
@@ -344,7 +344,7 @@ FASTCALL(u_union) { return u_map("u_union", UNION, args, nargs); }
 FASTCALL(u_inter) { return u_map("u_inter", INTER, args, nargs); }
 FASTCALL(u_compl) { return u_map("u_compl", COMPL, args, nargs); }
 
-/* all(test(a, b) for a, b in zip(A, B)), the test being e_sot(a, b) != 0
+/* all(test(a, b) for a, b in zip(A, B)), the test being a ⊂s b or a ⊂t b
  * or else ⊂code. The code is checked only once it is used, as in pure. */
 static PyObject *u_all(PyObject *A, PyObject *B, int is_sot, long code) {
     Py_ssize_t n = zip_len(A, B);

@@ -10,7 +10,8 @@ raises IndexError for an empty one.
 
 Each set-level function (`u_union`, `u_inter`, `u_compl`, `u_rel`, `u_sot`)
 is one loop over the universe positions, and holds the only copy of its
-semantics: the element-level `e_*` functions are its one-position case.
+semantics: an element value is the one-position case, as `e_rel` is of
+`u_rel`.
 
 Random generation draws from a SplitMix64 `Stream`. Output i of a stream is
 the mix of state + i·γ, so a stream computes its outputs a block at a time,
@@ -19,12 +20,12 @@ one per 128-bit lane of a single Python int, and `u64`, `below`, `randint`,
 the `state` seen between calls are exactly those of one `u64` call per draw;
 `tests/test_streams.py` pins that against a method-per-draw oracle.
 
-The compiled twin, the hand-written C module `_ckernel.c`, has only what the
-trials call (`Stream`, `canon`, `e_rel`, `u_*`, `gen_hfe`, `gen_hfs`), with
-the identical contract for degrees that fit int64, including bit-identical
-random streams: for every input it returns exactly what this module returns
-or raises a Python exception (`OverflowError` outside int64, `TypeError` for
-an hfe that is not a tuple). `tests/test_kernel.py` pins the equivalence.
+The compiled twin, the hand-written C module `_ckernel.c`, has exactly the
+public names of this module, with the identical contract for degrees that
+fit int64, including bit-identical random streams: for every input it
+returns exactly what this module returns or raises a Python exception
+(`OverflowError` outside int64, `TypeError` for an hfe that is not a tuple).
+`tests/test_kernel.py` pins the names and the equivalence.
 """
 
 from __future__ import annotations
@@ -141,33 +142,6 @@ def canon(values):
     return tuple(sorted(values, reverse=True))
 
 
-def pointwise_leq(v, w):
-    """True iff v[i] <= w[i] for every position (lengths must match)."""
-    if len(v) != len(w):
-        raise ValueError(f"length mismatch: {len(v)} vs {len(w)}")
-    return all(v[i] <= w[i] for i in range(len(v)))
-
-
-def best_q(a, q):
-    """The q largest degrees of a descending tuple, with multiplicity."""
-    if not 1 <= q <= len(a):
-        raise ValueError(f"q={q} out of range 1..{len(a)}")
-    return a[:q]
-
-
-def is_subseq(sub, whole):
-    """Multiset containment of descending tuples (multiplicity-aware)."""
-    i = 0
-    n = len(whole)
-    for g in sub:
-        while i < n and whole[i] > g:
-            i += 1
-        if i >= n or whole[i] != g:
-            return False
-        i += 1
-    return True
-
-
 # --- set level: tuples of hfes, pointwise over universe positions ---
 
 
@@ -274,31 +248,10 @@ def u_equal(A, B):
     return A == B
 
 
-# --- element level: the one-position case of the set level ---
-
-
-def e_union(a, b):
-    return u_union((a,), (b,))[0]
-
-
-def e_inter(a, b):
-    return u_inter((a,), (b,))[0]
-
-
-def e_compl(a, one):
-    return u_compl((a,), one)[0]
-
-
 def e_rel(code, a, b):
-    """The six inclusion relations on descending degree tuples."""
+    """The six inclusion relations on descending degree tuples: `u_rel` at
+    one position."""
     return u_rel(code, (a,), (b,))
-
-
-def e_sot(a, b):
-    """Classify strong-or-tail: 1 if a ⊂s b, 2 if a ⊂t b, else 0."""
-    if not u_sot((a,), (b,)):
-        return 0
-    return 1 if len(a) >= len(b) else 2
 
 
 # --- random generation on the integer grid ---

@@ -59,6 +59,14 @@ def _universe(elements) -> Universe:
         raise DocumentError(f"universe: {exc}") from None
 
 
+def _check_names(kind: str, names) -> None:
+    """Refuse the first name that is not a string, before any sorting
+    compares names."""
+    for name in names:
+        if not isinstance(name, str):
+            raise DocumentError(f"{kind} name {shown(name)} is not a string")
+
+
 @dataclass(frozen=True)
 class Document:
     universe: tuple[str, ...]
@@ -68,11 +76,10 @@ class Document:
     def __post_init__(self) -> None:
         uni = _universe(self.universe)
         object.__setattr__(self, "universe", uni.elements)
+        _check_names("set", self.sets)
         canon_sets: dict[str, HFS] = {}
         for name in sorted(self.sets):
             s = self.sets[name]
-            if not isinstance(name, str):
-                raise DocumentError(f"set name {shown(name)} is not a string")
             if not isinstance(s, HFS):
                 raise DocumentError(f"set {shown(name)}: expected an HFS")
             if s.universe != uni:
@@ -81,11 +88,10 @@ class Document:
                 _decimals(s)  # raises the DegreeError that names the degree
             canon_sets[name] = s
         object.__setattr__(self, "sets", canon_sets)
+        _check_names("family", self.families)
         canon_families: dict[str, tuple[str, ...]] = {}
         for fname in sorted(self.families):
             members = self.families[fname]
-            if not isinstance(fname, str):
-                raise DocumentError(f"family name {shown(fname)} is not a string")
             if (
                 isinstance(members, str)
                 or not isinstance(members, Sequence)

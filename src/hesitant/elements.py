@@ -18,18 +18,21 @@ minimum survives the intersection filter), so results are never empty.
 Representation: an HFE holds its degrees on an integer grid, as a descending
 tuple of int numerators `_nums` over one denominator `_den`, the lcm of the
 degrees' reduced denominators. Equal multisets therefore have identical
-fields. The operations run the pure kernel on those ints — operands on
-different denominators are first rescaled to their lcm, and results are
-reduced by the gcd of the denominator and the numerators — so they are exact
-rational arithmetic without building a `Fraction`. Degrees come out as
-`Fraction` values only at the API edge (`degrees`, iteration, `upper`,
-`lower`, `bounds`, `mean`). An HFS stores one grid for all its elements and
-builds an element's HFE (`_from_grid`) on access.
+fields. Exact values meet on a common grid in one place: `_on_lcm` rescales
+degrees, rows or whole set grids onto the lcm of their denominators, and
+`_reduced` divides a grid by the gcd of its denominator and numerators. An
+HFE is the one-position case of an HFS, so its operations run the pure
+kernel's set functions on one-position grids; they are exact rational
+arithmetic without building a `Fraction`. Degrees come out as `Fraction`
+values only at the API edge (`degrees`, iteration, `upper`, `lower`,
+`bounds`, `mean`). An HFS stores one grid for all its elements and builds an
+element's HFE (`_from_grid`) on access.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -47,27 +50,49 @@ def _fmt(num: int, den: int) -> str:
         return f"{g.numerator}/{g.denominator}"
 
 
-def _scaled(nums: tuple, factor: int) -> tuple:
-    return nums if factor == 1 else tuple(n * factor for n in nums)
+def _times(value, f: int):
+    """An int numerator, a row (a tuple of numerators) or a grid (a tuple
+    of rows), times f."""
+    if type(value) is int:
+        return value * f
+    if value and type(value[0]) is tuple:
+        return tuple([tuple([n * f for n in row]) for row in value])
+    return tuple([n * f for n in value])
 
 
-def _common(a: "HFE", b: "HFE") -> tuple[tuple, tuple, int]:
-    """The numerators of a and b over the lcm of their denominators, and
-    that lcm."""
-    da, db = a._den, b._den
-    if da == db:
-        return a._nums, b._nums, da
-    den = lcm(da, db)
-    return _scaled(a._nums, den // da), _scaled(b._nums, den // db), den
+def _on_lcm(*values: tuple) -> tuple[int, list]:
+    """`(value, den)` pairs on the lcm of their denominators: that lcm, and
+    each value over it (a value already over the lcm comes back as it is)."""
+    # Plain loops: every set operation and set relation comes through here,
+    # and on Python 3.11 a comprehension costs a frame of its own per call.
+    den = 1
+    for _, d in values:
+        if d != den:
+            den = lcm(den, d)
+    out = []
+    for v, d in values:
+        out.append(v if d == den else _times(v, den // d))
+    return den, out
 
 
-def _reduced(nums, den: int) -> tuple[tuple, int]:
-    """Descending numerators over `den` divided by their common factor with
-    `den`: the canonical (numerators, lcm of reduced denominators)."""
-    g = gcd(den, *nums)
+def _reduced(grid: tuple, den: int) -> tuple[tuple, int]:
+    """A grid over `den` divided by the gcd of `den` and its numerators: the
+    canonical (grid, lcm of the degrees' reduced denominators)."""
+    g = gcd(den, *chain.from_iterable(grid))
     if g == 1:
-        return tuple(nums), den
-    return tuple(n // g for n in nums), den // g
+        return grid, den
+    return tuple([tuple([n // g for n in row]) for row in grid]), den // g
+
+
+def _row(values: Iterable) -> tuple[tuple, int]:
+    """Degree values as one descending row of numerators over the lcm of
+    their denominators, not yet reduced."""
+    ratios = [degree_ratio(v) for v in values]
+    if not ratios:
+        raise ValueError("an HFE needs at least one degree")
+    den, nums = _on_lcm(*ratios)
+    nums.sort(reverse=True)
+    return tuple(nums), den
 
 
 class HFE:
@@ -76,19 +101,20 @@ class HFE:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, values: Iterable) -> None:
-        ratios = [degree_ratio(v) for v in values]
-        if not ratios:
-            raise ValueError("an HFE needs at least one degree")
-        den = lcm(*{d for _, d in ratios})
-        nums = sorted((n * (den // d) for n, d in ratios), reverse=True)
-        self._nums, self._den = _reduced(nums, den)
+        nums, den = _row(values)
+        (self._nums,), self._den = _reduced((nums,), den)
 
     @classmethod
     def _from_grid(cls, nums: tuple, den: int) -> "HFE":
         """The HFE of the descending numerators `nums` over `den`."""
         obj = object.__new__(cls)
-        obj._nums, obj._den = _reduced(nums, den)
+        (obj._nums,), obj._den = _reduced((nums,), den)
         return obj
+
+    def _with(self, other: "HFE") -> tuple[int, tuple, tuple]:
+        """The lcm of the two denominators, and the numerators of each over it."""
+        den, (a, b) = _on_lcm((self._nums, self._den), (other._nums, other._den))
+        return den, a, b
 
     @property
     def degrees(self) -> tuple[Fraction, ...]:
@@ -117,18 +143,20 @@ class HFE:
 
     def best(self, q: int) -> "HFE":
         """The q largest degrees with multiplicity (1 <= q <= len(self))."""
-        return HFE._from_grid(_ops.best_q(self._nums, q), self._den)
+        if not 1 <= q <= len(self._nums):
+            raise ValueError(f"q={q} out of range 1..{len(self._nums)}")
+        return HFE._from_grid(self._nums[:q], self._den)
 
     def union(self, other: "HFE") -> "HFE":
-        a, b, den = _common(self, other)
-        return HFE._from_grid(_ops.e_union(a, b), den)
+        den, a, b = self._with(other)
+        return HFE._from_grid(_ops.u_union((a,), (b,))[0], den)
 
     def intersection(self, other: "HFE") -> "HFE":
-        a, b, den = _common(self, other)
-        return HFE._from_grid(_ops.e_inter(a, b), den)
+        den, a, b = self._with(other)
+        return HFE._from_grid(_ops.u_inter((a,), (b,))[0], den)
 
     def complement(self) -> "HFE":
-        return HFE._from_grid(_ops.e_compl(self._nums, self._den), self._den)
+        return HFE._from_grid(_ops.u_compl((self._nums,), self._den)[0], self._den)
 
     __or__ = union
     __and__ = intersection

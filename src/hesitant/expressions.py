@@ -88,11 +88,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 break
             raise ValueError(f"cannot parse expression at {rest[:12]!r}")
         pos = m.end()
-        for kind in ("name", "union", "inter", "compl", "open", "close"):
-            value = m.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
+        kind = m.lastgroup  # the one token group that matched
+        tokens.append((kind, m[kind]))
     return tokens
 
 

@@ -14,11 +14,11 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .._kernel import IMPLEMENTATION, active
 from ..degrees import format_grid
+from ..elements import _on_lcm
 from ..errors import UniverseMismatchError
 from ..sets import HFS, Family, Universe
 from . import generators as g
@@ -316,10 +316,11 @@ def exact_binding(law: Law, binding: Mapping[str, object]) -> tuple[Algebra, dic
         sets_of[name] = (value,) if kind == "set" else value.sets
     if len({s.universe for sets_ in sets_of.values() for s in sets_}) > 1:
         raise UniverseMismatchError(f"binding of law {law.id} mixes universes")
-    den = lcm(*{s._den for sets_ in sets_of.values() for s in sets_})
+    den, grids = _on_lcm(*((s._grid, s._den) for sets_ in sets_of.values() for s in sets_))
+    grids = iter(grids)
     plain = {}
     for name, kind in law.params:
-        hfss = tuple(s._over(den) for s in sets_of[name])
+        hfss = tuple(next(grids) for _ in sets_of[name])
         plain[name] = hfss[0] if kind == "set" else hfss
     return Algebra(EXACT.kern, den), plain
 

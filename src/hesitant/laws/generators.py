@@ -227,42 +227,36 @@ def family_only(alg, stream, ctx):
     return {"F": rand_family(alg, stream, ctx)}
 
 
-def _hfs_above(alg, stream, ctx, A, kind):
+def _per_position(build, alg, stream, ctx, H, kind):
+    """`build` (`_above` or `_below`) at every position of H, or None as
+    soon as one position is impossible."""
     out = []
-    for a in A:
-        h = _above(alg, stream, ctx, a, kind)
+    for x in H:
+        h = build(alg, stream, ctx, x, kind)
         if h is None:
             return None
         out.append(h)
     return tuple(out)
 
 
-def _hfs_below(alg, stream, ctx, B, kind):
-    out = []
-    for b in B:
-        h = _below(alg, stream, ctx, b, kind)
-        if h is None:
-            return None
-        out.append(h)
-    return tuple(out)
+def _tail_base(alg, stream, ctx):
+    """A random A one degree short of the cardinality cap, the base of a ⊂t
+    construction, or None if the cap leaves no room."""
+    if ctx.card_lo > ctx.card_hi - 1:
+        return None
+    return alg.kern.gen_hfs(stream, ctx.den, ctx.size, ctx.card_lo, ctx.card_hi - 1)
 
 
 def set_family_forall(kind):
     """Guard: A ⊂kind H for every member H."""
 
     def gen(alg, stream, ctx):
-        if kind is T:
-            if ctx.card_lo > ctx.card_hi - 1:
-                return None
-            A = tuple(
-                alg.kern.gen_hfe(stream, ctx.den, ctx.card_lo, ctx.card_hi - 1)
-                for _ in range(ctx.size)
-            )
-        else:
-            A = rand_hfs(alg, stream, ctx)
+        A = _tail_base(alg, stream, ctx) if kind is T else rand_hfs(alg, stream, ctx)
+        if A is None:
+            return None
         members = []
         for _ in range(stream.randint(ctx.fam_lo, ctx.fam_hi)):
-            H = _hfs_above(alg, stream, ctx, A, kind)
+            H = _per_position(_above, alg, stream, ctx, A, kind)
             if H is None:
                 return None
             members.append(H)
@@ -275,18 +269,12 @@ def set_family_exists(kind):
     """Guard: A ⊂kind H_alpha for one chosen member."""
 
     def gen(alg, stream, ctx):
-        if kind is T:
-            if ctx.card_lo > ctx.card_hi - 1:
-                return None
-            A = tuple(
-                alg.kern.gen_hfe(stream, ctx.den, ctx.card_lo, ctx.card_hi - 1)
-                for _ in range(ctx.size)
-            )
-        else:
-            A = rand_hfs(alg, stream, ctx)
+        A = _tail_base(alg, stream, ctx) if kind is T else rand_hfs(alg, stream, ctx)
+        if A is None:
+            return None
         members = list(rand_family(alg, stream, ctx))
         alpha = stream.below(len(members))
-        H = _hfs_above(alg, stream, ctx, A, kind)
+        H = _per_position(_above, alg, stream, ctx, A, kind)
         if H is None:
             return None
         members[alpha] = H
@@ -307,7 +295,7 @@ def set_family_iff(kind):
         if r == 3:
             F = rand_family(alg, stream, ctx)
             fold = reduce(alg.kern.u_inter, F)
-            A = _hfs_below(alg, stream, ctx, fold, kind)
+            A = _per_position(_below, alg, stream, ctx, fold, kind)
             if A is None:
                 return None
             return {"A": A, "F": F}
@@ -319,11 +307,9 @@ def set_family_iff(kind):
 def tail_exists_with_small_cards(alg, stream, ctx):
     """Guard of the tail/union family law: A ⊂t H_alpha and |A(x)| < |H(x)|
     for every member and element."""
-    if ctx.card_lo > ctx.card_hi - 1:
+    A = _tail_base(alg, stream, ctx)
+    if A is None:
         return None
-    A = tuple(
-        alg.kern.gen_hfe(stream, ctx.den, ctx.card_lo, ctx.card_hi - 1) for _ in range(ctx.size)
-    )
     members = []
     for _ in range(stream.randint(ctx.fam_lo, ctx.fam_hi)):
         H = tuple(
@@ -331,7 +317,7 @@ def tail_exists_with_small_cards(alg, stream, ctx):
         )
         members.append(H)
     alpha = stream.below(len(members))
-    H = _hfs_above(alg, stream, ctx, A, T)
+    H = _per_position(_above, alg, stream, ctx, A, T)
     if H is None:
         return None
     members[alpha] = H
@@ -357,7 +343,7 @@ def meet_tail_pair(alg, stream, ctx):
     B = rand_hfs(alg, stream, ctx)
     C = rand_hfs(alg, stream, ctx)
     I = alg.kern.u_inter(B, C)
-    A = _hfs_below(alg, stream, ctx, I, T)
+    A = _per_position(_below, alg, stream, ctx, I, T)
     if A is None:
         return None
     return {"A": A, "B": B, "C": C}

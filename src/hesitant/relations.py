@@ -21,14 +21,14 @@ equality: a ⊂t b and b ⊂t a would need |a| < |b| < |a|.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
 from typing import Optional, Sequence
 
 from ._kernel import _pykernel as _ops
 from .degrees import degree_ratio
-from .elements import HFE, _common
+from .elements import HFE, _on_lcm
 from .errors import UniverseMismatchError
 
 
@@ -83,8 +83,10 @@ def pointwise_leq(v: Sequence, w: Sequence) -> bool:
         [(n, s._den) for n in s._nums] if isinstance(s, HFE) else [degree_ratio(g) for g in s]
         for s in (v, w)
     )
-    den = lcm(*(d for _, d in rv + rw))
-    return _ops.pointwise_leq(*(tuple(n * (den // d) for n, d in r) for r in (rv, rw)))
+    if len(rv) != len(rw):
+        raise ValueError(f"length mismatch: {len(rv)} vs {len(rw)}")
+    _, nums = _on_lcm(*rv, *rw)
+    return all(x <= y for x, y in zip(nums[: len(rv)], nums[len(rv) :]))
 
 
 def best_subsequence(h: HFE, q: int) -> HFE:
@@ -95,8 +97,8 @@ def best_subsequence(h: HFE, q: int) -> HFE:
 def is_subsequence(sub: HFE, whole: HFE) -> bool:
     """Multiset containment: every degree of sub occurs in whole with at
     least the same multiplicity."""
-    s, w, _ = _common(sub, whole)
-    return _ops.is_subseq(s, w)
+    _, s, w = sub._with(whole)
+    return Counter(s) <= Counter(w)
 
 
 def element_relation(kind: Inclusion, a: HFE, b: HFE) -> bool:
@@ -105,19 +107,20 @@ def element_relation(kind: Inclusion, a: HFE, b: HFE) -> bool:
     The relations only compare and add degrees, so they hold on the common
     integer grid of the two exactly when they hold on the degrees.
     """
-    ga, gb, _ = _common(a, b)
+    _, ga, gb = a._with(b)
     return _ops.e_rel(kind.code, ga, gb)
+
+
+def _strong_or_tail(ga: tuple, gb: tuple) -> Optional[Inclusion]:
+    if not _ops.u_sot((ga,), (gb,)):
+        return None
+    return Inclusion.STRONG if len(ga) >= len(gb) else Inclusion.TAIL
 
 
 def classify_strong_or_tail(a: HFE, b: HFE) -> Optional[Inclusion]:
     """STRONG if a ⊂s b, TAIL if a ⊂t b, None otherwise (never both)."""
-    ga, gb, _ = _common(a, b)
-    verdict = _ops.e_sot(ga, gb)
-    if verdict == 1:
-        return Inclusion.STRONG
-    if verdict == 2:
-        return Inclusion.TAIL
-    return None
+    _, ga, gb = a._with(b)
+    return _strong_or_tail(ga, gb)
 
 
 @dataclass(frozen=True)
@@ -168,24 +171,19 @@ _FIELDS = {
 
 
 def relation_profile(a: HFE, b: HFE) -> RelationProfile:
-    """Evaluate all six relations for the ordered pair (a, b) in one pass."""
-    return RelationProfile(
-        possible=element_relation(Inclusion.POSSIBLE, a, b),
-        acceptable=element_relation(Inclusion.ACCEPTABLE, a, b),
-        mean=element_relation(Inclusion.MEAN, a, b),
-        strong=element_relation(Inclusion.STRONG, a, b),
-        tail=element_relation(Inclusion.TAIL, a, b),
-        necessary=element_relation(Inclusion.NECESSARY, a, b),
-        strong_or_tail=classify_strong_or_tail(a, b),
-    )
+    """Evaluate all six relations for the ordered pair (a, b) in one pass,
+    on one rescaling of the pair."""
+    _, ga, gb = a._with(b)
+    verdicts = {_FIELDS[kind]: _ops.e_rel(kind.code, ga, gb) for kind in Inclusion}
+    return RelationProfile(**verdicts, strong_or_tail=_strong_or_tail(ga, gb))
 
 
 def set_relation(kind: Inclusion, A, B) -> bool:
     """A ⊂kind B at set level: the element relation holds at every x."""
     if A.universe != B.universe:
         raise UniverseMismatchError("set relation needs a shared universe")
-    den = lcm(A._den, B._den)
-    return _ops.u_rel(kind.code, A._over(den), B._over(den))
+    _, (ga, gb) = _on_lcm((A._grid, A._den), (B._grid, B._den))
+    return _ops.u_rel(kind.code, ga, gb)
 
 
 def set_equality(kind: Inclusion, A, B) -> bool:

@@ -9,7 +9,8 @@ operations make the fold order-irrelevant up to multiset equality.
 An HFS stores one integer grid, the value the law engine evaluates: `_grid`,
 a descending tuple of int numerators per element, over the lcm `_den` of the
 memberships' reduced denominators, so equal sets have identical fields. The
-operations rescale two sets once to their lcm and run the pure kernel's set
+constructor and the operations put rows and sets on a common grid with the
+helpers of `elements`, and the operations run the pure kernel's set
 functions; `hfes`, `items()` and `hfs[e]` build their HFEs on access.
 """
 
@@ -18,12 +19,10 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from functools import reduce
-from itertools import chain
-from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._kernel import _pykernel as _ops
-from .elements import HFE, _scaled
+from .elements import HFE, _on_lcm, _reduced, _row
 from .errors import UniverseMismatchError, shown
 
 
@@ -100,17 +99,16 @@ class HFS:
 
     def __init__(self, universe, memberships: Mapping[str, object]) -> None:
         uni = _as_universe(universe)
-        missing = [e for e in uni if e not in memberships]
-        if missing:
-            raise ValueError(f"missing membership for element(s): {', '.join(missing)}")
-        extra = [e for e in memberships if e not in uni]
-        if extra:
-            raise ValueError(f"unknown element(s): {', '.join(sorted(extra))}")
-        hfes = [m if isinstance(m, HFE) else HFE(m) for m in (memberships[e] for e in uni)]
-        # each HFE is canonical, so the lcm of their denominators is too
+        for e in uni:
+            if e not in memberships:
+                raise ValueError(f"missing membership for element {shown(e)}")
+        if len(memberships) != len(uni):  # then some key is not in the universe
+            extra = next(e for e in memberships if e not in uni)
+            raise ValueError(f"unknown element {shown(extra)}")
+        rows = [(m._nums, m._den) if isinstance(m, HFE) else _row(m) for m in (memberships[e] for e in uni)]
+        den, grid = _on_lcm(*rows)
         self._universe = uni
-        self._den = den = lcm(*{h._den for h in hfes})
-        self._grid = tuple(_scaled(h._nums, den // h._den) for h in hfes)
+        self._grid, self._den = _reduced(tuple(grid), den)
 
     @classmethod
     def _from_grid(cls, universe: Universe, grid: tuple, den: int) -> "HFS":
@@ -118,15 +116,8 @@ class HFS:
         of `universe` in order, over `den`."""
         obj = object.__new__(cls)
         obj._universe = universe
-        g = gcd(den, *chain.from_iterable(grid))
-        obj._grid = grid if g == 1 else tuple(tuple(n // g for n in h) for h in grid)
-        obj._den = den // g
+        obj._grid, obj._den = _reduced(grid, den)
         return obj
-
-    def _over(self, den: int) -> tuple:
-        """The grid over `den`, a multiple of `_den`."""
-        f = den // self._den
-        return self._grid if f == 1 else tuple(_scaled(h, f) for h in self._grid)
 
     @property
     def universe(self) -> Universe:
@@ -145,13 +136,13 @@ class HFS:
 
     def union(self, other: "HFS") -> "HFS":
         _require_same_universe(self, other)
-        den = lcm(self._den, other._den)
-        return HFS._from_grid(self._universe, _ops.u_union(self._over(den), other._over(den)), den)
+        den, (a, b) = _on_lcm((self._grid, self._den), (other._grid, other._den))
+        return HFS._from_grid(self._universe, _ops.u_union(a, b), den)
 
     def intersection(self, other: "HFS") -> "HFS":
         _require_same_universe(self, other)
-        den = lcm(self._den, other._den)
-        return HFS._from_grid(self._universe, _ops.u_inter(self._over(den), other._over(den)), den)
+        den, (a, b) = _on_lcm((self._grid, self._den), (other._grid, other._den))
+        return HFS._from_grid(self._universe, _ops.u_inter(a, b), den)
 
     def complement(self) -> "HFS":
         return HFS._from_grid(self._universe, _ops.u_compl(self._grid, self._den), self._den)

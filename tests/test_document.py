@@ -246,6 +246,19 @@ def test_set_and_family_names_must_be_strings():
         Document(universe=("x",), sets={"A": x}, families={None: ("A",)})
 
 
+def test_names_are_checked_before_they_are_sorted():
+    """A non-string name beside a string one is refused, not compared."""
+    x = make_hfs(["x"], {"x": ["0.5"]})
+    with pytest.raises(DocumentError, match="^set name 1 is not a string$"):
+        Document(universe=("x",), sets={1: x, "A": x})
+    with pytest.raises(DocumentError, match="^set name 1 is not a string$"):
+        Document(universe=("x",), sets={"A": x, 1: x})
+    with pytest.raises(DocumentError, match="^family name 2 is not a string$"):
+        Document(universe=("x",), sets={"A": x}, families={"F": ("A",), 2: ("A",)})
+    with pytest.raises(DocumentError, match=r"^family name \(1,\) is not a string$"):
+        Document(universe=("x",), sets={"A": x}, families={(1,): ("A",), "F": ("A",)})
+
+
 # --- load: the row parser against parse_grid per degree --------------------
 
 @given(degree_lists)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +42,34 @@ def test_make_hfs_totality():
         make_hfs(uni, {"x": ["0.6"], "y": ["0.5"], "z": ["0.1"]})
     with pytest.raises(ValueError):
         make_hfs(uni, {"x": ["0.6"], "y": []})
+
+
+def test_make_hfs_names_one_bad_key_in_a_short_message():
+    """A key that is not an element id, of any type, and a huge universe
+    with no memberships each give one short ValueError."""
+    with pytest.raises(ValueError, match="^unknown element 1$"):
+        HFS(["x"], {"x": ["0.5"], 1: ["0.2"]})
+    with pytest.raises(ValueError, match="^unknown element None$"):
+        HFS(["x", "y"], {"x": ["0.5"], "y": ["0.5"], None: ["0.2"], 2.5: ["0.1"]})
+    with pytest.raises(ValueError, match="^missing membership for element 'y'$"):
+        HFS(["x", "y", "z"], {"x": ["0.5"], 1: ["0.2"], (2, 3): ["0.1"]})
+    with pytest.raises(ValueError) as info:
+        HFS([f"element{i}" for i in range(5000)], {})
+    assert str(info.value) == "missing membership for element 'element0'"
+    with pytest.raises(ValueError) as info:
+        HFS(["x"], {"x": ["0.5"], "y" * 5000: ["0.2"]})
+    assert len(str(info.value)) < 80
+
+
+def test_hfs_rows_match_their_hfes():
+    """The constructor canonicalizes each membership row directly; HFE and
+    raw-degree memberships give the same set."""
+    rows = {"x": ["0.5", Fraction(1, 3), "1"], "y": [Fraction(2, 4), "0"], "z": [0, 1, "0.25"]}
+    s = HFS(["x", "y", "z"], rows)
+    assert s == HFS(["x", "y", "z"], {e: hfe(*v) for e, v in rows.items()})
+    assert s.hfes == tuple(hfe(*rows[e]) for e in "xyz")
+    assert s._den == 12
+    assert s._grid == ((12, 6, 4), (6, 0), (12, 3, 0))
 
 
 def _abc_on_x():
