@@ -28,7 +28,7 @@ from .ingest import ingest_scores
 from .laws.engine import GeneratorConfig, hunt_counterexample, run_suite
 from .laws.fixtures import Fixture
 from .laws.registry import Law, LawStatus, at, get_law, refuted_laws
-from .ranking import format_ranking, rank_schemes, ranking_dot
+from .ranking import rank_schemes, ranking_dot, ranking_report
 from .relations import Inclusion, relation_profile, set_relation
 from .sets import HFS
 
@@ -108,7 +108,10 @@ def cmd_rank(args) -> int:
     scores = doc.hfs(args.set)
     kind = Inclusion.from_letter(args.kind)
     ranking = rank_schemes(scores, kind)
-    print(format_ranking(ranking), end="")
+    # written piece by piece: at thousands of schemes the report runs to
+    # tens of megabytes, and no full copy of it is held
+    for piece in ranking_report(ranking):
+        sys.stdout.write(piece)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(ranking_dot(ranking))

@@ -27,11 +27,22 @@ bitsets (row minus column), found per scheme by bisecting over the masks
 of the layers above it. `Ranking.matrix` is a read-only `Mapping` view
 over the rows, and `Ranking.unresolved` a read-only `Sequence` view over one
 bitset per scheme of the later schemes incomparable with it, so no n² table
-of verdicts or pairs is built. `format_ranking` renders each matrix row from
-its bitset and `ranking_dot` reduces the strict part transitively from the
-same bitsets, walking each scheme's above-set closest first and ORing away
-the rows of its covers only; both also accept a `Ranking` built with any
-other `Mapping`.
+of verdicts or pairs is built. `ranking_dot` reduces the strict part
+transitively from the same bitsets, walking each scheme's above-set closest
+first and ORing away the rows of its covers only.
+
+`ranking_report` yields the report in pieces: whole lines, and the
+unresolved pairs 4096 at a time. `format_ranking` joins them, and `hesitant
+rank` writes them one by one, so it holds no full copy of the report. Each
+matrix row is rendered from its bitset a byte at a time (Warren, "Hacker's
+Delight", 2nd ed., 2012, ch. 5): `row.to_bytes` gives ⌈n/8⌉ bytes, each
+looked up in a table of its eight rendered cells, and the joined row is cut
+to n cells. The table is made in each call and filled from 16 rendered
+nibbles, one entry per byte value that occurs, so it holds at most 256 ×
+8 cells of width + 2 characters and nothing outlives the call. A report
+costs n²/8 lookups, and writes n²·(width + 2) characters of matrix and the
+unresolved pairs. Both functions also accept a `Ranking` built with any
+other `Mapping`, whose rows `_bitsets` builds.
 
 ⊂t is not rankable: it is irreflexive by cardinality and admits no equality,
 so its strict part is not a preorder over arbitrary scheme sets.
@@ -316,26 +327,57 @@ def ranking_dot(ranking: Ranking) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_ranking(ranking: Ranking) -> str:
-    """Human-readable ranking report."""
+# unresolved pairs per report piece
+_PAIRS_PER_PIECE = 4096
+
+
+class _ByteCells(dict):
+    """Byte value -> its eight matrix cells, bit 0 first, each filled from
+    two nibble renderings the first time that byte value occurs."""
+
+    __slots__ = ("_nibbles",)
+
+    def __init__(self, no: str, yes: str) -> None:
+        super().__init__()
+        pairs = (no + no, yes + no, no + yes, yes + yes)
+        self._nibbles = [low + high for high in pairs for low in pairs]
+
+    def __missing__(self, byte: int) -> str:
+        cells = self[byte] = self._nibbles[byte & 15] + self._nibbles[byte >> 4]
+        return cells
+
+
+def ranking_report(ranking: Ranking):
+    """The pieces of the human-readable ranking report, in order, each one
+    or more whole lines or a part of the unresolved-pairs line; a caller can
+    write them out one at a time."""
     schemes = ranking.schemes
+    n = len(schemes)
     width = max(len(s) for s in schemes)
-    lines = [f"pairwise ⊂{ranking.kind.letter} (row ⊂ column):"]
-    header = " " * (width + 2) + "  ".join(s.rjust(width) for s in schemes)
-    lines.append(header)
+    yield f"pairwise ⊂{ranking.kind.letter} (row ⊂ column):\n"
+    yield " " * (width + 2) + "  ".join(s.rjust(width) for s in schemes) + "\n"
     # each cell is "y" or "." right-aligned to the width, two spaces apart
     pad = " " * (width + 1)
-    cells = str.maketrans({"0": pad + ".", "1": pad + "y"})
+    cells_of = _ByteCells(pad + ".", pad + "y").__getitem__
+    size, end = (n + 7) // 8, n * (width + 2)
     rows, _ = _bitsets(ranking)
     for a, row in zip(schemes, rows):
-        lines.append(a.rjust(width) + _bits(row, len(schemes)).translate(cells))
-    lines.append("")
-    lines.append("layers, best first:")
+        cells = "".join(map(cells_of, row.to_bytes(size, "little")))
+        yield a.rjust(width) + cells[:end] + "\n"
+    yield "\nlayers, best first:\n"
     for i, layer in enumerate(ranking.layers, start=1):
-        lines.append(f"  {i}. {', '.join(layer)}")
-    if ranking.unresolved:
-        pairs = ", ".join(map("/".join, ranking.unresolved))
-        lines.append(f"unresolved pairs (incomparable): {pairs}")
-    else:
-        lines.append("no unresolved pairs")
-    return "\n".join(lines) + "\n"
+        yield f"  {i}. {', '.join(layer)}\n"
+    if not ranking.unresolved:
+        yield "no unresolved pairs\n"
+        return
+    # the pairs in batches, so no piece grows with the number of pairs
+    pairs = map("/".join, ranking.unresolved)
+    yield "unresolved pairs (incomparable): " + ", ".join(islice(pairs, _PAIRS_PER_PIECE))
+    while batch := ", ".join(islice(pairs, _PAIRS_PER_PIECE)):
+        yield ", " + batch
+    yield "\n"
+
+
+def format_ranking(ranking: Ranking) -> str:
+    """Human-readable ranking report: the pieces of `ranking_report`, joined."""
+    return "".join(ranking_report(ranking))

@@ -89,6 +89,17 @@ def test_rank_with_dot(docs_dir, tmp_path, capsys):
     assert '"x3" -> "x6";' in dot.read_text()
 
 
+@pytest.mark.parametrize("kind", list("pamsn"))
+def test_rank_stdout_is_the_report(docs_dir, capsys, kind):
+    from hesitant import Inclusion, rank_schemes
+    from hesitant.ranking import format_ranking
+
+    code, out, _ = run_cli(capsys, "rank", docs_dir / "expert-scores.json", "H", "--kind", kind)
+    assert code == 0
+    scores = fixture_documents()["expert-scores"].hfs("H")
+    assert out == format_ranking(rank_schemes(scores, Inclusion.from_letter(kind)))
+
+
 def test_rank_rejects_tail(docs_dir, capsys):
     with pytest.raises(SystemExit):
         main(["rank", str(docs_dir / "expert-scores.json"), "H", "--kind", "t"])

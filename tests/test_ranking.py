@@ -164,6 +164,25 @@ def _oracle_dot(ranking):
     return "\n".join(lines) + "\n"
 
 
+def _oracle_report(ranking):
+    """The ranking report written cell by cell from the matrix, in one string."""
+    schemes = ranking.schemes
+    width = max(len(s) for s in schemes)
+    lines = [f"pairwise ⊂{ranking.kind.letter} (row ⊂ column):"]
+    lines.append(" " * (width + 2) + "  ".join(s.rjust(width) for s in schemes))
+    for a in schemes:
+        cells = [("y" if ranking.matrix[(a, b)] else ".").rjust(width + 2) for b in schemes]
+        lines.append(a.rjust(width) + "".join(cells))
+    lines += ["", "layers, best first:"]
+    lines += [f"  {i}. {', '.join(layer)}" for i, layer in enumerate(ranking.layers, start=1)]
+    if ranking.unresolved:
+        pairs = ", ".join(f"{a}/{b}" for a, b in ranking.unresolved)
+        lines.append(f"unresolved pairs (incomparable): {pairs}")
+    else:
+        lines.append("no unresolved pairs")
+    return "\n".join(lines) + "\n"
+
+
 _PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
 
 
@@ -228,7 +247,9 @@ def test_ranking_matches_oracle_at_word_boundaries(n):
         assert got.matrix == want.matrix, kind
         assert got.layers == want.layers, kind
         assert got.unresolved == want.unresolved, kind
-        assert format_ranking(got) == format_ranking(want), kind
+        # past 4096 unresolved pairs (a, s and n at n >= 128) the pairs line
+        # comes in more than one piece
+        assert format_ranking(got) == format_ranking(want) == _oracle_report(want), kind
         assert ranking_dot(got) == _oracle_dot(want) == ranking_dot(want), kind
 
 
@@ -246,6 +267,54 @@ def test_rank_memory_stays_far_below_a_pairwise_table(kind):
         tracemalloc.stop()
     assert len(ranking.matrix) == 2000**2
     assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("width", [1, 5, 12])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 24, 25])
+def test_report_rows_at_byte_boundaries(n, width):
+    from hesitant import make_hfs, Universe
+    from hesitant.ranking import Ranking
+
+    # distinct first letters; the first name sets the width, the others are
+    # shorter, so the cells and names are right-aligned
+    names = [chr(97 + i) * (width if i == 0 else 1 + i % width) for i in range(n)]
+    rng = random.Random(f"bytes/{n}/{width}")
+    pool = ["0", "0.25", "0.5", "0.75", "1"]
+    members = {s: [rng.choice(pool) for _ in range(rng.randint(1, 3))] for s in names}
+    scores = make_hfs(Universe(names), members)
+    for kind in RANKABLE:
+        got = rank_schemes(scores, kind)
+        # a plain dict matrix takes the generic _bitsets path
+        plain = Ranking(kind, got.schemes, dict(got.matrix), got.layers, tuple(got.unresolved))
+        assert format_ranking(got) == format_ranking(plain) == _oracle_report(plain), kind
+
+
+def test_report_memory_stays_bounded_for_long_names():
+    import gc
+    import tracemalloc
+
+    from hesitant import make_hfs, Universe
+
+    def two(name):
+        scores = make_hfs(Universe([name, "b"]), {name: ["0.2"], "b": ["0.7"]})
+        return rank_schemes(scores, Inclusion.POSSIBLE)
+
+    # a 256-entry byte table of 20,002-character cells would take 41 MiB
+    long, short = two("L" * 20_000), two("c" * 7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = format_ranking(long)
+        _, peak = tracemalloc.get_traced_memory()
+        del text
+        format_ranking(short)  # another width
+        gc.collect()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # no rendering table outlives its call, for either width
+    assert left < 16 * 2**10
 
 
 def test_oracle_sets_reach_denominators_beyond_64_bits():
