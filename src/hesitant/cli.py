@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from ._kernel import IMPLEMENTATION
@@ -108,13 +109,16 @@ def cmd_rank(args) -> int:
     scores = doc.hfs(args.set)
     kind = Inclusion.from_letter(args.kind)
     ranking = rank_schemes(scores, kind)
-    # written piece by piece: at thousands of schemes the report runs to
-    # tens of megabytes, and no full copy of it is held
-    for piece in ranking_report(ranking):
-        sys.stdout.write(piece)
+    # The DOT file is opened first, so a path that cannot be written fails
+    # before any of the report is. The report is written piece by piece: at
+    # thousands of schemes it runs to tens of megabytes, and no full copy of
+    # it is held.
+    with open(args.dot, "w", encoding="utf-8") if args.dot else nullcontext() as dot:
+        for piece in ranking_report(ranking):
+            sys.stdout.write(piece)
+        if dot is not None:
+            dot.write(ranking_dot(ranking))
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(ranking_dot(ranking))
         print(f"wrote strict-order graph to {args.dot}")
     return 0
 

@@ -100,56 +100,58 @@ def _level(height: int) -> int:
     return height + 1
 
 
+# the token after the last one, so the parser reads past the end without a
+# bounds check
+_END = ("end", "")
+
+
 class _Parser:
-    """Recursive descent; each method returns (node, height of the node)."""
+    """Recursive descent over tokens that end in `_END`; each method returns
+    (node, height of the node)."""
 
     def __init__(self, tokens: list[tuple[str, str]]) -> None:
         self.tokens = tokens
         self.pos = 0
         self.parens = 0  # parentheses open at the current position
 
-    def peek(self) -> str:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else "end"
-
-    def take(self) -> tuple[str, str]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expr(self) -> tuple[Node, int]:
+        tokens = self.tokens
         node, height = self.term()
-        while self.peek() == "union":
-            self.take()
+        while tokens[self.pos][0] == "union":
+            self.pos += 1
             right, right_height = self.term()
             node, height = Join(node, right), _level(max(height, right_height))
         return node, height
 
     def term(self) -> tuple[Node, int]:
+        tokens = self.tokens
         node, height = self.factor()
-        while self.peek() == "inter":
-            self.take()
+        while tokens[self.pos][0] == "inter":
+            self.pos += 1
             right, right_height = self.factor()
             node, height = Meet(node, right), _level(max(height, right_height))
         return node, height
 
     def factor(self) -> tuple[Node, int]:
+        tokens = self.tokens
         node, height = self.atom()
-        while self.peek() == "compl":
-            self.take()
+        while tokens[self.pos][0] == "compl":
+            self.pos += 1
             node, height = Compl(node), _level(height)
         return node, height
 
     def atom(self) -> tuple[Node, int]:
-        kind = self.peek()
+        kind, text = self.tokens[self.pos]
         if kind == "name":
-            return Var(self.take()[1]), 0
+            self.pos += 1
+            return Var(text), 0
         if kind == "open":
-            self.take()
+            self.pos += 1
             self.parens = _level(self.parens)
             found = self.expr()
-            if self.peek() != "close":
+            if self.tokens[self.pos][0] != "close":
                 raise ValueError("missing closing parenthesis")
-            self.take()
+            self.pos += 1
             self.parens -= 1
             return found
         raise ValueError(f"expected a set name or '(', found {kind}")
@@ -159,10 +161,11 @@ def parse_expression(text: str) -> Node:
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty expression")
+    tokens.append(_END)
     parser = _Parser(tokens)
     node, _ = parser.expr()
-    if parser.pos != len(tokens):
-        raise ValueError(f"trailing input after expression: {tokens[parser.pos:]}")
+    if tokens[parser.pos] is not _END:
+        raise ValueError(f"trailing input after expression: {tokens[parser.pos:-1]}")
     return node
 
 

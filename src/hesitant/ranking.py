@@ -25,24 +25,36 @@ threshold mask per test, found by bisection. That is O(n log n) for ⊂p,
 n²/4 bytes of rows and columns. Layers are longest paths over the strict
 bitsets (row minus column), found per scheme by bisecting over the masks
 of the layers above it. `Ranking.matrix` is a read-only `Mapping` view
-over the rows, and `Ranking.unresolved` a read-only `Sequence` view over one
-bitset per scheme of the later schemes incomparable with it, so no n² table
-of verdicts or pairs is built. `ranking_dot` reduces the strict part
-transitively from the same bitsets, walking each scheme's above-set closest
-first and ORing away the rows of its covers only.
+over the rows that also keeps the strict rows, the depths and the layer
+masks, and `Ranking.unresolved` a read-only `Sequence` view over one bitset
+per scheme of the later schemes incomparable with it, so no n² table of
+verdicts or pairs is built.
 
-`ranking_report` yields the report in pieces: whole lines, and the
-unresolved pairs 4096 at a time. `format_ranking` joins them, and `hesitant
-rank` writes them one by one, so it holds no full copy of the report. Each
-matrix row is rendered from its bitset a byte at a time (Warren, "Hacker's
-Delight", 2nd ed., 2012, ch. 5): `row.to_bytes` gives ⌈n/8⌉ bytes, each
-looked up in a table of its eight rendered cells, and the joined row is cut
-to n cells. The table is made in each call and filled from 16 rendered
-nibbles, one entry per byte value that occurs, so it holds at most 256 ×
-8 cells of width + 2 characters and nothing outlives the call. A report
-costs n²/8 lookups, and writes n²·(width + 2) characters of matrix and the
-unresolved pairs. Both functions also accept a `Ranking` built with any
-other `Mapping`, whose rows `_bitsets` builds.
+`ranking_dot` reduces the strict part transitively from the layer masks
+(Aho, Garey & Ullman, "The transitive reduction of a directed graph", SIAM
+J. Comput. 1972). Of what is left of a scheme's strict above-set, the
+deepest layer it meets holds covers only: a scheme between the scheme and
+one of them would be deeper and still left. Those covers and their strict
+rows are taken away, and the next such layer is found by bisecting the
+cumulative layer masks. That is O(cover edges · log layers) operations on
+n-bit integers. Schemes tied in their strict above-set share its covers,
+which are found once.
+
+`ranking_report` yields the report in pieces: whole lines, and one piece of
+the unresolved-pairs line per scheme that has any, holding its pairs with
+the later schemes (at most n − 1), joined once. `format_ranking` joins the
+pieces, and `hesitant rank` writes them one by one, so it holds no full
+copy of the report. Each matrix row is rendered from its bitset a byte at
+a time (Warren, "Hacker's Delight", 2nd ed., 2012, ch. 5): `row.to_bytes`
+gives ⌈n/8⌉ bytes, each looked up in a table of its eight rendered cells,
+and the joined row is cut to n cells. The table is made in each call and
+filled from 16 rendered nibbles, one entry per byte value that occurs, so
+it holds at most 256 × 8 cells of width + 2 characters and nothing
+outlives the call. A report costs n²/8 lookups, and writes n²·(width + 2)
+characters of matrix and the unresolved pairs. Both functions also accept
+a `Ranking` built with any other `Mapping`: `_bitsets` builds its rows,
+strict part and layer masks from the matrix alone, never from the
+`layers` field.
 
 ⊂t is not rankable: it is irreflexive by cardinality and admits no equality,
 so its strict part is not a preorder over arbitrary scheme sets.
@@ -53,7 +65,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, islice, product, repeat
+from itertools import accumulate, chain, compress, groupby, islice, product, repeat
 from math import lcm
 from operator import index, itemgetter, or_
 
@@ -72,15 +84,18 @@ RANKABLE = (
 
 class _Matrix(Mapping):
     """Read-only view (a, b) -> a ⊂ b over one bitset row per scheme,
-    iterated row-major in scheme order."""
+    iterated row-major in scheme order, with the strict part's rows and
+    layers."""
 
-    __slots__ = ("_schemes", "_index", "rows", "cols")
+    __slots__ = ("_schemes", "_index", "rows", "cols", "strict", "depth", "layers")
 
     def __init__(self, schemes: tuple[str, ...], rows: list[int], cols: list[int]) -> None:
         self._schemes = schemes
         self._index = {s: i for i, s in enumerate(schemes)}
         self.rows = rows  # bit j of rows[i]: schemes[i] ⊂ schemes[j]
         self.cols = cols  # bit j of cols[i]: schemes[j] ⊂ schemes[i]
+        self.strict = [r & ~c for r, c in zip(rows, cols)]  # strictly above i
+        self.depth, self.layers = _depths(self.strict)
 
     def __getitem__(self, key) -> bool:
         if isinstance(key, tuple) and len(key) == 2:
@@ -114,13 +129,15 @@ class _Pairs(Sequence):
     def _row(self, i: int):
         return _members(self._later[i], self._schemes[i + 1 :])
 
+    def _groups(self):
+        """(a, the later schemes incomparable with a) for each scheme with any."""
+        return ((a, self._row(i)) for i, a in enumerate(self._schemes) if self._later[i])
+
     def __len__(self) -> int:
         return self._ends[-1]
 
     def __iter__(self):
-        return chain.from_iterable(
-            zip(repeat(a), self._row(i)) for i, a in enumerate(self._schemes) if self._later[i]
-        )
+        return chain.from_iterable(zip(repeat(a), row) for a, row in self._groups())
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -157,14 +174,14 @@ class Ranking:
         return self.matrix[(low, high)] and not self.matrix[(high, low)]
 
 
-def _bits(mask: int, n: int) -> str:
-    """The low n bits of `mask` as '0'/'1' characters, bit 0 first."""
-    return format(mask, f"0{n}b")[::-1]
+# '0'/'1' -> the bytes 0/1, so rendered bits select items in `compress`
+_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
 def _members(mask: int, items):
     """The items at the set bits of `mask`, in order."""
-    return compress(items, map("1".__eq__, _bits(mask, len(items))))
+    bits = format(mask, f"0{len(items)}b")[::-1]  # bit 0 first
+    return compress(items, bits.encode().translate(_SELECT))
 
 
 def _thresholds(keyed: list[tuple], full: int):
@@ -222,8 +239,9 @@ def _relation(grid: tuple[tuple, ...], kind: Inclusion) -> tuple[list[int], list
     return rows, cols
 
 
-def _depths(strict: list[int]) -> list[int]:
-    """The layer of each scheme: 1 + the longest chain strictly above it."""
+def _depths(strict: list[int]) -> tuple[list[int], list[int]]:
+    """The layer of each scheme, 1 + the longest chain strictly above it,
+    and the mask of the schemes in each layer, best first."""
     depth = [0] * len(strict)
     layers: list[int] = []  # layers[d]: mask of the schemes at layer d + 1
     placed = 0
@@ -242,7 +260,7 @@ def _depths(strict: list[int]) -> list[int]:
         layers[d] |= 1 << i
         placed |= 1 << i
         depth[i] = d + 1
-    return depth
+    return depth, layers
 
 
 def rank_schemes(scores, kind: Inclusion) -> Ranking:
@@ -253,36 +271,37 @@ def rank_schemes(scores, kind: Inclusion) -> Ranking:
             + ", ".join(k.letter for k in RANKABLE)
         )
     schemes = scores.universe.elements
-    rows, cols = _relation(scores._grid, kind)
-    depth = _depths([r & ~c for r, c in zip(rows, cols)])
-    layers: list[list[str]] = [[] for _ in range(max(depth))]
-    for s, d in zip(schemes, depth):
+    matrix = _Matrix(schemes, *_relation(scores._grid, kind))
+    layers: list[list[str]] = [[] for _ in matrix.layers]
+    for s, d in zip(schemes, matrix.depth):
         layers[d - 1].append(s)
 
     full = (1 << len(schemes)) - 1
+    rows, cols = matrix.rows, matrix.cols
     later = [(full ^ (r | c)) >> (i + 1) for i, (r, c) in enumerate(zip(rows, cols))]
     return Ranking(
         kind=kind,
         schemes=schemes,
-        matrix=_Matrix(schemes, rows, cols),
+        matrix=matrix,
         layers=tuple(map(tuple, layers)),
         unresolved=_Pairs(schemes, later),
     )
 
 
-def _bitsets(ranking: Ranking) -> tuple[list[int], list[int]]:
-    """The bitset rows and columns of a ranking's matrix: those of the view
-    that `rank_schemes` returns, or built from any other `Mapping`."""
+def _bitsets(ranking: Ranking) -> _Matrix:
+    """The bitset view of a ranking's matrix: the one that `rank_schemes`
+    returns, or one built from any other `Mapping`, whose layers come from
+    its own strict part and never from `ranking.layers`."""
     matrix, schemes = ranking.matrix, ranking.schemes
     if isinstance(matrix, _Matrix) and matrix._schemes == schemes:
-        return matrix.rows, matrix.cols
+        return matrix
 
     def mask(flags) -> int:
         return int("".join("1" if f else "0" for f in flags)[::-1], 2)
 
     rows = [mask(matrix[(a, b)] for b in schemes) for a in schemes]
     cols = [mask(matrix[(b, a)] for b in schemes) for a in schemes]
-    return rows, cols
+    return _Matrix(schemes, rows, cols)
 
 
 def _dot_id(s: str) -> str:
@@ -293,26 +312,35 @@ def _dot_id(s: str) -> str:
 def ranking_dot(ranking: Ranking) -> str:
     """Graph description (DOT) of the strict part, transitively reduced."""
     schemes = ranking.schemes
-    rows, cols = _bitsets(ranking)
-    strict = [r & ~c for r, c in zip(rows, cols)]
-    # Renumber the schemes closest first: a scheme strictly above another
-    # has strictly fewer schemes strictly above it, so in order of
-    # descending count every scheme comes after all the schemes below it.
-    # above[p] is strict[order[p]] with its bits renumbered the same way.
-    order = sorted(range(len(schemes)), key=lambda i: -strict[i].bit_count())
-    pick = itemgetter(*order) if order else None
-    above = [int("".join(pick(_bits(strict[i], len(order))))[::-1], 2) for i in order]
-    edges = []
-    for a, rest in zip(map(schemes.__getitem__, order), above):
-        # The lowest scheme left above a covers it: every scheme below it
-        # and above a came earlier, as a cover or above one. Whatever lies
-        # above a cover is not one, so only the covers' rows are ORed away:
-        # O(cover edges) operations on n-bit ints.
+    view = _bitsets(ranking)
+    strict, layers = view.strict, view.layers
+    # beyond[k]: the schemes below layers 1 to k + 1
+    full = (1 << len(schemes)) - 1
+    beyond = [full ^ above for above in accumulate(layers, or_)]
+
+    def covers(rest: int, k: int) -> list[str]:
+        """The covers of a scheme with strict above-set `rest`, whose layer
+        is the one below layers[k]."""
+        found = []
+        # Layer k meets `rest` first, since the scheme's depth is one more
+        # than the longest chain above it. Each time, the deepest layer that
+        # meets `rest` holds covers only; they and the schemes above them
+        # leave `rest`: O(cover edges) n-bit operations, and one bisection
+        # of the layers per layer of covers.
         while rest:
-            low = rest & -rest
-            p = low.bit_length() - 1
-            edges.append((a, schemes[order[p]]))
-            rest &= ~(above[p] | low)
+            layer = rest & layers[k]
+            gone = layer
+            while layer:
+                low = layer & -layer
+                j = low.bit_length() - 1
+                found.append(schemes[j])
+                gone |= strict[j]
+                layer ^= low
+            rest &= ~gone
+            if rest:
+                k = bisect_left(beyond, True, 0, k, key=lambda below: not rest & below)
+        return found
+
     ids = {s: _dot_id(s) for s in schemes}
     lines = [
         "digraph ranking {",
@@ -321,14 +349,17 @@ def ranking_dot(ranking: Ranking) -> str:
     ]
     for s in schemes:
         lines.append(f"  {ids[s]};")
-    for a, b in sorted(edges):
-        lines.append(f"  {ids[a]} -> {ids[b]};")
+    # The edges by name. A scheme's covers depend on its strict above-set
+    # alone, so schemes tied in it share one list.
+    tops: dict[int, list[str]] = {}  # strict above-set -> the covers' ids, by name
+    for a, above, d in sorted(zip(schemes, strict, view.depth)):
+        if above:
+            if above not in tops:
+                tops[above] = [ids[b] for b in sorted(covers(above, d - 2))]
+            head = f"  {ids[a]} -> "
+            lines.append(head + (";\n" + head).join(tops[above]) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# unresolved pairs per report piece
-_PAIRS_PER_PIECE = 4096
 
 
 class _ByteCells(dict):
@@ -360,21 +391,27 @@ def ranking_report(ranking: Ranking):
     pad = " " * (width + 1)
     cells_of = _ByteCells(pad + ".", pad + "y").__getitem__
     size, end = (n + 7) // 8, n * (width + 2)
-    rows, _ = _bitsets(ranking)
-    for a, row in zip(schemes, rows):
+    for a, row in zip(schemes, _bitsets(ranking).rows):
         cells = "".join(map(cells_of, row.to_bytes(size, "little")))
         yield a.rjust(width) + cells[:end] + "\n"
     yield "\nlayers, best first:\n"
     for i, layer in enumerate(ranking.layers, start=1):
         yield f"  {i}. {', '.join(layer)}\n"
-    if not ranking.unresolved:
+    unresolved = ranking.unresolved
+    if not unresolved:
         yield "no unresolved pairs\n"
         return
-    # the pairs in batches, so no piece grows with the number of pairs
-    pairs = map("/".join, ranking.unresolved)
-    yield "unresolved pairs (incomparable): " + ", ".join(islice(pairs, _PAIRS_PER_PIECE))
-    while batch := ", ".join(islice(pairs, _PAIRS_PER_PIECE)):
-        yield ", " + batch
+    # one piece per run of pairs with the same first scheme, so no piece
+    # grows with the number of pairs: at most n - 1 of them from the view
+    if isinstance(unresolved, _Pairs):
+        groups = unresolved._groups()
+    else:
+        groups = ((a, map(itemgetter(1), run)) for a, run in groupby(unresolved, itemgetter(0)))
+    lead = "unresolved pairs (incomparable): "
+    for a, later in groups:
+        prefix = a + "/"
+        yield lead + prefix + (", " + prefix).join(later)
+        lead = ", "
     yield "\n"
 
 

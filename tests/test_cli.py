@@ -89,6 +89,17 @@ def test_rank_with_dot(docs_dir, tmp_path, capsys):
     assert '"x3" -> "x6";' in dot.read_text()
 
 
+def test_rank_dot_into_an_unwritable_path_writes_no_report(docs_dir, tmp_path, capsys):
+    dot = tmp_path / "no" / "such" / "order.dot"
+    code, out, err = run_cli(
+        capsys, "rank", docs_dir / "expert-scores.json", "H", "--kind", "p", "--dot", dot
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert str(dot) in err
+
+
 @pytest.mark.parametrize("kind", list("pamsn"))
 def test_rank_stdout_is_the_report(docs_dir, capsys, kind):
     from hesitant import Inclusion, rank_schemes

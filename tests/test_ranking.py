@@ -247,10 +247,79 @@ def test_ranking_matches_oracle_at_word_boundaries(n):
         assert got.matrix == want.matrix, kind
         assert got.layers == want.layers, kind
         assert got.unresolved == want.unresolved, kind
-        # past 4096 unresolved pairs (a, s and n at n >= 128) the pairs line
-        # comes in more than one piece
+        # the pairs line comes in one piece per scheme with unresolved pairs
         assert format_ranking(got) == format_ranking(want) == _oracle_report(want), kind
         assert ranking_dot(got) == _oracle_dot(want) == ranking_dot(want), kind
+
+
+@pytest.mark.parametrize("kind", RANKABLE)
+def test_dot_ignores_the_layers_field_of_a_hand_built_ranking(kind):
+    from hesitant.ranking import Ranking
+
+    got = rank_schemes(_boundary_scores(65), kind)
+    wrong = (tuple(reversed(got.schemes)),)
+    plain = Ranking(kind, got.schemes, dict(got.matrix), wrong, tuple(got.unresolved))
+    assert ranking_dot(plain) == ranking_dot(got) == _oracle_dot(got)
+    # the view's own layers count, not the field beside it
+    view = Ranking(kind, got.schemes, got.matrix, wrong, got.unresolved)
+    assert ranking_dot(view) == ranking_dot(got)
+
+
+def _chain_scores(memberships):
+    """One scheme per membership, under shuffled names."""
+    from hesitant import make_hfs, Universe
+
+    n = len(memberships)
+    names = [f"s{i}" for i in random.Random(f"chain/{n}").sample(range(10 * n), n)]
+    return make_hfs(Universe(names), dict(zip(names, memberships)))
+
+
+def test_dot_matches_oracle_on_a_long_mean_chain():
+    from fractions import Fraction
+
+    # 300 distinct means, so 300 layers and 299 cover edges
+    scores = _chain_scores([[Fraction(i, 300), Fraction(i, 600)] for i in range(300)])
+    ranking = rank_schemes(scores, Inclusion.MEAN)
+    assert len(ranking.layers) == 300
+    dot = ranking_dot(ranking)
+    assert dot == _oracle_dot(ranking)
+    assert dot.count(" -> ") == 299
+
+
+def test_dot_matches_oracle_when_every_layer_covers_the_next():
+    # three tied maxima, 100 schemes each: every scheme of a layer covers
+    # every scheme of the next one
+    scores = _chain_scores([[("0.1", "0.5", "0.9")[i % 3]] for i in range(300)])
+    ranking = rank_schemes(scores, Inclusion.POSSIBLE)
+    assert [len(layer) for layer in ranking.layers] == [100, 100, 100]
+    dot = ranking_dot(ranking)
+    assert dot == _oracle_dot(ranking)
+    assert dot.count(" -> ") == 2 * 100 * 100
+
+
+def test_pairs_line_keeps_the_order_of_a_hand_built_sequence(scores):
+    from hesitant.ranking import Ranking
+
+    got = rank_schemes(scores, Inclusion.NECESSARY)
+    # the same pairs, alternating between the first elements x1 and x2
+    firsts = [[p for p in got.unresolved if p[0] == a] for a in ("x1", "x2")]
+    alternating = tuple(p for two in zip(*firsts) for p in two)
+    assert [a for a, _ in alternating[:4]] == ["x1", "x2", "x1", "x2"]
+    hand = Ranking(got.kind, got.schemes, got.matrix, got.layers, alternating)
+    text = format_ranking(hand)
+    assert text == _oracle_report(hand)
+    assert text.endswith(", ".join(f"{a}/{b}" for a, b in alternating) + "\n")
+
+
+def test_no_report_piece_holds_more_pairs_than_a_scheme_has():
+    from hesitant.ranking import ranking_report
+
+    n = 200
+    ranking = rank_schemes(_boundary_scores(n), Inclusion.NECESSARY)
+    # the names hold no "/", so each "/" in a piece is one pair
+    counts = [piece.count("/") for piece in ranking_report(ranking)]
+    assert sum(counts) == len(ranking.unresolved) > 10 * n
+    assert max(counts) <= n - 1
 
 
 @pytest.mark.parametrize("kind", [Inclusion.POSSIBLE, Inclusion.MEAN])
