@@ -136,10 +136,11 @@ def _trials(law: Law, alg: Algebra, config: GeneratorConfig):
 # --- witnesses ------------------------------------------------------------------
 
 
-def _serialize_value(value, den: int):
-    """Plain grid value -> JSON-able structure with exact decimal degrees."""
-    if value and isinstance(value[0], tuple) and value[0] and isinstance(value[0][0], tuple):
-        return [_serialize_value(member, den) for member in value]
+def _serialize(value, kind: str, den: int) -> list:
+    """A plain grid value of a param of this kind ("set" or "family") ->
+    JSON-able lists of exact decimal degrees."""
+    if kind == "family":
+        return [_serialize(member, "set", den) for member in value]
     return [[format_grid(num, den) for num in h] for h in value]
 
 
@@ -192,7 +193,7 @@ def _witness(law: Law, config: GeneratorConfig, index: int, size: int, binding: 
         trial=index,
         universe=_universe_names(size),
         binding={
-            name: _serialize_value(binding[name], config.degree_grid) for name, _ in law.params
+            name: _serialize(binding[name], kind, config.degree_grid) for name, kind in law.params
         },
     )
 
@@ -419,7 +420,8 @@ def run_suite(
     """Run the registry (or a selection) against one configuration.
 
     The report is identical for any `workers` value: per-law results depend
-    only on (config, law id) and are assembled in registry order. At most
+    only on (config, law id) and are assembled in registry order, or in
+    selection order with each law once however often it is named. At most
     one worker process runs per law and per CPU.
     """
     if workers < 1:
@@ -428,7 +430,7 @@ def run_suite(
     if law_ids is None:
         laws = list(law_registry())
     else:
-        laws = [get_law(law_id) for law_id in law_ids]
+        laws = list({law.id: law for law in map(get_law, law_ids)}.values())
     workers = min(workers, len(laws), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: `concurrent.futures.process` is a noticeable share

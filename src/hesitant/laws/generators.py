@@ -1,11 +1,31 @@
 """Constructive generators for guard-satisfying random bindings.
 
 Rejection sampling starves on guards like ⊂n (every degree of B must clear
-max A) or chained premises (transitivity), so each guarded law gets a
-targeted generator that builds the binding to satisfy the guard directly.
-All construction happens per universe position on the integer grid.
+max A) or chained premises (transitivity), so each law's generator builds
+its binding to satisfy the premise directly. `derive(params, premise)` reads
+the construction off the shape of the premise, once, at import:
 
-The sorting trick used throughout: if values v_1..v_k are drawn with
+| premise | construction |
+|---|---|
+| none | every param drawn free, in params order |
+| A ⊂k B | per position, a base hfe, then one step up (`_above`) |
+| A ⊂k B and B ⊂k C | the same ladder with two steps |
+| A ⊂k term, term not a variable | the term's variables free, then `_below` its value per position |
+| A = B, A =s B | A drawn free, B = A |
+| A =n B | per position one degree c; A(x) and B(x) repeat c |
+| A ⊂k H for all H in F | A, then every member `_above` A |
+| A ⊂k H for some H in F | A and a free family, then one chosen member rebuilt `_above` A |
+| F1 ⊏ F2 | F2 drawn free, F1 a non-empty selection of its members |
+
+Params the premise leaves unbound are drawn free afterwards, in params order.
+A ⊂t construction leaves room for its steps: a ladder's base has at most
+card_hi - steps degrees and step i at most card_hi - (steps - i). A ⊂m ladder
+draws free hfes and stable-sorts them by exact mean. A premise of any other
+shape is a ValueError, so the registry fails at import; the few laws whose
+generator is not determined by a premise name one (`gen=`).
+
+All construction happens per universe position on the integer grid. The
+sorting trick used throughout: if values v_1..v_k are drawn with
 v_i <= w_i against a descending w (and any extras <= w's last used bound),
 then the descending sort of v still satisfies sorted(v)[i] <= w_i — at most
 i-1 of the drawn values can exceed w_i. The same argument upside down gives
@@ -16,8 +36,8 @@ a construction bug can only surface as starvation, never as a wrong verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
+from ..expressions import Var, variables
 from ..relations import Inclusion
 
 P = Inclusion.POSSIBLE
@@ -41,15 +61,18 @@ class GenContext:
     fam_hi: int
 
 
-def _rand_hfe(alg, stream, ctx, card_hi=None):
-    hi = ctx.card_hi if card_hi is None else card_hi
-    if ctx.card_lo > hi:
-        return None
-    return alg.kern.gen_hfe(stream, ctx.den, ctx.card_lo, hi)
-
-
 def rand_hfs(alg, stream, ctx):
     return alg.kern.gen_hfs(stream, ctx.den, ctx.size, ctx.card_lo, ctx.card_hi)
+
+
+def rand_family(alg, stream, ctx):
+    f = stream.randint(ctx.fam_lo, ctx.fam_hi)
+    return tuple(rand_hfs(alg, stream, ctx) for _ in range(f))
+
+
+def _free(kind):
+    """The free draw of a param of this kind ("set" or "family")."""
+    return rand_hfs if kind == "set" else rand_family
 
 
 def _above(alg, stream, ctx, a, kind, card_hi=None):
@@ -108,125 +131,6 @@ def _below(alg, stream, ctx, b, kind):
     return alg.kern.canon(vals)
 
 
-def _order_by_mean(a, b):
-    if sum(a) * len(b) <= sum(b) * len(a):
-        return a, b
-    return b, a
-
-
-def _pair_elems(alg, stream, ctx, kind):
-    """Per-element pair (a, b) with a ⊂kind b."""
-    if kind is M:
-        x = _rand_hfe(alg, stream, ctx)
-        y = _rand_hfe(alg, stream, ctx)
-        return _order_by_mean(x, y)
-    if kind is T:
-        a = _rand_hfe(alg, stream, ctx, card_hi=ctx.card_hi - 1)
-        if a is None:
-            return None
-    else:
-        a = _rand_hfe(alg, stream, ctx)
-    b = _above(alg, stream, ctx, a, kind)
-    if b is None:
-        return None
-    return a, b
-
-
-def pair(kind, extra=0):
-    """Generator for guards of the shape A ⊂kind B (+ `extra` free sets)."""
-
-    def gen(alg, stream, ctx):
-        pas, pbs = [], []
-        for _ in range(ctx.size):
-            got = _pair_elems(alg, stream, ctx, kind)
-            if got is None:
-                return None
-            pas.append(got[0])
-            pbs.append(got[1])
-        binding = {"A": tuple(pas), "B": tuple(pbs)}
-        for name in ("C", "D")[:extra]:
-            binding[name] = rand_hfs(alg, stream, ctx)
-        return binding
-
-    return gen
-
-
-def chain(kind):
-    """Generator for transitivity guards: A ⊂kind B and B ⊂kind C."""
-
-    def gen(alg, stream, ctx):
-        pas, pbs, pcs = [], [], []
-        for _ in range(ctx.size):
-            if kind is M:
-                a, b, c = (_rand_hfe(alg, stream, ctx) for _ in range(3))
-                a, b = _order_by_mean(a, b)  # a stable sort of three by mean
-                b, c = _order_by_mean(b, c)
-                a, b = _order_by_mean(a, b)
-            else:
-                if kind is T:
-                    a = _rand_hfe(alg, stream, ctx, card_hi=ctx.card_hi - 2)
-                    if a is None:
-                        return None
-                    b = _above(alg, stream, ctx, a, kind, card_hi=ctx.card_hi - 1)
-                else:
-                    a = _rand_hfe(alg, stream, ctx)
-                    b = _above(alg, stream, ctx, a, kind)
-                if b is None:
-                    return None
-                c = _above(alg, stream, ctx, b, kind)
-                if c is None:
-                    return None
-            pas.append(a)
-            pbs.append(b)
-            pcs.append(c)
-        return {"A": tuple(pas), "B": tuple(pbs), "C": tuple(pcs)}
-
-    return gen
-
-
-def rand_sets(*names):
-    """Independent random sets for unguarded laws."""
-
-    def gen(alg, stream, ctx):
-        return {name: rand_hfs(alg, stream, ctx) for name in names}
-
-    return gen
-
-
-def equal_pair(alg, stream, ctx):
-    """A and B perfectly consistent at every element."""
-    A = rand_hfs(alg, stream, ctx)
-    return {"A": A, "B": A}
-
-
-def maybe_equal_pair(alg, stream, ctx):
-    """Half the trials an equal pair, half independent — exercises both
-    directions of an equivalence claim."""
-    A = rand_hfs(alg, stream, ctx)
-    B = A if stream.below(2) == 0 else rand_hfs(alg, stream, ctx)
-    return {"A": A, "B": B}
-
-
-def necessary_equal_pair(alg, stream, ctx):
-    """A =n B forces every degree of both memberships to one value per
-    element; build exactly that."""
-    pas, pbs = [], []
-    for _ in range(ctx.size):
-        c = stream.below(ctx.den + 1)
-        pas.append((c,) * stream.randint(ctx.card_lo, ctx.card_hi))
-        pbs.append((c,) * stream.randint(ctx.card_lo, ctx.card_hi))
-    return {"A": tuple(pas), "B": tuple(pbs)}
-
-
-def rand_family(alg, stream, ctx):
-    f = stream.randint(ctx.fam_lo, ctx.fam_hi)
-    return tuple(rand_hfs(alg, stream, ctx) for _ in range(f))
-
-
-def family_only(alg, stream, ctx):
-    return {"F": rand_family(alg, stream, ctx)}
-
-
 def _per_position(build, alg, stream, ctx, H, kind):
     """`build` (`_above` or `_below`) at every position of H, or None as
     soon as one position is impossible."""
@@ -239,111 +143,235 @@ def _per_position(build, alg, stream, ctx, H, kind):
     return tuple(out)
 
 
-def _tail_base(alg, stream, ctx):
-    """A random A one degree short of the cardinality cap, the base of a ⊂t
-    construction, or None if the cap leaves no room."""
-    if ctx.card_lo > ctx.card_hi - 1:
+def _set_base(alg, stream, ctx, kind):
+    """A random set with room for one ⊂kind step above it at every
+    position, or None if the cardinality cap leaves none."""
+    hi = ctx.card_hi - 1 if kind is T else ctx.card_hi
+    if ctx.card_lo > hi:
         return None
-    return alg.kern.gen_hfs(stream, ctx.den, ctx.size, ctx.card_lo, ctx.card_hi - 1)
+    return alg.kern.gen_hfs(stream, ctx.den, ctx.size, ctx.card_lo, hi)
 
 
-def set_family_forall(kind):
-    """Guard: A ⊂kind H for every member H."""
+# --- the constructions, one per premise shape -------------------------------
 
-    def gen(alg, stream, ctx):
-        A = _tail_base(alg, stream, ctx) if kind is T else rand_hfs(alg, stream, ctx)
+
+def _by_mean(row):
+    """row stably sorted by exact mean: a bubble sort, as rows are short."""
+    for end in range(len(row) - 1, 0, -1):
+        for i in range(end):
+            if sum(row[i]) * len(row[i + 1]) > sum(row[i + 1]) * len(row[i]):
+                row[i], row[i + 1] = row[i + 1], row[i]
+    return row
+
+
+def _ladder(kind, names):
+    """names[0] ⊂kind names[1] ⊂kind ...: per position, a base hfe and then
+    one step up per further name."""
+    steps = range(len(names) - 1)
+    if kind is M:
+
+        def by_mean(alg, stream, ctx):
+            rows = []
+            for _ in range(ctx.size):
+                row = [alg.kern.gen_hfe(stream, ctx.den, ctx.card_lo, ctx.card_hi) for _ in names]
+                rows.append(_by_mean(row))
+            return dict(zip(names, zip(*rows)))
+
+        return by_mean
+    lift = 1 if kind is T else 0  # a ⊂t step adds at least one degree
+    room = lift * len(steps)
+
+    def ladder(alg, stream, ctx):
+        base_cap = ctx.card_hi - room
+        if ctx.card_lo > base_cap:
+            return None
+        rows = []
+        for _ in range(ctx.size):
+            h = alg.kern.gen_hfe(stream, ctx.den, ctx.card_lo, base_cap)
+            row = [h]
+            cap = base_cap
+            for _ in steps:
+                cap += lift
+                h = _above(alg, stream, ctx, h, kind, cap)
+                if h is None:
+                    return None
+                row.append(h)
+            rows.append(row)
+        return dict(zip(names, zip(*rows)))
+
+    return ladder
+
+
+def _below_term(kind, name, value, term_params):
+    """name ⊂kind term: the term's params drawn free, then `_below` the
+    term's value at each position."""
+
+    def below_term(alg, stream, ctx):
+        binding = {param: draw(alg, stream, ctx) for param, draw in term_params}
+        h = _per_position(_below, alg, stream, ctx, value(alg.kern, alg.one, binding), kind)
+        if h is None:
+            return None
+        binding[name] = h
+        return binding
+
+    return below_term
+
+
+def _equal(a, b):
+    def equal(alg, stream, ctx):
+        h = rand_hfs(alg, stream, ctx)
+        return {a: h, b: h}
+
+    return equal
+
+
+def _coinciding(a, b):
+    """a =n b forces every degree of both memberships to one value per
+    element; build exactly that."""
+
+    def coinciding(alg, stream, ctx):
+        pas, pbs = [], []
+        for _ in range(ctx.size):
+            c = (stream.below(ctx.den + 1),)
+            pas.append(c * stream.randint(ctx.card_lo, ctx.card_hi))
+            pbs.append(c * stream.randint(ctx.card_lo, ctx.card_hi))
+        return {a: tuple(pas), b: tuple(pbs)}
+
+    return coinciding
+
+
+def _free_members(alg, stream, ctx, A):
+    return list(rand_family(alg, stream, ctx))
+
+
+def _family_above(kind, name, family, others=None):
+    """name ⊂kind H for every member H of family or, given `others`, for one
+    chosen member among those that others(alg, stream, ctx, A) draws."""
+
+    def family_above(alg, stream, ctx):
+        A = _set_base(alg, stream, ctx, kind)
         if A is None:
             return None
-        members = []
-        for _ in range(stream.randint(ctx.fam_lo, ctx.fam_hi)):
+        if others is None:
+            members = [None] * stream.randint(ctx.fam_lo, ctx.fam_hi)
+            picks = range(len(members))
+        else:
+            members = others(alg, stream, ctx, A)
+            picks = (stream.below(len(members)),)
+        for i in picks:
             H = _per_position(_above, alg, stream, ctx, A, kind)
             if H is None:
                 return None
-            members.append(H)
-        return {"A": A, "F": tuple(members)}
+            members[i] = H
+        return {name: A, family: tuple(members)}
 
-    return gen
+    return family_above
 
 
-def set_family_exists(kind):
-    """Guard: A ⊂kind H_alpha for one chosen member."""
+def _subfamily(small, big):
+    """small ⊏ big: big drawn free and small a non-empty selection of its
+    members."""
+
+    def subfamily(alg, stream, ctx):
+        F2 = rand_family(alg, stream, ctx)
+        idx = list(range(len(F2)))
+        # partial Fisher-Yates using the stream
+        for i in range(len(idx) - 1, 0, -1):
+            j = stream.below(i + 1)
+            idx[i], idx[j] = idx[j], idx[i]
+        k = stream.randint(1, len(F2))
+        return {small: tuple(F2[i] for i in idx[:k]), big: F2}
+
+    return subfamily
+
+
+def _nothing(alg, stream, ctx):
+    return {}
+
+
+def derive(params, premise):
+    """The generator of a law over `params` whose spec has this premise
+    (None for none), built once. Raises ValueError, naming the premise,
+    for a premise of no shape in the module's table."""
+    # Imported here: the registry derives its laws' generators while it
+    # is itself being imported.
+    from .registry import And, Each, Fold, Rel, Subfamily, _value
+
+    def names(term):
+        return {term.family} if isinstance(term, Fold) else variables(term)
+
+    match premise:
+        case None:
+            bound, build = (), _nothing
+        case Rel("rel", Var(a), Var(b), kind):
+            bound, build = (a, b), _ladder(kind, (a, b))
+        case And((Rel("rel", Var(a), Var(b), kind), Rel("rel", Var(b2), Var(c), kind2))) if (
+            b2 == b and kind2 is kind
+        ):
+            bound, build = (a, b, c), _ladder(kind, (a, b, c))
+        case Rel("rel", Var(a), term, kind) if kind is not M and a not in names(term):
+            term_params = tuple((p, _free(k)) for p, k in params if p in names(term))
+            bound = (a, *(p for p, _ in term_params))
+            build = _below_term(kind, a, _value(term), term_params)
+        case Rel("multiset", Var(a), Var(b)) | Rel("eq", Var(a), Var(b), Inclusion.STRONG):
+            bound, build = (a, b), _equal(a, b)
+        case Rel("eq", Var(a), Var(b), Inclusion.NECESSARY):
+            bound, build = (a, b), _coinciding(a, b)
+        case Each(quantifier, h, family, Rel("rel", Var(a), Var(h2), kind)) if (
+            h2 == h and kind is not M
+        ):
+            others = None if quantifier == "all" else _free_members
+            bound, build = (a, family), _family_above(kind, a, family, others)
+        case Subfamily(small, big):
+            bound, build = (small, big), _subfamily(small, big)
+        case _:
+            raise ValueError(f"no generator derives from the premise {premise}")
+    free = tuple((name, _free(kind)) for name, kind in params if name not in bound)
+    if not free:
+        return build
 
     def gen(alg, stream, ctx):
-        A = _tail_base(alg, stream, ctx) if kind is T else rand_hfs(alg, stream, ctx)
-        if A is None:
-            return None
-        members = list(rand_family(alg, stream, ctx))
-        alpha = stream.below(len(members))
-        H = _per_position(_above, alg, stream, ctx, A, kind)
-        if H is None:
-            return None
-        members[alpha] = H
-        return {"A": A, "F": tuple(members)}
+        binding = build(alg, stream, ctx)
+        if binding is not None:
+            for name, draw in free:
+                binding[name] = draw(alg, stream, ctx)
+        return binding
 
     return gen
 
 
-def set_family_iff(kind):
-    """For equivalence claims: mix plain random bindings with bindings built
-    to satisfy each side, so both directions get exercised."""
-    forall = set_family_forall(kind)
+# --- generators that no premise determines ----------------------------------
+
+
+def either_side(params, iff):
+    """For an equivalence claim: a quarter of the bindings built to satisfy
+    its left side, a quarter its right side, half free, so both directions
+    get exercised."""
+    free, left, right = (derive(params, side) for side in (None, iff.left, iff.right))
 
     def gen(alg, stream, ctx):
         r = stream.below(4)
-        if r == 2:
-            return forall(alg, stream, ctx)
-        if r == 3:
-            F = rand_family(alg, stream, ctx)
-            fold = reduce(alg.kern.u_inter, F)
-            A = _per_position(_below, alg, stream, ctx, fold, kind)
-            if A is None:
-                return None
-            return {"A": A, "F": F}
-        return {"A": rand_hfs(alg, stream, ctx), "F": rand_family(alg, stream, ctx)}
+        return (left if r == 2 else right if r == 3 else free)(alg, stream, ctx)
 
     return gen
 
 
-def tail_exists_with_small_cards(alg, stream, ctx):
-    """Guard of the tail/union family law: A ⊂t H_alpha and |A(x)| < |H(x)|
-    for every member and element."""
-    A = _tail_base(alg, stream, ctx)
-    if A is None:
-        return None
-    members = []
-    for _ in range(stream.randint(ctx.fam_lo, ctx.fam_hi)):
-        H = tuple(
-            alg.kern.gen_hfe(stream, ctx.den, len(a) + 1, ctx.card_hi) for a in A
-        )
-        members.append(H)
-    alpha = stream.below(len(members))
-    H = _per_position(_above, alg, stream, ctx, A, T)
-    if H is None:
-        return None
-    members[alpha] = H
-    return {"A": A, "F": tuple(members)}
+def maybe_equal_pair(alg, stream, ctx):
+    """Half the trials an equal pair, half independent — exercises both
+    directions of an equivalence claim."""
+    A = rand_hfs(alg, stream, ctx)
+    B = A if stream.below(2) == 0 else rand_hfs(alg, stream, ctx)
+    return {"A": A, "B": B}
 
 
-def subfamily_pair(alg, stream, ctx):
-    """F1 ⊏ F2: pick F2 at random and F1 as a non-empty selection of its
-    members."""
-    F2 = rand_family(alg, stream, ctx)
-    idx = list(range(len(F2)))
-    # partial Fisher-Yates using the stream
-    for i in range(len(idx) - 1, 0, -1):
-        j = stream.below(i + 1)
-        idx[i], idx[j] = idx[j], idx[i]
-    k = stream.randint(1, len(F2))
-    F1 = tuple(F2[i] for i in idx[:k])
-    return {"F1": F1, "F2": F2}
+def _longer_members(alg, stream, ctx, A):
+    """Members with more degrees than A at every position."""
+    return [
+        tuple(alg.kern.gen_hfe(stream, ctx.den, len(a) + 1, ctx.card_hi) for a in A)
+        for _ in range(stream.randint(ctx.fam_lo, ctx.fam_hi))
+    ]
 
 
-def meet_tail_pair(alg, stream, ctx):
-    """Guard A ⊂t (B ∩ C): draw B and C, then build A under their meet."""
-    B = rand_hfs(alg, stream, ctx)
-    C = rand_hfs(alg, stream, ctx)
-    I = alg.kern.u_inter(B, C)
-    A = _per_position(_below, alg, stream, ctx, I, T)
-    if A is None:
-        return None
-    return {"A": A, "B": B, "C": C}
+#: Guard of the tail/union family law: A ⊂t H_alpha and |A(x)| < |H(x)| for
+#: every member and element.
+tail_exists_with_small_cards = _family_above(T, "A", "F", _longer_members)

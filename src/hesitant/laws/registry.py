@@ -11,7 +11,9 @@ Specs are data, written with the small formula type below. They are the one
 documented source for what each law means: `Law.statement` is rendered from
 the spec, and `Law.guard` and `Law.claim` are closures compiled from it once,
 at import. A compiled closure takes `(alg, binding)`, fetches the kernel from
-`alg.kern` once per call and has its relation codes bound already.
+`alg.kern` once per call and has its relation codes bound already. A law's
+random generator is derived from its premise (`generators.derive`) unless the
+law names one; the ⇔ laws and thm5.6 do.
 `render_table()` regenerates docs/laws.md from the statements.
 
 Ids are stable text keys: `propN.i` / `thmN.i` for proved laws (with semantic
@@ -418,9 +420,9 @@ _LAWS: list[Law] = []
 
 
 def _law(id, params, spec, gen=None, *, status=LawStatus.PROVED, fixtures=(), aliases=(), note=""):
-    if gen is None:  # independent random sets, for laws over sets without a premise
-        gen = g.rand_sets(*(name for name, kind in params if kind == "set"))
     premise, claim = (spec.premise, spec.claim) if isinstance(spec, Implies) else (None, spec)
+    if gen is None:
+        gen = g.derive(params, premise)
     _LAWS.append(Law(
         id=id,
         status=status,
@@ -435,8 +437,8 @@ def _law(id, params, spec, gen=None, *, status=LawStatus.PROVED, fixtures=(), al
     ))
 
 
-def _refuted(id: str, params, spec, fixtures, gen=None, note: str = "") -> None:
-    _law(id, params, spec, gen, status=LawStatus.REFUTED, fixtures=fixtures, note=note)
+def _refuted(id: str, params, spec, fixtures, note: str = "") -> None:
+    _law(id, params, spec, status=LawStatus.REFUTED, fixtures=fixtures, note=note)
 
 
 def _sets(*names: str) -> tuple[tuple[str, str], ...]:
@@ -462,11 +464,8 @@ _law("thm1.5", ABC, And(same("(A & B) & C", "A & (B & C)"), same("(A | B) | C", 
 for _i, (_premise, _conclusion) in enumerate(
     ((A_, P), (S, P), (S, A_), (S, M), (T, P), (N, P), (N, A_), (N, M)), start=1
 ):
-    _law(
-        f"prop2.{_i}", AB, Implies(inc(_premise, "A", "B"), inc(_conclusion, "A", "B")),
-        g.pair(_premise),
-    )
-_law("prop2.9", AB, Implies(inc(N, "A", "B"), sot("A", "B")), g.pair(N))
+    _law(f"prop2.{_i}", AB, Implies(inc(_premise, "A", "B"), inc(_conclusion, "A", "B")))
+_law("prop2.9", AB, Implies(inc(N, "A", "B"), sot("A", "B")))
 
 # --------------------------------------------------------------------------
 # Meet and join against their operands
@@ -480,17 +479,17 @@ for _num, _kind in ((3, P), (4, A_)):
 _law("prop5.1", AB, EitherAt(inc(M, "A & B", "A"), inc(M, "A & B", "B")))
 _law("prop5.2", AB, EitherAt(inc(M, "A", "A | B"), inc(M, "B", "A | B")))
 _law("prop5.3", AB, inc(M, "A & B", "A | B"))
-_law("prop5.4", AB, Implies(inc(M, "A", "B"), inc(M, "A & B", "B")), g.pair(M))
-_law("prop5.5", AB, Implies(inc(M, "A", "B"), inc(M, "A", "A | B")), g.pair(M))
+_law("prop5.4", AB, Implies(inc(M, "A", "B"), inc(M, "A & B", "B")))
+_law("prop5.5", AB, Implies(inc(M, "A", "B"), inc(M, "A", "A | B")))
 
 _law("prop6.1", AB, And(sot("A", "A | B"), sot("B", "A | B")))
 _law("prop6.2", AB, sot("A & B", "A | B"))
 
 for _i, _kind in enumerate((P, A_, S, T, N), start=1):
-    _law(f"prop7.{_i}", AB, Implies(inc(_kind, "A", "B"), sot("A", "A & B")), g.pair(_kind))
+    _law(f"prop7.{_i}", AB, Implies(inc(_kind, "A", "B"), sot("A", "A & B")))
 
 for _i, (_lhs, _rhs) in enumerate((("A & B", "B"), ("A", "A | B"), ("A & B", "A | B")), start=1):
-    _law(f"prop8.{_i}", AB, Implies(inc(N, "A", "B"), inc(N, _lhs, _rhs)), g.pair(N))
+    _law(f"prop8.{_i}", AB, Implies(inc(N, "A", "B"), inc(N, _lhs, _rhs)))
 
 # --------------------------------------------------------------------------
 # Monotonicity against a third set
@@ -498,41 +497,41 @@ for _i, (_lhs, _rhs) in enumerate((("A & B", "B"), ("A", "A | B"), ("A & B", "A 
 
 for _i, _kind in enumerate((P, A_, S, T, N), start=1):
     _claim = inc(_kind, "A", "B | C") if _kind in (P, A_) else sot("A", "B | C")
-    _law(f"prop9.{_i}", ABC, Implies(inc(_kind, "A", "B"), _claim), g.pair(_kind, extra=1))
+    _law(f"prop9.{_i}", ABC, Implies(inc(_kind, "A", "B"), _claim))
 
 _MONO_WEAKENING = {P: P, A_: A_, S: A_, T: P, N: A_}
 
 for _num, _sym in ((10, "&"), (11, "|")):
     for _i, _kind in enumerate((P, A_, S, T, N), start=1):
         _claim = inc(_MONO_WEAKENING[_kind], f"A {_sym} C", f"B {_sym} C")
-        _law(f"prop{_num}.{_i}", ABC, Implies(inc(_kind, "A", "B"), _claim), g.pair(_kind, extra=1))
+        _law(f"prop{_num}.{_i}", ABC, Implies(inc(_kind, "A", "B"), _claim))
 
 for _i, _kind in zip((6, 7, 8), (S, T, N)):
     _claim = sot("A | C", "B | C")
-    _law(f"prop11.{_i}", ABC, Implies(inc(_kind, "A", "B"), _claim), g.pair(_kind, extra=1))
+    _law(f"prop11.{_i}", ABC, Implies(inc(_kind, "A", "B"), _claim))
 
 # --------------------------------------------------------------------------
 # Complement monotonicity and transitivity
 # --------------------------------------------------------------------------
 
 for _i, _kind in ((1, A_), (2, M), (4, N)):
-    _law(f"prop12.{_i}", AB, Implies(inc(_kind, "A", "B"), inc(_kind, "B^c", "A^c")), g.pair(_kind))
-_law("prop12.3", AB, Implies(inc(S, "A", "B"), sot("B^c", "A^c")), g.pair(S))
+    _law(f"prop12.{_i}", AB, Implies(inc(_kind, "A", "B"), inc(_kind, "B^c", "A^c")))
+_law("prop12.3", AB, Implies(inc(S, "A", "B"), sot("B^c", "A^c")))
 
 for _i, _kind in enumerate((P, A_, M, S, T, N), start=1):
     _premise = And(inc(_kind, "A", "B"), inc(_kind, "B", "C"))
-    _law(f"prop13.{_i}", ABC, Implies(_premise, inc(_kind, "A", "C")), g.chain(_kind))
+    _law(f"prop13.{_i}", ABC, Implies(_premise, inc(_kind, "A", "C")))
 
 # --------------------------------------------------------------------------
 # Equality results
 # --------------------------------------------------------------------------
 
 _EQ_PAM = And(eq(P, "A", "B"), eq(A_, "A", "B"), eq(M, "A", "B"))
-_law("thm2.1", AB, Implies(same("A", "B"), _EQ_PAM), g.equal_pair)
+_law("thm2.1", AB, Implies(same("A", "B"), _EQ_PAM))
 _law("thm2.2", AB, Iff(eq(S, "A", "B"), same("A", "B")), g.maybe_equal_pair)
-_law("thm2.3", AB, Implies(eq(S, "A", "B"), _EQ_PAM), g.equal_pair)
-_law("thm2.4", AB, Implies(eq(N, "A", "B"), Coincide("A", "B")), g.necessary_equal_pair)
-_law("thm2.5", AB, Implies(eq(N, "A", "B"), _EQ_PAM), g.necessary_equal_pair)
+_law("thm2.3", AB, Implies(eq(S, "A", "B"), _EQ_PAM))
+_law("thm2.4", AB, Implies(eq(N, "A", "B"), Coincide("A", "B")))
+_law("thm2.5", AB, Implies(eq(N, "A", "B"), _EQ_PAM))
 
 for _i, _kind, _alias in ((1, P, "thm3.idem-p"), (2, A_, "thm3.idem-a"), (3, M, "thm3.idem-m")):
     _law(f"thm3.{_i}", A, And(eq(_kind, "A & A", "A"), eq(_kind, "A | A", "A")), aliases=(_alias,))
@@ -554,26 +553,25 @@ _SET_FAMILY = (("A", "set"), ("F", "family"))
 _TWO_FAMILIES = (("F1", "family"), ("F2", "family"))
 
 for _i, _kind in ((1, P), (2, A_), (3, M)):
-    _law(f"thm4.{_i}", _FAMILY, inc(_kind, "⋂F", "⋃F"), g.family_only)
-_law("thm4.4", _FAMILY, sot("⋂F", "⋃F"), g.family_only)
+    _law(f"thm4.{_i}", _FAMILY, inc(_kind, "⋂F", "⋃F"))
+_law("thm4.4", _FAMILY, sot("⋂F", "⋃F"))
 
 for _i, _kind in ((1, P), (3, A_), (7, N)):
     _spec = Iff(for_all(inc(_kind, "A", "H")), inc(_kind, "A", "⋂F"))
-    _law(f"thm5.{_i}", _SET_FAMILY, _spec, g.set_family_iff(_kind))
+    _law(f"thm5.{_i}", _SET_FAMILY, _spec, g.either_side(_SET_FAMILY, _spec))
 for _i, _kind in ((2, P), (4, A_), (8, N)):
     _spec = Implies(for_some(inc(_kind, "A", "H")), inc(_kind, "A", "⋃F"))
-    _law(f"thm5.{_i}", _SET_FAMILY, _spec, g.set_family_exists(_kind))
-_spec = Implies(for_all(inc(T, "A", "H")), inc(T, "A", "⋂F"))
-_law("thm5.5", _SET_FAMILY, _spec, g.set_family_forall(T))
+    _law(f"thm5.{_i}", _SET_FAMILY, _spec)
+_law("thm5.5", _SET_FAMILY, Implies(for_all(inc(T, "A", "H")), inc(T, "A", "⋂F")))
 _spec = Implies(And(for_some(inc(T, "A", "H")), FewerDegrees("A", "F")), inc(T, "A", "⋃F"))
 _law("thm5.6", _SET_FAMILY, _spec, g.tail_exists_with_small_cards)
 
 _SUB = Subfamily("F1", "F2")
 for _first, _lhs, _rhs in ((1, "⋂F2", "⋂F1"), (2, "⋃F1", "⋃F2"), (3, "⋂F1", "⋃F2")):
     for _i, _kind in ((_first, P), (_first + 3, A_)):
-        _law(f"thm6.{_i}", _TWO_FAMILIES, Implies(_SUB, inc(_kind, _lhs, _rhs)), g.subfamily_pair)
-_law("thm6.7", _TWO_FAMILIES, Implies(_SUB, sot("⋃F1", "⋃F2")), g.subfamily_pair)
-_law("thm6.8", _TWO_FAMILIES, Implies(_SUB, sot("⋂F1", "⋃F2")), g.subfamily_pair)
+        _law(f"thm6.{_i}", _TWO_FAMILIES, Implies(_SUB, inc(_kind, _lhs, _rhs)))
+_law("thm6.7", _TWO_FAMILIES, Implies(_SUB, sot("⋃F1", "⋃F2")))
+_law("thm6.8", _TWO_FAMILIES, Implies(_SUB, sot("⋂F1", "⋃F2")))
 
 # --------------------------------------------------------------------------
 # Refuted laws: classical-set intuitions that fail, each with the worked
@@ -620,7 +618,6 @@ for _gk, _op, _ck, _elem in _MONO_CASES:
         f"exam-sec2.5-{_gk.letter}-{_op}-{_ck.letter}", ABC,
         Implies(inc(_gk, "A", "B"), inc(_ck, f"A {_sym} C", f"B {_sym} C")),
         (slice_at(f"monotonicity-failures@{_elem}", _elem, MONOTONICITY_FAILURES, "A", "B", "C"),),
-        g.pair(_gk, extra=1),
     )
 
 # complement contrapositives that fail
@@ -630,7 +627,6 @@ for _gk, _elem, _claims in ((P, "x", (P, M)), (T, "y", (P, A_, M, S, T, N))):
             f"exam-sec2.5c-{_gk.letter}-compl-{_ck.letter}", AB,
             Implies(inc(_gk, "A", "B"), inc(_ck, "B^c", "A^c")),
             (slice_at(f"complement-failures@{_elem}", _elem, COMPLEMENT_FAILURES, "A", "B"),),
-            g.pair(_gk),
         )
 
 # equality beyond =p/=a fails for absorption and distributivity
@@ -648,7 +644,6 @@ _refuted(
 _refuted(
     "exam-sec2.4-tconv", ABC, Implies(inc(T, "A", "B & C"), inc(T, "A", "B")),
     (whole("truncation-remark", ("x",), TRUNCATION_REMARK, "A", "B", "C"),),
-    g.meet_tail_pair,
 )
 
 LAWS: tuple[Law, ...] = tuple(_LAWS)

@@ -129,6 +129,22 @@ def test_check_single_law_and_report(tmp_path, capsys):
     assert {r["id"] for r in data["results"]} == {"prop2.1", "exam-sec2.4-tconv"}
 
 
+def test_check_runs_a_law_named_twice_once(tmp_path, capsys):
+    # thm3.idem-p is an alias of thm3.1
+    report = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys, "check", "--trials", "5", "--law", "thm3.1", "--law", "thm3.idem-p",
+        "--law", "prop2.1", "--law", "thm3.1", "--report", report,
+    )
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("ok")] == [
+        "thm3.1", "prop2.1"
+    ]
+    data = json.loads(report.read_bytes())
+    assert data["laws"] == 2
+    assert [r["id"] for r in data["results"]] == ["thm3.1", "prop2.1"]
+
+
 def test_check_seed_flag_changes_nothing_for_proved(capsys):
     for seed in ("3", "4"):
         code, out, _ = run_cli(

@@ -16,7 +16,10 @@ from hesitant import (
     refuted_laws,
 )
 from hesitant.laws import LawStatus, fixture_binding, replay_fixtures
-from hesitant.laws.registry import Rel, render_table
+from hesitant.laws.registry import (
+    And, Iff, Implies, Rel, _law, eq, for_all, inc, render_table, sot,
+)
+from hesitant.relations import Inclusion as K
 
 
 def test_registry_counts():
@@ -210,3 +213,64 @@ def test_law_verdicts_pinned():
     assert sorted(pinned) == sorted(law.id for law in law_registry())
     changed = [law.id for law in law_registry() if verdict_digest(law) != pinned[law.id]]
     assert not changed
+
+
+# --- generators derived from premises ------------------------------------------
+
+# The laws whose generator no premise determines: the ⇔ laws, which mix
+# bindings built for each side, and thm5.6, whose premise has a FewerDegrees
+# part.
+NAMED_GENERATORS = {"thm2.2", "thm5.1", "thm5.3", "thm5.6", "thm5.7"}
+
+
+def _bindings(law, gen):
+    import dataclasses
+
+    from hesitant.laws.algebra import grid_algebra
+    from hesitant.laws.engine import GeneratorConfig, _trials
+
+    config = GeneratorConfig(trials=30)
+    source = dataclasses.replace(law, gen=gen, guard=None)
+    return [b for _, _, b in _trials(source, grid_algebra(config.degree_grid), config)]
+
+
+def test_every_other_law_draws_what_its_premise_derives():
+    from hesitant.laws import generators as g
+
+    named = set()
+    for law in law_registry():
+        try:
+            derived = g.derive(law.params, law.premise)
+        except ValueError:
+            named.add(law.id)
+            continue
+        if _bindings(law, derived) != _bindings(law, law.gen):
+            named.add(law.id)
+    assert named == NAMED_GENERATORS
+
+
+_UNDERIVABLE = [
+    Iff(inc(K.POSSIBLE, "A", "B"), inc(K.POSSIBLE, "B", "A")),
+    And(inc(K.POSSIBLE, "A", "B"), inc(K.ACCEPTABLE, "B", "C")),
+    And(inc(K.POSSIBLE, "A", "B"), inc(K.POSSIBLE, "C", "B")),
+    inc(K.MEAN, "A", "B & C"),
+    inc(K.POSSIBLE, "A", "A | B"),
+    inc(K.POSSIBLE, "A & B", "C"),
+    eq(K.POSSIBLE, "A", "B"),
+    sot("A", "B"),
+    for_all(inc(K.MEAN, "A", "H")),
+]
+
+
+@pytest.mark.parametrize("premise", _UNDERIVABLE, ids=str)
+def test_an_underivable_premise_fails_at_registration(premise):
+    import re
+
+    from hesitant.laws import generators as g
+
+    params = tuple((name, "set") for name in "ABC")
+    message = f"no generator derives from the premise {re.escape(str(premise))}$"
+    with pytest.raises(ValueError, match=message):
+        g.derive(params, premise)
+    with pytest.raises(ValueError, match=message):
+        _law("underivable", params, Implies(premise, inc(K.POSSIBLE, "A", "C")))
