@@ -368,8 +368,6 @@ FASTCALL(u_rel) {
 
 FASTCALL(u_sot) { return arity("u_sot", nargs, 2) ? NULL : u_all(args[0], args[1], 1, 0); }
 
-FASTCALL(u_equal) { return arity("u_equal", nargs, 2) ? NULL : PyObject_RichCompare(args[0], args[1], Py_EQ); }
-
 /* --- random generation on the integer grid --- */
 
 typedef struct {
@@ -512,7 +510,6 @@ static PyMethodDef kernel_methods[] = {
     FAST(u_compl, "Complement {one - g} at every universe position."),
     FAST(u_rel, "True iff e_rel holds at every universe position."),
     FAST(u_sot, "True iff a ⊂s b or a ⊂t b at every universe position."),
-    FAST(u_equal, "A == B."),
     FAST(gen_hfe, "Random hfe: cardinality uniform in [card_lo, card_hi], degrees uniform on {0, ..., den}."),
     FAST(gen_hfs, "Random hfs over `size` universe positions."),
     {NULL},

@@ -244,10 +244,6 @@ def u_sot(A, B):
     return True
 
 
-def u_equal(A, B):
-    return A == B
-
-
 def e_rel(code, a, b):
     """The six inclusion relations on descending degree tuples: `u_rel` at
     one position."""

@@ -29,7 +29,7 @@ from .ingest import ingest_scores
 from .laws.engine import GeneratorConfig, hunt_counterexample, run_suite
 from .laws.fixtures import Fixture
 from .laws.registry import Law, LawStatus, at, get_law, refuted_laws
-from .ranking import rank_schemes, ranking_dot, ranking_report
+from .ranking import rank_schemes, ranking_dot_lines, ranking_report
 from .relations import Inclusion, relation_profile, set_relation
 from .sets import HFS
 
@@ -48,11 +48,7 @@ def _fmt_bool(value: bool) -> str:
 
 def cmd_relate(args) -> int:
     doc = _read_document(args.file)
-    try:
-        A, B = doc.hfs(args.set_a), doc.hfs(args.set_b)
-    except HesitantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    A, B = doc.hfs(args.set_a), doc.hfs(args.set_b)
     kinds = list(Inclusion)
     print(f"per-element relations {args.set_a}(x) ⊂k {args.set_b}(x):")
     width = max(len(e) for e in doc.universe)
@@ -110,14 +106,13 @@ def cmd_rank(args) -> int:
     kind = Inclusion.from_letter(args.kind)
     ranking = rank_schemes(scores, kind)
     # The DOT file is opened first, so a path that cannot be written fails
-    # before any of the report is. The report is written piece by piece: at
-    # thousands of schemes it runs to tens of megabytes, and no full copy of
-    # it is held.
+    # before any of the report is. The report and the DOT are written piece
+    # by piece: at thousands of schemes each runs to tens of megabytes, and
+    # no full copy of either is held.
     with open(args.dot, "w", encoding="utf-8") if args.dot else nullcontext() as dot:
-        for piece in ranking_report(ranking):
-            sys.stdout.write(piece)
+        sys.stdout.writelines(ranking_report(ranking))
         if dot is not None:
-            dot.write(ranking_dot(ranking))
+            dot.writelines(ranking_dot_lines(ranking))
     if args.dot:
         print(f"wrote strict-order graph to {args.dot}")
     return 0
@@ -132,10 +127,7 @@ def cmd_check(args) -> int:
         trials=args.trials,
         degree_grid=args.grid,
     )
-    law_ids = None
-    if args.law:
-        law_ids = [law.id for law in (get_law(i) for i in args.law)]
-    report = run_suite(config, law_ids=law_ids, workers=args.workers)
+    report = run_suite(config, law_ids=args.law, workers=args.workers)
     for result in report.results:
         flags = []
         if result.status == LawStatus.PROVED.value:
@@ -168,7 +160,7 @@ def cmd_check(args) -> int:
 
 def _spec_detail(spec, alg, plain, universe) -> list[str]:
     """Describe the two sides of a claim/guard (a `Rel`) on one grid binding."""
-    L, R = spec.sides(alg, plain)
+    L, R = spec.sides(alg.kern, alg.one, plain)
     lines = []
     for i, e in enumerate(universe):
         lh, rh = HFE._from_grid(L[i], alg.one), HFE._from_grid(R[i], alg.one)
@@ -202,17 +194,17 @@ def _spec_detail(spec, alg, plain, universe) -> list[str]:
 
 
 def _print_fixture_trace(law: Law, fixture: Fixture) -> bool:
-    from .laws.engine import evaluate_law, exact_binding, fixture_binding
+    from .laws.engine import exact_binding, fixture_binding, grid_verdict
 
     binding = fixture_binding(law, fixture)
-    verdict = evaluate_law(law, binding)
+    alg, plain = exact_binding(law, binding)
+    verdict = grid_verdict(law, alg, plain)
     falsifies = verdict["guard"] and not verdict["claim"]
     print(f"{law.id}: {law.statement}")
     print(f"  fixture {fixture.name}, universe {{{', '.join(fixture.universe)}}}")
     for var, hfs in binding.items():
         memberships = " + ".join(f"{hfs[e]}/{e}" for e in fixture.universe)
         print(f"    {var} = {memberships}")
-    alg, plain = exact_binding(law, binding)
     for label, spec, holds in (
         ("premise", law.premise, verdict["guard"]),
         ("claim", law.conclusion, verdict["claim"]),
@@ -335,13 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HesitantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HesitantError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

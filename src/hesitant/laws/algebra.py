@@ -1,16 +1,19 @@
 """Evaluation contexts for law predicates.
 
-Laws are compiled once, to predicates over *plain values* on an integer grid:
+Laws are compiled once, to predicates `(kern, one, binding)` over *plain
+values* on an integer grid:
 
     hfe     = non-empty descending tuple of int numerators k, meaning k/den
     hfs     = tuple of hfes (one per universe position)
     family  = tuple of hfs
 
-and an `Algebra`: the kernel module they call, and the complement unit
-`one` = den. The randomized suite draws on the grid 1/degree_grid and runs
-the fastest kernel (`grid_algebra`). Exact evaluation (`evaluate_law`,
-fixture and witness replay) puts a binding on the lcm of its denominators,
-which can outgrow a C integer, and so runs the pure kernel, `EXACT.kern`.
+An `Algebra` holds the two other arguments: `kern`, the kernel module the
+predicates call, and the complement unit `one` = den. Callers read both once
+per law, or once per exact evaluation. The randomized suite draws on the
+grid 1/degree_grid and runs the fastest kernel (`grid_algebra`). Exact
+evaluation (`evaluate_law`, fixture and witness replay) puts a binding on
+the lcm of its denominators, which can outgrow a C integer, and so runs the
+pure kernel, `EXACT.kern`.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .._kernel import _pykernel, active
 
 
 class Algebra:
-    """A kernel module and the complement unit of its scalars. Laws call
-    the kernel through `kern` directly."""
+    """A kernel module and the complement unit of its scalars: the first
+    two arguments of every law predicate."""
 
     __slots__ = ("kern", "one")
 

@@ -123,12 +123,13 @@ def _trials(law: Law, alg: Algebra, config: GeneratorConfig):
         for size in range(config.universe_size[0], config.universe_size[1] + 1)
     }
     prefix = _mix(config.seed, law.id)
+    guard, kern, one = law.guard, alg.kern, alg.one
     for index in range(config.trials):
         data = index.to_bytes(8, "little").rstrip(b"\0")
         stream = active.Stream(_extend(prefix, data) * _FNV_POWERS[8 - len(data)] & _MASK64)
         size = stream.randint(*config.universe_size)
         binding = law.gen(alg, stream, contexts[size])
-        if binding is not None and law.guard is not None and not law.guard(alg, binding):
+        if binding is not None and guard is not None and not guard(kern, one, binding):
             binding = None
         yield index, size, binding
 
@@ -293,13 +294,10 @@ class SuiteReport:
 
 
 def fixture_binding(law: Law, fixture: Fixture) -> dict:
-    """Fixture data -> public objects binding for evaluate_law."""
-    uni = Universe(fixture.universe)
-    return {
-        name: HFS(uni, dict(fixture.binding[name]))
-        for name, kind in law.params
-        if kind == "set"
-    }
+    """The law's sets bound to its fixture's example sets of the same names,
+    as public objects for evaluate_law."""
+    sets = fixture.sets
+    return {name: sets[name] for name, kind in law.params if kind == "set"}
 
 
 def exact_binding(law: Law, binding: Mapping[str, object]) -> tuple[Algebra, dict]:
@@ -334,10 +332,15 @@ def evaluate_law(law: Law | str, binding: Mapping[str, object]) -> dict:
     """
     if isinstance(law, str):
         law = get_law(law)
-    alg, plain = exact_binding(law, binding)
-    guard = True if law.guard is None else bool(law.guard(alg, plain))
-    claim = bool(law.claim(alg, plain))
-    return {"guard": guard, "claim": claim}
+    return grid_verdict(law, *exact_binding(law, binding))
+
+
+def grid_verdict(law: Law, alg: Algebra, plain: Mapping[str, object]) -> dict:
+    """{"guard": bool, "claim": bool} of `law` on a binding of plain grid
+    values under `alg`."""
+    kern, one = alg.kern, alg.one
+    guard = True if law.guard is None else bool(law.guard(kern, one, plain))
+    return {"guard": guard, "claim": bool(law.claim(kern, one, plain))}
 
 
 def replay_fixtures(law: Law) -> tuple[FixtureResult, ...]:
@@ -380,6 +383,7 @@ def run_law(law: Law | str, config: GeneratorConfig) -> LawResult:
         law = get_law(law)
     started = time.perf_counter()
     alg = grid_algebra(config.degree_grid)
+    claim, kern, one = law.claim, alg.kern, alg.one
     violations = 0
     starved = 0
     witnesses: list[Witness] = []
@@ -390,7 +394,7 @@ def run_law(law: Law | str, config: GeneratorConfig) -> LawResult:
                 starved += 1
                 continue
             trials_run += 1
-            if not law.claim(alg, binding):
+            if not claim(kern, one, binding):
                 violations += 1
                 if len(witnesses) < WITNESS_CAP:
                     witnesses.append(_witness(law, config, index, size, binding))
@@ -452,8 +456,9 @@ def hunt_counterexample(law_id: str, config: GeneratorConfig) -> Optional[Witnes
     """
     law = get_law(law_id)
     alg = grid_algebra(config.degree_grid)
+    claim, kern, one = law.claim, alg.kern, alg.one
     for index, size, binding in _trials(law, alg, config):
-        if binding is not None and not law.claim(alg, binding):
+        if binding is not None and not claim(kern, one, binding):
             return _witness(law, config, index, size, binding)
     return None
 

@@ -1,48 +1,33 @@
-"""Fixture data: the worked examples behind the refuted laws.
+"""The worked examples behind the refuted laws, and the fixtures that bind them.
 
-Every table is written as decimal strings, as in a document; `evaluate_law`
-runs a fixture binding on its common integer grid, on the exact kernel.
-`fixture_documents()` exposes the same data as round-trippable documents for
-the CLI and the tests.
+Each example is one table, written as decimal strings as in a document: set
+name -> element -> degrees. Its universe is the elements of its first set,
+in order. `example_sets` parses a table once per process. A `Fixture` names
+an example and, for a slice, one element; `engine.fixture_binding` binds a
+law's sets to the example's sets of the same names, and `evaluate_law` runs
+them on their common integer grid, on the exact kernel.
+`fixture_documents()` exposes every example as a round-trippable document
+for the CLI and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Optional
 
-Table = Mapping[str, Mapping[str, tuple[str, ...]]]
+from ..sets import HFS, Universe
 
-
-def _freeze(table: dict) -> Table:
-    return MappingProxyType(
-        {name: MappingProxyType({e: tuple(v) for e, v in mem.items()}) for name, mem in table.items()}
-    )
-
-
-@dataclass(frozen=True)
-class Fixture:
-    """One named variable binding: var -> element -> degree strings."""
-
-    name: str
-    universe: tuple[str, ...]
-    binding: Table
-
-
-# --- the three expression types and the equality convention -----------------
-EXPRESSION_TYPES = _freeze(
-    {
+EXAMPLES: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
+    # the three expression types and the equality convention
+    "expression-types": {
         "A": {"x": ("0.6", "0.5", "0.3"), "y": ("0.5", "0.3", "0.2")},
         "B": {"x": ("0.3", "0.6", "0.5"), "y": ("0.2", "0.5", "0.3")},
         "C": {"x": ("0.3", "0.3", "0.6", "0.5"), "y": ("0.2", "0.5", "0.3")},
-    }
-)
-EXPRESSION_TYPES_UNIVERSE = ("x", "y")
-
-# --- six decision schemes scored by a three-expert team ---------------------
-EXPERT_SCORES = _freeze(
-    {
+    },
+    # six decision schemes scored by a three-expert team
+    "expert-scores": {
         "H": {
             "x1": ("0.9", "0.2"),
             "x2": ("0.6", "0.6", "0.5"),
@@ -51,40 +36,24 @@ EXPERT_SCORES = _freeze(
             "x5": ("0.9", "0.3", "0.1"),
             "x6": ("0.9", "0.8", "0.7"),
         }
-    }
-)
-EXPERT_SCORES_UNIVERSE = ("x1", "x2", "x3", "x4", "x5", "x6")
-
-# --- mean-inclusion failures for intersection/union -------------------------
-MEAN_FAILURES = _freeze(
-    {
+    },
+    # mean-inclusion failures for intersection/union
+    "mean-failures": {
         "A": {"x": ("0.1", "0.8"), "y": ("0.1", "0.8"), "z": ("0.7", "0.9")},
         "B": {"x": ("0.7", "0.9"), "y": ("0.1", "0.9"), "z": ("0.1", "0.8")},
-    }
-)
-MEAN_FAILURES_UNIVERSE = ("x", "y", "z")
-
-# --- strong/tail failure for the intersection vs its operands ---------------
-SOT_FAILURES = _freeze(
-    {
+    },
+    # strong/tail failure for the intersection vs its operands
+    "sot-failures": {
         "A": {"x": ("0.1", "0.2", "0.5", "0.6", "0.9"), "y": ("0.1", "0.7")},
         "B": {"x": ("0.05", "0.3", "0.4", "0.7", "0.8"), "y": ("0.8", "0.9", "0.9")},
-    }
-)
-SOT_FAILURES_UNIVERSE = ("x", "y")
-
-# --- necessity fails against union/intersection without a premise -----------
-NECESSITY_FAILURES = _freeze(
-    {
+    },
+    # necessity fails against union/intersection without a premise
+    "necessity-failures": {
         "A": {"x": ("0.1", "0.3", "0.5")},
         "B": {"x": ("0.2", "0.4", "0.6")},
-    }
-)
-NECESSITY_FAILURES_UNIVERSE = ("x",)
-
-# --- guarded monotonicity failures with a third set, per scheme --------------
-MONOTONICITY_FAILURES = _freeze(
-    {
+    },
+    # guarded monotonicity failures with a third set, per scheme
+    "monotonicity-failures": {
         "A": {
             "x1": ("0.2", "0.4"),
             "x2": ("0.2", "0.5"),
@@ -115,78 +84,62 @@ MONOTONICITY_FAILURES = _freeze(
             "x7": ("0.1", "0.4"),
             "x8": ("0.8", "0.9"),
         },
-    }
-)
-MONOTONICITY_FAILURES_UNIVERSE = tuple(f"x{i}" for i in range(1, 9))
-
-# --- complement monotonicity failures ----------------------------------------
-COMPLEMENT_FAILURES = _freeze(
-    {
+    },
+    # complement monotonicity failures
+    "complement-failures": {
         "A": {"x": ("0.4", "0.4"), "y": ("0.2", "0.25")},
         "B": {"x": ("0.1", "0.1", "0.41"), "y": ("0.1", "0.2", "0.3")},
-    }
-)
-COMPLEMENT_FAILURES_UNIVERSE = ("x", "y")
-
-# --- absorption/distributivity beyond =p/=a fails -----------------------------
-EQUALITY_FAILURES = _freeze(
-    {
+    },
+    # absorption/distributivity beyond =p/=a fails
+    "equality-failures": {
         "A": {"x": ("0.1", "0.2", "0.3")},
         "B": {"x": ("0.3", "0.4", "0.5")},
         "C": {"x": ("0.3", "0.45", "0.5")},
-    }
-)
-EQUALITY_FAILURES_UNIVERSE = ("x",)
-
-# --- tail inclusion into a meet does not imply tail into one operand ----------
-TRUNCATION_REMARK = _freeze(
-    {
+    },
+    # tail inclusion into a meet does not imply tail into one operand
+    "truncation-remark": {
         "A": {"x": ("0.3", "0.5", "0.7")},
         "B": {"x": ("0.8", "0.9")},
         "C": {"x": ("0.6", "0.8", "0.9")},
-    }
-)
-TRUNCATION_REMARK_UNIVERSE = ("x",)
-
-
-def whole(name: str, universe: tuple[str, ...], table: Table, *vars_: str) -> Fixture:
-    """Fixture binding the listed variables to whole sets from a table."""
-    return Fixture(
-        name=name,
-        universe=universe,
-        binding=MappingProxyType({v: table[v] for v in vars_}),
-    )
-
-
-def slice_at(name: str, element: str, table: Table, *vars_: str) -> Fixture:
-    """Fixture restricting the listed variables to a single-element universe."""
-    return Fixture(
-        name=name,
-        universe=(element,),
-        binding=MappingProxyType({v: MappingProxyType({element: table[v][element]}) for v in vars_}),
-    )
-
-
-#: Name -> (universe, {set name -> memberships}) for every shipped document.
-DOCUMENT_TABLES: dict[str, tuple[tuple[str, ...], Table]] = {
-    "expression-types": (EXPRESSION_TYPES_UNIVERSE, EXPRESSION_TYPES),
-    "expert-scores": (EXPERT_SCORES_UNIVERSE, EXPERT_SCORES),
-    "mean-failures": (MEAN_FAILURES_UNIVERSE, MEAN_FAILURES),
-    "sot-failures": (SOT_FAILURES_UNIVERSE, SOT_FAILURES),
-    "necessity-failures": (NECESSITY_FAILURES_UNIVERSE, NECESSITY_FAILURES),
-    "monotonicity-failures": (MONOTONICITY_FAILURES_UNIVERSE, MONOTONICITY_FAILURES),
-    "complement-failures": (COMPLEMENT_FAILURES_UNIVERSE, COMPLEMENT_FAILURES),
-    "equality-failures": (EQUALITY_FAILURES_UNIVERSE, EQUALITY_FAILURES),
-    "truncation-remark": (TRUNCATION_REMARK_UNIVERSE, TRUNCATION_REMARK),
+    },
 }
 
 
+@cache
+def example_sets(example: str, element: Optional[str] = None) -> Mapping[str, HFS]:
+    """The sets of a worked example over its universe, or only at `element`,
+    parsed once per process."""
+    table = EXAMPLES[example]
+    universe = Universe((element,) if element else next(iter(table.values())))
+    return MappingProxyType(
+        {name: HFS(universe, {e: members[e] for e in universe}) for name, members in table.items()}
+    )
+
+
+@dataclass(frozen=True)
+class Fixture:
+    """A worked example, or its slice at one element, as a law's binding."""
+
+    example: str
+    element: Optional[str] = None
+
+    @property
+    def name(self) -> str:
+        return self.example if self.element is None else f"{self.example}@{self.element}"
+
+    @property
+    def sets(self) -> Mapping[str, HFS]:
+        return example_sets(self.example, self.element)
+
+    @property
+    def universe(self) -> tuple[str, ...]:
+        return next(iter(self.sets.values())).universe.elements
+
+
 def fixture_documents():
-    """All fixture tables as canonical `Document` objects, keyed by name."""
+    """All worked examples as canonical `Document` objects, keyed by name."""
     from ..document import Document
-    from ..sets import HFS
 
     return {
-        name: Document(universe=universe, sets={k: HFS(universe, v) for k, v in table.items()})
-        for name, (universe, table) in DOCUMENT_TABLES.items()
+        name: Document(universe=Fixture(name).universe, sets=example_sets(name)) for name in EXAMPLES
     }

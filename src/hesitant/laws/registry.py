@@ -9,11 +9,14 @@ the worked counterexamples.
 
 Specs are data, written with the small formula type below. They are the one
 documented source for what each law means: `Law.statement` is rendered from
-the spec, and `Law.guard` and `Law.claim` are closures compiled from it once,
-at import. A compiled closure takes `(alg, binding)`, fetches the kernel from
-`alg.kern` once per call and has its relation codes bound already. A law's
-random generator is derived from its premise (`generators.derive`) unless the
-law names one; the ⇔ laws and thm5.6 do.
+the spec, and `Law.guard` and `Law.claim` are the closures compiled from it
+once, at import. Each is called as `(kern, one, binding)`: the kernel module
+and the complement unit of an `Algebra`, which callers read once per law,
+and the binding's plain grid values. Relation codes are bound at compile
+time. A law's random generator is derived from its premise
+(`generators.derive`) unless the law names one; the ⇔ laws and thm5.6 do.
+A refuted law's fixture names the worked example (`fixtures.EXAMPLES`) that
+refutes it.
 `render_table()` regenerates docs/laws.md from the statements.
 
 Ids are stable text keys: `propN.i` / `thmN.i` for proved laws (with semantic
@@ -31,18 +34,7 @@ from ..errors import UnknownLawError
 from ..expressions import Compl, Join, Node, Var, parse_expression
 from ..relations import Inclusion
 from . import generators as g
-from .fixtures import (
-    COMPLEMENT_FAILURES,
-    EQUALITY_FAILURES,
-    MEAN_FAILURES,
-    MONOTONICITY_FAILURES,
-    NECESSITY_FAILURES,
-    SOT_FAILURES,
-    TRUNCATION_REMARK,
-    Fixture,
-    slice_at,
-    whole,
-)
+from .fixtures import Fixture
 
 P = Inclusion.POSSIBLE
 A_ = Inclusion.ACCEPTABLE
@@ -151,9 +143,9 @@ class Rel(NamedTuple):
             return f"{self.lhs} ⊂s-or-⊂t {self.rhs} at every x"
         return f"{self.lhs} = {self.rhs} as multisets"
 
-    def sides(self, alg, binding) -> tuple:
+    def sides(self, kern, one, binding) -> tuple:
         """The values of lhs and rhs on one binding."""
-        return tuple(_value(t)(alg.kern, alg.one, binding) for t in (self.lhs, self.rhs))
+        return tuple(_value(t)(kern, one, binding) for t in (self.lhs, self.rhs))
 
     def compile(self) -> Callable:
         lhs, rhs = _value(self.lhs), _value(self.rhs)
@@ -166,7 +158,7 @@ class Rel(NamedTuple):
         if self.mode == "multiset":
 
             def same(k, one, b):
-                return k.u_equal(lhs(k, one, b), rhs(k, one, b))
+                return lhs(k, one, b) == rhs(k, one, b)
 
             return same
         code = self.kind.code
@@ -281,12 +273,10 @@ class Subfamily(NamedTuple):
 
         def subfamily(k, one, b):
             unmatched = list(b[big])
-            for h1 in b[small]:
-                for j, h2 in enumerate(unmatched):
-                    if k.u_equal(h1, h2):
-                        del unmatched[j]
-                        break
-                else:
+            for h in b[small]:
+                try:
+                    unmatched.remove(h)
+                except ValueError:
                     return False
             return True
 
@@ -368,16 +358,6 @@ class Implies(NamedTuple):
         return f"{self.premise} ⇒ {self.claim}"
 
 
-def _checker(formula) -> Callable:
-    """Compile a formula to the (alg, binding) predicate the engine calls."""
-    check = formula.compile()
-
-    def predicate(alg, binding):
-        return check(alg.kern, alg.one, binding)
-
-    return predicate
-
-
 # --------------------------------------------------------------------------
 # Laws
 # --------------------------------------------------------------------------
@@ -389,8 +369,8 @@ class Law:
     status: LawStatus
     params: tuple[tuple[str, str], ...]  # (name, "set" | "family")
     spec: object  # a formula, or Implies(premise, claim)
-    claim: Callable  # compiled from the spec's claim
-    guard: Optional[Callable]  # compiled from the spec's premise, if any
+    claim: Callable  # (kern, one, binding) -> bool, compiled from the spec's claim
+    guard: Optional[Callable]  # the same, compiled from the spec's premise, if any
     gen: Callable
     fixtures: tuple[Fixture, ...] = ()
     aliases: tuple[str, ...] = ()
@@ -428,8 +408,8 @@ def _law(id, params, spec, gen=None, *, status=LawStatus.PROVED, fixtures=(), al
         status=status,
         params=params,
         spec=spec,
-        claim=_checker(claim),
-        guard=None if premise is None else _checker(premise),
+        claim=claim.compile(),
+        guard=None if premise is None else premise.compile(),
         gen=gen,
         fixtures=fixtures,
         aliases=aliases,
@@ -437,8 +417,8 @@ def _law(id, params, spec, gen=None, *, status=LawStatus.PROVED, fixtures=(), al
     ))
 
 
-def _refuted(id: str, params, spec, fixtures, note: str = "") -> None:
-    _law(id, params, spec, status=LawStatus.REFUTED, fixtures=fixtures, note=note)
+def _refuted(id: str, params, spec, fixture: Fixture, note: str = "") -> None:
+    _law(id, params, spec, status=LawStatus.REFUTED, fixtures=(fixture,), note=note)
 
 
 def _sets(*names: str) -> tuple[tuple[str, str], ...]:
@@ -578,15 +558,15 @@ _law("thm6.8", _TWO_FAMILIES, Implies(_SUB, sot("⋂F1", "⋃F2")))
 # counterexample frozen as a fixture
 # --------------------------------------------------------------------------
 
-_MEAN_FIX = (whole("mean-failures", ("x", "y", "z"), MEAN_FAILURES, "A", "B"),)
+_MEAN_FIX = Fixture("mean-failures")
 _refuted("exam-sec2.3-m-intersection", AB, inc(M, "A & B", "A"), _MEAN_FIX)
 _refuted("exam-sec2.3-m-union", AB, inc(M, "B", "A | B"), _MEAN_FIX)
 
-_SOT_FIX = (whole("sot-failures", ("x", "y"), SOT_FAILURES, "A", "B"),)
+_SOT_FIX = Fixture("sot-failures")
 _refuted("exam-sec2.3-sot-inter-left", AB, sot("A & B", "A"), _SOT_FIX)
 _refuted("exam-sec2.3-sot-inter-right", AB, sot("A & B", "B"), _SOT_FIX)
 
-_NEC_FIX = (whole("necessity-failures", ("x",), NECESSITY_FAILURES, "A", "B"),)
+_NEC_FIX = Fixture("necessity-failures")
 for _slug, _lhs, _rhs in (
     ("inter-left", "A & B", "A"),
     ("inter-right", "A & B", "B"),
@@ -617,7 +597,7 @@ for _gk, _op, _ck, _elem in _MONO_CASES:
     _refuted(
         f"exam-sec2.5-{_gk.letter}-{_op}-{_ck.letter}", ABC,
         Implies(inc(_gk, "A", "B"), inc(_ck, f"A {_sym} C", f"B {_sym} C")),
-        (slice_at(f"monotonicity-failures@{_elem}", _elem, MONOTONICITY_FAILURES, "A", "B", "C"),),
+        Fixture("monotonicity-failures", _elem),
     )
 
 # complement contrapositives that fail
@@ -626,24 +606,23 @@ for _gk, _elem, _claims in ((P, "x", (P, M)), (T, "y", (P, A_, M, S, T, N))):
         _refuted(
             f"exam-sec2.5c-{_gk.letter}-compl-{_ck.letter}", AB,
             Implies(inc(_gk, "A", "B"), inc(_ck, "B^c", "A^c")),
-            (slice_at(f"complement-failures@{_elem}", _elem, COMPLEMENT_FAILURES, "A", "B"),),
+            Fixture("complement-failures", _elem),
         )
 
 # equality beyond =p/=a fails for absorption and distributivity
-_EQ_FIX2 = (whole("equality-failures", ("x",), EQUALITY_FAILURES, "A", "B"),)
-_EQ_FIX3 = (whole("equality-failures", ("x",), EQUALITY_FAILURES, "A", "B", "C"),)
-_refuted("exam-sec2.6-absorb-union-m", AB, eq(M, "(A & B) | A", "A"), _EQ_FIX2)
-_refuted("exam-sec2.6-absorb-inter-m", AB, eq(M, "(A | B) & A", "A"), _EQ_FIX2)
-_refuted("exam-sec2.6-distrib-m", ABC, eq(M, "(A | B) & C", "(A & C) | (B & C)"), _EQ_FIX3)
-_refuted("exam-sec2.6-distrib2-m", ABC, eq(M, "(A & B) | C", "(A | C) & (B | C)"), _EQ_FIX3)
+_EQ_FIX = Fixture("equality-failures")
+_refuted("exam-sec2.6-absorb-union-m", AB, eq(M, "(A & B) | A", "A"), _EQ_FIX)
+_refuted("exam-sec2.6-absorb-inter-m", AB, eq(M, "(A | B) & A", "A"), _EQ_FIX)
+_refuted("exam-sec2.6-distrib-m", ABC, eq(M, "(A | B) & C", "(A & C) | (B & C)"), _EQ_FIX)
+_refuted("exam-sec2.6-distrib2-m", ABC, eq(M, "(A & B) | C", "(A | C) & (B | C)"), _EQ_FIX)
 _refuted(
-    "exam-sec2.6-distrib2-eq", ABC, same("(A & B) | C", "(A | C) & (B | C)"), _EQ_FIX3,
+    "exam-sec2.6-distrib2-eq", ABC, same("(A & B) | C", "(A | C) & (B | C)"), _EQ_FIX,
     note="0.4 appears on the right only",
 )
 
 _refuted(
     "exam-sec2.4-tconv", ABC, Implies(inc(T, "A", "B & C"), inc(T, "A", "B")),
-    (whole("truncation-remark", ("x",), TRUNCATION_REMARK, "A", "B", "C"),),
+    Fixture("truncation-remark"),
 )
 
 LAWS: tuple[Law, ...] = tuple(_LAWS)

@@ -38,7 +38,9 @@ one of them would be deeper and still left. Those covers and their strict
 rows are taken away, and the next such layer is found by bisecting the
 cumulative layer masks. That is O(cover edges · log layers) operations on
 n-bit integers. Schemes tied in their strict above-set share its covers,
-which are found once.
+which are found once. `ranking_dot_lines` yields the DOT in pieces of at
+most one scheme's edges, and `hesitant rank --dot` writes them one by
+one; `ranking_dot` joins them.
 
 `ranking_report` yields the report in pieces: whole lines, and one piece of
 the unresolved-pairs line per scheme that has any, holding its pairs with
@@ -309,8 +311,11 @@ def _dot_id(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def ranking_dot(ranking: Ranking) -> str:
-    """Graph description (DOT) of the strict part, transitively reduced."""
+def ranking_dot_lines(ranking: Ranking):
+    """The pieces of `ranking_dot`, in order, each ending in a newline: the
+    header lines, one line per scheme node, one piece per scheme holding
+    its edge lines to all its covers, and the closing brace. A caller can
+    write them out one at a time."""
     schemes = ranking.schemes
     view = _bitsets(ranking)
     strict, layers = view.strict, view.layers
@@ -342,13 +347,11 @@ def ranking_dot(ranking: Ranking) -> str:
         return found
 
     ids = {s: _dot_id(s) for s in schemes}
-    lines = [
-        "digraph ranking {",
-        f'  label="strict ⊂{ranking.kind.letter} (edge points to the better scheme)";',
-        "  rankdir=BT;",
-    ]
+    yield "digraph ranking {\n"
+    yield f'  label="strict ⊂{ranking.kind.letter} (edge points to the better scheme)";\n'
+    yield "  rankdir=BT;\n"
     for s in schemes:
-        lines.append(f"  {ids[s]};")
+        yield f"  {ids[s]};\n"
     # The edges by name. A scheme's covers depend on its strict above-set
     # alone, so schemes tied in it share one list.
     tops: dict[int, list[str]] = {}  # strict above-set -> the covers' ids, by name
@@ -357,9 +360,14 @@ def ranking_dot(ranking: Ranking) -> str:
             if above not in tops:
                 tops[above] = [ids[b] for b in sorted(covers(above, d - 2))]
             head = f"  {ids[a]} -> "
-            lines.append(head + (";\n" + head).join(tops[above]) + ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield head + (";\n" + head).join(tops[above]) + ";\n"
+    yield "}\n"
+
+
+def ranking_dot(ranking: Ranking) -> str:
+    """Graph description (DOT) of the strict part, transitively reduced:
+    the lines of `ranking_dot_lines`, joined."""
+    return "".join(ranking_dot_lines(ranking))
 
 
 class _ByteCells(dict):

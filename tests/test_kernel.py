@@ -36,7 +36,7 @@ def _all_small(den=2, cmax=3):
 # The kernel contract: every name either kernel defines, and nothing else.
 KERNEL_NAMES = {
     "IMPLEMENTATION", "REL_P", "REL_A", "REL_M", "REL_S", "REL_T", "REL_N",
-    "Stream", "canon", "e_rel", "u_union", "u_inter", "u_compl", "u_rel", "u_sot", "u_equal",
+    "Stream", "canon", "e_rel", "u_union", "u_inter", "u_compl", "u_rel", "u_sot",
     "gen_hfe", "gen_hfs",
 }
 

@@ -322,6 +322,21 @@ def test_no_report_piece_holds_more_pairs_than_a_scheme_has():
     assert max(counts) <= n - 1
 
 
+@pytest.mark.parametrize("kind", RANKABLE)
+def test_dot_lines_join_to_the_dot_one_scheme_at_most_each(kind):
+    from hesitant.ranking import ranking_dot_lines
+
+    ranking = rank_schemes(_boundary_scores(200), kind)
+    pieces = list(ranking_dot_lines(ranking))
+    assert "".join(pieces) == ranking_dot(ranking)
+    assert all(piece.endswith("\n") for piece in pieces)
+    edges = [piece for piece in pieces if " -> " in piece]
+    assert edges
+    for piece in edges:
+        # every edge line of a piece starts at the same scheme
+        assert len({line.split(" -> ")[0] for line in piece.splitlines()}) == 1
+
+
 @pytest.mark.parametrize("kind", [Inclusion.POSSIBLE, Inclusion.MEAN])
 def test_rank_memory_stays_far_below_a_pairwise_table(kind):
     import tracemalloc

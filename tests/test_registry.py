@@ -81,6 +81,45 @@ def test_every_refuted_law_fixture_falsifies():
             assert result.guard and not result.claim, (law.id, result)
 
 
+def test_fixture_bindings_are_the_example_documents_sets():
+    from hesitant import HFS, fixture_documents
+
+    documents = fixture_documents()
+    for law in refuted_laws():
+        for fixture in law.fixtures:
+            document = documents[fixture.example]
+            binding = fixture_binding(law, fixture)
+            assert list(binding) == [name for name, kind in law.params if kind == "set"], law.id
+            for name, value in binding.items():
+                whole = document.hfs(name)
+                expected = HFS(fixture.universe, {e: whole[e] for e in fixture.universe})
+                assert value == expected, (law.id, fixture.name, name)
+
+
+# sha256 of `save_document` of each example document: the worked examples'
+# data, as the documents of the CLI and the tests hold it
+EXAMPLE_DOCUMENTS = {
+    "expression-types": "9fe689d9647d023bde3dc1ceadd9a84adcd46f09def4576b4d47f54fcb2add64",
+    "expert-scores": "d1053f5d84e3e9045686699cfa4d620e71f3741edbb8183934b32de0ac51b717",
+    "mean-failures": "95cea503f7433d5fd7b40ccc5d4aa8c50ebcf6a90f9dd84323e1348685d0861d",
+    "sot-failures": "b00b4f05580ee803499766ceb380318f018f122b94b7a84daa2a8228fef35755",
+    "necessity-failures": "26531b9d9acd82b3e0850e164b782d6def43df971d700a1c2b58e8d026280ee0",
+    "monotonicity-failures": "46abf04ea7660acd913ca69130b8b04ddd7fe2ec7aac15addf5a8de11707ff68",
+    "complement-failures": "3864160f7d1e07e4c8cfae8f0c8f3ba2baaea90504d5e4528937c605fca346b3",
+    "equality-failures": "e45180bbf31356f704d0d7bb5daef9e81ff1337da4c63a98458bf43dde9380af",
+    "truncation-remark": "7b86ff571ff1daf65a67f70e6701ca7d8afdadf4500a4c650130e30cc588c2a4",
+}
+
+
+def test_example_documents_pinned():
+    import hashlib
+
+    from hesitant import fixture_documents, save_document
+
+    saved = {name: hashlib.sha256(save_document(doc)).hexdigest() for name, doc in fixture_documents().items()}
+    assert saved == EXAMPLE_DOCUMENTS
+
+
 def test_refuted_laws_carry_specs_for_traces():
     # counterexample traces print the two sides of each premise and claim
     for law in refuted_laws():
@@ -202,8 +241,8 @@ def verdict_digest(law) -> str:
             if binding is None:
                 verdict = "-"
             else:
-                guard = True if law.guard is None else bool(law.guard(alg, binding))
-                verdict = f"{guard:d}{bool(law.claim(alg, binding)):d}"
+                guard = True if law.guard is None else bool(law.guard(alg.kern, alg.one, binding))
+                verdict = f"{guard:d}{bool(law.claim(alg.kern, alg.one, binding)):d}"
             h.update(f"{index}:{verdict};".encode())
     return h.hexdigest()
 
