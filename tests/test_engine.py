@@ -247,3 +247,48 @@ def test_evaluate_law_with_family_binding():
     # and with the per-element cardinality premise, A ⊂t the family join
     verdict = evaluate_law("thm5.6", {"A": A, "F": fam})
     assert verdict == {"guard": True, "claim": True}
+
+
+def _binding_digest(config) -> str:
+    """sha256 over (law id, index, universe size, binding) of every trial
+    `_trials` yields for every law, the binding as its sorted items."""
+    import hashlib
+
+    from hesitant import law_registry
+    from hesitant.laws.algebra import grid_algebra
+    from hesitant.laws.engine import _trials
+
+    alg = grid_algebra(config.degree_grid)
+    h = hashlib.sha256()
+    for law in law_registry():
+        for index, size, binding in _trials(law, alg, config):
+            items = None if binding is None else sorted(binding.items())
+            h.update(repr((law.id, index, size, items)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "config, pinned",
+    [
+        (
+            GeneratorConfig(trials=40),
+            "ae6f50bdf0317fd4c924c6bb87a77dd6bed325b7a8d92bb79774e56c1b37e50f",
+        ),
+        (
+            GeneratorConfig(
+                trials=10,
+                universe_size=(1, 16),
+                cardinality=(1, 64),
+                family_size=(1, 8),
+                degree_grid=10**9,
+            ),
+            "89c3870831535e48d4085d616bfdb65acea916ed295b7616fd862fcba021c39d",
+        ),
+    ],
+    ids=["default", "extreme"],
+)
+def test_trial_bindings_pinned(config, pinned):
+    """The values every law draws, not only their verdicts: the canonical
+    report holds counts, and a proved law's own bindings always verify, so
+    neither would notice a generator that draws different values."""
+    assert _binding_digest(config) == pinned
