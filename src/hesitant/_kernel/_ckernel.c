@@ -2,10 +2,10 @@
  * CPython C API.
  *
  * It has the part of the pure kernel's surface that the law engine's trials
- * call (`Stream`, `canon`, `e_rel`, the set-level `u_*` functions, `gen_hfe`
- * and `gen_hfs`) and the pure kernel's contract, for degrees that fit a C
- * long long. Every call returns exactly what `_pykernel` returns, or raises a
- * Python exception:
+ * call (`Stream`, `e_rel`, the set-level `u_*` functions, `gen_hfs` and
+ * `draw_plan`, which runs one trial of a law's draw plan in one call) and the
+ * pure kernel's contract, for degrees that fit a C long long. Every call
+ * returns exactly what `_pykernel` returns, or raises a Python exception:
  *   - a value outside int64, or a mean cross-product outside __int128,
  *     raises OverflowError;
  *   - an hfe or hfs that is not a tuple raises TypeError;
@@ -14,7 +14,9 @@
  * Scratch space is sized from the input. Relations read only the positions
  * the pure kernel reads, and the set-level functions stop at the shorter
  * operand, as `zip` does. The SplitMix64 streams are bit-identical to the
- * pure ones (Steele, Lea & Flood, OOPSLA 2014).
+ * pure ones (Steele, Lea & Flood, OOPSLA 2014); `draw_plan` draws from a
+ * local state, and a plan it cannot read (a slot out of range, a list for a
+ * tuple, nesting past the recursion limit) raises.
  *
  * `setup.py` builds it as an optional extension; by hand:
  *   gcc -O2 -Wall -Werror -shared -fPIC $(python3-config --includes) \
@@ -303,20 +305,6 @@ FASTCALL(e_rel) {
     return PyBool_FromLong(r);
 }
 
-static PyObject *canon(PyObject *m, PyObject *values) {
-    PyObject *seq = PySequence_Fast(values, "canon() argument must be iterable"), *out = NULL;
-    if (!seq)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    scratch s;
-    deg *v = grab(&s, n);
-    if (v && !load(PySequence_Fast_ITEMS(seq), n, v))
-        out = pack_desc(v, n);
-    drop(&s);
-    Py_DECREF(seq);
-    return out;
-}
-
 /* --- set level: tuples of hfes, pointwise over universe positions --- */
 
 /* The length of the shorter hfs operand, where `zip` stops; -1 on error. */
@@ -328,16 +316,18 @@ static Py_ssize_t zip_len(PyObject *A, PyObject *B) {
 
 /* (elem(op, a, b) for a, b in zip(A, B)) as a tuple; for COMPL, the
  * complement of every hfe of A, with B the unit. */
-static PyObject *u_map(const char *name, int op, PyObject *const *args, Py_ssize_t nargs) {
-    if (arity(name, nargs, 2))
-        return NULL;
-    PyObject *A = args[0], *B = args[1], *t;
+static PyObject *set_op(int op, PyObject *A, PyObject *B) {
+    PyObject *t;
     Py_ssize_t n = op != COMPL ? zip_len(A, B) : need_tuple(A, "hfs") ? -1 : PyTuple_GET_SIZE(A);
     if (n < 0 || !(t = PyTuple_New(n)))
         return NULL;
     for (Py_ssize_t i = 0; t && i < n; i++)
         t = put(t, i, elem(op, PyTuple_GET_ITEM(A, i), op == COMPL ? B : PyTuple_GET_ITEM(B, i)));
     return t;
+}
+
+static PyObject *u_map(const char *name, int op, PyObject *const *args, Py_ssize_t nargs) {
+    return arity(name, nargs, 2) ? NULL : set_op(op, args[0], args[1]);
 }
 
 FASTCALL(u_union) { return u_map("u_union", UNION, args, nargs); }
@@ -397,30 +387,32 @@ static PyObject *draw(u64 *z, i64 den, i64 lo, i64 hi) {
     return out;
 }
 
-/* gen_hfe(stream, den, lo, hi), or with is_hfs gen_hfs(stream, den, size,
- * lo, hi): drawn on a local state, stored back only on success. */
-static PyObject *gen(const char *name, PyObject *const *args, Py_ssize_t nargs, int is_hfs) {
+/* `count` hfes drawn from the state *z, as a tuple. */
+static PyObject *draw_hfes(u64 *z, i64 count, i64 den, i64 lo, i64 hi) {
+    PyObject *t = PyTuple_New(count > 0 ? count : 0);
+    for (Py_ssize_t i = 0; t && i < count; i++)
+        t = put(t, i, draw(z, den, lo, hi));
+    return t;
+}
+
+/* gen_hfs(stream, den, size, lo, hi): drawn on a local state, stored back
+ * only on success. */
+FASTCALL(gen_hfs) {
     i64 a[4];
-    if (arity(name, nargs, 4 + is_hfs))
+    if (arity("gen_hfs", nargs, 5))
         return NULL;
     if (!PyObject_TypeCheck(args[0], &StreamType))
-        return PyErr_Format(PyExc_TypeError, "%s() needs a Stream, not %.100s", name, Py_TYPE(args[0])->tp_name);
-    for (int i = 0; i < 3 + is_hfs; i++)
+        return PyErr_Format(PyExc_TypeError, "gen_hfs() needs a Stream, not %.100s", Py_TYPE(args[0])->tp_name);
+    for (int i = 0; i < 4; i++)
         if (as_i64(args[i + 1], &a[i]))
             return NULL;
     StreamObject *s = (StreamObject *)args[0];
     u64 z = s->state;
-    i64 den = a[0], size = is_hfs ? a[1] : 0, lo = a[1 + is_hfs], hi = a[2 + is_hfs];
-    PyObject *t = is_hfs ? PyTuple_New(size > 0 ? size : 0) : draw(&z, den, lo, hi);
-    for (Py_ssize_t i = 0; t && i < size; i++)
-        t = put(t, i, draw(&z, den, lo, hi));
+    PyObject *t = draw_hfes(&z, a[1], a[0], a[2], a[3]);
     if (t)
         s->state = z;
     return t;
 }
-
-FASTCALL(gen_hfe) { return gen("gen_hfe", args, nargs, 0); }
-FASTCALL(gen_hfs) { return gen("gen_hfs", args, nargs, 1); }
 
 /* --- Stream: SplitMix64 random stream; deterministic function of its seed --- */
 
@@ -436,15 +428,6 @@ static PyObject *Stream_new(PyTypeObject *type, PyObject *args, PyObject *kw) {
     if (self)
         self->state = state;
     return (PyObject *)self;
-}
-
-static PyObject *Stream_u64(StreamObject *self, PyObject *unused) {
-    return PyLong_FromUnsignedLongLong(next(&self->state));
-}
-
-static PyObject *Stream_below(StreamObject *self, PyObject *n) {
-    i64 k;
-    return as_i64(n, &k) ? NULL : PyLong_FromLongLong((i64)scale(next(&self->state), k));
 }
 
 static PyObject *Stream_randint(StreamObject *self, PyObject *const *args, Py_ssize_t nargs) {
@@ -476,8 +459,6 @@ static int Stream_set_state(StreamObject *self, PyObject *value, void *closure) 
 #define METHOD(c, py, flags, doc) {py, (PyCFunction)(void (*)(void))c, flags, doc}
 
 static PyMethodDef Stream_methods[] = {
-    METHOD(Stream_u64, "u64", METH_NOARGS, "Next 64-bit output."),
-    METHOD(Stream_below, "below", METH_O, "Uniform draw from range(n) via 64-bit fixed-point scaling."),
     METHOD(Stream_randint, "randint", METH_FASTCALL, "Uniform draw from the inclusive range [lo, hi]."),
     {NULL},
 };
@@ -498,20 +479,575 @@ static PyTypeObject StreamType = {
     .tp_getset = Stream_getset,
 };
 
+/* --- one trial of a law: its draw plan ---
+ *
+ * Codes as `laws/generators.py` writes them; `_pykernel.draw_plan` is the
+ * reference. Each step returns 0 when it drew its value, 1 when the bounds
+ * make the binding impossible, and -1 with an exception set. */
+
+enum { SET, FAMILY, LADDER, COPY, COINCIDE, ABOVE, BELOW, SUBFAMILY, CHOICE };
+enum { ALL, SOME, LONGER };
+enum { T_UNION = -1, T_INTER = -2, T_COMPL = -3, T_MEET_ALL = -4, T_JOIN_ALL = -5 };
+#define FNV_PRIME 0x100000001B3ULL
+
+typedef struct {
+    u64 z; /* the trial stream's state */
+    i64 den, lo, hi, flo, fhi, size;
+    PyObject **slots;
+    Py_ssize_t nslots;
+} trial;
+
+static i128 randint(trial *t, i128 lo, i128 hi) { return lo + scale(next(&t->z), hi - lo + 1); }
+
+/* move[j] as a long; IndexError past its end, as `move[j]` raises. */
+static int field(PyObject *move, Py_ssize_t j, long *out) {
+    if (need_tuple(move, "plan move"))
+        return -1;
+    if (j >= PyTuple_GET_SIZE(move)) {
+        PyErr_SetString(PyExc_IndexError, "plan move too short");
+        return -1;
+    }
+    *out = PyLong_AsLong(PyTuple_GET_ITEM(move, j));
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* The slot named by move[j]: a pointer into t->slots, or NULL. */
+static PyObject **slot(trial *t, PyObject *move, Py_ssize_t j) {
+    long s;
+    if (field(move, j, &s))
+        return NULL;
+    if (s < 0 || s >= t->nslots) {
+        PyErr_SetString(PyExc_IndexError, "plan slot out of range");
+        return NULL;
+    }
+    return &t->slots[s];
+}
+
+/* Stores a new reference o at *at; 0, or -1 for a NULL o. */
+static int store(PyObject **at, PyObject *o) {
+    if (!o)
+        return -1;
+    Py_SETREF(*at, o);
+    return 0;
+}
+
+static PyObject *family(trial *t) {
+    i128 count = randint(t, t->flo, t->fhi);
+    PyObject *f = PyTuple_New(count > 0 ? (Py_ssize_t)count : 0);
+    for (Py_ssize_t i = 0; f && i < count; i++)
+        f = put(f, i, draw_hfes(&t->z, t->size, t->den, t->lo, t->hi));
+    return f;
+}
+
+/* Packs the n drawn values v descending into *out. */
+static int packed(deg *v, Py_ssize_t n, PyObject **out) {
+    *out = pack_desc(v, n);
+    return *out ? 0 : -1;
+}
+
+/* One hfe b with a ⊂code b and at most hi degrees (⊂s: at most len(a)),
+ * or 1 when ⊂t leaves no room. */
+static int above(trial *t, PyObject *a, long code, i64 hi, PyObject **out) {
+    Py_ssize_t na = PyTuple_GET_SIZE(a), n = 0;
+    i64 x, y;
+    i128 den = t->den, k;
+    if (code == REL_T && na >= hi)
+        return 1;
+    u64 z = next(&t->z);
+    if (item_at(a, 0, &x))
+        return -1;
+    if (code == REL_S)
+        k = t->lo + scale(z, (i128)na - t->lo + 1);
+    else if (code == REL_T)
+        k = na + 1 + scale(z, (i128)hi - na);
+    else if (code == REL_P || code == REL_A || code == REL_N)
+        k = t->lo + scale(z, (i128)hi - t->lo + 1);
+    else {
+        PyErr_Format(PyExc_ValueError, "no dominating construction for relation code %ld", code);
+        return -1;
+    }
+    Py_ssize_t most = k > na ? (k > PY_SSIZE_T_MAX - 1 ? PY_SSIZE_T_MAX - 1 : (Py_ssize_t)k) : na;
+    scratch s;
+    deg *v = grab(&s, most + 1);
+    int r = -1;
+    if (!v)
+        return -1;
+    if (code == REL_S || code == REL_T) /* dominate a, position by position */
+        for (; n < (code == REL_S ? Py_MIN(k, na) : na); n++) {
+            if (item_at(a, n, &y))
+                goto done;
+            v[n] = (deg){(i64)(y + scale(next(&t->z), den - y + 1)), NULL};
+        }
+    else if (code != REL_N) /* ⊂p, ⊂a: one degree above a's first */
+        v[n++] = (deg){(i64)(x + scale(next(&t->z), den - x + 1)), NULL};
+    if (code == REL_A && item_at(a, na - 1, &x))
+        goto done;
+    for (; code != REL_S && n < k; n++) /* the rest: above x (⊂n, ⊂a), or anywhere */
+        v[n] = (deg){(i64)(code == REL_N || code == REL_A ? x + scale(next(&t->z), den - x + 1)
+                                                          : scale(next(&t->z), den + 1)),
+                     NULL};
+    r = packed(v, n, out);
+done:
+    drop(&s);
+    return r;
+}
+
+/* One hfe a with a ⊂code b and lo <= |a| <= hi, or 1 if the bounds make
+ * it impossible. */
+static int below(trial *t, PyObject *b, long code, PyObject **out) {
+    if (need_tuple(b, "hfe"))
+        return -1;
+    Py_ssize_t nb = PyTuple_GET_SIZE(b), n = 0;
+    i64 lo = t->lo, hi = t->hi, first, last, y;
+    i128 k;
+    if ((code == REL_S && nb > hi) || (code == REL_T && lo >= nb))
+        return 1;
+    u64 z = next(&t->z);
+    if (item_at(b, 0, &first))
+        return -1;
+    if (code == REL_S) {
+        i64 least = lo > nb ? lo : nb;
+        k = least + scale(z, (i128)hi - least + 1);
+    } else if (code == REL_T)
+        k = lo + scale(z, (i128)(hi < nb ? hi : nb - 1) - lo + 1);
+    else if (code == REL_P || code == REL_A || code == REL_N)
+        k = lo + scale(z, (i128)hi - lo + 1);
+    else {
+        PyErr_Format(PyExc_ValueError, "no dominated construction for relation code %ld", code);
+        return -1;
+    }
+    if (item_at(b, nb - 1, &last))
+        return -1;
+    Py_ssize_t most = k > nb ? (k > PY_SSIZE_T_MAX - 1 ? PY_SSIZE_T_MAX - 1 : (Py_ssize_t)k) : nb;
+    scratch s;
+    deg *v = grab(&s, most + 1);
+    int r = -1;
+    if (!v)
+        return -1;
+    if (code == REL_S || code == REL_T) /* under b, position by position */
+        for (; n < (code == REL_S ? nb : Py_MIN(k, nb)); n++) {
+            if (item_at(b, n, &y))
+                goto done;
+            v[n] = (deg){(i64)scale(next(&t->z), (i128)y + 1), NULL};
+        }
+    else if (code == REL_A)
+        v[n++] = (deg){(i64)scale(next(&t->z), (i128)last + 1), NULL};
+    for (; code != REL_T && n < k; n++) /* the rest: under b's last degree (⊂s, ⊂n) or its first */
+        v[n] = (deg){(i64)scale(next(&t->z), (i128)(code == REL_S || code == REL_N ? last : first) + 1), NULL};
+    r = packed(v, n, out);
+done:
+    drop(&s);
+    return r;
+}
+
+/* mean(a) > mean(b), cross-multiplied exactly: 1, 0, or -1. */
+static int mean_gt(PyObject *a, PyObject *b) {
+    Py_ssize_t na = PyTuple_GET_SIZE(a), nb = PyTuple_GET_SIZE(b), i;
+    i128 sa = 0, sb = 0, l, r;
+    i64 x;
+    for (i = 0; i < na; i++) {
+        if (item_at(a, i, &x))
+            return -1;
+        sa += x;
+    }
+    for (i = 0; i < nb; i++) {
+        if (item_at(b, i, &x))
+            return -1;
+        sb += x;
+    }
+    if (__builtin_mul_overflow(sa, (i128)nb, &l) || __builtin_mul_overflow(sb, (i128)na, &r)) {
+        PyErr_SetString(PyExc_OverflowError, "mean cross-product outside __int128");
+        return -1;
+    }
+    return l > r;
+}
+
+/* names[0] ⊂code names[1] ⊂code ...: per position a base hfe, then one
+ * step up per further name; for ⊂m, free hfes stably sorted by mean. */
+static int ladder(trial *t, PyObject *move, long code) {
+    Py_ssize_t steps = PyTuple_GET_SIZE(move) - 3, width = steps + 1, p, j;
+    i64 lift = code == REL_T, cap = t->hi - lift * steps;
+    if (code != REL_M && t->lo > cap)
+        return 1;
+    PyObject **cols = PyMem_New(PyObject *, width > 0 ? width : 1), *h = NULL;
+    int r = -1;
+    if (!cols) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (j = 0; j < width; j++)
+        cols[j] = NULL;
+    for (j = 0; j < width; j++)
+        if (!(cols[j] = PyTuple_New(t->size > 0 ? t->size : 0)))
+            goto done;
+    for (p = 0; p < t->size; p++) {
+        if (code == REL_M) {
+            for (j = 0; j < width; j++)
+                if (!(h = draw(&t->z, t->den, t->lo, t->hi)))
+                    goto done;
+                else
+                    PyTuple_SET_ITEM(cols[j], p, h);
+            for (Py_ssize_t end = width - 1; end > 0; end--)
+                for (j = 0; j < end; j++) {
+                    PyObject *a = PyTuple_GET_ITEM(cols[j], p), *b = PyTuple_GET_ITEM(cols[j + 1], p);
+                    int gt = mean_gt(a, b);
+                    if (gt < 0)
+                        goto done;
+                    if (gt) {
+                        PyTuple_SET_ITEM(cols[j], p, b);
+                        PyTuple_SET_ITEM(cols[j + 1], p, a);
+                    }
+                }
+            continue;
+        }
+        if (!(h = draw(&t->z, t->den, t->lo, cap)))
+            goto done;
+        if (width < 1) {
+            Py_DECREF(h);
+            continue;
+        }
+        PyTuple_SET_ITEM(cols[0], p, h);
+        for (j = 1; j < width; j++) {
+            int got = above(t, h, code, cap + lift * j, &h);
+            if (got) {
+                r = got;
+                goto done;
+            }
+            PyTuple_SET_ITEM(cols[j], p, h);
+        }
+    }
+    for (j = 0; j < width; j++) {
+        PyObject **at = slot(t, move, 2 + j);
+        if (!at)
+            goto done;
+        Py_INCREF(cols[j]);
+        Py_SETREF(*at, cols[j]);
+    }
+    r = 0;
+done:
+    for (j = 0; j < width; j++)
+        Py_XDECREF(cols[j]);
+    PyMem_Free(cols);
+    return r;
+}
+
+/* The value of a postfix term program over the slots. */
+static PyObject *term(trial *t, PyObject *program) {
+    if (need_tuple(program, "term program"))
+        return NULL;
+    Py_ssize_t n = PyTuple_GET_SIZE(program), top = 0;
+    PyObject **stack = PyMem_New(PyObject *, n > 0 ? n : 1), *out = NULL, *one = NULL;
+    if (!stack)
+        return PyErr_NoMemory();
+    for (Py_ssize_t j = 0; j < n; j++) {
+        long op;
+        PyObject *v = NULL;
+        if (field(program, j, &op))
+            goto done;
+        if (op >= 0) {
+            if (op >= t->nslots) {
+                PyErr_SetString(PyExc_IndexError, "term slot out of range");
+                goto done;
+            }
+            stack[top++] = Py_NewRef(t->slots[op]);
+            continue;
+        }
+        if (op < T_JOIN_ALL) {
+            PyErr_Format(PyExc_ValueError, "unknown term operator %ld", op);
+            goto done;
+        }
+        if (top < (op == T_UNION || op == T_INTER ? 2 : 1)) {
+            PyErr_SetString(PyExc_IndexError, "pop from empty list");
+            goto done;
+        }
+        PyObject *x = stack[--top];
+        if (op == T_COMPL)
+            v = (one || (one = PyLong_FromLongLong(t->den))) ? set_op(COMPL, x, one) : NULL;
+        else if (op == T_UNION || op == T_INTER)
+            v = set_op(op == T_UNION ? UNION : INTER, stack[top - 1], x);
+        else if (need_tuple(x, "family"))
+            ;
+        else if (!PyTuple_GET_SIZE(x))
+            PyErr_SetString(PyExc_TypeError, "reduce() of empty iterable with no initial value");
+        else { /* the ⋂ or ⋃ fold of a family */
+            v = Py_NewRef(PyTuple_GET_ITEM(x, 0));
+            for (Py_ssize_t i = 1; v && i < PyTuple_GET_SIZE(x); i++)
+                Py_SETREF(v, set_op(op == T_MEET_ALL ? INTER : UNION, v, PyTuple_GET_ITEM(x, i)));
+        }
+        Py_DECREF(x);
+        if (!v)
+            goto done;
+        if (op == T_UNION || op == T_INTER)
+            Py_SETREF(stack[top - 1], v);
+        else
+            stack[top++] = v;
+    }
+    if (top)
+        out = stack[--top];
+    else
+        PyErr_SetString(PyExc_IndexError, "pop from empty list");
+done:
+    while (top)
+        Py_DECREF(stack[--top]);
+    Py_XDECREF(one);
+    PyMem_Free(stack);
+    return out;
+}
+
+/* The set under a family and members above it: every one, or one chosen
+ * among a free family or among members longer than the set. */
+static int family_above(trial *t, PyObject *move) {
+    long code, members;
+    PyObject **at_a, **at_f, *A = NULL, *fam = NULL, *h;
+    i64 cap;
+    int r = -1;
+    if (field(move, 1, &code) || !(at_a = slot(t, move, 2)) || !(at_f = slot(t, move, 3))
+        || field(move, 4, &members))
+        return -1;
+    cap = code == REL_T ? t->hi - 1 : t->hi;
+    if (t->lo > cap)
+        return 1;
+    if (!(A = draw_hfes(&t->z, t->size, t->den, t->lo, cap)))
+        return -1;
+    Py_ssize_t n = PyTuple_GET_SIZE(A), count, first = 0, last;
+    if (members == SOME) {
+        PyObject *free = family(t);
+        fam = free ? PySequence_List(free) : NULL;
+        Py_XDECREF(free);
+    } else {
+        i128 c = randint(t, t->flo, t->fhi);
+        fam = PyList_New(c > 0 ? (Py_ssize_t)c : 0);
+        for (Py_ssize_t j = 0; fam && members != ALL && j < PyList_GET_SIZE(fam); j++) {
+            PyObject *H = PyTuple_New(n);
+            for (Py_ssize_t p = 0; H && p < n; p++)
+                H = put(H, p, draw(&t->z, t->den, PyTuple_GET_SIZE(PyTuple_GET_ITEM(A, p)) + 1, t->hi));
+            if (!H)
+                goto done;
+            PyList_SET_ITEM(fam, j, H);
+        }
+    }
+    if (!fam)
+        goto done;
+    count = PyList_GET_SIZE(fam);
+    last = count;
+    if (members != ALL) {
+        first = (Py_ssize_t)scale(next(&t->z), count);
+        last = first + 1;
+    }
+    for (Py_ssize_t j = first; j < last; j++) {
+        PyObject *H = PyTuple_New(n);
+        for (Py_ssize_t p = 0; H && p < n; p++) {
+            int got = above(t, PyTuple_GET_ITEM(A, p), code, t->hi, &h);
+            if (got) {
+                Py_DECREF(H);
+                r = got;
+                goto done;
+            }
+            PyTuple_SET_ITEM(H, p, h);
+        }
+        if (!H || PyList_SetItem(fam, j, H)) /* IndexError in an empty family */
+            goto done;
+    }
+    for (Py_ssize_t j = 0; j < count; j++)
+        if (PyList_GET_ITEM(fam, j) == NULL)
+            PyList_SET_ITEM(fam, j, Py_NewRef(Py_None));
+    Py_SETREF(*at_a, Py_NewRef(A));
+    r = store(at_f, PyList_AsTuple(fam));
+done:
+    Py_XDECREF(A);
+    Py_XDECREF(fam);
+    return r;
+}
+
+/* small ⊏ big: big drawn free, small the first k of a partial Fisher-Yates
+ * shuffle of its members, 1 <= k <= len(big). */
+static int subfamily(trial *t, PyObject *move) {
+    PyObject **at_small = slot(t, move, 1), **at_big = at_small ? slot(t, move, 2) : NULL, *big, *small;
+    if (!at_big || !(big = family(t)))
+        return -1;
+    Py_ssize_t n = PyTuple_GET_SIZE(big), *idx = PyMem_New(Py_ssize_t, n > 0 ? n : 1), j, k;
+    if (!idx) {
+        Py_DECREF(big);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (j = 0; j < n; j++)
+        idx[j] = j;
+    for (j = n - 1; j > 0; j--) {
+        Py_ssize_t r = (Py_ssize_t)scale(next(&t->z), j + 1), x = idx[j];
+        idx[j] = idx[r];
+        idx[r] = x;
+    }
+    k = 1 + (Py_ssize_t)scale(next(&t->z), n);
+    k = Py_MIN(k, n);
+    small = PyTuple_New(k);
+    for (j = 0; small && j < k; j++)
+        small = put(small, j, Py_NewRef(PyTuple_GET_ITEM(big, idx[j])));
+    PyMem_Free(idx);
+    if (!small) {
+        Py_DECREF(big);
+        return -1;
+    }
+    Py_SETREF(*at_small, small);
+    Py_SETREF(*at_big, big);
+    return 0;
+}
+
+/* Runs the moves of `plan` in order. */
+static int run(trial *t, PyObject *plan) {
+    if (need_tuple(plan, "plan") || Py_EnterRecursiveCall(" in draw_plan"))
+        return -1;
+    int r = 0;
+    for (Py_ssize_t m = 0; !r && m < PyTuple_GET_SIZE(plan); m++) {
+        PyObject *move = PyTuple_GET_ITEM(plan, m), **at, **other;
+        long op, code;
+        if (field(move, 0, &op)) {
+            r = -1;
+            break;
+        }
+        switch (op) {
+        case SET:
+        case FAMILY:
+            r = !(at = slot(t, move, 1))
+                    ? -1
+                    : store(at, op == SET ? draw_hfes(&t->z, t->size, t->den, t->lo, t->hi) : family(t));
+            break;
+        case LADDER:
+            r = field(move, 1, &code) ? -1 : ladder(t, move, code);
+            break;
+        case COPY:
+            if (!(at = slot(t, move, 1)) || !(other = slot(t, move, 2)))
+                r = -1;
+            else
+                Py_SETREF(*at, Py_NewRef(*other));
+            break;
+        case COINCIDE: { /* one degree c per position, repeated in both */
+            Py_ssize_t size = t->size > 0 ? t->size : 0;
+            PyObject *pa = NULL, *pb = NULL;
+            if (!(at = slot(t, move, 1)) || !(other = slot(t, move, 2)) || !(pa = PyTuple_New(size))
+                || !(pb = PyTuple_New(size)))
+                r = -1;
+            for (Py_ssize_t p = 0; !r && p < size; p++) {
+                PyObject *c = Py_BuildValue("(L)", (long long)scale(next(&t->z), (i128)t->den + 1)), *ca, *cb;
+                i128 ka = randint(t, t->lo, t->hi), kb = randint(t, t->lo, t->hi);
+                ca = c ? PySequence_Repeat(c, ka > 0 ? (Py_ssize_t)ka : 0) : NULL;
+                cb = ca ? PySequence_Repeat(c, kb > 0 ? (Py_ssize_t)kb : 0) : NULL;
+                Py_XDECREF(c);
+                if (!cb) {
+                    Py_XDECREF(ca);
+                    r = -1;
+                } else {
+                    PyTuple_SET_ITEM(pa, p, ca);
+                    PyTuple_SET_ITEM(pb, p, cb);
+                }
+            }
+            if (r) {
+                Py_XDECREF(pa);
+                Py_XDECREF(pb);
+            } else {
+                Py_SETREF(*at, pa);
+                Py_SETREF(*other, pb);
+            }
+            break;
+        }
+        case ABOVE:
+            r = family_above(t, move);
+            break;
+        case BELOW: { /* the term's value, then below it per position */
+            PyObject *value = NULL, *H = NULL, *h;
+            if (field(move, 1, &code) || !(at = slot(t, move, 2)) || PyTuple_GET_SIZE(move) < 4
+                || !(value = term(t, PyTuple_GET_ITEM(move, 3))) || need_tuple(value, "hfs")
+                || !(H = PyTuple_New(PyTuple_GET_SIZE(value))))
+                r = -1;
+            for (Py_ssize_t p = 0; H && !r && p < PyTuple_GET_SIZE(value); p++)
+                if (!(r = below(t, PyTuple_GET_ITEM(value, p), code, &h)))
+                    PyTuple_SET_ITEM(H, p, h);
+            if (!r)
+                Py_SETREF(*at, H);
+            else
+                Py_XDECREF(H);
+            Py_XDECREF(value);
+            if (r == -1 && !PyErr_Occurred())
+                PyErr_SetString(PyExc_IndexError, "plan move too short");
+            break;
+        }
+        case SUBFAMILY:
+            r = subfamily(t, move);
+            break;
+        case CHOICE: { /* one plan among the move's */
+            Py_ssize_t n = PyTuple_GET_SIZE(move);
+            Py_ssize_t pick = 1 + (Py_ssize_t)scale(next(&t->z), n - 1);
+            if (pick >= n) {
+                PyErr_SetString(PyExc_IndexError, "plan move too short");
+                r = -1;
+            } else
+                r = run(t, PyTuple_GET_ITEM(move, pick));
+            break;
+        }
+        default:
+            PyErr_Format(PyExc_ValueError, "unknown plan move %ld", op);
+            r = -1;
+        }
+    }
+    Py_LeaveRecursiveCall();
+    return r;
+}
+
+/* draw_plan(plan, names, bounds, prefix, index) -> (size, binding or None) */
+FASTCALL(draw_plan) {
+    i64 b[7];
+    if (arity("draw_plan", nargs, 5) || need_tuple(args[1], "names") || need_tuple(args[2], "bounds"))
+        return NULL;
+    if (PyTuple_GET_SIZE(args[2]) != 7)
+        return PyErr_Format(PyExc_ValueError, "bounds must hold 7 values");
+    for (int i = 0; i < 7; i++)
+        if (as_i64(PyTuple_GET_ITEM(args[2], i), &b[i]))
+            return NULL;
+    u64 h = PyLong_AsUnsignedLongLongMask(args[3]);
+    if (h == (u64)-1 && PyErr_Occurred())
+        return NULL;
+    u64 index = PyLong_AsUnsignedLongLong(args[4]);
+    if (index == (u64)-1 && PyErr_Occurred())
+        return NULL;
+    for (int i = 0; i < 8; i++) /* FNV-1a over the index's 8 little-endian bytes */
+        h = (h ^ ((index >> (8 * i)) & 0xFF)) * FNV_PRIME;
+    trial t = {.z = h, .den = b[0], .lo = b[3], .hi = b[4], .flo = b[5], .fhi = b[6]};
+    i128 size = randint(&t, b[1], b[2]);
+    t.size = (i64)size;
+    t.nslots = PyTuple_GET_SIZE(args[1]);
+    t.slots = PyMem_New(PyObject *, t.nslots > 0 ? t.nslots : 1);
+    if (!t.slots)
+        return PyErr_NoMemory();
+    for (Py_ssize_t j = 0; j < t.nslots; j++)
+        t.slots[j] = Py_NewRef(Py_None);
+    int r = run(&t, args[0]);
+    PyObject *binding = r ? NULL : PyDict_New(), *out = NULL;
+    for (Py_ssize_t j = 0; binding && j < t.nslots; j++)
+        if (PyDict_SetItem(binding, PyTuple_GET_ITEM(args[1], j), t.slots[j]))
+            Py_CLEAR(binding);
+    if (r == 1)
+        binding = Py_NewRef(Py_None);
+    if (binding)
+        out = Py_BuildValue("(LN)", (long long)size, binding);
+    for (Py_ssize_t j = 0; j < t.nslots; j++)
+        Py_DECREF(t.slots[j]);
+    PyMem_Free(t.slots);
+    return out;
+}
+
 /* --- module --- */
 
 #define FAST(name, doc) METHOD(name, #name, METH_FASTCALL, doc)
 
 static PyMethodDef kernel_methods[] = {
-    METHOD(canon, "canon", METH_O, "Canonical form of a degree multiset: descending tuple."),
     FAST(e_rel, "The six inclusion relations on descending degree tuples."),
     FAST(u_union, "Union (degrees >= the larger minimum) at every universe position."),
     FAST(u_inter, "Intersection (degrees <= the smaller maximum) at every universe position."),
     FAST(u_compl, "Complement {one - g} at every universe position."),
     FAST(u_rel, "True iff e_rel holds at every universe position."),
     FAST(u_sot, "True iff a ⊂s b or a ⊂t b at every universe position."),
-    FAST(gen_hfe, "Random hfe: cardinality uniform in [card_lo, card_hi], degrees uniform on {0, ..., den}."),
     FAST(gen_hfs, "Random hfs over `size` universe positions."),
+    FAST(draw_plan, "One trial of a law: (universe size, binding or None) drawn by its plan."),
     {NULL},
 };
 

@@ -13,12 +13,15 @@ is one loop over the universe positions, and holds the only copy of its
 semantics: an element value is the one-position case, as `e_rel` is of
 `u_rel`.
 
-Random generation draws from a SplitMix64 `Stream`. Output i of a stream is
-the mix of state + i·γ, so a stream computes its outputs a block at a time,
-one per 128-bit lane of a single Python int, and `u64`, `below`, `randint`,
-`gen_hfe` and `gen_hfs` read them from that buffer. The numbers drawn and
-the `state` seen between calls are exactly those of one `u64` call per draw;
-`tests/test_streams.py` pins that against a method-per-draw oracle.
+Random generation draws from SplitMix64 streams. Output i of a stream is
+the mix of state + i·γ, so the kernel computes outputs a block at a time,
+one per 128-bit lane of a single Python int, and reads the draws from that
+buffer. A `Stream` serves `randint` and `gen_hfs`; the numbers drawn and
+the `state` seen between calls are exactly those of one output per draw,
+and `tests/test_streams.py` pins that against a method-per-draw oracle.
+`draw_plan` runs one trial of a law in one call: it seeds the trial's
+stream from the law's FNV-1a prefix and the trial index, draws the universe
+size and runs the law's plan (`laws/generators.py`) on its own buffer.
 
 The compiled twin, the hand-written C module `_ckernel.c`, has exactly the
 public names of this module, with the identical contract for degrees that
@@ -30,6 +33,7 @@ returns exactly what this module returns or raises a Python exception
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat
 from operator import ge, sub
 from struct import Struct
@@ -56,16 +60,36 @@ _BLOCK = 32
 _LANES = sum(1 << (128 * j) for j in range(_BLOCK))  # 1 in every lane
 _LOW = _MASK * _LANES  # the low 64 bits of every lane
 _STEPS = sum(((j + 1) * _GOLDEN & _MASK) << (128 * j) for j in range(_BLOCK))
-_UNPACK = Struct(f"<{2 * _BLOCK}Q").unpack
+_LOW_HALVES = Struct("<" + "Q8x" * _BLOCK).unpack
+_HIGH_HALVES = Struct("<" + "8xQ" * _BLOCK).unpack
+
+
+def _lanes(z: int) -> int:
+    """Outputs 1.._BLOCK of the SplitMix64 stream at state z, one a lane."""
+    x = (z * _LANES + _STEPS) & _LOW
+    x = ((x ^ (x >> 30)) & _LOW) * _MIX1 & _LOW
+    x = ((x ^ (x >> 27)) & _LOW) * _MIX2 & _LOW
+    return (x ^ (x >> 31)) & _LOW
 
 
 def _block(z: int) -> tuple:
     """Outputs 1.._BLOCK of the SplitMix64 stream at state z, in order."""
-    x = (z * _LANES + _STEPS) & _LOW
-    x = ((x ^ (x >> 30)) & _LOW) * _MIX1 & _LOW
-    x = ((x ^ (x >> 27)) & _LOW) * _MIX2 & _LOW
-    x = (x ^ (x >> 31)) & _LOW
-    return _UNPACK(x.to_bytes(16 * _BLOCK, "little"))[::2]
+    return _LOW_HALVES(_lanes(z).to_bytes(16 * _BLOCK, "little"))
+
+
+def _grow(buf: tuple, deg: tuple, seed: int, n: int, need: int) -> tuple:
+    """buf, the outputs of the stream at `seed` from its first on, and deg,
+    their draws from range(n), extended by whole blocks to at least `need`
+    outputs. A lane times an n below 2**64 fits its 128 bits, so a draw,
+    (output * n) >> 64, is the lane's high half."""
+    while len(buf) < need:
+        x = _lanes((seed + len(buf) * _GOLDEN) & _MASK)
+        buf += _LOW_HALVES(x.to_bytes(16 * _BLOCK, "little"))
+        if n >> 64:
+            deg += tuple((z * n) >> 64 for z in buf[-_BLOCK:])
+        else:
+            deg += _HIGH_HALVES((x * n).to_bytes(16 * _BLOCK, "little"))
+    return buf, deg
 
 
 class Stream:
@@ -73,16 +97,13 @@ class Stream:
 
     `_buf[_i:]` are the outputs not yet drawn, and `_base` is the state
     before `_buf[0]`. `state` reads and writes the state of the plain
-    one-output-at-a-time stream. `below` and `randint` repeat the read of
-    `u64` inline: they are the generators' hottest calls.
+    one-output-at-a-time stream.
     """
 
     __slots__ = ("_base", "_buf", "_i")
 
     def __init__(self, seed: int) -> None:
-        self._base = z = seed & _MASK
-        self._buf = _block(z)
-        self._i = 0
+        self.state = seed
 
     @property
     def state(self) -> int:
@@ -91,8 +112,8 @@ class Stream:
 
     @state.setter
     def state(self, z: int) -> None:
-        self._base = z
-        self._buf = _block(z & _MASK)
+        self._base = z = z & _MASK
+        self._buf = _block(z)
         self._i = 0
 
     def _refill(self, need: int) -> tuple:
@@ -100,34 +121,13 @@ class Stream:
         are unread; the new buffer starts at the next output."""
         i = self._i
         base = self._base = (self._base + i * _GOLDEN) & _MASK
-        buf = self._buf[i:]
-        while len(buf) < need:
-            buf += _block((base + len(buf) * _GOLDEN) & _MASK)
-        self._buf = buf
+        self._buf = buf = _more(self._buf[i:], base, need)
         self._i = 0
         return buf
 
-    def u64(self) -> int:
-        i = self._i
-        try:
-            z = self._buf[i]
-        except IndexError:
-            z, i = self._refill(1)[0], 0
-        self._i = i + 1
-        return z
-
-    def below(self, n: int) -> int:
-        """Uniform draw from range(n) via 64-bit fixed-point scaling."""
-        i = self._i
-        try:
-            z = self._buf[i]
-        except IndexError:
-            z, i = self._refill(1)[0], 0
-        self._i = i + 1
-        return (z * n) >> 64
-
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform draw from the inclusive range [lo, hi]."""
+        """Uniform draw from the inclusive range [lo, hi] via 64-bit
+        fixed-point scaling."""
         i = self._i
         try:
             z = self._buf[i]
@@ -137,9 +137,12 @@ class Stream:
         return lo + ((z * (hi - lo + 1)) >> 64)
 
 
-def canon(values):
-    """Canonical form of a degree multiset: descending tuple."""
-    return tuple(sorted(values, reverse=True))
+def _more(buf: tuple, base: int, need: int) -> tuple:
+    """buf, the outputs of the stream at state `base` from its first on,
+    extended by whole blocks to at least `need` outputs."""
+    while len(buf) < need:
+        buf += _block((base + len(buf) * _GOLDEN) & _MASK)
+    return buf
 
 
 # --- set level: tuples of hfes, pointwise over universe positions ---
@@ -257,28 +260,273 @@ def gen_hfs(stream, den, size, card_lo, card_hi):
     """Random hfs over `size` universe positions: each hfe a cardinality
     uniform in [card_lo, card_hi], then that many degrees uniform on the grid
     {0, 1, ..., den} (meaning k/den)."""
-    n = den + 1
-    span = card_hi - card_lo + 1
-    most = 1 + max(card_lo, card_hi, 0)  # the outputs one hfe can use
-    buf, i = stream._buf, stream._i
+    n, buf = den + 1, stream._refill(0)
+    deg = tuple((z * n) >> 64 for z in buf)
+    hfs, stream._buf, _, stream._i = _hfes(buf, deg, 0, stream._base, n, size, card_lo, card_hi)
+    return hfs
+
+
+# --- one trial of a law: its draw plan ---
+#
+# The helpers below draw from `buf[i:]`, the outputs of the stream at state
+# `seed` from `buf[0]` on, and `deg[i:]`, their draws from range(n) for
+# n = den + 1. They compute blocks on as they need them and return what they
+# drew with the new (buf, deg, i). The codes are `laws/generators.py`'s: the
+# moves, an `_ABOVE` move's members and a `_BELOW` term's operators.
+_SET, _FAMILY, _LADDER, _COPY, _COINCIDE, _ABOVE, _BELOW, _SUBFAMILY, _CHOICE = range(9)
+_ALL, _SOME, _LONGER = range(3)
+_UNION, _INTER, _COMPL, _MEET_ALL, _JOIN_ALL = range(-1, -6, -1)
+
+_FNV_PRIME = 0x100000001B3
+# A zero byte only multiplies an FNV-1a state by the prime, so n trailing
+# zero bytes fold into one multiply by _FNV_POWERS[n].
+_FNV_POWERS = tuple(pow(_FNV_PRIME, n, 1 << 64) for n in range(9))
+
+
+def _hfes(buf, deg, i, seed, n, count, lo, hi):
+    """`count` free hfes, each of a cardinality uniform in [lo, hi] and then
+    that many degrees uniform on the grid."""
+    span = hi - lo + 1
+    most = 1 + max(lo, hi, 0)  # the outputs one hfe can use
     out = []
-    for _ in range(size):
+    for _ in range(count):
         if len(buf) - i < most:
-            stream._i = i
-            buf, i = stream._refill(most), 0
-        k = card_lo + ((buf[i] * span) >> 64)
-        i += 1
-        if k > 0:
-            h = [(z * n) >> 64 for z in buf[i : i + k]]
-            h.sort(reverse=True)
-            out.append(tuple(h))
-            i += k
+            buf, deg = _grow(buf, deg, seed, n, i + most)
+        k = lo + ((buf[i] * span) >> 64)
+        h = list(deg[i + 1 : i + 1 + k]) if k > 0 else []
+        i += 1 + len(h)
+        h.sort(reverse=True)
+        out.append(tuple(h))
+    return tuple(out), buf, deg, i
+
+
+def _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi):
+    """A free family: a size uniform in [flo, fhi], then that many sets."""
+    if i == len(buf):
+        buf, deg = _grow(buf, deg, seed, n, i + 1)
+    fam = []
+    for _ in range(flo + ((buf[i] * (fhi - flo + 1)) >> 64)):
+        hfs, buf, deg, i = _hfes(buf, deg, i + 1, seed, n, size, lo, hi)
+        fam.append(hfs)
+        i -= 1
+    return tuple(fam), buf, deg, i + 1
+
+
+def _above(buf, deg, i, seed, n, a, code, lo, hi):
+    """One hfe b with a ⊂code b and at most hi degrees (⊂s: at most
+    len(a)), or None when ⊂t leaves no room."""
+    if code == REL_T and len(a) >= hi:
+        return None, buf, deg, i
+    most = max(lo, hi, len(a))
+    if len(buf) - i <= most + 1:
+        buf, deg = _grow(buf, deg, seed, n, i + 2 + most)
+    z, x = buf[i], a[0]
+    i += 1
+    if code == REL_S:
+        k = max(0, lo + ((z * (len(a) - lo + 1)) >> 64))
+        v = [x + ((w * (n - x)) >> 64) for x, w in zip(a, buf[i : i + k])]
+    elif code == REL_T:
+        k = len(a) + 1 + ((z * (hi - len(a))) >> 64)
+        v = [x + ((w * (n - x)) >> 64) for x, w in zip(a, buf[i : i + len(a)])]
+        v += deg[i + len(a) : i + k]
+    else:
+        k = max(0, lo + ((z * (hi - lo + 1)) >> 64))  # a slice must not count from the end
+        if code == REL_N:
+            v = [x + ((w * (n - x)) >> 64) for w in buf[i : i + k]]
+        elif code == REL_P:
+            v = [x + ((buf[i] * (n - x)) >> 64), *deg[i + 1 : i + k]]
+        elif code == REL_A:
+            v = [x + ((buf[i] * (n - x)) >> 64)]
+            x = a[-1]
+            v += [x + ((w * (n - x)) >> 64) for w in buf[i + 1 : i + k]]
         else:
-            out.append(())
-    stream._i = i
-    return tuple(out)
+            raise ValueError(f"no dominating construction for relation code {code}")
+    v.sort(reverse=True)
+    return tuple(v), buf, deg, i + len(v)
 
 
-def gen_hfe(stream, den, card_lo, card_hi):
-    """Random hfe: `gen_hfs` at one universe position."""
-    return gen_hfs(stream, den, 1, card_lo, card_hi)[0]
+def _below(buf, deg, i, seed, n, b, code, lo, hi):
+    """One hfe a with a ⊂code b and lo <= |a| <= hi, or None if the bounds
+    make it impossible."""
+    if code == REL_S and len(b) > hi or code == REL_T and lo >= len(b):
+        return None, buf, deg, i
+    most = max(lo, hi, len(b))
+    if len(buf) - i <= most + 1:
+        buf, deg = _grow(buf, deg, seed, n, i + 2 + most)
+    z, x = buf[i], b[0]
+    i += 1
+    if code == REL_S:
+        least = lo if lo > len(b) else len(b)
+        k = max(0, least + ((z * (hi - least + 1)) >> 64))
+        v = [(w * (x + 1)) >> 64 for x, w in zip(b, buf[i : i + len(b)])]
+        x = b[-1]
+        v += [(w * (x + 1)) >> 64 for w in buf[i + len(b) : i + k]]
+    elif code == REL_T:
+        k = max(0, lo + ((z * ((hi if hi < len(b) else len(b) - 1) - lo + 1)) >> 64))
+        v = [(w * (x + 1)) >> 64 for x, w in zip(b, buf[i : i + k])]
+    else:
+        k = max(0, lo + ((z * (hi - lo + 1)) >> 64))
+        if code == REL_P or code == REL_N:
+            x = x + 1 if code == REL_P else b[-1] + 1
+            v = [(w * x) >> 64 for w in buf[i : i + k]]
+        elif code == REL_A:
+            v = [(buf[i] * (b[-1] + 1)) >> 64]
+            v += [(w * (x + 1)) >> 64 for w in buf[i + 1 : i + k]]
+        else:
+            raise ValueError(f"no dominated construction for relation code {code}")
+    v.sort(reverse=True)
+    return tuple(v), buf, deg, i + len(v)
+
+
+def _term(program, slots, den):
+    """The value of a postfix term program over the slots."""
+    stack = []
+    for t in program:
+        if t >= 0:
+            stack.append(slots[t])
+        elif t == _COMPL:
+            stack.append(u_compl(stack.pop(), den))
+        elif t == _MEET_ALL or t == _JOIN_ALL:
+            stack.append(reduce(u_inter if t == _MEET_ALL else u_union, stack.pop()))
+        elif t == _UNION or t == _INTER:
+            right = stack.pop()
+            stack.append((u_union if t == _UNION else u_inter)(stack.pop(), right))
+        else:
+            raise ValueError(f"unknown term operator {t}")
+    return stack.pop()
+
+
+def draw_plan(plan, names, bounds, prefix, index):
+    """One trial of a law: (universe size, binding of `names`), or (size,
+    None) when a move is impossible under the bounds.
+
+    The trial's stream is seeded with the FNV-1a state `prefix` extended by
+    the 8 little-endian bytes of `index`; its first output draws the size
+    from [size_lo, size_hi]. `bounds` is (den, size_lo, size_hi, card_lo,
+    card_hi, family_lo, family_hi), and `plan` holds the moves documented in
+    `laws/generators.py`, each writing the value of the name at its slot.
+    """
+    den, ulo, uhi, lo, hi, flo, fhi = bounds
+    data = index.to_bytes(8, "little").rstrip(b"\0")
+    for byte in data:
+        prefix = ((prefix ^ byte) * _FNV_PRIME) & _MASK
+    seed = prefix * _FNV_POWERS[8 - len(data)] & _MASK
+    i, n = 1, den + 1
+    buf, deg = _grow((), (), seed, n, 1)
+    size = ulo + ((buf[0] * (uhi - ulo + 1)) >> 64)
+    slots = [None] * len(names)
+    moves, m = plan, 0
+    while m < len(moves):
+        move = moves[m]
+        m += 1
+        op = move[0]
+        if op == _SET:
+            slots[move[1]], buf, deg, i = _hfes(buf, deg, i, seed, n, size, lo, hi)
+        elif op == _FAMILY:
+            slots[move[1]], buf, deg, i = _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi)
+        elif op == _LADDER:
+            code, out = move[1], move[2:]
+            rows = []
+            if code == REL_M:  # free hfes, stably sorted by exact mean
+                for _ in range(size):
+                    row, buf, deg, i = _hfes(buf, deg, i, seed, n, len(out), lo, hi)
+                    row = list(row)
+                    for end in range(len(row) - 1, 0, -1):
+                        for j in range(end):
+                            a, b = row[j], row[j + 1]
+                            if sum(a) * len(b) > sum(b) * len(a):
+                                row[j], row[j + 1] = b, a
+                    rows.append(row)
+            else:  # a base, then one step up per further name
+                lift = 1 if code == REL_T else 0  # a ⊂t step adds a degree
+                cap = hi - lift * (len(out) - 1)
+                if lo > cap:
+                    return size, None
+                for _ in range(size):
+                    row, buf, deg, i = _hfes(buf, deg, i, seed, n, 1, lo, cap)
+                    for step in range(1, len(out)):
+                        h, buf, deg, i = _above(buf, deg, i, seed, n, row[-1], code, lo, cap + lift * step)
+                        if h is None:
+                            return size, None
+                        row += (h,)
+                    rows.append(row)
+            for s, col in zip(out, list(zip(*rows)) or [()] * len(out)):
+                slots[s] = col
+        elif op == _COPY:
+            slots[move[1]] = slots[move[2]]
+        elif op == _COINCIDE:  # one degree c per position, repeated in both
+            if len(buf) - i < 3 * size:
+                buf, deg = _grow(buf, deg, seed, n, i + 3 * size)
+            pairs = []
+            for j in range(i, i + 3 * size, 3):
+                c = (deg[j],)
+                ka = lo + ((buf[j + 1] * (hi - lo + 1)) >> 64)
+                pairs.append((c * ka, c * (lo + ((buf[j + 2] * (hi - lo + 1)) >> 64))))
+            i += 3 * size
+            slots[move[1]], slots[move[2]] = list(zip(*pairs)) or [(), ()]
+        elif op == _ABOVE:  # a set, then members above it
+            code, a, f, members = move[1:5]
+            cap = hi - 1 if code == REL_T else hi  # room for a ⊂t step
+            if lo > cap:
+                return size, None
+            A, buf, deg, i = _hfes(buf, deg, i, seed, n, size, lo, cap)
+            if members == _SOME:
+                fam, buf, deg, i = _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi)
+                fam = list(fam)
+            else:
+                if i == len(buf):
+                    buf, deg = _grow(buf, deg, seed, n, i + 1)
+                fam = [None] * (flo + ((buf[i] * (fhi - flo + 1)) >> 64))
+                i += 1
+                if members != _ALL:  # longer than A at every position
+                    for j in range(len(fam)):
+                        H = []
+                        for x in A:
+                            (h,), buf, deg, i = _hfes(buf, deg, i, seed, n, 1, len(x) + 1, hi)
+                            H.append(h)
+                        fam[j] = tuple(H)
+            if members != _ALL:
+                if i == len(buf):
+                    buf, deg = _grow(buf, deg, seed, n, i + 1)
+                picks = ((buf[i] * len(fam)) >> 64,)
+                i += 1
+            else:
+                picks = range(len(fam))
+            for p in picks:
+                H = []
+                for x in A:
+                    h, buf, deg, i = _above(buf, deg, i, seed, n, x, code, lo, hi)
+                    if h is None:
+                        return size, None
+                    H.append(h)
+                fam[p] = tuple(H)
+            slots[a], slots[f] = A, tuple(fam)
+        elif op == _BELOW:  # the term's value, then below it per position
+            code, a, program = move[1:4]
+            H = []
+            for x in _term(program, slots, den):
+                h, buf, deg, i = _below(buf, deg, i, seed, n, x, code, lo, hi)
+                if h is None:
+                    return size, None
+                H.append(h)
+            slots[a] = tuple(H)
+        elif op == _SUBFAMILY:  # a free family and a selection of its members
+            big, buf, deg, i = _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi)
+            if len(buf) - i < len(big):
+                buf, deg = _grow(buf, deg, seed, n, i + len(big))
+            idx = list(range(len(big)))
+            for j in range(len(idx) - 1, 0, -1):  # partial Fisher-Yates
+                r = (buf[i] * (j + 1)) >> 64
+                i += 1
+                idx[j], idx[r] = idx[r], idx[j]
+            k = 1 + ((buf[i] * len(big)) >> 64)
+            i += 1
+            slots[move[1]], slots[move[2]] = tuple(big[j] for j in idx[:k]), big
+        elif op == _CHOICE:  # one plan among the move's
+            if i == len(buf):
+                buf, deg = _grow(buf, deg, seed, n, i + 1)
+            moves, m = move[1 + ((buf[i] * (len(move) - 1)) >> 64)] + moves[m:], 0
+            i += 1
+        else:
+            raise ValueError(f"unknown plan move {op}")
+    return size, dict(zip(names, slots))

@@ -21,7 +21,6 @@ from ..degrees import format_grid
 from ..elements import _on_lcm
 from ..errors import UniverseMismatchError
 from ..sets import HFS, Family, Universe
-from . import generators as g
 from .algebra import EXACT, Algebra, grid_algebra
 from .fixtures import Fixture
 from .registry import Law, LawStatus, get_law, law_registry
@@ -93,42 +92,24 @@ def _extend(h: int, data: bytes) -> int:
     return h
 
 
-# A zero byte only multiplies the FNV-1a state by the prime, so n trailing
-# zero bytes fold into one multiply by _FNV_POWERS[n].
-_FNV_POWERS = tuple(pow(_FNV_PRIME, n, 1 << 64) for n in range(9))
-
-
 # --- the trial loop ------------------------------------------------------------
 
 
 def _trials(law: Law, alg: Algebra, config: GeneratorConfig):
     """Yield (index, universe size, binding) for each trial of `law`.
 
-    The binding is built by the law's generator and re-checked by its guard;
-    it is None when either rejects the draw (starvation). Each trial draws
-    from its own stream, so a trial depends only on (seed, law id, index):
-    its seed is `_mix(seed, law id, index)`, computed here by hashing the
-    (seed, law id) prefix once and extending it by the index bytes, the
-    trailing zero bytes in one multiply.
+    `law.gen` draws the trial: the kernel's `draw_plan` seeds the trial's
+    stream with `_mix(seed, law id, index)`, extending the (seed, law id)
+    prefix hashed here once, draws the universe size and runs the law's
+    plan. The binding is re-checked by the law's guard; it is None when the
+    plan or the guard rejects the draw (starvation). So a trial depends only
+    on (seed, law id, index).
     """
-    contexts = {
-        size: g.GenContext(
-            den=config.degree_grid,
-            size=size,
-            card_lo=config.cardinality[0],
-            card_hi=config.cardinality[1],
-            fam_lo=config.family_size[0],
-            fam_hi=config.family_size[1],
-        )
-        for size in range(config.universe_size[0], config.universe_size[1] + 1)
-    }
+    bounds = (config.degree_grid, *config.universe_size, *config.cardinality, *config.family_size)
     prefix = _mix(config.seed, law.id)
-    guard, kern, one = law.guard, alg.kern, alg.one
+    gen, guard, kern, one = law.gen, law.guard, alg.kern, alg.one
     for index in range(config.trials):
-        data = index.to_bytes(8, "little").rstrip(b"\0")
-        stream = active.Stream(_extend(prefix, data) * _FNV_POWERS[8 - len(data)] & _MASK64)
-        size = stream.randint(*config.universe_size)
-        binding = law.gen(alg, stream, contexts[size])
+        size, binding = gen(kern, bounds, prefix, index)
         if binding is not None and guard is not None and not guard(kern, one, binding):
             binding = None
         yield index, size, binding

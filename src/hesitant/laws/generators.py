@@ -1,28 +1,36 @@
-"""Constructive generators for guard-satisfying random bindings.
+"""Draw plans: how each law builds random bindings that satisfy its premise.
 
 Rejection sampling starves on guards like ⊂n (every degree of B must clear
-max A) or chained premises (transitivity), so each law's generator builds
-its binding to satisfy the premise directly. `derive(params, premise)` reads
-the construction off the shape of the premise, once, at import:
+max A) or chained premises (transitivity), so each law builds its binding to
+satisfy the premise directly. `derive(params, premise)` reads the
+construction off the shape of the premise, once, at import, and returns it
+as a *plan*: a tuple of moves, each a tuple of ints that starts with the
+move's code. A move writes the value of a param into its slot, the param's
+position in `params`. The kernels' `draw_plan` runs a plan for one trial in
+one call (`runner`):
 
-| premise | construction |
+| premise | moves |
 |---|---|
-| none | every param drawn free, in params order |
-| A ⊂k B | per position, a base hfe, then one step up (`_above`) |
-| A ⊂k B and B ⊂k C | the same ladder with two steps |
-| A ⊂k term, term not a variable | the term's variables free, then `_below` its value per position |
-| A = B, A =s B | A drawn free, B = A |
-| A =n B | per position one degree c; A(x) and B(x) repeat c |
-| A ⊂k H for all H in F | A, then every member `_above` A |
-| A ⊂k H for some H in F | A and a free family, then one chosen member rebuilt `_above` A |
-| F1 ⊏ F2 | F2 drawn free, F1 a non-empty selection of its members |
+| none | `SET`/`FAMILY` per param: drawn free, in params order |
+| A ⊂k B | `LADDER` k: per position a base hfe, then one step up |
+| A ⊂k B and B ⊂k C | `LADDER` k with two steps |
+| A ⊂k term, term not a variable | the term's params free, then `BELOW` k: below the term's value per position |
+| A = B, A =s B | `SET` A, then `COPY` it to B |
+| A =n B | `COINCIDE`: per position one degree c; A(x) and B(x) repeat c |
+| A ⊂k H for all H in F | `ABOVE` k `ALL`: A, then every member above A |
+| A ⊂k H for some H in F | `ABOVE` k `SOME`: A and a free family, then one chosen member rebuilt above A |
+| F1 ⊏ F2 | `SUBFAMILY`: F2 drawn free, F1 a non-empty selection of its members |
 
 Params the premise leaves unbound are drawn free afterwards, in params order.
 A ⊂t construction leaves room for its steps: a ladder's base has at most
-card_hi - steps degrees and step i at most card_hi - (steps - i). A ⊂m ladder
-draws free hfes and stable-sorts them by exact mean. A premise of any other
-shape is a ValueError, so the registry fails at import; the few laws whose
-generator is not determined by a premise name one (`gen=`).
+card_hi - steps degrees and step i at most card_hi - (steps - i), and the set
+under a family at most card_hi - 1. A ⊂m ladder draws free hfes and
+stable-sorts them by exact mean. A `BELOW` term is a postfix program over
+slots: a slot pushes its value, and the negative codes `TERM_OPS` combine
+values. A premise of any other shape is a ValueError, so the registry fails
+at import; the few laws whose plan no premise determines name one: the ⇔
+laws choose among plans with `CHOICE` (one `below(n)` draw picks the plan
+that follows), and thm5.6 builds its members with `ABOVE` `LONGER`.
 
 All construction happens per universe position on the integer grid. The
 sorting trick used throughout: if values v_1..v_k are drawn with
@@ -35,343 +43,102 @@ a construction bug can only surface as starvation, never as a wrong verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..expressions import Var, variables
+from ..expressions import Compl, Join, Var, variables
 from ..relations import Inclusion
 
-P = Inclusion.POSSIBLE
-A_ = Inclusion.ACCEPTABLE
-M = Inclusion.MEAN
-S = Inclusion.STRONG
-T = Inclusion.TAIL
-N = Inclusion.NECESSARY
+M, T = Inclusion.MEAN, Inclusion.TAIL
+
+# Move codes, read by `draw_plan` in `_pykernel.py` and `_ckernel.c`.
+SET, FAMILY, LADDER, COPY, COINCIDE, ABOVE, BELOW, SUBFAMILY, CHOICE = range(9)
+# The members of an `ABOVE` move: all above the set, one chosen among a free
+# family, or one chosen among members longer than the set at every position.
+ALL, SOME, LONGER = range(3)
+# A `BELOW` term's operators: ∪, ∩, complement, and the ⋂ and ⋃ folds.
+UNION, INTER, COMPL, MEET_ALL, JOIN_ALL = TERM_OPS = range(-1, -6, -1)
 
 
-@dataclass(frozen=True)
-class GenContext:
-    """Per-trial bounds: grid denominator, universe size, cardinality and
-    family-size ranges."""
+def runner(plan, names):
+    """The per-trial draw of a law whose params are `names`: called as
+    (kern, bounds, prefix, index), it returns `kern.draw_plan`'s
+    (universe size, binding or None)."""
 
-    den: int
-    size: int
-    card_lo: int
-    card_hi: int
-    fam_lo: int
-    fam_hi: int
+    def gen(kern, bounds, prefix, index):
+        return kern.draw_plan(plan, names, bounds, prefix, index)
+
+    return gen
 
 
-def rand_hfs(alg, stream, ctx):
-    return alg.kern.gen_hfs(stream, ctx.den, ctx.size, ctx.card_lo, ctx.card_hi)
+def _program(term, slot) -> tuple:
+    """The postfix program of a set term or fold over the params' slots."""
+    from .registry import Fold  # the registry imports this module
+
+    if isinstance(term, Fold):
+        return (slot[term.family], MEET_ALL if term.op == "⋂" else JOIN_ALL)
+    if isinstance(term, Var):
+        return (slot[term.name],)
+    if isinstance(term, Compl):
+        return (*_program(term.child, slot), COMPL)
+    op = UNION if isinstance(term, Join) else INTER
+    return (*_program(term.left, slot), *_program(term.right, slot), op)
 
 
-def rand_family(alg, stream, ctx):
-    f = stream.randint(ctx.fam_lo, ctx.fam_hi)
-    return tuple(rand_hfs(alg, stream, ctx) for _ in range(f))
+def derive(params, premise) -> tuple:
+    """The plan of a law over `params` whose spec has this premise (None for
+    none). Raises ValueError, naming the premise, for a premise of no shape
+    in the module's table."""
+    from .registry import And, Each, Fold, Rel, Subfamily
 
+    slot = {name: i for i, (name, _) in enumerate(params)}
 
-def _free(kind):
-    """The free draw of a param of this kind ("set" or "family")."""
-    return rand_hfs if kind == "set" else rand_family
-
-
-def _above(alg, stream, ctx, a, kind, card_hi=None):
-    """One hfe b with a ⊂kind b, or None if the bounds make it impossible."""
-    den, lo, hi = ctx.den, ctx.card_lo, ctx.card_hi
-    if card_hi is not None:
-        hi = card_hi
-    if kind is P:
-        k = stream.randint(lo, hi)
-        vals = [stream.randint(a[0], den)] + [stream.below(den + 1) for _ in range(k - 1)]
-    elif kind is A_:
-        k = stream.randint(lo, hi)
-        vals = [stream.randint(a[0], den)] + [stream.randint(a[-1], den) for _ in range(k - 1)]
-    elif kind is N:
-        k = stream.randint(lo, hi)
-        vals = [stream.randint(a[0], den) for _ in range(k)]
-    elif kind is S:
-        k = stream.randint(lo, len(a))
-        vals = [stream.randint(a[i], den) for i in range(k)]
-    elif kind is T:
-        if len(a) + 1 > hi:
-            return None
-        k = stream.randint(len(a) + 1, hi)
-        vals = [stream.randint(a[i], den) for i in range(len(a))]
-        vals += [stream.below(den + 1) for _ in range(k - len(a))]
-    else:
-        raise ValueError(f"no dominating construction for {kind}")
-    return alg.kern.canon(vals)
-
-
-def _below(alg, stream, ctx, b, kind):
-    """One hfe a with a ⊂kind b, or None if the bounds make it impossible."""
-    den, lo, hi = ctx.den, ctx.card_lo, ctx.card_hi
-    if kind is P:
-        k = stream.randint(lo, hi)
-        vals = [stream.randint(0, b[0]) for _ in range(k)]
-    elif kind is A_:
-        k = stream.randint(lo, hi)
-        vals = [stream.randint(0, b[-1])] + [stream.randint(0, b[0]) for _ in range(k - 1)]
-    elif kind is N:
-        k = stream.randint(lo, hi)
-        vals = [stream.randint(0, b[-1]) for _ in range(k)]
-    elif kind is S:
-        if len(b) > hi:
-            return None
-        k = stream.randint(max(lo, len(b)), hi)
-        vals = [stream.randint(0, b[i]) for i in range(len(b))]
-        vals += [stream.randint(0, b[-1]) for _ in range(k - len(b))]
-    elif kind is T:
-        if lo > len(b) - 1:
-            return None
-        k = stream.randint(lo, min(hi, len(b) - 1))
-        vals = [stream.randint(0, b[i]) for i in range(k)]
-    else:
-        raise ValueError(f"no dominated construction for {kind}")
-    return alg.kern.canon(vals)
-
-
-def _per_position(build, alg, stream, ctx, H, kind):
-    """`build` (`_above` or `_below`) at every position of H, or None as
-    soon as one position is impossible."""
-    out = []
-    for x in H:
-        h = build(alg, stream, ctx, x, kind)
-        if h is None:
-            return None
-        out.append(h)
-    return tuple(out)
-
-
-def _set_base(alg, stream, ctx, kind):
-    """A random set with room for one ⊂kind step above it at every
-    position, or None if the cardinality cap leaves none."""
-    hi = ctx.card_hi - 1 if kind is T else ctx.card_hi
-    if ctx.card_lo > hi:
-        return None
-    return alg.kern.gen_hfs(stream, ctx.den, ctx.size, ctx.card_lo, hi)
-
-
-# --- the constructions, one per premise shape -------------------------------
-
-
-def _by_mean(row):
-    """row stably sorted by exact mean: a bubble sort, as rows are short."""
-    for end in range(len(row) - 1, 0, -1):
-        for i in range(end):
-            if sum(row[i]) * len(row[i + 1]) > sum(row[i + 1]) * len(row[i]):
-                row[i], row[i + 1] = row[i + 1], row[i]
-    return row
-
-
-def _ladder(kind, names):
-    """names[0] ⊂kind names[1] ⊂kind ...: per position, a base hfe and then
-    one step up per further name."""
-    steps = range(len(names) - 1)
-    if kind is M:
-
-        def by_mean(alg, stream, ctx):
-            rows = []
-            for _ in range(ctx.size):
-                row = [alg.kern.gen_hfe(stream, ctx.den, ctx.card_lo, ctx.card_hi) for _ in names]
-                rows.append(_by_mean(row))
-            return dict(zip(names, zip(*rows)))
-
-        return by_mean
-    lift = 1 if kind is T else 0  # a ⊂t step adds at least one degree
-    room = lift * len(steps)
-
-    def ladder(alg, stream, ctx):
-        base_cap = ctx.card_hi - room
-        if ctx.card_lo > base_cap:
-            return None
-        rows = []
-        for _ in range(ctx.size):
-            h = alg.kern.gen_hfe(stream, ctx.den, ctx.card_lo, base_cap)
-            row = [h]
-            cap = base_cap
-            for _ in steps:
-                cap += lift
-                h = _above(alg, stream, ctx, h, kind, cap)
-                if h is None:
-                    return None
-                row.append(h)
-            rows.append(row)
-        return dict(zip(names, zip(*rows)))
-
-    return ladder
-
-
-def _below_term(kind, name, value, term_params):
-    """name ⊂kind term: the term's params drawn free, then `_below` the
-    term's value at each position."""
-
-    def below_term(alg, stream, ctx):
-        binding = {param: draw(alg, stream, ctx) for param, draw in term_params}
-        h = _per_position(_below, alg, stream, ctx, value(alg.kern, alg.one, binding), kind)
-        if h is None:
-            return None
-        binding[name] = h
-        return binding
-
-    return below_term
-
-
-def _equal(a, b):
-    def equal(alg, stream, ctx):
-        h = rand_hfs(alg, stream, ctx)
-        return {a: h, b: h}
-
-    return equal
-
-
-def _coinciding(a, b):
-    """a =n b forces every degree of both memberships to one value per
-    element; build exactly that."""
-
-    def coinciding(alg, stream, ctx):
-        pas, pbs = [], []
-        for _ in range(ctx.size):
-            c = (stream.below(ctx.den + 1),)
-            pas.append(c * stream.randint(ctx.card_lo, ctx.card_hi))
-            pbs.append(c * stream.randint(ctx.card_lo, ctx.card_hi))
-        return {a: tuple(pas), b: tuple(pbs)}
-
-    return coinciding
-
-
-def _free_members(alg, stream, ctx, A):
-    return list(rand_family(alg, stream, ctx))
-
-
-def _family_above(kind, name, family, others=None):
-    """name ⊂kind H for every member H of family or, given `others`, for one
-    chosen member among those that others(alg, stream, ctx, A) draws."""
-
-    def family_above(alg, stream, ctx):
-        A = _set_base(alg, stream, ctx, kind)
-        if A is None:
-            return None
-        if others is None:
-            members = [None] * stream.randint(ctx.fam_lo, ctx.fam_hi)
-            picks = range(len(members))
-        else:
-            members = others(alg, stream, ctx, A)
-            picks = (stream.below(len(members)),)
-        for i in picks:
-            H = _per_position(_above, alg, stream, ctx, A, kind)
-            if H is None:
-                return None
-            members[i] = H
-        return {name: A, family: tuple(members)}
-
-    return family_above
-
-
-def _subfamily(small, big):
-    """small ⊏ big: big drawn free and small a non-empty selection of its
-    members."""
-
-    def subfamily(alg, stream, ctx):
-        F2 = rand_family(alg, stream, ctx)
-        idx = list(range(len(F2)))
-        # partial Fisher-Yates using the stream
-        for i in range(len(idx) - 1, 0, -1):
-            j = stream.below(i + 1)
-            idx[i], idx[j] = idx[j], idx[i]
-        k = stream.randint(1, len(F2))
-        return {small: tuple(F2[i] for i in idx[:k]), big: F2}
-
-    return subfamily
-
-
-def _nothing(alg, stream, ctx):
-    return {}
-
-
-def derive(params, premise):
-    """The generator of a law over `params` whose spec has this premise
-    (None for none), built once. Raises ValueError, naming the premise,
-    for a premise of no shape in the module's table."""
-    # Imported here: the registry derives its laws' generators while it
-    # is itself being imported.
-    from .registry import And, Each, Fold, Rel, Subfamily, _value
+    def free(names):
+        return tuple((SET if kind == "set" else FAMILY, slot[n]) for n, kind in params if n in names)
 
     def names(term):
         return {term.family} if isinstance(term, Fold) else variables(term)
 
     match premise:
         case None:
-            bound, build = (), _nothing
+            bound, moves = (), ()
         case Rel("rel", Var(a), Var(b), kind):
-            bound, build = (a, b), _ladder(kind, (a, b))
+            bound, moves = (a, b), ((LADDER, kind.code, slot[a], slot[b]),)
         case And((Rel("rel", Var(a), Var(b), kind), Rel("rel", Var(b2), Var(c), kind2))) if (
             b2 == b and kind2 is kind
         ):
-            bound, build = (a, b, c), _ladder(kind, (a, b, c))
+            bound, moves = (a, b, c), ((LADDER, kind.code, slot[a], slot[b], slot[c]),)
         case Rel("rel", Var(a), term, kind) if kind is not M and a not in names(term):
-            term_params = tuple((p, _free(k)) for p, k in params if p in names(term))
-            bound = (a, *(p for p, _ in term_params))
-            build = _below_term(kind, a, _value(term), term_params)
+            bound = (a, *names(term))
+            moves = (*free(names(term)), (BELOW, kind.code, slot[a], _program(term, slot)))
         case Rel("multiset", Var(a), Var(b)) | Rel("eq", Var(a), Var(b), Inclusion.STRONG):
-            bound, build = (a, b), _equal(a, b)
+            bound, moves = (a, b), ((SET, slot[a]), (COPY, slot[b], slot[a]))
         case Rel("eq", Var(a), Var(b), Inclusion.NECESSARY):
-            bound, build = (a, b), _coinciding(a, b)
+            bound, moves = (a, b), ((COINCIDE, slot[a], slot[b]),)
         case Each(quantifier, h, family, Rel("rel", Var(a), Var(h2), kind)) if (
             h2 == h and kind is not M
         ):
-            others = None if quantifier == "all" else _free_members
-            bound, build = (a, family), _family_above(kind, a, family, others)
+            members = ALL if quantifier == "all" else SOME
+            bound, moves = (a, family), ((ABOVE, kind.code, slot[a], slot[family], members),)
         case Subfamily(small, big):
-            bound, build = (small, big), _subfamily(small, big)
+            bound, moves = (small, big), ((SUBFAMILY, slot[small], slot[big]),)
         case _:
             raise ValueError(f"no generator derives from the premise {premise}")
-    free = tuple((name, _free(kind)) for name, kind in params if name not in bound)
-    if not free:
-        return build
-
-    def gen(alg, stream, ctx):
-        binding = build(alg, stream, ctx)
-        if binding is not None:
-            for name, draw in free:
-                binding[name] = draw(alg, stream, ctx)
-        return binding
-
-    return gen
+    return moves + free({name for name, _ in params} - set(bound))
 
 
-# --- generators that no premise determines ----------------------------------
+# --- plans that no premise determines ----------------------------------------
 
 
-def either_side(params, iff):
+def either_side(params, iff) -> tuple:
     """For an equivalence claim: a quarter of the bindings built to satisfy
     its left side, a quarter its right side, half free, so both directions
     get exercised."""
     free, left, right = (derive(params, side) for side in (None, iff.left, iff.right))
-
-    def gen(alg, stream, ctx):
-        r = stream.below(4)
-        return (left if r == 2 else right if r == 3 else free)(alg, stream, ctx)
-
-    return gen
+    return ((CHOICE, free, free, left, right),)
 
 
-def maybe_equal_pair(alg, stream, ctx):
-    """Half the trials an equal pair, half independent — exercises both
-    directions of an equivalence claim."""
-    A = rand_hfs(alg, stream, ctx)
-    B = A if stream.below(2) == 0 else rand_hfs(alg, stream, ctx)
-    return {"A": A, "B": B}
+#: Over params (A, B): half the trials an equal pair, half independent —
+#: exercises both directions of an equivalence claim.
+maybe_equal_pair = ((SET, 0), (CHOICE, ((COPY, 1, 0),), ((SET, 1),)))
 
-
-def _longer_members(alg, stream, ctx, A):
-    """Members with more degrees than A at every position."""
-    return [
-        tuple(alg.kern.gen_hfe(stream, ctx.den, len(a) + 1, ctx.card_hi) for a in A)
-        for _ in range(stream.randint(ctx.fam_lo, ctx.fam_hi))
-    ]
-
-
-#: Guard of the tail/union family law: A ⊂t H_alpha and |A(x)| < |H(x)| for
-#: every member and element.
-tail_exists_with_small_cards = _family_above(T, "A", "F", _longer_members)
+#: Over params (A, F), for the tail/union family law: A ⊂t H_alpha and
+#: |A(x)| < |H(x)| for every member and element.
+tail_exists_with_small_cards = ((ABOVE, T.code, 0, 1, LONGER),)

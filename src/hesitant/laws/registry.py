@@ -13,8 +13,9 @@ the spec, and `Law.guard` and `Law.claim` are the closures compiled from it
 once, at import. Each is called as `(kern, one, binding)`: the kernel module
 and the complement unit of an `Algebra`, which callers read once per law,
 and the binding's plain grid values. Relation codes are bound at compile
-time. A law's random generator is derived from its premise
-(`generators.derive`) unless the law names one; the ⇔ laws and thm5.6 do.
+time. A law's draw plan is derived from its premise (`generators.derive`)
+unless the law names one; the ⇔ laws and thm5.6 do. `Law.gen` runs the plan
+for one trial.
 A refuted law's fixture names the worked example (`fixtures.EXAMPLES`) that
 refutes it.
 `render_table()` regenerates docs/laws.md from the statements.
@@ -371,7 +372,8 @@ class Law:
     spec: object  # a formula, or Implies(premise, claim)
     claim: Callable  # (kern, one, binding) -> bool, compiled from the spec's claim
     guard: Optional[Callable]  # the same, compiled from the spec's premise, if any
-    gen: Callable
+    plan: tuple  # the moves of its draw (`generators`)
+    gen: Callable  # (kern, bounds, prefix, index) -> (size, binding or None), runs the plan
     fixtures: tuple[Fixture, ...] = ()
     aliases: tuple[str, ...] = ()
     note: str = ""
@@ -399,10 +401,10 @@ class Law:
 _LAWS: list[Law] = []
 
 
-def _law(id, params, spec, gen=None, *, status=LawStatus.PROVED, fixtures=(), aliases=(), note=""):
+def _law(id, params, spec, plan=None, *, status=LawStatus.PROVED, fixtures=(), aliases=(), note=""):
     premise, claim = (spec.premise, spec.claim) if isinstance(spec, Implies) else (None, spec)
-    if gen is None:
-        gen = g.derive(params, premise)
+    if plan is None:
+        plan = g.derive(params, premise)
     _LAWS.append(Law(
         id=id,
         status=status,
@@ -410,7 +412,8 @@ def _law(id, params, spec, gen=None, *, status=LawStatus.PROVED, fixtures=(), al
         spec=spec,
         claim=claim.compile(),
         guard=None if premise is None else premise.compile(),
-        gen=gen,
+        plan=plan,
+        gen=g.runner(plan, tuple(name for name, _ in params)),
         fixtures=fixtures,
         aliases=aliases,
         note=note,

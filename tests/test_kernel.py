@@ -36,8 +36,8 @@ def _all_small(den=2, cmax=3):
 # The kernel contract: every name either kernel defines, and nothing else.
 KERNEL_NAMES = {
     "IMPLEMENTATION", "REL_P", "REL_A", "REL_M", "REL_S", "REL_T", "REL_N",
-    "Stream", "canon", "e_rel", "u_union", "u_inter", "u_compl", "u_rel", "u_sot",
-    "gen_hfe", "gen_hfs",
+    "Stream", "e_rel", "u_union", "u_inter", "u_compl", "u_rel", "u_sot",
+    "gen_hfs", "draw_plan",
 }
 
 
@@ -57,9 +57,9 @@ def test_kernels_export_the_same_names(compiled):
 
 def test_streams_identical(compiled):
     a, b = pure.Stream(12345), compiled.Stream(12345)
-    assert [a.u64() for _ in range(100)] == [b.u64() for _ in range(100)]
+    assert [a.randint(-2**63, 2**63 - 1) for _ in range(100)] == [b.randint(-2**63, 2**63 - 1) for _ in range(100)]
     a, b = pure.Stream(7), compiled.Stream(7)
-    assert [a.below(1000) for _ in range(100)] == [b.below(1000) for _ in range(100)]
+    assert [a.randint(0, 999) for _ in range(100)] == [b.randint(0, 999) for _ in range(100)]
     a, b = pure.Stream(99), compiled.Stream(99)
     assert [a.randint(3, 9) for _ in range(100)] == [b.randint(3, 9) for _ in range(100)]
 
@@ -73,7 +73,7 @@ def test_generation_identical(compiled):
                     assert pure.gen_hfs(a, den, size, lo, hi) == compiled.gen_hfs(
                         b, den, size, lo, hi
                     )
-                    assert pure.gen_hfe(a, den, lo, hi) == compiled.gen_hfe(b, den, lo, hi)
+                    assert pure.gen_hfs(a, den, 1, lo, hi) == compiled.gen_hfs(b, den, 1, lo, hi)
                     assert a.randint(1, 4) == b.randint(1, 4)
                 assert a.state == b.state
 
@@ -110,15 +110,6 @@ def test_set_level_equivalence(compiled, A, B):
     assert pure.u_sot(A, B) == compiled.u_sot(A, B)
     for code in range(6):
         assert pure.u_rel(code, A, B) == compiled.u_rel(code, A, B)
-
-
-def test_canon_and_errors(compiled):
-    assert compiled.canon([3, 1, 2]) == (3, 2, 1) == pure.canon([3, 1, 2])
-    for k in (pure, compiled):
-        with pytest.raises(ValueError):
-            k.e_rel(17, (1,), (1,))
-        with pytest.raises(ValueError):
-            k.u_rel(17, ((1,),), ((1,),))
 
 
 # --- the set loops against the per-element definitions ----------------------
@@ -225,7 +216,7 @@ EMPTY_HFE = {
 PROBES = {
     "e_union_1500": "k.u_union((tuple(range(1500, 0, -1)),), (tuple(range(1600, 100, -1)),))",
     "e_inter_1500": "k.u_inter((tuple(range(1500, 0, -1)),), (tuple(range(1600, 100, -1)),))",
-    "gen_hfe_3000": "k.gen_hfe(k.Stream(1), 100, 3000, 3000)",
+    "gen_hfe_3000": "k.gen_hfs(k.Stream(1), 100, 1, 3000, 3000)",
     "gen_hfs_3000": "k.gen_hfs(k.Stream(2), 10**9, 3, 2500, 3000)",
     "u_union_short_b": "k.u_union(((3, 1), (2,), (5,)), ((2,),))",
     "u_inter_short_b": "k.u_inter(((3, 1), (2,)), ((2,),))",
@@ -236,20 +227,48 @@ PROBES = {
     **EMPTY_HFE,
     "e_rel_m_wraps": "k.e_rel(2, (2**62, 2**62), (1,))",
     "e_rel_m_extremes": "k.e_rel(2, (2**63 - 1,) * 40, (-2**63,) * 3)",
-    "gen_hfe_empty_range": "k.gen_hfe(k.Stream(7), 100, 5, 1)",
-    "canon_3000": "k.canon(range(3000))",
+    "gen_hfe_empty_range": "k.gen_hfs(k.Stream(7), 100, 1, 5, 1)",
     "randint_full_int64": "[k.Stream(5).randint(-2**63, 2**63 - 1) for _ in range(3)]",
     "randint_empty_range": "k.Stream(5).randint(-2**63 + 3, -2**63)",
     "randint_past_2_63": "k.Stream(5).randint(0, 2**63)",
-    "below_past_2_63": "k.Stream(5).below(2**64)",
+    "below_past_2_63": "k.Stream(5).randint(0, 2**64 - 1)",
     "e_compl_int64_edge": "k.u_compl(((2**63 - 1, 0),), 2**63 - 1)",
     "e_compl_past_2_63": "k.u_compl(((0,),), 2**63)",
     "e_compl_wraps": "k.u_compl(((-1,),), 2**63 - 1)",
     "e_rel_degree_past_2_63": "k.e_rel(0, (2**64,), (1,))",
+    # every law's plan at the config bounds: grid 10**9, universe 16,
+    # cardinality 64, family 8
+    "draw_plan_every_law_at_the_bounds": (
+        "[k.draw_plan(*_law_plan(law), (10**9, 16, 16, 64, 64, 8, 8), 7, i) for law in _laws() for i in range(3)]"
+    ),
+    # plans and arguments that no law has: moves, slots and terms out of
+    # range, bounds that no config allows (cardinality 0, reversed ranges)
+    **{f"draw_plan_{name}": f"k.draw_plan({call})" for name, call in {
+        "unknown_move": "((9, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "slot_past_the_names": "((0, 5),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "negative_slot": "((0, -1),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "move_without_slots": "((2, 0), (3,)), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "choice_of_nothing": "((8,),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "term_underflow": "((6, 0, 0, (-1,)),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "unknown_term_operator": "((0, 1), (6, 0, 0, (1, -9)),), ('A', 'B'), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "fold_of_an_empty_family": "((1, 1), (6, 0, 0, (1, -4))), ('A', 'F'), (100, 1, 4, 1, 6, 0, 0), 1, 0",
+        "fold_of_a_set": "((0, 1), (6, 0, 0, (1, -5))), ('A', 'B'), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "empty_hfes_under_a_ladder": "((2, 0, 0, 1),), ('A', 'B'), (100, 1, 4, 0, 0, 1, 5), 1, 0",
+        "empty_hfes_under_a_mean_ladder": "((2, 2, 0, 1, 2),), ('A', 'B', 'C'), (100, 1, 4, 0, 0, 1, 5), 1, 0",
+        "reversed_bounds": "tuple((m, 0, 1, 2, 3) for m in (0, 1, 3, 4, 7, 2)), ('A', 'B', 'C', 'D'), (100, 4, 1, 9, 2, 3, 0), 5, 9",
+        "unknown_relation_code": "((2, 9, 0, 1),), ('A', 'B'), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "member_of_no_family": "((5, 0, 0, 1, 1),), ('A', 'F'), (100, 1, 4, 1, 6, 0, 0), 1, 0",
+        "index_past_2_64": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 2**64",
+        "negative_index": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, -1",
+        "grid_past_2_63": "((2, 0, 0, 1),), ('A', 'B'), (2**63, 1, 4, 1, 6, 1, 5), 1, 0",
+        "deep_choice": "__import__('functools').reduce(lambda p, _: ((8, p),), range(5000), ()), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "list_plan": "[(0, 0)], ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+    }.items()},
 }
 MAY_RAISE = {
     "u_rel_list_hfe", "randint_past_2_63", "below_past_2_63", "e_compl_past_2_63",
-    "e_compl_wraps", "e_rel_degree_past_2_63",
+    "e_compl_wraps", "e_rel_degree_past_2_63", "draw_plan_negative_slot",
+    "draw_plan_grid_past_2_63", "draw_plan_deep_choice", "draw_plan_list_plan",
 }
 
 _PROBE = """
@@ -259,9 +278,14 @@ spec = importlib.util.spec_from_file_location("hesitant._kernel._ckernel", sys.a
 compiled = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compiled)
 
+from hesitant import law_registry as _laws
+
+def _law_plan(law):
+    return law.plan, tuple(name for name, _ in law.params)
+
 def run(k):
     try:
-        return "returned", eval(sys.argv[2], {"k": k})
+        return "returned", eval(sys.argv[2], {"k": k, "_laws": _laws, "_law_plan": _law_plan})
     except Exception as exc:
         return "raised", type(exc).__name__
 
