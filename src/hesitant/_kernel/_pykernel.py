@@ -304,12 +304,12 @@ def _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi):
     """A free family: a size uniform in [flo, fhi], then that many sets."""
     if i == len(buf):
         buf, deg = _grow(buf, deg, seed, n, i + 1)
-    fam = []
-    for _ in range(flo + ((buf[i] * (fhi - flo + 1)) >> 64)):
-        hfs, buf, deg, i = _hfes(buf, deg, i + 1, seed, n, size, lo, hi)
+    count = flo + ((buf[i] * (fhi - flo + 1)) >> 64)
+    i, fam = i + 1, []
+    for _ in range(count):
+        hfs, buf, deg, i = _hfes(buf, deg, i, seed, n, size, lo, hi)
         fam.append(hfs)
-        i -= 1
-    return tuple(fam), buf, deg, i + 1
+    return tuple(fam), buf, deg, i
 
 
 def _above(buf, deg, i, seed, n, a, code, lo, hi):
