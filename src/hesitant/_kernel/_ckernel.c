@@ -3,8 +3,9 @@
  *
  * It has the part of the pure kernel's surface that the law engine's trials
  * call (`Stream`, `e_rel`, the set-level `u_*` functions, `gen_hfs` and
- * `draw_plan`, which runs one trial of a law's draw plan in one call) and the
- * pure kernel's contract, for degrees that fit a C long long. Every call
+ * `draw_plan`, which runs a chunk of consecutive trials of a law's draw plan
+ * in one call, looping over the trials in C) and the pure kernel's
+ * contract, for degrees that fit a C long long. Every call
  * returns exactly what `_pykernel` returns, or raises a Python exception:
  *   - a value outside int64, or a mean cross-product outside __int128,
  *     raises OverflowError;
@@ -993,42 +994,69 @@ static int run(trial *t, PyObject *plan) {
     return r;
 }
 
-/* draw_plan(plan, names, bounds, prefix, index) -> (size, binding or None) */
+/* Trial `index` of a law: (size, binding or None), the trial's stream
+ * seeded with the FNV-1a state `prefix` extended by the index's 8
+ * little-endian bytes. t holds the bounds, and its slots hold None on entry
+ * and on return. */
+static PyObject *one_trial(trial *t, PyObject *plan, PyObject *names, const i64 *b, u64 prefix, u64 index) {
+    for (int i = 0; i < 8; i++)
+        prefix = (prefix ^ ((index >> (8 * i)) & 0xFF)) * FNV_PRIME;
+    t->z = prefix;
+    i128 size = randint(t, b[1], b[2]);
+    t->size = (i64)size;
+    int r = run(t, plan);
+    PyObject *binding = r ? NULL : PyDict_New(), *out = NULL;
+    for (Py_ssize_t j = 0; binding && j < t->nslots; j++)
+        if (PyDict_SetItem(binding, PyTuple_GET_ITEM(names, j), t->slots[j]))
+            Py_CLEAR(binding);
+    if (r == 1)
+        binding = Py_NewRef(Py_None);
+    if (binding)
+        out = Py_BuildValue("(LN)", (long long)size, binding);
+    for (Py_ssize_t j = 0; j < t->nslots; j++)
+        Py_SETREF(t->slots[j], Py_NewRef(Py_None));
+    return out;
+}
+
+/* draw_plan(plan, names, bounds, prefix, first, count) -> the list of
+ * (size, binding or None) of trials first .. first + count - 1 */
 FASTCALL(draw_plan) {
     i64 b[7];
-    if (arity("draw_plan", nargs, 5) || need_tuple(args[1], "names") || need_tuple(args[2], "bounds"))
+    if (arity("draw_plan", nargs, 6) || need_tuple(args[1], "names") || need_tuple(args[2], "bounds"))
         return NULL;
     if (PyTuple_GET_SIZE(args[2]) != 7)
         return PyErr_Format(PyExc_ValueError, "bounds must hold 7 values");
     for (int i = 0; i < 7; i++)
         if (as_i64(PyTuple_GET_ITEM(args[2], i), &b[i]))
             return NULL;
-    u64 h = PyLong_AsUnsignedLongLongMask(args[3]);
-    if (h == (u64)-1 && PyErr_Occurred())
+    u64 prefix = PyLong_AsUnsignedLongLongMask(args[3]);
+    if (prefix == (u64)-1 && PyErr_Occurred())
         return NULL;
-    u64 index = PyLong_AsUnsignedLongLong(args[4]);
-    if (index == (u64)-1 && PyErr_Occurred())
+    if (!PyLong_Check(args[4]) || !PyLong_Check(args[5]))
+        return PyErr_Format(PyExc_TypeError, "first and count must be ints");
+    u64 first = PyLong_AsUnsignedLongLong(args[4]);
+    if (first == (u64)-1 && PyErr_Occurred())
         return NULL;
-    for (int i = 0; i < 8; i++) /* FNV-1a over the index's 8 little-endian bytes */
-        h = (h ^ ((index >> (8 * i)) & 0xFF)) * FNV_PRIME;
-    trial t = {.z = h, .den = b[0], .lo = b[3], .hi = b[4], .flo = b[5], .fhi = b[6]};
-    i128 size = randint(&t, b[1], b[2]);
-    t.size = (i64)size;
+    Py_ssize_t count = PyLong_AsSsize_t(args[5]);
+    if (count == -1 && PyErr_Occurred())
+        return NULL;
+    if (count < 0)
+        return PyErr_Format(PyExc_ValueError, "count must be non-negative");
+    if (count > 0 && (u64)(count - 1) > ~first)
+        return PyErr_Format(PyExc_OverflowError, "trial index out of range 0..2**64 - 1");
+    trial t = {.den = b[0], .lo = b[3], .hi = b[4], .flo = b[5], .fhi = b[6]};
     t.nslots = PyTuple_GET_SIZE(args[1]);
     t.slots = PyMem_New(PyObject *, t.nslots > 0 ? t.nslots : 1);
     if (!t.slots)
         return PyErr_NoMemory();
     for (Py_ssize_t j = 0; j < t.nslots; j++)
         t.slots[j] = Py_NewRef(Py_None);
-    int r = run(&t, args[0]);
-    PyObject *binding = r ? NULL : PyDict_New(), *out = NULL;
-    for (Py_ssize_t j = 0; binding && j < t.nslots; j++)
-        if (PyDict_SetItem(binding, PyTuple_GET_ITEM(args[1], j), t.slots[j]))
-            Py_CLEAR(binding);
-    if (r == 1)
-        binding = Py_NewRef(Py_None);
-    if (binding)
-        out = Py_BuildValue("(LN)", (long long)size, binding);
+    PyObject *out = PyList_New(count), *one;
+    for (Py_ssize_t k = 0; out && k < count; k++)
+        if ((one = one_trial(&t, args[0], args[1], b, prefix, first + (u64)k)))
+            PyList_SET_ITEM(out, k, one);
+        else
+            Py_CLEAR(out);
     for (Py_ssize_t j = 0; j < t.nslots; j++)
         Py_DECREF(t.slots[j]);
     PyMem_Free(t.slots);
@@ -1047,7 +1075,7 @@ static PyMethodDef kernel_methods[] = {
     FAST(u_rel, "True iff e_rel holds at every universe position."),
     FAST(u_sot, "True iff a ⊂s b or a ⊂t b at every universe position."),
     FAST(gen_hfs, "Random hfs over `size` universe positions."),
-    FAST(draw_plan, "One trial of a law: (universe size, binding or None) drawn by its plan."),
+    FAST(draw_plan, "Trials first .. first + count - 1 of a law: a list of (universe size, binding or None)."),
     {NULL},
 };
 

@@ -19,9 +19,11 @@ one per 128-bit lane of a single Python int, and reads the draws from that
 buffer. A `Stream` serves `randint` and `gen_hfs`; the numbers drawn and
 the `state` seen between calls are exactly those of one output per draw,
 and `tests/test_streams.py` pins that against a method-per-draw oracle.
-`draw_plan` runs one trial of a law in one call: it seeds the trial's
-stream from the law's FNV-1a prefix and the trial index, draws the universe
-size and runs the law's plan (`laws/generators.py`) on its own buffer.
+`draw_plan` runs a chunk of consecutive trials of a law in one call. It
+seeds each trial's stream from the law's FNV-1a prefix and the trial index
+and computes the first block of up to 64 trials in one pass over wide ints
+(32 lanes per trial); then it draws each trial's universe size and runs the
+law's plan (`laws/generators.py`) on that trial's buffer.
 
 The compiled twin, the hand-written C module `_ckernel.c`, has exactly the
 public names of this module, with the identical contract for degrees that
@@ -33,7 +35,7 @@ returns exactly what this module returns or raises a Python exception
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import ge, sub
 from struct import Struct
@@ -57,6 +59,7 @@ _MIX2 = 0x94D049BB133111EB
 # with a 64-bit constant fits its 128 bits, and a right shift moves the next
 # lane's bits only into the high half, which the mask that follows clears.
 _BLOCK = 32
+_BYTES = 16 * _BLOCK  # the bytes of one block
 _LANES = sum(1 << (128 * j) for j in range(_BLOCK))  # 1 in every lane
 _LOW = _MASK * _LANES  # the low 64 bits of every lane
 _STEPS = sum(((j + 1) * _GOLDEN & _MASK) << (128 * j) for j in range(_BLOCK))
@@ -64,17 +67,22 @@ _LOW_HALVES = Struct("<" + "Q8x" * _BLOCK).unpack
 _HIGH_HALVES = Struct("<" + "8xQ" * _BLOCK).unpack
 
 
+def _mixed(x: int, low: int) -> int:
+    """The SplitMix64 outputs of the states in x's lanes, which `low`, the
+    low 64 bits of every lane, masks."""
+    x = ((x ^ (x >> 30)) & low) * _MIX1 & low
+    x = ((x ^ (x >> 27)) & low) * _MIX2 & low
+    return (x ^ (x >> 31)) & low
+
+
 def _lanes(z: int) -> int:
     """Outputs 1.._BLOCK of the SplitMix64 stream at state z, one a lane."""
-    x = (z * _LANES + _STEPS) & _LOW
-    x = ((x ^ (x >> 30)) & _LOW) * _MIX1 & _LOW
-    x = ((x ^ (x >> 27)) & _LOW) * _MIX2 & _LOW
-    return (x ^ (x >> 31)) & _LOW
+    return _mixed((z * _LANES + _STEPS) & _LOW, _LOW)
 
 
 def _block(z: int) -> tuple:
     """Outputs 1.._BLOCK of the SplitMix64 stream at state z, in order."""
-    return _LOW_HALVES(_lanes(z).to_bytes(16 * _BLOCK, "little"))
+    return _LOW_HALVES(_lanes(z).to_bytes(_BYTES, "little"))
 
 
 def _grow(buf: tuple, deg: tuple, seed: int, n: int, need: int) -> tuple:
@@ -84,11 +92,11 @@ def _grow(buf: tuple, deg: tuple, seed: int, n: int, need: int) -> tuple:
     (output * n) >> 64, is the lane's high half."""
     while len(buf) < need:
         x = _lanes((seed + len(buf) * _GOLDEN) & _MASK)
-        buf += _LOW_HALVES(x.to_bytes(16 * _BLOCK, "little"))
+        buf += _LOW_HALVES(x.to_bytes(_BYTES, "little"))
         if n >> 64:
             deg += tuple((z * n) >> 64 for z in buf[-_BLOCK:])
         else:
-            deg += _HIGH_HALVES((x * n).to_bytes(16 * _BLOCK, "little"))
+            deg += _HIGH_HALVES((x * n).to_bytes(_BYTES, "little"))
     return buf, deg
 
 
@@ -266,7 +274,7 @@ def gen_hfs(stream, den, size, card_lo, card_hi):
     return hfs
 
 
-# --- one trial of a law: its draw plan ---
+# --- a chunk of a law's trials: its draw plan ---
 #
 # The helpers below draw from `buf[i:]`, the outputs of the stream at state
 # `seed` from `buf[0]` on, and `deg[i:]`, their draws from range(n) for
@@ -278,9 +286,65 @@ _ALL, _SOME, _LONGER = range(3)
 _UNION, _INTER, _COMPL, _MEET_ALL, _JOIN_ALL = range(-1, -6, -1)
 
 _FNV_PRIME = 0x100000001B3
-# A zero byte only multiplies an FNV-1a state by the prime, so n trailing
-# zero bytes fold into one multiply by _FNV_POWERS[n].
-_FNV_POWERS = tuple(pow(_FNV_PRIME, n, 1 << 64) for n in range(9))
+
+
+# The first blocks of a chunk of trials are computed _PASS trials at a time,
+# each pass in wide ints of 128-bit lanes. A *trial int* holds lane t for
+# trial first + t; a *block int* holds _BLOCK trial ints, output j of trial t
+# in lane j * count + t, so a trial's first block is every count-th lane. A
+# pass's ints stay under 64 KB: larger ones, past glibc's 128 KB mmap
+# threshold, made a 256-trial pass no faster than drawing one trial at a
+# time.
+_PASS = 64
+
+
+@lru_cache(maxsize=2)  # a full pass and the last, shorter one
+def _wide(count: int) -> tuple:
+    """The constants of a pass over `count` trials: the trial ints of 1, of t
+    and of 255 in lane t, and that of the low 64 bits of every lane; the
+    block ints of the output steps and of the low 64 bits; the unpacker of
+    a trial int's lanes, and that of trial t's block, at byte offset 16t, as
+    (output, high half) pairs."""
+    ones = sum(1 << (128 * t) for t in range(count))
+    low = _MASK * ones
+    steps = b"".join((((j + 1) * _GOLDEN & _MASK) * ones).to_bytes(16 * count, "little") for j in range(_BLOCK))
+    pairs = ("QQ%dx" % (16 * count - 16)) * (_BLOCK - 1) + "QQ"
+    return (
+        ones,
+        sum(t << (128 * t) for t in range(count)),
+        255 * ones,
+        low,
+        int.from_bytes(steps, "little"),
+        int.from_bytes(low.to_bytes(16 * count, "little") * _BLOCK, "little"),
+        Struct(f"<{2 * count}Q").unpack,
+        Struct("<" + pairs).unpack_from,
+    )
+
+
+def _first_blocks(prefix, first, count, n):
+    """(seed, first block, its draws from range(n)) of trials first ..
+    first + count - 1, at most _PASS of them, in one pass. Trial t's seed is
+    FNV-1a from the state `prefix` over the 8 little-endian bytes of t;
+    where n >> 64, the draws are computed output by output."""
+    ones, ramp, byte, low_t, steps, low, lanes, pairs = _wide(count)
+    index = first * ones + ramp
+    h = (prefix & _MASK) * ones
+    for shift in range(0, 64, 8):
+        h = ((h ^ ((index >> shift) & byte)) * _FNV_PRIME) & low_t
+    seeds = lanes(h.to_bytes(16 * count, "little"))[::2]
+    for copies in (1, 2, 4, 8, 16):
+        h |= h << (128 * count * copies)
+    x = _mixed((h + steps) & low, low)
+    if n >> 64:
+        data = x.to_bytes(_BYTES * count, "little")
+        for t, seed in enumerate(seeds):
+            buf = pairs(data, 16 * t)[::2]
+            yield seed, buf, tuple((z * n) >> 64 for z in buf)
+    else:  # a draw, (output * n) >> 64, is the high half of its lane times n
+        data = ((x * n) & ~low | x).to_bytes(_BYTES * count, "little")
+        for t, seed in enumerate(seeds):
+            v = pairs(data, 16 * t)
+            yield seed, v[::2], v[1::2]
 
 
 def _hfes(buf, deg, i, seed, n, count, lo, hi):
@@ -396,25 +460,41 @@ def _term(program, slots, den):
     return stack.pop()
 
 
-def draw_plan(plan, names, bounds, prefix, index):
-    """One trial of a law: (universe size, binding of `names`), or (size,
-    None) when a move is impossible under the bounds.
+def draw_plan(plan, names, bounds, prefix, first, count):
+    """Trials first .. first + count - 1 of a law: a list of one (universe
+    size, binding of `names`) per trial, the binding None when a move is
+    impossible under the bounds. A trial that raises raises for the chunk.
 
-    The trial's stream is seeded with the FNV-1a state `prefix` extended by
-    the 8 little-endian bytes of `index`; its first output draws the size
-    from [size_lo, size_hi]. `bounds` is (den, size_lo, size_hi, card_lo,
+    Trial t's stream is seeded with the FNV-1a state `prefix` extended by
+    the 8 little-endian bytes of t; its first output draws the size from
+    [size_lo, size_hi]. `bounds` is (den, size_lo, size_hi, card_lo,
     card_hi, family_lo, family_hi), and `plan` holds the moves documented in
     `laws/generators.py`, each writing the value of the name at its slot.
+    Every trial index must fit 64 bits.
     """
     den, ulo, uhi, lo, hi, flo, fhi = bounds
-    data = index.to_bytes(8, "little").rstrip(b"\0")
-    for byte in data:
-        prefix = ((prefix ^ byte) * _FNV_PRIME) & _MASK
-    seed = prefix * _FNV_POWERS[8 - len(data)] & _MASK
+    if not isinstance(first, int) or not isinstance(count, int):
+        raise TypeError("first and count must be ints")
+    if first < 0 or first >> 64:
+        raise OverflowError("trial index out of range 0..2**64 - 1")
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    last = first + count
+    if last > 1 << 64:
+        raise OverflowError("trial index out of range 0..2**64 - 1")
+    span, out = uhi - ulo + 1, []
+    for start in range(first, last, _PASS):
+        for seed, buf, deg in _first_blocks(prefix, start, min(_PASS, last - start), den + 1):
+            size = ulo + ((buf[0] * span) >> 64)
+            slots = _run(plan, [None] * len(names), buf, deg, seed, den, size, lo, hi, flo, fhi)
+            out.append((size, None if slots is None else dict(zip(names, slots))))
+    return out
+
+
+def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
+    """Runs one trial's plan from its first block (buf, deg), output 1 on,
+    and returns the slots, or None when a move is impossible."""
     i, n = 1, den + 1
-    buf, deg = _grow((), (), seed, n, 1)
-    size = ulo + ((buf[0] * (uhi - ulo + 1)) >> 64)
-    slots = [None] * len(names)
     moves, m = plan, 0
     while m < len(moves):
         move = moves[m]
@@ -441,13 +521,13 @@ def draw_plan(plan, names, bounds, prefix, index):
                 lift = 1 if code == REL_T else 0  # a ⊂t step adds a degree
                 cap = hi - lift * (len(out) - 1)
                 if lo > cap:
-                    return size, None
+                    return None
                 for _ in range(size):
                     row, buf, deg, i = _hfes(buf, deg, i, seed, n, 1, lo, cap)
                     for step in range(1, len(out)):
                         h, buf, deg, i = _above(buf, deg, i, seed, n, row[-1], code, lo, cap + lift * step)
                         if h is None:
-                            return size, None
+                            return None
                         row += (h,)
                     rows.append(row)
             for s, col in zip(out, list(zip(*rows)) or [()] * len(out)):
@@ -468,7 +548,7 @@ def draw_plan(plan, names, bounds, prefix, index):
             code, a, f, members = move[1:5]
             cap = hi - 1 if code == REL_T else hi  # room for a ⊂t step
             if lo > cap:
-                return size, None
+                return None
             A, buf, deg, i = _hfes(buf, deg, i, seed, n, size, lo, cap)
             if members == _SOME:
                 fam, buf, deg, i = _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi)
@@ -497,7 +577,7 @@ def draw_plan(plan, names, bounds, prefix, index):
                 for x in A:
                     h, buf, deg, i = _above(buf, deg, i, seed, n, x, code, lo, hi)
                     if h is None:
-                        return size, None
+                        return None
                     H.append(h)
                 fam[p] = tuple(H)
             slots[a], slots[f] = A, tuple(fam)
@@ -507,7 +587,7 @@ def draw_plan(plan, names, bounds, prefix, index):
             for x in _term(program, slots, den):
                 h, buf, deg, i = _below(buf, deg, i, seed, n, x, code, lo, hi)
                 if h is None:
-                    return size, None
+                    return None
                 H.append(h)
             slots[a] = tuple(H)
         elif op == _SUBFAMILY:  # a free family and a selection of its members
@@ -529,4 +609,4 @@ def draw_plan(plan, names, bounds, prefix, index):
             i += 1
         else:
             raise ValueError(f"unknown plan move {op}")
-    return size, dict(zip(names, slots))
+    return slots

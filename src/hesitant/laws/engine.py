@@ -31,6 +31,9 @@ MAX_CARDINALITY = 64
 MAX_UNIVERSE = 16
 MAX_FAMILY = 8
 WITNESS_CAP = 3
+# Trials drawn per `draw_plan` call; the pure kernel computes their first
+# blocks in wide passes.
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,10 @@ class GeneratorConfig:
                 f"degree_grid must divide {MAX_GRID}, so that every degree k/grid "
                 "has an exact decimal form"
             )
+        if not 0 <= self.seed <= _MASK64:
+            # the stream derivation reads the seed's 64 bits, and two seeds
+            # that share them would run identical trials
+            raise ValueError(f"seed must be within 0..{_MASK64}")
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if self.max_attempts < 1:
@@ -98,21 +105,22 @@ def _extend(h: int, data: bytes) -> int:
 def _trials(law: Law, alg: Algebra, config: GeneratorConfig):
     """Yield (index, universe size, binding) for each trial of `law`.
 
-    `law.gen` draws the trial: the kernel's `draw_plan` seeds the trial's
-    stream with `_mix(seed, law id, index)`, extending the (seed, law id)
-    prefix hashed here once, draws the universe size and runs the law's
-    plan. The binding is re-checked by the law's guard; it is None when the
-    plan or the guard rejects the draw (starvation). So a trial depends only
-    on (seed, law id, index).
+    `law.gen` draws the trials CHUNK at a time: the kernel's `draw_plan`
+    seeds each trial's stream with `_mix(seed, law id, index)`, extending the
+    (seed, law id) prefix hashed here once, draws the universe size and runs
+    the law's plan. The binding is re-checked by the law's guard; it is None
+    when the plan or the guard rejects the draw (starvation). So a trial
+    depends only on (seed, law id, index), not on the chunks.
     """
     bounds = (config.degree_grid, *config.universe_size, *config.cardinality, *config.family_size)
     prefix = _mix(config.seed, law.id)
     gen, guard, kern, one = law.gen, law.guard, alg.kern, alg.one
-    for index in range(config.trials):
-        size, binding = gen(kern, bounds, prefix, index)
-        if binding is not None and guard is not None and not guard(kern, one, binding):
-            binding = None
-        yield index, size, binding
+    for first in range(0, config.trials, CHUNK):
+        drawn = gen(kern, bounds, prefix, first, min(CHUNK, config.trials - first))
+        for index, (size, binding) in enumerate(drawn, first):
+            if binding is not None and guard is not None and not guard(kern, one, binding):
+                binding = None
+            yield index, size, binding
 
 
 # --- witnesses ------------------------------------------------------------------

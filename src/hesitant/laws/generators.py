@@ -6,8 +6,8 @@ satisfy the premise directly. `derive(params, premise)` reads the
 construction off the shape of the premise, once, at import, and returns it
 as a *plan*: a tuple of moves, each a tuple of ints that starts with the
 move's code. A move writes the value of a param into its slot, the param's
-position in `params`. The kernels' `draw_plan` runs a plan for one trial in
-one call (`runner`):
+position in `params`. The kernels' `draw_plan` runs a plan for a chunk of
+consecutive trials in one call (`runner`):
 
 | premise | moves |
 |---|---|
@@ -58,12 +58,12 @@ UNION, INTER, COMPL, MEET_ALL, JOIN_ALL = TERM_OPS = range(-1, -6, -1)
 
 
 def runner(plan, names):
-    """The per-trial draw of a law whose params are `names`: called as
-    (kern, bounds, prefix, index), it returns `kern.draw_plan`'s
-    (universe size, binding or None)."""
+    """The draw of a law whose params are `names`: called as (kern, bounds,
+    prefix, first, count), it returns `kern.draw_plan`'s list of (universe
+    size, binding or None), one per trial from `first` on."""
 
-    def gen(kern, bounds, prefix, index):
-        return kern.draw_plan(plan, names, bounds, prefix, index)
+    def gen(kern, bounds, prefix, first, count):
+        return kern.draw_plan(plan, names, bounds, prefix, first, count)
 
     return gen
 

@@ -373,7 +373,7 @@ class Law:
     claim: Callable  # (kern, one, binding) -> bool, compiled from the spec's claim
     guard: Optional[Callable]  # the same, compiled from the spec's premise, if any
     plan: tuple  # the moves of its draw (`generators`)
-    gen: Callable  # (kern, bounds, prefix, index) -> (size, binding or None), runs the plan
+    gen: Callable  # (kern, bounds, prefix, first, count) -> [(size, binding or None)], runs the plan
     fixtures: tuple[Fixture, ...] = ()
     aliases: tuple[str, ...] = ()
     note: str = ""

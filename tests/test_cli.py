@@ -290,6 +290,29 @@ def test_check_rejects_fewer_than_one_worker(capsys, workers):
     assert err == f"error: workers must be at least 1, got {workers}\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+@pytest.mark.parametrize("command", [["check", "--law", "thm1.1"], ["hunt", "exam-sec2.3-m-union"]])
+def test_seed_outside_64_bits_is_rejected(capsys, command, seed):
+    # the streams read a seed's low 64 bits: -1 would run the trials of
+    # 2**64 - 1 and write a different seed into its report
+    code, out, err = run_cli(capsys, *command, "--seed", seed)
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be within 0..18446744073709551615\n"
+
+
+@pytest.mark.parametrize(
+    "command, shown",
+    [
+        (["check", "--law", "thm1.1"], "seed 18446744073709551615,"),
+        (["hunt", "exam-sec2.3-m-union"], "witness for exam-sec2.3-m-union at trial 1:"),
+    ],
+)
+def test_largest_seed_runs(capsys, command, shown):
+    code, out, _ = run_cli(capsys, *command, "--trials", "3", "--seed", str(2**64 - 1))
+    assert code == 0
+    assert shown in out
+
+
 @pytest.mark.parametrize(
     "doc, start",
     [

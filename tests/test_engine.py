@@ -24,6 +24,9 @@ def test_config_validation():
         GeneratorConfig(trials=-1)
     with pytest.raises(ValueError):
         GeneratorConfig(degree_grid=7)  # 5/7 has no exact decimal form
+    for seed in (-1, 2**64):  # the streams read a seed's 64 bits
+        with pytest.raises(ValueError, match="seed must be within"):
+            GeneratorConfig(seed=seed)
 
 
 def test_random_hfs_deterministic():

@@ -206,6 +206,66 @@ EMPTY_HFE = {
     "u_compl_empty_later": "k.u_compl(((1,), ()), 1)",
 }
 
+# --- draw_plan over a chunk of trials ---
+
+_BOUNDS = (100, 1, 4, 1, 6, 1, 5)
+# Per trial, one draw picks a free set or a move that no kernel knows: with
+# the prefix 1, trials 0 and 1 draw and trial 2 raises.
+_SOMETIMES_RAISES = ((8, ((0, 0),), ((9, 0),)),), ("A",), _BOUNDS, 1
+
+
+def test_draw_plan_chunk_arguments(compiled):
+    free = ((0, 0),), ("A",), _BOUNDS, 1
+    for k in (pure, compiled):
+        assert k.draw_plan(*free, 0, 0) == k.draw_plan(*free, 2**64 - 1, 0) == []
+        with pytest.raises(ValueError):
+            k.draw_plan(*free, 0, -1)
+        for bad in (1.0, "1", None):
+            with pytest.raises(TypeError):
+                k.draw_plan(*free, 0, bad)
+            with pytest.raises(TypeError):
+                k.draw_plan(*free, bad, 1)
+        # every trial index must fit 64 bits
+        assert len(k.draw_plan(*free, 2**64 - 2, 2)) == 2
+        for first, count in ((2**64 - 1, 2), (1, 2**64), (0, 2**70), (-1, 1), (2**64, 0)):
+            with pytest.raises(OverflowError):
+                k.draw_plan(*free, first, count)
+
+
+def test_a_trial_that_raises_raises_for_its_chunk(compiled):
+    for k in (pure, compiled):
+        ones = [k.draw_plan(*_SOMETIMES_RAISES, index, 1) for index in range(2)]
+        with pytest.raises(ValueError, match="unknown plan move 9"):
+            k.draw_plan(*_SOMETIMES_RAISES, 2, 1)
+        assert k.draw_plan(*_SOMETIMES_RAISES, 0, 2) == ones[0] + ones[1]
+        with pytest.raises(ValueError, match="unknown plan move 9"):
+            k.draw_plan(*_SOMETIMES_RAISES, 0, 40)
+
+
+def test_failing_chunks_leak_nothing(compiled):
+    """A chunk that raises after drawing trials frees them. The sanitized CI
+    job runs with leak detection off, so this counts the memory that Python's
+    allocators still hold after 2,000 such chunks."""
+    import tracemalloc
+
+    def fail(times):
+        for _ in range(times):
+            try:
+                compiled.draw_plan(*_SOMETIMES_RAISES, 0, 3)
+            except ValueError:
+                pass
+
+    fail(200)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fail(2000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 10_000  # one leaked chunk of two bindings is several hundred bytes
+
+
 # Each probe is an expression over `k`, a kernel module, evaluated on the
 # compiled and on the pure kernel. The compiled kernel must not crash: it
 # returns pure's value, or raises where pure raises. Only the probes in
@@ -239,30 +299,40 @@ PROBES = {
     # every law's plan at the config bounds: grid 10**9, universe 16,
     # cardinality 64, family 8
     "draw_plan_every_law_at_the_bounds": (
-        "[k.draw_plan(*_law_plan(law), (10**9, 16, 16, 64, 64, 8, 8), 7, i) for law in _laws() for i in range(3)]"
+        "[k.draw_plan(*_law_plan(law), (10**9, 16, 16, 64, 64, 8, 8), 7, 0, 3) for law in _laws()]"
     ),
     # plans and arguments that no law has: moves, slots and terms out of
     # range, bounds that no config allows (cardinality 0, reversed ranges)
     **{f"draw_plan_{name}": f"k.draw_plan({call})" for name, call in {
-        "unknown_move": "((9, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
-        "slot_past_the_names": "((0, 5),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
-        "negative_slot": "((0, -1),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
-        "move_without_slots": "((2, 0), (3,)), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
-        "choice_of_nothing": "((8,),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
-        "term_underflow": "((6, 0, 0, (-1,)),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
-        "unknown_term_operator": "((0, 1), (6, 0, 0, (1, -9)),), ('A', 'B'), (100, 1, 4, 1, 6, 1, 5), 1, 0",
-        "fold_of_an_empty_family": "((1, 1), (6, 0, 0, (1, -4))), ('A', 'F'), (100, 1, 4, 1, 6, 0, 0), 1, 0",
-        "fold_of_a_set": "((0, 1), (6, 0, 0, (1, -5))), ('A', 'B'), (100, 1, 4, 1, 6, 1, 5), 1, 0",
-        "empty_hfes_under_a_ladder": "((2, 0, 0, 1),), ('A', 'B'), (100, 1, 4, 0, 0, 1, 5), 1, 0",
-        "empty_hfes_under_a_mean_ladder": "((2, 2, 0, 1, 2),), ('A', 'B', 'C'), (100, 1, 4, 0, 0, 1, 5), 1, 0",
-        "reversed_bounds": "tuple((m, 0, 1, 2, 3) for m in (0, 1, 3, 4, 7, 2)), ('A', 'B', 'C', 'D'), (100, 4, 1, 9, 2, 3, 0), 5, 9",
-        "unknown_relation_code": "((2, 9, 0, 1),), ('A', 'B'), (100, 1, 4, 1, 6, 1, 5), 1, 0",
-        "member_of_no_family": "((5, 0, 0, 1, 1),), ('A', 'F'), (100, 1, 4, 1, 6, 0, 0), 1, 0",
-        "index_past_2_64": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 2**64",
-        "negative_index": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, -1",
-        "grid_past_2_63": "((2, 0, 0, 1),), ('A', 'B'), (2**63, 1, 4, 1, 6, 1, 5), 1, 0",
-        "deep_choice": "__import__('functools').reduce(lambda p, _: ((8, p),), range(5000), ()), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
-        "list_plan": "[(0, 0)], ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0",
+        "unknown_move": "((9, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "slot_past_the_names": "((0, 5),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "negative_slot": "((0, -1),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "move_without_slots": "((2, 0), (3,)), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "choice_of_nothing": "((8,),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "term_underflow": "((6, 0, 0, (-1,)),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "unknown_term_operator": "((0, 1), (6, 0, 0, (1, -9)),), ('A', 'B'), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "fold_of_an_empty_family": "((1, 1), (6, 0, 0, (1, -4))), ('A', 'F'), (100, 1, 4, 1, 6, 0, 0), 1, 0, 1",
+        "fold_of_a_set": "((0, 1), (6, 0, 0, (1, -5))), ('A', 'B'), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "empty_hfes_under_a_ladder": "((2, 0, 0, 1),), ('A', 'B'), (100, 1, 4, 0, 0, 1, 5), 1, 0, 1",
+        "empty_hfes_under_a_mean_ladder": "((2, 2, 0, 1, 2),), ('A', 'B', 'C'), (100, 1, 4, 0, 0, 1, 5), 1, 0, 1",
+        "reversed_bounds": "tuple((m, 0, 1, 2, 3) for m in (0, 1, 3, 4, 7, 2)), ('A', 'B', 'C', 'D'), (100, 4, 1, 9, 2, 3, 0), 5, 9, 1",
+        "unknown_relation_code": "((2, 9, 0, 1),), ('A', 'B'), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "member_of_no_family": "((5, 0, 0, 1, 1),), ('A', 'F'), (100, 1, 4, 1, 6, 0, 0), 1, 0, 1",
+        "index_past_2_64": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 2**64, 1",
+        "negative_index": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, -1, 1",
+        "grid_past_2_63": "((2, 0, 0, 1),), ('A', 'B'), (2**63, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "deep_choice": "__import__('functools').reduce(lambda p, _: ((8, p),), range(5000), ()), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        "list_plan": "[(0, 0)], ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
+        # the chunk of trials first .. first + count - 1: empty, past the
+        # 64-bit indices, and with a trial that raises
+        "count_0": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 0",
+        "negative_count": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, -1",
+        "float_count": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 1.0",
+        "str_first": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, '0', 1",
+        "chunk_to_2_64": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 2**64 - 3, 3",
+        "chunk_past_2_64": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 2**64 - 3, 4",
+        "count_past_2_64": "((0, 0),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 2**70",
+        "chunk_of_a_raising_plan": "((8, ((0, 0),), ((9, 0),)),), ('A',), (100, 1, 4, 1, 6, 1, 5), 1, 0, 40",
     }.items()},
 }
 MAY_RAISE = {

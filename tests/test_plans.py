@@ -3,8 +3,10 @@
 `_pykernel.draw_plan` is the reference. The compiled one must return
 exactly what it returns, for every law's plan at the default, the
 degenerate and the extreme configs, and for random plans that no law has.
-The crash-proofing of odd arguments is probed in a subprocess by
-`test_kernel.test_boundary_probe` (its `draw_plan_*` probes).
+Each comparison draws the trials one call each (a count of 1) and as one
+chunk, and the chunk must be the trials one by one, or raise where one of
+them raises. The crash-proofing of odd arguments is probed in a subprocess
+by `test_kernel.test_boundary_probe` (its `draw_plan_*` probes).
 """
 
 import random
@@ -31,13 +33,20 @@ def _names(law):
 
 
 def _draws(kernel, plan, names, bounds, prefix, indices):
+    """The trials at `indices`, one call each, then all of them in one
+    chunk; a trial or chunk that raises is "raised"."""
     out = []
     for index in indices:
         try:
-            out.append(kernel.draw_plan(plan, names, bounds, prefix, index))
+            out.extend(kernel.draw_plan(plan, names, bounds, prefix, index, 1))
         except Exception:  # either kernel may name the fault its own way
             out.append("raised")
-    return out
+    try:
+        chunk = kernel.draw_plan(plan, names, bounds, prefix, indices.start, len(indices))
+    except Exception:
+        chunk = "raised"
+    assert chunk == ("raised" if "raised" in out else out), (kernel.IMPLEMENTATION, plan, bounds)
+    return out, chunk
 
 
 def test_every_move_appears_in_a_law():
@@ -64,11 +73,12 @@ def test_every_move_appears_in_a_law():
 @pytest.mark.parametrize("config", BOUNDS)
 def test_draw_plan_identical_for_every_law(compiled, config):
     bounds = BOUNDS[config]
-    indices = range(40) if bounds[4] < 64 else (0, 1, 2**32 + 5)
+    runs = (range(40),) if bounds[4] < 64 else (range(2), range(2**32 + 5, 2**32 + 6))
     for law in law_registry():
         prefix = _mix(11, law.id)
-        args = (law.plan, _names(law), bounds, prefix, indices)
-        assert _draws(compiled, *args) == _draws(pure, *args), law.id
+        for indices in runs:
+            args = (law.plan, _names(law), bounds, prefix, indices)
+            assert _draws(compiled, *args) == _draws(pure, *args), law.id
 
 
 def _random_move(rng, slots, depth=0):
@@ -115,7 +125,7 @@ def test_draw_plan_seeds_each_trial_from_the_law_prefix(compiled):
             stream = kernel.Stream(_mix(7, "thm1.1", index))
             size = stream.randint(*bounds[1:3])
             expected = (size, {"A": kernel.gen_hfs(stream, bounds[0], size, *bounds[3:5])})
-            assert kernel.draw_plan(((g.SET, 0),), ("A",), bounds, _mix(7, "thm1.1"), index) == expected
+            assert kernel.draw_plan(((g.SET, 0),), ("A",), bounds, _mix(7, "thm1.1"), index, 1) == [expected]
 
 
 def test_pure_codes_are_the_generators_codes():
