@@ -298,7 +298,7 @@ _FNV_PRIME = 0x100000001B3
 _PASS = 64
 
 
-@lru_cache(maxsize=2)  # a full pass and the last, shorter one
+@lru_cache(maxsize=5)  # a full pass, the last, shorter one, and a hunt's first chunks
 def _wide(count: int) -> tuple:
     """The constants of a pass over `count` trials: the trial ints of 1, of t
     and of 255 in lane t, and that of the low 64 bits of every lane; the

@@ -19,22 +19,15 @@ import sys
 from contextlib import nullcontext
 
 from . import __version__
-from ._kernel import IMPLEMENTATION
-from .degrees import render_rational
-from .document import Document, load_document, save_document
-from .elements import HFE
 from .errors import HesitantError
-from .expressions import evaluate_on_hfs, parse_expression, variables
-from .ingest import ingest_scores
-from .laws.engine import GeneratorConfig, hunt_counterexample, run_suite
-from .laws.fixtures import Fixture
-from .laws.registry import Law, LawStatus, at, get_law, refuted_laws
-from .ranking import rank_schemes, ranking_dot_lines, ranking_report
-from .relations import Inclusion, relation_profile, set_relation
-from .sets import HFS
+
+# Each command imports what it uses when it runs, so `relate` and `ops` load
+# neither the law registry nor ranking nor ingest.
 
 
-def _read_document(path: str) -> Document:
+def _read_document(path: str):
+    from .document import load_document
+
     with open(path, "rb") as handle:
         return load_document(handle)
 
@@ -47,6 +40,8 @@ def _fmt_bool(value: bool) -> str:
 
 
 def cmd_relate(args) -> int:
+    from .relations import Inclusion, relation_profile, set_relation
+
     doc = _read_document(args.file)
     A, B = doc.hfs(args.set_a), doc.hfs(args.set_b)
     kinds = list(Inclusion)
@@ -78,13 +73,16 @@ def cmd_relate(args) -> int:
 
 
 def cmd_ops(args) -> int:
+    from .document import save_document
+    from .expressions import evaluate_on_hfs, parse_expression, variables
+
     doc = _read_document(args.file)
     node = parse_expression(args.expr)
     missing = sorted(v for v in variables(node) if v not in doc.sets)
     if missing:
         print(f"error: unknown set {missing[0]!r}", file=sys.stderr)
         return 2
-    result: HFS = evaluate_on_hfs(node, doc.hfs)
+    result = evaluate_on_hfs(node, doc.hfs)
     print(f"{node} =")
     for e, h in result.items():
         print(f"  {e}: {h}")
@@ -101,6 +99,9 @@ def cmd_ops(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from .ranking import rank_schemes, ranking_dot_lines, ranking_report
+    from .relations import Inclusion
+
     doc = _read_document(args.file)
     scores = doc.hfs(args.set)
     kind = Inclusion.from_letter(args.kind)
@@ -121,12 +122,20 @@ def cmd_rank(args) -> int:
 # --- check ---------------------------------------------------------------------
 
 
+def _config(args):
+    """The run's `GeneratorConfig`: its defaults where a flag is not given."""
+    from .laws.engine import GeneratorConfig
+
+    given = {"seed": args.seed, "trials": args.trials, "degree_grid": args.grid}
+    return GeneratorConfig(**{key: value for key, value in given.items() if value is not None})
+
+
 def cmd_check(args) -> int:
-    config = GeneratorConfig(
-        seed=args.seed,
-        trials=args.trials,
-        degree_grid=args.grid,
-    )
+    from ._kernel import IMPLEMENTATION
+    from .laws.engine import run_suite
+    from .laws.registry import LawStatus
+
+    config = _config(args)
     report = run_suite(config, law_ids=args.law, workers=args.workers)
     for result in report.results:
         flags = []
@@ -160,6 +169,11 @@ def cmd_check(args) -> int:
 
 def _spec_detail(spec, alg, plain, universe) -> list[str]:
     """Describe the two sides of a claim/guard (a `Rel`) on one grid binding."""
+    from .degrees import render_rational
+    from .elements import HFE
+    from .laws.registry import at
+    from .relations import Inclusion
+
     L, R = spec.sides(alg.kern, alg.one, plain)
     lines = []
     for i, e in enumerate(universe):
@@ -193,7 +207,7 @@ def _spec_detail(spec, alg, plain, universe) -> list[str]:
     return lines
 
 
-def _print_fixture_trace(law: Law, fixture: Fixture) -> bool:
+def _print_fixture_trace(law, fixture) -> bool:
     from .laws.engine import exact_binding, fixture_binding, grid_verdict
 
     binding = fixture_binding(law, fixture)
@@ -219,6 +233,8 @@ def _print_fixture_trace(law: Law, fixture: Fixture) -> bool:
 
 
 def cmd_counterexamples(args) -> int:
+    from .laws.registry import LawStatus, get_law, refuted_laws
+
     if args.law:
         laws = [get_law(args.law)]
         if laws[0].status is not LawStatus.REFUTED:
@@ -238,7 +254,9 @@ def cmd_counterexamples(args) -> int:
 
 
 def cmd_hunt(args) -> int:
-    config = GeneratorConfig(seed=args.seed, trials=args.trials, degree_grid=args.grid)
+    from .laws.engine import hunt_counterexample
+
+    config = _config(args)
     witness = hunt_counterexample(args.law, config)
     if witness is None:
         print(f"no witness for {args.law} within {config.trials} trials (seed {config.seed})")
@@ -253,6 +271,9 @@ def cmd_hunt(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from .document import save_document
+    from .ingest import ingest_scores
+
     with open(args.table, "rb") as handle:
         doc = ingest_scores(handle, set_name=args.set_name)
     with open(args.output, "wb") as out:
@@ -294,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("check", help="run the law suite")
-    p.add_argument("--seed", type=int, default=GeneratorConfig().seed)
-    p.add_argument("--trials", type=int, default=GeneratorConfig().trials)
-    p.add_argument("--grid", type=int, default=GeneratorConfig().degree_grid)
+    # no default here: `_config` fills in GeneratorConfig's
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--grid", type=int)
     p.add_argument("--law", action="append", help="restrict to one law id (repeatable)")
     p.add_argument("--report", help="write the canonical JSON report here")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
@@ -308,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hunt", help="search for a random counterexample to one law")
     p.add_argument("law")
-    p.add_argument("--seed", type=int, default=GeneratorConfig().seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--grid", type=int, default=GeneratorConfig().degree_grid)
+    p.add_argument("--grid", type=int)
     p.set_defaults(func=cmd_hunt)
 
     p = sub.add_parser("ingest", help="build a document from an expert score table (CSV)")

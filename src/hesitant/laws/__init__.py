@@ -1,42 +1,18 @@
-"""Law registry, fixtures, and the randomized checking engine."""
+"""Law registry, fixtures, and the randomized checking engine.
 
-from .engine import (
-    GeneratorConfig,
-    LawResult,
-    SuiteReport,
-    Witness,
-    evaluate_law,
-    fixture_binding,
-    hunt_counterexample,
-    random_hfs,
-    replay_fixtures,
-    replay_witness,
-    run_law,
-    run_suite,
-)
-from .fixtures import Fixture, fixture_documents
-from .registry import Law, LawStatus, get_law, law_registry, proved_laws, refuted_laws, render_table
+Every public name loads on first use, from the submodule that defines it:
+`law_registry()` imports the registry, and `run_suite` the engine.
+"""
 
-__all__ = [
-    "Fixture",
-    "GeneratorConfig",
-    "Law",
-    "LawResult",
-    "LawStatus",
-    "SuiteReport",
-    "Witness",
-    "evaluate_law",
-    "fixture_binding",
-    "fixture_documents",
-    "get_law",
-    "hunt_counterexample",
-    "law_registry",
-    "proved_laws",
-    "random_hfs",
-    "refuted_laws",
-    "render_table",
-    "replay_fixtures",
-    "replay_witness",
-    "run_law",
-    "run_suite",
-]
+from .. import _lazy
+
+# Each submodule and the public names it defines.
+_SOURCES = {
+    "engine": (
+        "GeneratorConfig LawResult SuiteReport Witness evaluate_law fixture_binding "
+        "hunt_counterexample random_hfs replay_fixtures replay_witness run_law run_suite"
+    ),
+    "fixtures": "Fixture fixture_documents",
+    "registry": "Law LawStatus get_law law_registry proved_laws refuted_laws render_table",
+}
+__all__, __getattr__, __dir__ = _lazy(globals(), _SOURCES)

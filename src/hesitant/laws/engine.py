@@ -14,6 +14,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional
 
 from .._kernel import IMPLEMENTATION, active
@@ -32,8 +33,10 @@ MAX_UNIVERSE = 16
 MAX_FAMILY = 8
 WITNESS_CAP = 3
 # Trials drawn per `draw_plan` call; the pure kernel computes their first
-# blocks in wide passes.
+# blocks in wide passes. A hunt, which stops at its first witness, draws
+# chunks of HUNT_CHUNKS first, so that a witness at trial 0 costs one trial.
 CHUNK = 256
+HUNT_CHUNKS = (1, 4, 16, 64)
 
 
 @dataclass(frozen=True)
@@ -102,25 +105,31 @@ def _extend(h: int, data: bytes) -> int:
 # --- the trial loop ------------------------------------------------------------
 
 
-def _trials(law: Law, alg: Algebra, config: GeneratorConfig):
+def _trials(law: Law, alg: Algebra, config: GeneratorConfig, lead: tuple = ()):
     """Yield (index, universe size, binding) for each trial of `law`.
 
-    `law.gen` draws the trials CHUNK at a time: the kernel's `draw_plan`
-    seeds each trial's stream with `_mix(seed, law id, index)`, extending the
-    (seed, law id) prefix hashed here once, draws the universe size and runs
-    the law's plan. The binding is re-checked by the law's guard; it is None
-    when the plan or the guard rejects the draw (starvation). So a trial
-    depends only on (seed, law id, index), not on the chunks.
+    `law.gen` draws chunks of `lead` trials, then CHUNK at a time: the
+    kernel's `draw_plan` seeds each trial's stream with `_mix(seed, law id,
+    index)`, extending the (seed, law id) prefix hashed here once, draws the
+    universe size and runs the law's plan. The binding is re-checked by the
+    law's guard; it is None when the plan or the guard rejects the draw
+    (starvation). So a trial depends only on (seed, law id, index), not on
+    the chunks.
     """
     bounds = (config.degree_grid, *config.universe_size, *config.cardinality, *config.family_size)
     prefix = _mix(config.seed, law.id)
     gen, guard, kern, one = law.gen, law.guard, alg.kern, alg.one
-    for first in range(0, config.trials, CHUNK):
-        drawn = gen(kern, bounds, prefix, first, min(CHUNK, config.trials - first))
+    first = 0
+    for count in chain(lead, repeat(CHUNK)):
+        count = min(count, config.trials - first)
+        if not count:
+            return
+        drawn = gen(kern, bounds, prefix, first, count)
         for index, (size, binding) in enumerate(drawn, first):
             if binding is not None and guard is not None and not guard(kern, one, binding):
                 binding = None
             yield index, size, binding
+        first += count
 
 
 # --- witnesses ------------------------------------------------------------------
@@ -446,7 +455,7 @@ def hunt_counterexample(law_id: str, config: GeneratorConfig) -> Optional[Witnes
     law = get_law(law_id)
     alg = grid_algebra(config.degree_grid)
     claim, kern, one = law.claim, alg.kern, alg.one
-    for index, size, binding in _trials(law, alg, config):
+    for index, size, binding in _trials(law, alg, config, HUNT_CHUNKS):
         if binding is not None and not claim(kern, one, binding):
             return _witness(law, config, index, size, binding)
     return None

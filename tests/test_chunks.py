@@ -7,12 +7,14 @@ draws it from the wrong stream, changes one of them. They must hold on every
 kernel.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from hesitant import GeneratorConfig, get_law, hunt_counterexample, run_suite
+from hesitant.laws import engine
 from hesitant.laws.algebra import grid_algebra
 from hesitant.laws.engine import _trials
 
@@ -86,3 +88,31 @@ def test_hunt_witness_past_the_first_chunk_pinned(seed, trial, pinned):
     witness = hunt_counterexample("exam-sec2.5-s-union-m", config)
     assert witness.trial == trial
     assert _digest(json.dumps(witness.as_dict(), sort_keys=True).encode()) == pinned
+
+
+# A hunt draws chunks of 1, 4, 16 and 64 trials before whole ones, and stops
+# drawing at its first witness: one trial for a witness at trial 0, and the
+# chunk [85, 341) for one at trial 257.
+@pytest.mark.parametrize(
+    "law_id, config, trial, chunks",
+    [
+        ("exam-sec2.3-n-inter-left", GeneratorConfig(trials=100_000), 0, [(0, 1)]),
+        (
+            "exam-sec2.5-s-union-m",
+            GeneratorConfig(seed=31, trials=1000, universe_size=(1, 1)),
+            257,
+            [(0, 1), (1, 4), (5, 16), (21, 64), (85, 256)],
+        ),
+    ],
+)
+def test_hunt_draws_small_chunks_first(monkeypatch, law_id, config, trial, chunks):
+    law = get_law(law_id)
+    drawn = []
+
+    def gen(kern, bounds, prefix, first, count):
+        drawn.append((first, count))
+        return law.gen(kern, bounds, prefix, first, count)
+
+    monkeypatch.setattr(engine, "get_law", lambda _: dataclasses.replace(law, gen=gen))
+    assert hunt_counterexample(law_id, config).trial == trial
+    assert drawn == chunks

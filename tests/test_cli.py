@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from hesitant import fixture_documents, save_document
+from hesitant import GeneratorConfig, fixture_documents, save_document
 from hesitant.cli import main
+from hesitant.laws import engine
 
 
 @pytest.fixture()
@@ -143,6 +144,21 @@ def test_check_runs_a_law_named_twice_once(tmp_path, capsys):
     data = json.loads(report.read_bytes())
     assert data["laws"] == 2
     assert [r["id"] for r in data["results"]] == ["thm3.1", "prop2.1"]
+
+
+def test_check_defaults(capsys):
+    code, out, _ = run_cli(capsys, "check", "--law", "thm1.1")
+    assert code == 0
+    assert out.startswith("ok  thm1.1                           10000 trials\n")
+    assert "PASS: 1 laws, seed 20250808, 10000 trials/law, grid 1/100, " in out
+
+
+def test_hunt_defaults(monkeypatch, capsys):
+    configs = []
+    monkeypatch.setattr(engine, "hunt_counterexample", lambda law_id, config: configs.append(config))
+    code, out, _ = run_cli(capsys, "hunt", "prop13.1")
+    assert (code, out) == (1, "no witness for prop13.1 within 100000 trials (seed 20250808)\n")
+    assert configs == [GeneratorConfig(trials=100_000)]
 
 
 def test_check_seed_flag_changes_nothing_for_proved(capsys):
