@@ -2,9 +2,9 @@
  * CPython C API.
  *
  * It has the part of the pure kernel's surface that the law engine's trials
- * call (`Stream`, `e_rel`, the set-level `u_*` functions, `gen_hfs` and
- * `draw_plan`, which runs a chunk of consecutive trials of a law's draw plan
- * in one call, looping over the trials in C) and the pure kernel's
+ * call (`e_rel`, the set-level `u_*` functions and `draw_plan`, the one
+ * generation entry, which runs a chunk of consecutive trials of a law's draw
+ * plan in one call, looping over the trials in C) and the pure kernel's
  * contract, for degrees that fit a C long long. Every call
  * returns exactly what `_pykernel` returns, or raises a Python exception:
  *   - a value outside int64, or a mean cross-product outside __int128,
@@ -361,15 +361,9 @@ FASTCALL(u_sot) { return arity("u_sot", nargs, 2) ? NULL : u_all(args[0], args[1
 
 /* --- random generation on the integer grid --- */
 
-typedef struct {
-    PyObject_HEAD
-    u64 state;
-} StreamObject;
-
-static PyTypeObject StreamType;
-
-/* One hfe drawn from the state *z, as pure `_draw_hfe`: a cardinality
- * uniform in [lo, hi], then that many degrees uniform on {0, ..., den}. */
+/* One hfe drawn from the state *z, as pure `_hfes` draws each: a
+ * cardinality uniform in [lo, hi], then that many degrees uniform on
+ * {0, ..., den}. */
 static PyObject *draw(u64 *z, i64 den, i64 lo, i64 hi) {
     i128 k = lo + scale(next(z), (i128)hi - lo + 1);
     if (k <= 0)
@@ -395,90 +389,6 @@ static PyObject *draw_hfes(u64 *z, i64 count, i64 den, i64 lo, i64 hi) {
         t = put(t, i, draw(z, den, lo, hi));
     return t;
 }
-
-/* gen_hfs(stream, den, size, lo, hi): drawn on a local state, stored back
- * only on success. */
-FASTCALL(gen_hfs) {
-    i64 a[4];
-    if (arity("gen_hfs", nargs, 5))
-        return NULL;
-    if (!PyObject_TypeCheck(args[0], &StreamType))
-        return PyErr_Format(PyExc_TypeError, "gen_hfs() needs a Stream, not %.100s", Py_TYPE(args[0])->tp_name);
-    for (int i = 0; i < 4; i++)
-        if (as_i64(args[i + 1], &a[i]))
-            return NULL;
-    StreamObject *s = (StreamObject *)args[0];
-    u64 z = s->state;
-    PyObject *t = draw_hfes(&z, a[1], a[0], a[2], a[3]);
-    if (t)
-        s->state = z;
-    return t;
-}
-
-/* --- Stream: SplitMix64 random stream; deterministic function of its seed --- */
-
-static PyObject *Stream_new(PyTypeObject *type, PyObject *args, PyObject *kw) {
-    static char *kwlist[] = {"seed", NULL};
-    PyObject *seed;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "O:Stream", kwlist, &seed))
-        return NULL;
-    u64 state = PyLong_AsUnsignedLongLongMask(seed); /* seed & (2**64 - 1) */
-    if (state == (u64)-1 && PyErr_Occurred())
-        return NULL;
-    StreamObject *self = (StreamObject *)type->tp_alloc(type, 0);
-    if (self)
-        self->state = state;
-    return (PyObject *)self;
-}
-
-static PyObject *Stream_randint(StreamObject *self, PyObject *const *args, Py_ssize_t nargs) {
-    i64 lo, hi;
-    if (arity("randint", nargs, 2) || as_i64(args[0], &lo) || as_i64(args[1], &hi))
-        return NULL;
-    i128 r = lo + scale(next(&self->state), (i128)hi - lo + 1);
-    if (r < LLONG_MIN) /* only an empty range (hi < lo - 1) reaches below lo */
-        return PyErr_Format(PyExc_OverflowError, "randint() result outside int64");
-    return PyLong_FromLongLong((i64)r);
-}
-
-static PyObject *Stream_get_state(StreamObject *self, void *closure) {
-    return PyLong_FromUnsignedLongLong(self->state);
-}
-
-static int Stream_set_state(StreamObject *self, PyObject *value, void *closure) {
-    if (!value) {
-        PyErr_SetString(PyExc_TypeError, "cannot delete state");
-        return -1;
-    }
-    u64 state = PyLong_AsUnsignedLongLong(value);
-    if (state == (u64)-1 && PyErr_Occurred())
-        return -1;
-    self->state = state;
-    return 0;
-}
-
-#define METHOD(c, py, flags, doc) {py, (PyCFunction)(void (*)(void))c, flags, doc}
-
-static PyMethodDef Stream_methods[] = {
-    METHOD(Stream_randint, "randint", METH_FASTCALL, "Uniform draw from the inclusive range [lo, hi]."),
-    {NULL},
-};
-
-static PyGetSetDef Stream_getset[] = {
-    {"state", (getter)Stream_get_state, (setter)Stream_set_state, "The 64-bit state.", NULL},
-    {NULL},
-};
-
-static PyTypeObject StreamType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "hesitant._kernel._ckernel.Stream",
-    .tp_doc = "SplitMix64 random stream; deterministic function of its seed.",
-    .tp_basicsize = sizeof(StreamObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_new = Stream_new,
-    .tp_methods = Stream_methods,
-    .tp_getset = Stream_getset,
-};
 
 /* --- one trial of a law: its draw plan ---
  *
@@ -1018,6 +928,8 @@ static PyObject *one_trial(trial *t, PyObject *plan, PyObject *names, const i64 
     return out;
 }
 
+#define OUT_OF_RANGE "trial index out of range 0..2**64 - 1"
+
 /* draw_plan(plan, names, bounds, prefix, first, count) -> the list of
  * (size, binding or None) of trials first .. first + count - 1 */
 FASTCALL(draw_plan) {
@@ -1035,15 +947,17 @@ FASTCALL(draw_plan) {
     if (!PyLong_Check(args[4]) || !PyLong_Check(args[5]))
         return PyErr_Format(PyExc_TypeError, "first and count must be ints");
     u64 first = PyLong_AsUnsignedLongLong(args[4]);
-    if (first == (u64)-1 && PyErr_Occurred())
-        return NULL;
+    if (first == (u64)-1 && PyErr_Occurred()) { /* an int, so outside 0..2**64 - 1 */
+        PyErr_Clear();
+        return PyErr_Format(PyExc_OverflowError, OUT_OF_RANGE);
+    }
     Py_ssize_t count = PyLong_AsSsize_t(args[5]);
     if (count == -1 && PyErr_Occurred())
         return NULL;
     if (count < 0)
         return PyErr_Format(PyExc_ValueError, "count must be non-negative");
     if (count > 0 && (u64)(count - 1) > ~first)
-        return PyErr_Format(PyExc_OverflowError, "trial index out of range 0..2**64 - 1");
+        return PyErr_Format(PyExc_OverflowError, OUT_OF_RANGE);
     trial t = {.den = b[0], .lo = b[3], .hi = b[4], .flo = b[5], .fhi = b[6]};
     t.nslots = PyTuple_GET_SIZE(args[1]);
     t.slots = PyMem_New(PyObject *, t.nslots > 0 ? t.nslots : 1);
@@ -1065,7 +979,7 @@ FASTCALL(draw_plan) {
 
 /* --- module --- */
 
-#define FAST(name, doc) METHOD(name, #name, METH_FASTCALL, doc)
+#define FAST(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef kernel_methods[] = {
     FAST(e_rel, "The six inclusion relations on descending degree tuples."),
@@ -1074,7 +988,6 @@ static PyMethodDef kernel_methods[] = {
     FAST(u_compl, "Complement {one - g} at every universe position."),
     FAST(u_rel, "True iff e_rel holds at every universe position."),
     FAST(u_sot, "True iff a ⊂s b or a ⊂t b at every universe position."),
-    FAST(gen_hfs, "Random hfs over `size` universe positions."),
     FAST(draw_plan, "Trials first .. first + count - 1 of a law: a list of (universe size, binding or None)."),
     {NULL},
 };
@@ -1089,13 +1002,10 @@ static struct PyModuleDef kernel_module = {
 
 PyMODINIT_FUNC PyInit__ckernel(void) {
     static const char *rel_names[] = {"REL_P", "REL_A", "REL_M", "REL_S", "REL_T", "REL_N"};
-    if (PyType_Ready(&StreamType) < 0)
-        return NULL;
     PyObject *m = PyModule_Create(&kernel_module);
     if (!m)
         return NULL;
-    int err = PyModule_AddObjectRef(m, "Stream", (PyObject *)&StreamType)
-              || PyModule_AddStringConstant(m, "IMPLEMENTATION", "compiled");
+    int err = PyModule_AddStringConstant(m, "IMPLEMENTATION", "compiled");
     for (int i = REL_P; !err && i <= REL_N; i++)
         err = PyModule_AddIntConstant(m, rel_names[i], i);
     if (err)

@@ -13,17 +13,17 @@ is one loop over the universe positions, and holds the only copy of its
 semantics: an element value is the one-position case, as `e_rel` is of
 `u_rel`.
 
-Random generation draws from SplitMix64 streams. Output i of a stream is
-the mix of state + i·γ, so the kernel computes outputs a block at a time,
-one per 128-bit lane of a single Python int, and reads the draws from that
-buffer. A `Stream` serves `randint` and `gen_hfs`; the numbers drawn and
-the `state` seen between calls are exactly those of one output per draw,
-and `tests/test_streams.py` pins that against a method-per-draw oracle.
-`draw_plan` runs a chunk of consecutive trials of a law in one call. It
-seeds each trial's stream from the law's FNV-1a prefix and the trial index
-and computes the first block of up to 64 trials in one pass over wide ints
-(32 lanes per trial); then it draws each trial's universe size and runs the
-law's plan (`laws/generators.py`) on that trial's buffer.
+Random generation draws from SplitMix64 streams, and `draw_plan` is its one
+entry: it runs a chunk of consecutive trials of a law in one call. Output i
+of a stream is the mix of state + i·γ, so the kernel computes outputs a
+block at a time, one per 128-bit lane of a single Python int, and reads the
+draws from that buffer. `draw_plan` seeds each trial's stream from the
+law's FNV-1a prefix and the trial index and computes the first block of up
+to 64 trials in one pass over wide ints (32 lanes per trial); then it draws
+each trial's universe size and runs the law's plan (`laws/generators.py`)
+on that trial's buffer, growing it a block at a time. The draws are exactly
+those of one output per draw: `tests/test_streams.py` pins them against a
+method-per-draw oracle.
 
 The compiled twin, the hand-written C module `_ckernel.c`, has exactly the
 public names of this module, with the identical contract for degrees that
@@ -80,11 +80,6 @@ def _lanes(z: int) -> int:
     return _mixed((z * _LANES + _STEPS) & _LOW, _LOW)
 
 
-def _block(z: int) -> tuple:
-    """Outputs 1.._BLOCK of the SplitMix64 stream at state z, in order."""
-    return _LOW_HALVES(_lanes(z).to_bytes(_BYTES, "little"))
-
-
 def _grow(buf: tuple, deg: tuple, seed: int, n: int, need: int) -> tuple:
     """buf, the outputs of the stream at `seed` from its first on, and deg,
     their draws from range(n), extended by whole blocks to at least `need`
@@ -98,59 +93,6 @@ def _grow(buf: tuple, deg: tuple, seed: int, n: int, need: int) -> tuple:
         else:
             deg += _HIGH_HALVES((x * n).to_bytes(_BYTES, "little"))
     return buf, deg
-
-
-class Stream:
-    """SplitMix64 random stream; deterministic function of its seed.
-
-    `_buf[_i:]` are the outputs not yet drawn, and `_base` is the state
-    before `_buf[0]`. `state` reads and writes the state of the plain
-    one-output-at-a-time stream.
-    """
-
-    __slots__ = ("_base", "_buf", "_i")
-
-    def __init__(self, seed: int) -> None:
-        self.state = seed
-
-    @property
-    def state(self) -> int:
-        i = self._i
-        return (self._base + i * _GOLDEN) & _MASK if i else self._base
-
-    @state.setter
-    def state(self, z: int) -> None:
-        self._base = z = z & _MASK
-        self._buf = _block(z)
-        self._i = 0
-
-    def _refill(self, need: int) -> tuple:
-        """Drop the drawn outputs and compute blocks until at least `need`
-        are unread; the new buffer starts at the next output."""
-        i = self._i
-        base = self._base = (self._base + i * _GOLDEN) & _MASK
-        self._buf = buf = _more(self._buf[i:], base, need)
-        self._i = 0
-        return buf
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform draw from the inclusive range [lo, hi] via 64-bit
-        fixed-point scaling."""
-        i = self._i
-        try:
-            z = self._buf[i]
-        except IndexError:
-            z, i = self._refill(1)[0], 0
-        self._i = i + 1
-        return lo + ((z * (hi - lo + 1)) >> 64)
-
-
-def _more(buf: tuple, base: int, need: int) -> tuple:
-    """buf, the outputs of the stream at state `base` from its first on,
-    extended by whole blocks to at least `need` outputs."""
-    while len(buf) < need:
-        buf += _block((base + len(buf) * _GOLDEN) & _MASK)
-    return buf
 
 
 # --- set level: tuples of hfes, pointwise over universe positions ---
@@ -259,19 +201,6 @@ def e_rel(code, a, b):
     """The six inclusion relations on descending degree tuples: `u_rel` at
     one position."""
     return u_rel(code, (a,), (b,))
-
-
-# --- random generation on the integer grid ---
-
-
-def gen_hfs(stream, den, size, card_lo, card_hi):
-    """Random hfs over `size` universe positions: each hfe a cardinality
-    uniform in [card_lo, card_hi], then that many degrees uniform on the grid
-    {0, 1, ..., den} (meaning k/den)."""
-    n, buf = den + 1, stream._refill(0)
-    deg = tuple((z * n) >> 64 for z in buf)
-    hfs, stream._buf, _, stream._i = _hfes(buf, deg, 0, stream._base, n, size, card_lo, card_hi)
-    return hfs
 
 
 # --- a chunk of a law's trials: its draw plan ---

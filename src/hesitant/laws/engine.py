@@ -24,6 +24,7 @@ from ..errors import UniverseMismatchError
 from ..sets import HFS, Family, Universe
 from .algebra import EXACT, Algebra, grid_algebra
 from .fixtures import Fixture
+from .generators import SET
 from .registry import Law, LawStatus, get_law, law_registry
 
 DEFAULT_SEED = 20250808
@@ -37,6 +38,7 @@ WITNESS_CAP = 3
 # chunks of HUNT_CHUNKS first, so that a witness at trial 0 costs one trial.
 CHUNK = 256
 HUNT_CHUNKS = (1, 4, 16, 64)
+_ONE_SET = ((SET, 0),)  # the plan of `random_hfs`
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,13 @@ class GeneratorConfig:
     max_attempts: int = 1000
 
     def __post_init__(self) -> None:
+        for name in ("seed", "degree_grid", "trials", "max_attempts"):
+            if not _is_int(getattr(self, name)):
+                raise TypeError(f"{name} must be an int")
+        for name in ("universe_size", "cardinality", "family_size"):
+            value = getattr(self, name)
+            if type(value) is not tuple or len(value) != 2 or not all(map(_is_int, value)):
+                raise TypeError(f"{name} must be a tuple of two ints")
         lo, hi = self.universe_size
         if not 1 <= lo <= hi <= MAX_UNIVERSE:
             raise ValueError(f"universe_size must be within 1..{MAX_UNIVERSE}")
@@ -77,6 +86,11 @@ class GeneratorConfig:
             raise ValueError("trials must be non-negative")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: a bool field would run as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # --- deterministic stream derivation ---------------------------------------
@@ -105,6 +119,12 @@ def _extend(h: int, data: bytes) -> int:
 # --- the trial loop ------------------------------------------------------------
 
 
+def _bounds(config: GeneratorConfig) -> tuple:
+    """The bounds `draw_plan` reads: (grid, universe size range, cardinality
+    range, family size range)."""
+    return (config.degree_grid, *config.universe_size, *config.cardinality, *config.family_size)
+
+
 def _trials(law: Law, alg: Algebra, config: GeneratorConfig, lead: tuple = ()):
     """Yield (index, universe size, binding) for each trial of `law`.
 
@@ -116,7 +136,7 @@ def _trials(law: Law, alg: Algebra, config: GeneratorConfig, lead: tuple = ()):
     (starvation). So a trial depends only on (seed, law id, index), not on
     the chunks.
     """
-    bounds = (config.degree_grid, *config.universe_size, *config.cardinality, *config.family_size)
+    bounds = _bounds(config)
     prefix = _mix(config.seed, law.id)
     gen, guard, kern, one = law.gen, law.guard, alg.kern, alg.one
     first = 0
@@ -364,14 +384,16 @@ def replay_fixtures(law: Law) -> tuple[FixtureResult, ...]:
 
 
 def random_hfs(config: GeneratorConfig, stream_index: int) -> HFS:
-    """Deterministic random HFS: a pure function of (seed, stream_index)."""
-    stream = active.Stream(_mix(config.seed, "random_hfs", stream_index))
-    size = stream.randint(*config.universe_size)
-    plain = active.gen_hfs(
-        stream, config.degree_grid, size, config.cardinality[0], config.cardinality[1]
+    """Deterministic random HFS: a pure function of (seed, stream_index).
+
+    It is the one-move plan ((SET, 0),) run by the kernel's `draw_plan` as
+    trial `stream_index` under the prefix `_mix(seed, "random_hfs")`: the
+    universe size, then one free set. The index must be an int (TypeError)
+    within 0..2**64 - 1 (OverflowError)."""
+    ((size, binding),) = active.draw_plan(
+        _ONE_SET, ("A",), _bounds(config), _mix(config.seed, "random_hfs"), stream_index, 1
     )
-    uni = Universe(_universe_names(size))
-    return HFS._from_grid(uni, plain, config.degree_grid)
+    return HFS._from_grid(Universe(_universe_names(size)), binding["A"], config.degree_grid)
 
 
 def run_law(law: Law | str, config: GeneratorConfig) -> LawResult:

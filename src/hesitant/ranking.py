@@ -73,7 +73,7 @@ from operator import index, itemgetter, or_
 
 # `element_relation` stays bound here for perfbench/tracing.py, which rebinds
 # it in this module to count calls; ranking itself never calls it.
-from .relations import Inclusion, element_relation
+from .relations import Inclusion, _not_a_kind, element_relation
 
 RANKABLE = (
     Inclusion.POSSIBLE,
@@ -268,6 +268,8 @@ def _depths(strict: list[int]) -> tuple[list[int], list[int]]:
 def rank_schemes(scores, kind: Inclusion) -> Ranking:
     """Rank the universe elements of one HFS by pairwise inclusion."""
     if kind not in RANKABLE:
+        if not isinstance(kind, Inclusion):
+            raise _not_a_kind(kind)
         raise ValueError(
             f"relation {kind.letter!r} is not rankable; choose one of "
             + ", ".join(k.letter for k in RANKABLE)

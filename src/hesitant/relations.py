@@ -108,7 +108,15 @@ def element_relation(kind: Inclusion, a: HFE, b: HFE) -> bool:
     integer grid of the two exactly when they hold on the degrees.
     """
     _, ga, gb = a._with(b)
-    return _ops.e_rel(kind.code, ga, gb)
+    try:
+        code = kind.code
+    except AttributeError:
+        raise _not_a_kind(kind) from None
+    return _ops.e_rel(code, ga, gb)
+
+
+def _not_a_kind(kind) -> TypeError:
+    return TypeError(f"kind must be an Inclusion, not {type(kind).__name__}")
 
 
 def _strong_or_tail(ga: tuple, gb: tuple) -> Optional[Inclusion]:
@@ -183,7 +191,11 @@ def set_relation(kind: Inclusion, A, B) -> bool:
     if A.universe != B.universe:
         raise UniverseMismatchError("set relation needs a shared universe")
     _, (ga, gb) = _on_lcm((A._grid, A._den), (B._grid, B._den))
-    return _ops.u_rel(kind.code, ga, gb)
+    try:
+        code = kind.code
+    except AttributeError:
+        raise _not_a_kind(kind) from None
+    return _ops.u_rel(code, ga, gb)
 
 
 def set_equality(kind: Inclusion, A, B) -> bool:

@@ -304,17 +304,19 @@ def test_criterion_5_algebraic_exactness():
 
 
 def random_hfs_on(universe: Universe, config: GeneratorConfig, index: int):
-    """Random HFS pinned to a given universe (same degree distribution)."""
+    """Random HFS pinned to a given universe (same degree distribution): the
+    one-move plan of `random_hfs` at that universe's size."""
     from hesitant.laws.engine import _mix
+    from hesitant.laws.generators import SET
     from hesitant._kernel import active
     from hesitant.sets import HFS
 
-    stream = active.Stream(_mix(config.seed, "random_hfs_on", index))
-    den = config.degree_grid
-    plain = active.gen_hfs(stream, den, len(universe), *config.cardinality)
+    den, n = config.degree_grid, len(universe)
+    bounds = (den, n, n, *config.cardinality, *config.family_size)
+    ((_, binding),) = active.draw_plan(((SET, 0),), ("A",), bounds, _mix(config.seed, "random_hfs_on"), index, 1)
     return HFS(
         universe,
-        {e: [Fraction(num, den) for num in plain[i]] for i, e in enumerate(universe)},
+        {e: [Fraction(num, den) for num in binding["A"][i]] for i, e in enumerate(universe)},
     )
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hesitant import (
@@ -7,7 +9,8 @@ from hesitant import (
     random_hfs,
     run_suite,
 )
-from hesitant.laws import replay_witness, run_law
+from hesitant._kernel import _pykernel
+from hesitant.laws import engine, replay_witness, run_law
 from hesitant.laws.engine import replay_fixtures
 
 SMALL = GeneratorConfig(trials=150)
@@ -29,12 +32,80 @@ def test_config_validation():
             GeneratorConfig(seed=seed)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "7"),
+        ("trials", 2.5),
+        ("trials", True),
+        ("degree_grid", True),
+        ("degree_grid", 100.0),
+        ("max_attempts", 1000.0),
+        ("universe_size", (1.0, 2)),
+        ("universe_size", [1, 4]),
+        ("universe_size", (1, 2, 3)),
+        ("universe_size", 4),
+        ("cardinality", (1, 6.0)),
+        ("cardinality", (True, 6)),
+        ("family_size", (1, "5")),
+        ("family_size", None),
+    ],
+)
+def test_config_rejects_non_int_fields(field, value):
+    """Every field is an int, not a bool, or a tuple of two; the error names
+    the field, at construction rather than inside a kernel."""
+    with pytest.raises(TypeError, match=f"^{field} must be "):
+        GeneratorConfig(**{field: value})
+
+
 def test_random_hfs_deterministic():
     cfg = GeneratorConfig(seed=7)
     assert random_hfs(cfg, 3) == random_hfs(cfg, 3)
     streams = [random_hfs(cfg, i) for i in range(8)]
     assert len({hash(s) for s in streams}) > 1  # indices give independent draws
     assert random_hfs(GeneratorConfig(seed=8), 3) != random_hfs(cfg, 3)
+
+
+# Four configs at the corners of the config space: the default, universe 16
+# with cardinality 64 on grid 10**9, grid 1 at the largest seed, and one
+# degree on grid 8.
+_RANDOM_HFS_CONFIGS = (
+    GeneratorConfig(),
+    GeneratorConfig(seed=0, universe_size=(16, 16), cardinality=(64, 64), degree_grid=10**9),
+    GeneratorConfig(seed=2**64 - 1, universe_size=(1, 16), cardinality=(1, 64), degree_grid=1),
+    GeneratorConfig(seed=11, universe_size=(1, 1), cardinality=(1, 1), degree_grid=8),
+)
+
+
+def test_random_hfs_pinned(compiled, monkeypatch):
+    """`random_hfs` at indices 0..99 and 2**64 - 1 of four configs, as the
+    exact decimal degrees of each element, is a fixed function of the
+    config on both kernels. (The digest over indices 0..999 is
+    303f104e11f991d3ae3e4a692117953603356e2f82c4e33d5472850a292aa0fa.)"""
+    for kernel in (_pykernel, compiled):
+        monkeypatch.setattr(engine, "active", kernel)
+        h = hashlib.sha256()
+        for config in _RANDOM_HFS_CONFIGS:
+            for i in (*range(100), 2**64 - 1):
+                hfs = random_hfs(config, i)
+                h.update(repr([(e, [str(d) for d in x.degrees]) for e, x in hfs.items()]).encode())
+        assert h.hexdigest() == "84e712662c8881d64100a49947f53a80e38fb7ec000702460121f271e4046733", kernel
+
+
+def test_random_hfs_rejects_bad_indices(compiled, monkeypatch):
+    """A stream index is an int in 0..2**64 - 1: a str, a float or None is
+    a TypeError, not the stream of its text or of its floor."""
+    for kernel in (_pykernel, compiled):
+        monkeypatch.setattr(engine, "active", kernel)
+        for index in ("3", 1.5, None):
+            with pytest.raises(TypeError):
+                random_hfs(SMALL, index)
+        for index in (-1, 2**64, -(2**70)):
+            with pytest.raises(OverflowError, match=r"0\.\.2\*\*64 - 1"):
+                random_hfs(SMALL, index)
+        assert random_hfs(SMALL, 2**64 - 1).universe
 
 
 def test_random_hfs_grid_boundary():

@@ -161,14 +161,15 @@ def test_non_decimal_degrees_print_exactly():
 def test_random_hfs_matches_fraction_construction():
     from hesitant import GeneratorConfig, HFS, Universe
     from hesitant._kernel import active
-    from hesitant.laws.engine import _mix, random_hfs
+    from hesitant.laws.engine import _bounds, _mix, random_hfs
+    from hesitant.laws.generators import SET
 
     for grid in (100, 8, 10**9):
         config = GeneratorConfig(seed=11, degree_grid=grid)
+        prefix = _mix(config.seed, "random_hfs")
         for i in range(50):
-            stream = active.Stream(_mix(config.seed, "random_hfs", i))
-            size = stream.randint(*config.universe_size)
-            plain = active.gen_hfs(stream, grid, size, *config.cardinality)
+            ((size, binding),) = active.draw_plan(((SET, 0),), ("A",), _bounds(config), prefix, i, 1)
+            plain = binding["A"]
             uni = Universe(f"x{j}" for j in range(1, size + 1))
             want = HFS(uni, {e: [Fraction(n, grid) for n in plain[j]] for j, e in enumerate(uni)})
             got = random_hfs(config, i)

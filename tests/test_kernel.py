@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hesitant._kernel import _pykernel as pure
+from hesitant.laws.generators import COINCIDE, FAMILY, SET
 
 int_hfes = st.lists(st.integers(0, 10), min_size=1, max_size=6).map(
     lambda v: tuple(sorted(v, reverse=True))
@@ -36,8 +37,7 @@ def _all_small(den=2, cmax=3):
 # The kernel contract: every name either kernel defines, and nothing else.
 KERNEL_NAMES = {
     "IMPLEMENTATION", "REL_P", "REL_A", "REL_M", "REL_S", "REL_T", "REL_N",
-    "Stream", "e_rel", "u_union", "u_inter", "u_compl", "u_rel", "u_sot",
-    "gen_hfs", "draw_plan",
+    "e_rel", "u_union", "u_inter", "u_compl", "u_rel", "u_sot", "draw_plan",
 }
 
 
@@ -56,26 +56,27 @@ def test_kernels_export_the_same_names(compiled):
 
 
 def test_streams_identical(compiled):
-    a, b = pure.Stream(12345), compiled.Stream(12345)
-    assert [a.randint(-2**63, 2**63 - 1) for _ in range(100)] == [b.randint(-2**63, 2**63 - 1) for _ in range(100)]
-    a, b = pure.Stream(7), compiled.Stream(7)
-    assert [a.randint(0, 999) for _ in range(100)] == [b.randint(0, 999) for _ in range(100)]
-    a, b = pure.Stream(99), compiled.Stream(99)
-    assert [a.randint(3, 9) for _ in range(100)] == [b.randint(3, 9) for _ in range(100)]
+    """Output 1 of 100 trials' streams, each trial's universe size, over the
+    whole int64 range and two narrow ones."""
+    for seed, lo, hi in ((12345, -2**63, 2**63 - 1), (7, 0, 999), (99, 3, 9)):
+        bounds = (100, lo, hi, 1, 1, 1, 1)
+        assert pure.draw_plan((), (), bounds, seed, 0, 100) == compiled.draw_plan((), (), bounds, seed, 0, 100)
 
 
 def test_generation_identical(compiled):
+    """Sets, a family and coinciding degrees drawn one after another, at
+    sizes 1, 4 and 16 and at the first and the last trial index."""
+    plan = ((SET, 0), (FAMILY, 1), (SET, 2), (COINCIDE, 3, 4))
+    names = ("A", "F", "B", "C", "D")
     for seed in (0, 1, 2**63, 2**64 - 1):
         for den in (1, 100, 10**9):
             for lo, hi in ((1, 1), (6, 6), (1, 6), (1, 64)):
-                a, b = pure.Stream(seed), compiled.Stream(seed)
                 for size in (1, 4, 16):
-                    assert pure.gen_hfs(a, den, size, lo, hi) == compiled.gen_hfs(
-                        b, den, size, lo, hi
-                    )
-                    assert pure.gen_hfs(a, den, 1, lo, hi) == compiled.gen_hfs(b, den, 1, lo, hi)
-                    assert a.randint(1, 4) == b.randint(1, 4)
-                assert a.state == b.state
+                    bounds = (den, size, size, lo, hi, 1, 4)
+                    for first in (0, 2**64 - 3):
+                        assert pure.draw_plan(plan, names, bounds, seed, first, 3) == compiled.draw_plan(
+                            plan, names, bounds, seed, first, 3
+                        )
 
 
 def test_exhaustive_small_grid_equivalence(compiled):
@@ -276,8 +277,8 @@ def test_failing_chunks_leak_nothing(compiled):
 PROBES = {
     "e_union_1500": "k.u_union((tuple(range(1500, 0, -1)),), (tuple(range(1600, 100, -1)),))",
     "e_inter_1500": "k.u_inter((tuple(range(1500, 0, -1)),), (tuple(range(1600, 100, -1)),))",
-    "gen_hfe_3000": "k.gen_hfs(k.Stream(1), 100, 1, 3000, 3000)",
-    "gen_hfs_3000": "k.gen_hfs(k.Stream(2), 10**9, 3, 2500, 3000)",
+    "gen_hfe_3000": "k.draw_plan(((0, 0),), ('A',), (100, 1, 1, 3000, 3000, 1, 1), 1, 0, 1)",
+    "gen_hfs_3000": "k.draw_plan(((0, 0),), ('A',), (10**9, 3, 3, 2500, 3000, 1, 1), 2, 0, 1)",
     "u_union_short_b": "k.u_union(((3, 1), (2,), (5,)), ((2,),))",
     "u_inter_short_b": "k.u_inter(((3, 1), (2,)), ((2,),))",
     "u_rel_short_b": "[k.u_rel(c, ((3, 1), (2,), (5,)), ((4,),)) for c in range(6)]",
@@ -287,11 +288,13 @@ PROBES = {
     **EMPTY_HFE,
     "e_rel_m_wraps": "k.e_rel(2, (2**62, 2**62), (1,))",
     "e_rel_m_extremes": "k.e_rel(2, (2**63 - 1,) * 40, (-2**63,) * 3)",
-    "gen_hfe_empty_range": "k.gen_hfs(k.Stream(7), 100, 1, 5, 1)",
-    "randint_full_int64": "[k.Stream(5).randint(-2**63, 2**63 - 1) for _ in range(3)]",
-    "randint_empty_range": "k.Stream(5).randint(-2**63 + 3, -2**63)",
-    "randint_past_2_63": "k.Stream(5).randint(0, 2**63)",
-    "below_past_2_63": "k.Stream(5).randint(0, 2**64 - 1)",
+    "gen_hfe_empty_range": "k.draw_plan(((0, 0),), ('A',), (100, 1, 1, 5, 1, 1, 1), 7, 0, 1)",
+    # a trial's first output, its universe size, drawn from a range at and
+    # past the ends of int64
+    "randint_full_int64": "k.draw_plan((), (), (100, -2**63, 2**63 - 1, 1, 1, 1, 1), 5, 0, 3)",
+    "randint_empty_range": "k.draw_plan((), (), (100, -2**63 + 3, -2**63, 1, 1, 1, 1), 5, 0, 3)",
+    "randint_past_2_63": "k.draw_plan((), (), (100, 0, 2**63, 1, 1, 1, 1), 5, 0, 3)",
+    "below_past_2_63": "k.draw_plan((), (), (100, 0, 2**64 - 1, 1, 1, 1, 1), 5, 0, 3)",
     "e_compl_int64_edge": "k.u_compl(((2**63 - 1, 0),), 2**63 - 1)",
     "e_compl_past_2_63": "k.u_compl(((0,),), 2**63)",
     "e_compl_wraps": "k.u_compl(((-1,),), 2**63 - 1)",

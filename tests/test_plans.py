@@ -17,6 +17,7 @@ from hesitant import law_registry
 from hesitant._kernel import _pykernel as pure
 from hesitant.laws import generators as g
 from hesitant.laws.engine import _mix
+from test_streams import OracleStream, oracle_gen_hfs
 
 # (den, universe lo, hi, cardinality lo, hi, family lo, hi)
 BOUNDS = {
@@ -118,13 +119,14 @@ def test_draw_plan_identical_for_random_plans(compiled, seed):
 
 def test_draw_plan_seeds_each_trial_from_the_law_prefix(compiled):
     """A trial's stream is seeded with `_mix(seed, law id, index)`: its first
-    output draws the universe size and the rest one free set."""
+    output draws the universe size and the rest one free set, as the
+    method-per-draw oracle of `test_streams.py` draws them."""
     bounds = BOUNDS["extreme"]
     for kernel in (pure, compiled):
         for index in (0, 1, 255, 256, 2**40, 2**64 - 1):
-            stream = kernel.Stream(_mix(7, "thm1.1", index))
+            stream = OracleStream(_mix(7, "thm1.1", index))
             size = stream.randint(*bounds[1:3])
-            expected = (size, {"A": kernel.gen_hfs(stream, bounds[0], size, *bounds[3:5])})
+            expected = (size, {"A": oracle_gen_hfs(stream, bounds[0], size, *bounds[3:5])})
             assert kernel.draw_plan(((g.SET, 0),), ("A",), bounds, _mix(7, "thm1.1"), index, 1) == [expected]
 
 

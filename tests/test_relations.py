@@ -11,6 +11,7 @@ from hesitant import (
     is_subsequence,
     make_hfs,
     pointwise_leq,
+    rank_schemes,
     relation_profile,
     set_equality,
     set_relation,
@@ -149,3 +150,19 @@ def test_tail_equality_rejected():
     A, B = _pair_doc()
     with pytest.raises(ValueError):
         set_equality(T, A, B)
+
+
+@pytest.mark.parametrize("kind", ["p", 0, None, "⊂p"])
+def test_a_kind_that_is_no_inclusion_is_a_type_error(kind):
+    """A letter, a code or None for the kind names `Inclusion` in a
+    TypeError, rather than failing on a missing attribute."""
+    A, B = _pair_doc()
+    calls = (
+        lambda: set_relation(kind, A, B),
+        lambda: set_equality(kind, A, B),
+        lambda: rank_schemes(A, kind),
+        lambda: element_relation(kind, hfe("0.1"), hfe("0.2")),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="kind must be an Inclusion"):
+            call()

@@ -1,12 +1,15 @@
 """The pure kernel's random streams are pinned to a method-per-draw oracle.
 
-`_pykernel` computes its SplitMix64 outputs a block at a time and reads the
-draws from that buffer. The oracle below is the plain form: every draw goes
-through `u64`, which advances the state once. Both must produce the same
-numbers, the same hfes and hfss, and show the same state between calls, so
-that a draw after a generation call continues the same sequence. A kernel
-`Stream` draws only through `randint`: `below(n)` is `randint(0, n - 1)`,
-and `u64()` is `randint(0, 2**64 - 1)`.
+`_pykernel.draw_plan` computes its SplitMix64 outputs a block at a time and
+reads the draws from that buffer. The oracle below is the plain form: every
+draw goes through `u64`, which advances the state once, and
+`_oracle_draw_plan` runs a plan's `SET`, `FAMILY` and `COINCIDE` moves on it
+draw by draw. Both must give the same universe sizes, hfes, families and
+coinciding degrees, so that each move continues the sequence where the one
+before it stopped. The draws are read through `draw_plan` alone: a trial's
+first output is its universe size, a `COINCIDE` move shows each degree
+(`below(den + 1)`) and two cardinalities in the order drawn, and `SET` and
+`FAMILY` moves show whole hfes.
 """
 
 import pytest
@@ -14,11 +17,12 @@ from hypothesis import given, strategies as st
 
 from hesitant._kernel import _pykernel as pure
 from hesitant.laws.engine import _extend, _mix
+from hesitant.laws.generators import COINCIDE, FAMILY, SET
 
 _MASK = (1 << 64) - 1
 
 
-class _OracleStream:
+class OracleStream:
     def __init__(self, seed):
         self.state = seed
 
@@ -49,107 +53,118 @@ def _oracle_gen_hfe(stream, den, card_lo, card_hi):
     return tuple(sorted((stream.below(den + 1) for _ in range(k)), reverse=True))
 
 
-def _gen_hfe(stream, den, card_lo, card_hi):
-    """One hfe drawn by the kernel: `gen_hfs` at one position."""
-    return pure.gen_hfs(stream, den, 1, card_lo, card_hi)[0]
-
-
-def _oracle_gen_hfs(stream, den, size, card_lo, card_hi):
+def oracle_gen_hfs(stream, den, size, card_lo, card_hi):
     return tuple(_oracle_gen_hfe(stream, den, card_lo, card_hi) for _ in range(size))
+
+
+def _oracle_draw_plan(plan, names, bounds, prefix, first, count):
+    """`draw_plan` of a plan of `SET`, `FAMILY` and `COINCIDE` moves, one
+    oracle stream per trial, seeded with the prefix extended by the trial
+    index's 8 little-endian bytes."""
+    den, ulo, uhi, lo, hi, flo, fhi = bounds
+    out = []
+    for index in range(first, first + count):
+        stream = OracleStream(_extend(prefix & _MASK, index.to_bytes(8, "little")))
+        size = stream.randint(ulo, uhi)
+        slots = [None] * len(names)
+        for op, *at in plan:
+            if op == SET:
+                slots[at[0]] = oracle_gen_hfs(stream, den, size, lo, hi)
+            elif op == FAMILY:
+                members = stream.randint(flo, fhi)
+                slots[at[0]] = tuple(oracle_gen_hfs(stream, den, size, lo, hi) for _ in range(members))
+            else:  # COINCIDE: per position a degree c, then both cardinalities
+                pairs = []
+                for _ in range(size):
+                    c = (stream.below(den + 1),)
+                    pairs.append((c * stream.randint(lo, hi), c * stream.randint(lo, hi)))
+                slots[at[0]], slots[at[1]] = (tuple(p[j] for p in pairs) for j in (0, 1))
+        out.append((size, dict(zip(names, slots))))
+    return out
+
+
+def _check(plan, names, bounds, prefix, first, count):
+    got = pure.draw_plan(plan, names, bounds, prefix, first, count)
+    assert got == _oracle_draw_plan(plan, names, bounds, prefix, first, count), (plan, bounds, prefix, first)
+    return got
 
 
 SEEDS = (0, 1, 2**63, 2**64 - 1)
 DENS = (1, 100, 10**9)
+# Grids past a lane: a draw from range(den + 1) for den + 1 >= 2**64 is
+# computed output by output (the `n >> 64` branches of `_first_blocks` and
+# `_grow`); den + 1 = 2**64 - 1 is the widest grid drawn from the lanes.
+WIDE_DENS = (2**64 - 2, 2**64 - 1, 2**64, 3**50)
 CARDS = ((1, 1), (3, 3), (64, 64), (1, 6), (1, 64))
-
-
-def _pair(seed):
-    return pure.Stream(seed), _OracleStream(seed)
+_PAIR = ((COINCIDE, 0, 1),), ("A", "B")
 
 
 @pytest.mark.parametrize("seed", SEEDS + (-1, 2**64 + 5))
 def test_single_draws_match(seed):
-    a, b = _pair(seed)
-    for n in (1, 2, 101, 10**9 + 1, 2**64):
-        assert [a.randint(0, n - 1) for _ in range(50)] == [b.below(n) for _ in range(50)]
-        assert a.state == b.state
+    """Output 1 of 70 trials' streams, two wide passes, is each trial's
+    size; outputs 2, 5, 8, ... of one stream, past its first block, are a
+    `COINCIDE` move's degrees."""
+    for n in (1, 2, 101, 10**9 + 1, 2**64, 2**64 + 1):
+        _check((), (), (100, 0, n - 1, 1, 1, 1, 1), seed, 0, 70)
+        _check(*_PAIR, (n - 1, 16, 16, 1, 1, 1, 1), seed, 0, 3)
     for lo, hi in ((0, 0), (3, 9), (0, 10**9), (5, 5)):
-        assert [a.randint(lo, hi) for _ in range(50)] == [b.randint(lo, hi) for _ in range(50)]
-        assert a.state == b.state
-    assert [a.randint(0, _MASK) for _ in range(50)] == [b.u64() for _ in range(50)]
+        _check((), (), (100, lo, hi, 1, 1, 1, 1), seed, 0, 70)
+    for lo, hi in ((0, 0), (3, 9), (5, 5)):
+        _check(*_PAIR, (100, 16, 16, lo, hi, 1, 1), seed, 2**64 - 3, 3)
+    _check((), (), (100, 0, _MASK, 1, 1, 1, 1), seed, 2**64 - 70, 70)  # u64(): the whole output
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("den", DENS)
+@pytest.mark.parametrize("den", DENS + WIDE_DENS)
 @pytest.mark.parametrize("card", CARDS)
 def test_generation_matches(seed, den, card):
     lo, hi = card
-    a, b = _pair(seed)
-    for _ in range(5):
-        assert _gen_hfe(a, den, lo, hi) == _oracle_gen_hfe(b, den, lo, hi)
-        assert a.state == b.state
-    for size in (1, 16):
-        assert pure.gen_hfs(a, den, size, lo, hi) == _oracle_gen_hfs(b, den, size, lo, hi)
-        assert a.state == b.state
+    _check(tuple((SET, j) for j in range(5)), tuple("ABCDE"), (den, 1, 1, lo, hi, 1, 1), seed, 0, 2)
+    _check(((SET, 0), (SET, 1)), ("A", "B"), (den, 16, 16, lo, hi, 1, 1), seed, 7, 2)
+    _check(((SET, 0),), ("A",), (den, 1, 16, lo, hi, 1, 1), seed, 2**64 - 3, 3)
+
+
+_HANDOVER = ((SET, 0), (COINCIDE, 1, 2), (FAMILY, 3), (SET, 4), (COINCIDE, 5, 6)), tuple("ABCDEFG")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_interleaved_calls_hand_the_state_over(seed):
-    a, b = _pair(seed)
+    """Each move draws on from where the one before it stopped."""
     for step in range(40):
-        den = DENS[step % 3]
+        den = (DENS + WIDE_DENS)[step % 7]
         lo, hi = CARDS[step % len(CARDS)]
         size = (1, 16, 3)[step % 3]
-        assert pure.gen_hfs(a, den, size, lo, hi) == _oracle_gen_hfs(b, den, size, lo, hi)
-        assert a.randint(1, 4) == b.randint(1, 4)
-        assert _gen_hfe(a, den, lo, hi) == _oracle_gen_hfe(b, den, lo, hi)
-        assert a.randint(0, den) == b.below(den + 1)
-    assert a.state == b.state
+        _check(*_HANDOVER, (den, size, size, lo, hi, 1, 4), seed, step, 1)
 
 
-_BIG = 2**64
 _CARD = st.integers(-3, 80)  # past one 32-output block; lo > hi reverses the range
-_CALLS = st.one_of(
-    st.tuples(st.just("randint"), st.integers(-_BIG, _BIG), st.integers(-_BIG, _BIG)),
-    st.tuples(st.just("gen_hfe"), st.sampled_from(DENS), _CARD, _CARD),
-    st.tuples(st.just("gen_hfs"), st.sampled_from(DENS), st.integers(0, 5), _CARD, _CARD),
-    st.tuples(st.just("read")),
-    st.tuples(st.just("write"), st.integers(-_BIG, 4 * _BIG)),
+_MOVES = st.lists(st.sampled_from((SET, FAMILY, COINCIDE)), max_size=12)
+
+
+@given(
+    st.integers(-(2**64), 2**65),
+    _MOVES,
+    st.sampled_from(DENS + WIDE_DENS),
+    st.integers(0, 5), st.integers(0, 5), _CARD, _CARD, st.integers(-1, 4), st.integers(-1, 4),
+    st.integers(0, _MASK - 2), st.integers(1, 3),
 )
-
-
-def _call(stream, gen_hfe, gen_hfs, call):
-    """One call on a kernel stream (`gen_hfe` is `_gen_hfe`) or, with the
-    oracle's functions, on the oracle."""
-    name, *args = call
-    if name == "read":
-        return stream.state
-    if name == "write":
-        stream.state = args[0]
-        return None
-    if name == "gen_hfe":
-        return gen_hfe(stream, *args)
-    if name == "gen_hfs":
-        return gen_hfs(stream, *args)
-    return getattr(stream, name)(*args)
-
-
-@given(st.integers(-_BIG, 2 * _BIG), st.lists(_CALLS, max_size=60))
-def test_random_interleavings_match_the_oracle(seed, calls):
-    """Any sequence of draws, generation calls and state reads and writes
-    gives the oracle's values, mid-block writes and multi-block hfes
-    included."""
-    a, b = _pair(seed)
-    for call in calls:
-        got = _call(a, _gen_hfe, pure.gen_hfs, call)
-        assert got == _call(b, _oracle_gen_hfe, _oracle_gen_hfs, call), call
-    assert a.state == b.state
+def test_random_interleavings_match_the_oracle(prefix, ops, den, ulo, uhi, lo, hi, flo, fhi, first, count):
+    """Any sequence of moves, sizes, cardinalities and family sizes, reversed
+    ranges and multi-block hfes included, gives the oracle's draws."""
+    plan, slot = [], 0
+    for op in ops:
+        width = 2 if op == COINCIDE else 1
+        plan.append((op, *range(slot, slot + width)))
+        slot += width
+    names = tuple(f"N{j}" for j in range(slot))
+    _check(tuple(plan), names, (den, ulo, uhi, lo, hi, flo, fhi), prefix, first, count)
 
 
 def test_empty_hfs_draws_nothing():
-    a, b = _pair(7)
-    assert pure.gen_hfs(a, 100, 0, 1, 6) == ()
-    assert a.state == b.state
+    """At universe size 0 a set draws nothing: the family after it draws its
+    size from output 2."""
+    ((size, binding),) = _check(((SET, 0), (FAMILY, 1)), ("A", "F"), (100, 0, 0, 1, 6, 1, 5), 7, 0, 1)
+    assert size == 0 and binding["A"] == () and set(binding["F"]) == {()}
 
 
 @pytest.mark.parametrize("seed", (0, 20250808, 2**64 - 1))
@@ -163,18 +178,10 @@ def test_trial_seed_extends_the_law_prefix(seed):
 
 @pytest.mark.parametrize("value", (0, 5, 2**64 - 1, 2**64, 2**64 + 3, -1, -(2**64) - 7, 2**70 + 1))
 def test_state_reads_back_masked(compiled, value):
-    """Setting the state stores it modulo 2**64, as the constructor does; the
-    compiled kernel accepts exactly the values already in [0, 2**64), and
-    then agrees."""
-    a = pure.Stream(1)
-    a.state = value
-    assert a.state == value & _MASK
-    assert a.randint(0, _MASK) == _OracleStream(value).u64()
-    b = compiled.Stream(1)
-    if 0 <= value <= _MASK:
-        b.state = value
-        assert b.state == value
-        assert b.randint(0, 2**62) == pure.Stream(value).randint(0, 2**62)
-    else:
-        with pytest.raises(OverflowError):
-            b.state = value
+    """Both kernels read the prefix, an FNV-1a state, modulo 2**64, as the
+    oracle reads a seed, and then agree."""
+    plan, names = ((SET, 0), (COINCIDE, 1, 2)), ("A", "B", "C")
+    bounds = (100, 1, 4, 1, 6, 1, 5)
+    want = _check(plan, names, bounds, value & _MASK, 0, 3)
+    assert _check(plan, names, bounds, value, 0, 3) == want
+    assert compiled.draw_plan(plan, names, bounds, value, 0, 3) == want
