@@ -1,12 +1,14 @@
 /* Compiled kernel: the integer-grid twin of `_pykernel`, written against the
  * CPython C API.
  *
- * It has the part of the pure kernel's surface that the law engine's trials
- * call (`e_rel`, the set-level `u_*` functions and `draw_plan`, the one
- * generation entry, which runs a chunk of consecutive trials of a law's draw
- * plan in one call, looping over the trials in C) and the pure kernel's
- * contract, for degrees that fit a C long long. Every call
- * returns exactly what `_pykernel` returns, or raises a Python exception:
+ * It has the pure kernel's surface: the relation codes, the set-level
+ * `u_union`, `u_inter`, `u_compl` and `u_rel` (an element is the
+ * one-position case), `term`, which evaluates a postfix term program over
+ * slots, and `draw_plan`, the one generation entry, which runs a chunk of
+ * consecutive trials of a law's draw plan in one call, looping over the
+ * trials in C. It keeps the pure kernel's contract for degrees that fit a C
+ * long long: every call returns exactly what `_pykernel` returns, or raises
+ * a Python exception:
  *   - a value outside int64, or a mean cross-product outside __int128,
  *     raises OverflowError;
  *   - an hfe or hfs that is not a tuple raises TypeError;
@@ -16,8 +18,8 @@
  * the pure kernel reads, and the set-level functions stop at the shorter
  * operand, as `zip` does. The SplitMix64 streams are bit-identical to the
  * pure ones (Steele, Lea & Flood, OOPSLA 2014); `draw_plan` draws from a
- * local state, and a plan it cannot read (a slot out of range, a list for a
- * tuple, nesting past the recursion limit) raises.
+ * local state, and a plan or a term program it cannot read (a slot out of
+ * range, a list for a tuple, nesting past the recursion limit) raises.
  *
  * `setup.py` builds it as an optional extension; by hand:
  *   gcc -O2 -Wall -Werror -shared -fPIC $(python3-config --includes) \
@@ -33,8 +35,10 @@ typedef unsigned long long u64;
 typedef __int128 i128;
 typedef unsigned __int128 u128;
 
-enum { REL_P, REL_A, REL_M, REL_S, REL_T, REL_N };
+enum { REL_P, REL_A, REL_M, REL_S, REL_T, REL_N, REL_SOT };
 enum { UNION, INTER, COMPL };
+/* A term program's operators, as `laws/generators.py` writes them */
+enum { T_UNION = -1, T_INTER = -2, T_COMPL = -3, T_MEET_ALL = -4, T_JOIN_ALL = -5 };
 
 /* SplitMix64: the state advances by GOLDEN and each output is the state
  * mixed by two xor-shift-multiply rounds. Names and values match _pykernel. */
@@ -225,11 +229,37 @@ static PyObject *elem(int op, PyObject *a, PyObject *b) {
     return op == COMPL ? compl(a, b) : combine(a, b, op == UNION);
 }
 
+/* Sets *gt to mean(a) > mean(b), compared as pure compares them: sum(a) *
+ * len(b) > sum(b) * len(a), exactly, where an empty hfe has sum and length
+ * 0. 0, or -1 with an exception set. */
+static int mean_gt(PyObject *a, PyObject *b, int *gt) {
+    Py_ssize_t na = PyTuple_GET_SIZE(a), nb = PyTuple_GET_SIZE(b), i;
+    i128 sa = 0, sb = 0, l, r;
+    i64 x;
+    for (i = 0; i < na; i++) {
+        if (item_at(a, i, &x))
+            return -1;
+        sa += x;
+    }
+    for (i = 0; i < nb; i++) {
+        if (item_at(b, i, &x))
+            return -1;
+        sb += x;
+    }
+    if (__builtin_mul_overflow(sa, (i128)nb, &l) || __builtin_mul_overflow(sb, (i128)na, &r)) {
+        PyErr_SetString(PyExc_OverflowError, "mean cross-product outside __int128");
+        return -1;
+    }
+    *gt = l > r;
+    return 0;
+}
+
 /* The relation `code` between hfes a and b: 1, 0, or -1 with an exception
- * set. ⊂m compares sum(a) * len(b) with sum(b) * len(a) exactly. */
+ * set. */
 static int rel(long code, PyObject *a, PyObject *b) {
     Py_ssize_t na = PyTuple_GET_SIZE(a), nb = PyTuple_GET_SIZE(b), i;
     i64 x, y;
+    int gt;
     switch (code) {
     case REL_P:
         return item_at(a, 0, &x) || item_at(b, 0, &y) ? -1 : x <= y;
@@ -239,35 +269,18 @@ static int rel(long code, PyObject *a, PyObject *b) {
         if (x > y)
             return 0;
         return item_at(a, na - 1, &x) || item_at(b, nb - 1, &y) ? -1 : x <= y;
-    case REL_M: {
-        i128 sa = 0, sb = 0, l, r;
-        if (nonempty(na) || nonempty(nb))
-            return -1;
-        for (i = 0; i < na; i++) {
-            if (item_at(a, i, &x))
-                return -1;
-            sa += x;
-        }
-        for (i = 0; i < nb; i++) {
-            if (item_at(b, i, &y))
-                return -1;
-            sb += y;
-        }
-        if (__builtin_mul_overflow(sa, (i128)nb, &l) || __builtin_mul_overflow(sb, (i128)na, &r)) {
-            PyErr_SetString(PyExc_OverflowError, "mean cross-product outside __int128");
-            return -1;
-        }
-        return l <= r;
-    }
+    case REL_M:
+        return nonempty(na) || nonempty(nb) || mean_gt(a, b, &gt) ? -1 : !gt;
     case REL_S:
     case REL_T:
-        /* ⊂s: a at least as long, b >= a over b's positions;
-         * ⊂t: a strictly shorter, b >= a over a's positions */
+    case REL_SOT:
+        /* b >= a over the shorter hfe; ⊂s also needs a at least as long,
+         * ⊂t a strictly shorter, and REL_SOT (⊂s or ⊂t) neither */
         if (nonempty(na) || nonempty(nb))
             return -1;
-        if (code == REL_S ? na < nb : na >= nb)
+        if (code == REL_S ? na < nb : code == REL_T && na >= nb)
             return 0;
-        for (i = 0; i < (code == REL_S ? nb : na); i++) {
+        for (i = 0; i < Py_MIN(na, nb); i++) {
             if (item_at(b, i, &y) || item_at(a, i, &x))
                 return -1;
             if (y < x)
@@ -281,30 +294,12 @@ static int rel(long code, PyObject *a, PyObject *b) {
     return -1;
 }
 
-/* 1 if a ⊂s b, 2 if a ⊂t b, else 0; -1 with an exception set. */
-static int sot(PyObject *a, PyObject *b) {
-    int r = rel(REL_S, a, b);
-    if (r)
-        return r;
-    r = rel(REL_T, a, b);
-    return r < 0 ? -1 : 2 * r;
-}
-
 static int as_code(PyObject *o, long *code) {
     *code = PyLong_AsLong(o);
     return (*code == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
 #define FASTCALL(name) static PyObject *name(PyObject *m, PyObject *const *args, Py_ssize_t nargs)
-
-FASTCALL(e_rel) {
-    long code;
-    int r;
-    if (arity("e_rel", nargs, 3) || as_code(args[0], &code) || two_tuples(args[1], args[2], "hfe")
-        || (r = rel(code, args[1], args[2])) < 0)
-        return NULL;
-    return PyBool_FromLong(r);
-}
 
 /* --- set level: tuples of hfes, pointwise over universe positions --- */
 
@@ -335,16 +330,16 @@ FASTCALL(u_union) { return u_map("u_union", UNION, args, nargs); }
 FASTCALL(u_inter) { return u_map("u_inter", INTER, args, nargs); }
 FASTCALL(u_compl) { return u_map("u_compl", COMPL, args, nargs); }
 
-/* all(test(a, b) for a, b in zip(A, B)), the test being a ⊂s b or a ⊂t b
- * or else ⊂code. The code is checked only once it is used, as in pure. */
-static PyObject *u_all(PyObject *A, PyObject *B, int is_sot, long code) {
+/* all(a ⊂code b for a, b in zip(A, B)). The code is checked only once it
+ * is used, as in pure. */
+static PyObject *u_all(PyObject *A, PyObject *B, long code) {
     Py_ssize_t n = zip_len(A, B);
     if (n < 0)
         return NULL;
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *a = PyTuple_GET_ITEM(A, i), *b = PyTuple_GET_ITEM(B, i);
         int r;
-        if (two_tuples(a, b, "hfe") || (r = is_sot ? sot(a, b) : rel(code, a, b)) < 0)
+        if (two_tuples(a, b, "hfe") || (r = rel(code, a, b)) < 0)
             return NULL;
         if (!r)
             Py_RETURN_FALSE;
@@ -354,10 +349,80 @@ static PyObject *u_all(PyObject *A, PyObject *B, int is_sot, long code) {
 
 FASTCALL(u_rel) {
     long code;
-    return arity("u_rel", nargs, 3) || as_code(args[0], &code) ? NULL : u_all(args[1], args[2], 0, code);
+    return arity("u_rel", nargs, 3) || as_code(args[0], &code) ? NULL : u_all(args[1], args[2], code);
 }
 
-FASTCALL(u_sot) { return arity("u_sot", nargs, 2) ? NULL : u_all(args[0], args[1], 1, 0); }
+/* The value of a postfix term program over the n slots: a slot index
+ * pushes that slot's value, and the negative codes pop their operands and
+ * push the union, intersection, complement (unit `one`), or the ⋂ or ⋃
+ * fold of a family. It raises where pure `term` raises. */
+static PyObject *eval_term(PyObject *program, PyObject *const *slots, Py_ssize_t n, PyObject *one) {
+    if (need_tuple(program, "term program"))
+        return NULL;
+    Py_ssize_t len = PyTuple_GET_SIZE(program), top = 0;
+    PyObject **stack = PyMem_New(PyObject *, len > 0 ? len : 1), *out = NULL;
+    if (!stack)
+        return PyErr_NoMemory();
+    for (Py_ssize_t j = 0; j < len; j++) {
+        long op;
+        PyObject *v = NULL;
+        if (as_code(PyTuple_GET_ITEM(program, j), &op))
+            goto done;
+        if (op >= 0) {
+            if (op >= n) {
+                PyErr_SetString(PyExc_IndexError, "term slot out of range");
+                goto done;
+            }
+            stack[top++] = Py_NewRef(slots[op]);
+            continue;
+        }
+        if (op < T_JOIN_ALL) {
+            PyErr_Format(PyExc_ValueError, "unknown term operator %ld", op);
+            goto done;
+        }
+        if (top < (op == T_UNION || op == T_INTER ? 2 : 1)) {
+            PyErr_SetString(PyExc_IndexError, "pop from empty list");
+            goto done;
+        }
+        PyObject *x = stack[--top];
+        if (op == T_COMPL)
+            v = set_op(COMPL, x, one);
+        else if (op == T_UNION || op == T_INTER)
+            v = set_op(op == T_UNION ? UNION : INTER, stack[top - 1], x);
+        else if (need_tuple(x, "family"))
+            ;
+        else if (!PyTuple_GET_SIZE(x))
+            PyErr_SetString(PyExc_TypeError, "reduce() of empty iterable with no initial value");
+        else { /* the ⋂ or ⋃ fold of a family */
+            v = Py_NewRef(PyTuple_GET_ITEM(x, 0));
+            for (Py_ssize_t i = 1; v && i < PyTuple_GET_SIZE(x); i++)
+                Py_SETREF(v, set_op(op == T_MEET_ALL ? INTER : UNION, v, PyTuple_GET_ITEM(x, i)));
+        }
+        Py_DECREF(x);
+        if (!v)
+            goto done;
+        if (op == T_UNION || op == T_INTER)
+            Py_SETREF(stack[top - 1], v);
+        else
+            stack[top++] = v;
+    }
+    if (top)
+        out = stack[--top];
+    else
+        PyErr_SetString(PyExc_IndexError, "pop from empty list");
+done:
+    while (top)
+        Py_DECREF(stack[--top]);
+    PyMem_Free(stack);
+    return out;
+}
+
+/* term(program, slots, one): the program's value over the tuple of slots */
+FASTCALL(term) {
+    if (arity("term", nargs, 3) || need_tuple(args[1], "slots"))
+        return NULL;
+    return eval_term(args[0], PySequence_Fast_ITEMS(args[1]), PyTuple_GET_SIZE(args[1]), args[2]);
+}
 
 /* --- random generation on the integer grid --- */
 
@@ -398,12 +463,12 @@ static PyObject *draw_hfes(u64 *z, i64 count, i64 den, i64 lo, i64 hi) {
 
 enum { SET, FAMILY, LADDER, COPY, COINCIDE, ABOVE, BELOW, SUBFAMILY, CHOICE };
 enum { ALL, SOME, LONGER };
-enum { T_UNION = -1, T_INTER = -2, T_COMPL = -3, T_MEET_ALL = -4, T_JOIN_ALL = -5 };
 #define FNV_PRIME 0x100000001B3ULL
 
 typedef struct {
     u64 z; /* the trial stream's state */
     i64 den, lo, hi, flo, fhi, size;
+    PyObject *one; /* den as an int, the complement unit of a term */
     PyObject **slots;
     Py_ssize_t nslots;
 } trial;
@@ -551,30 +616,9 @@ done:
     return r;
 }
 
-/* mean(a) > mean(b), cross-multiplied exactly: 1, 0, or -1. */
-static int mean_gt(PyObject *a, PyObject *b) {
-    Py_ssize_t na = PyTuple_GET_SIZE(a), nb = PyTuple_GET_SIZE(b), i;
-    i128 sa = 0, sb = 0, l, r;
-    i64 x;
-    for (i = 0; i < na; i++) {
-        if (item_at(a, i, &x))
-            return -1;
-        sa += x;
-    }
-    for (i = 0; i < nb; i++) {
-        if (item_at(b, i, &x))
-            return -1;
-        sb += x;
-    }
-    if (__builtin_mul_overflow(sa, (i128)nb, &l) || __builtin_mul_overflow(sb, (i128)na, &r)) {
-        PyErr_SetString(PyExc_OverflowError, "mean cross-product outside __int128");
-        return -1;
-    }
-    return l > r;
-}
-
-/* names[0] ⊂code names[1] ⊂code ...: per position a base hfe, then one
- * step up per further name; for ⊂m, free hfes stably sorted by mean. */
+/* The move's slots move[2] ⊂code move[3] ⊂code ...: per position a base
+ * hfe, then one step up per further slot; for ⊂m, free hfes stably sorted
+ * by mean. */
 static int ladder(trial *t, PyObject *move, long code) {
     Py_ssize_t steps = PyTuple_GET_SIZE(move) - 3, width = steps + 1, p, j;
     i64 lift = code == REL_T, cap = t->hi - lift * steps;
@@ -601,8 +645,8 @@ static int ladder(trial *t, PyObject *move, long code) {
             for (Py_ssize_t end = width - 1; end > 0; end--)
                 for (j = 0; j < end; j++) {
                     PyObject *a = PyTuple_GET_ITEM(cols[j], p), *b = PyTuple_GET_ITEM(cols[j + 1], p);
-                    int gt = mean_gt(a, b);
-                    if (gt < 0)
+                    int gt;
+                    if (mean_gt(a, b, &gt))
                         goto done;
                     if (gt) {
                         PyTuple_SET_ITEM(cols[j], p, b);
@@ -640,69 +684,6 @@ done:
         Py_XDECREF(cols[j]);
     PyMem_Free(cols);
     return r;
-}
-
-/* The value of a postfix term program over the slots. */
-static PyObject *term(trial *t, PyObject *program) {
-    if (need_tuple(program, "term program"))
-        return NULL;
-    Py_ssize_t n = PyTuple_GET_SIZE(program), top = 0;
-    PyObject **stack = PyMem_New(PyObject *, n > 0 ? n : 1), *out = NULL, *one = NULL;
-    if (!stack)
-        return PyErr_NoMemory();
-    for (Py_ssize_t j = 0; j < n; j++) {
-        long op;
-        PyObject *v = NULL;
-        if (field(program, j, &op))
-            goto done;
-        if (op >= 0) {
-            if (op >= t->nslots) {
-                PyErr_SetString(PyExc_IndexError, "term slot out of range");
-                goto done;
-            }
-            stack[top++] = Py_NewRef(t->slots[op]);
-            continue;
-        }
-        if (op < T_JOIN_ALL) {
-            PyErr_Format(PyExc_ValueError, "unknown term operator %ld", op);
-            goto done;
-        }
-        if (top < (op == T_UNION || op == T_INTER ? 2 : 1)) {
-            PyErr_SetString(PyExc_IndexError, "pop from empty list");
-            goto done;
-        }
-        PyObject *x = stack[--top];
-        if (op == T_COMPL)
-            v = (one || (one = PyLong_FromLongLong(t->den))) ? set_op(COMPL, x, one) : NULL;
-        else if (op == T_UNION || op == T_INTER)
-            v = set_op(op == T_UNION ? UNION : INTER, stack[top - 1], x);
-        else if (need_tuple(x, "family"))
-            ;
-        else if (!PyTuple_GET_SIZE(x))
-            PyErr_SetString(PyExc_TypeError, "reduce() of empty iterable with no initial value");
-        else { /* the ⋂ or ⋃ fold of a family */
-            v = Py_NewRef(PyTuple_GET_ITEM(x, 0));
-            for (Py_ssize_t i = 1; v && i < PyTuple_GET_SIZE(x); i++)
-                Py_SETREF(v, set_op(op == T_MEET_ALL ? INTER : UNION, v, PyTuple_GET_ITEM(x, i)));
-        }
-        Py_DECREF(x);
-        if (!v)
-            goto done;
-        if (op == T_UNION || op == T_INTER)
-            Py_SETREF(stack[top - 1], v);
-        else
-            stack[top++] = v;
-    }
-    if (top)
-        out = stack[--top];
-    else
-        PyErr_SetString(PyExc_IndexError, "pop from empty list");
-done:
-    while (top)
-        Py_DECREF(stack[--top]);
-    Py_XDECREF(one);
-    PyMem_Free(stack);
-    return out;
 }
 
 /* The set under a family and members above it: every one, or one chosen
@@ -867,7 +848,8 @@ static int run(trial *t, PyObject *plan) {
         case BELOW: { /* the term's value, then below it per position */
             PyObject *value = NULL, *H = NULL, *h;
             if (field(move, 1, &code) || !(at = slot(t, move, 2)) || PyTuple_GET_SIZE(move) < 4
-                || !(value = term(t, PyTuple_GET_ITEM(move, 3))) || need_tuple(value, "hfs")
+                || !(value = eval_term(PyTuple_GET_ITEM(move, 3), t->slots, t->nslots, t->one))
+                || need_tuple(value, "hfs")
                 || !(H = PyTuple_New(PyTuple_GET_SIZE(value))))
                 r = -1;
             for (Py_ssize_t p = 0; H && !r && p < PyTuple_GET_SIZE(value); p++)
@@ -906,35 +888,41 @@ static int run(trial *t, PyObject *plan) {
 
 /* Trial `index` of a law: (size, binding or None), the trial's stream
  * seeded with the FNV-1a state `prefix` extended by the index's 8
- * little-endian bytes. t holds the bounds, and its slots hold None on entry
- * and on return. */
-static PyObject *one_trial(trial *t, PyObject *plan, PyObject *names, const i64 *b, u64 prefix, u64 index) {
+ * little-endian bytes. The binding is the tuple of the slots. t holds the
+ * bounds, and its slots hold None on entry and on return. */
+static PyObject *one_trial(trial *t, PyObject *plan, const i64 *b, u64 prefix, u64 index) {
     for (int i = 0; i < 8; i++)
         prefix = (prefix ^ ((index >> (8 * i)) & 0xFF)) * FNV_PRIME;
     t->z = prefix;
     i128 size = randint(t, b[1], b[2]);
     t->size = (i64)size;
     int r = run(t, plan);
-    PyObject *binding = r ? NULL : PyDict_New(), *out = NULL;
-    for (Py_ssize_t j = 0; binding && j < t->nslots; j++)
-        if (PyDict_SetItem(binding, PyTuple_GET_ITEM(names, j), t->slots[j]))
-            Py_CLEAR(binding);
+    PyObject *binding = r ? NULL : PyTuple_New(t->nslots), *out = NULL;
+    for (Py_ssize_t j = 0; j < t->nslots; j++) {
+        PyObject *value = t->slots[j];
+        t->slots[j] = Py_NewRef(Py_None);
+        if (binding)
+            PyTuple_SET_ITEM(binding, j, value);
+        else
+            Py_DECREF(value);
+    }
     if (r == 1)
         binding = Py_NewRef(Py_None);
     if (binding)
         out = Py_BuildValue("(LN)", (long long)size, binding);
-    for (Py_ssize_t j = 0; j < t->nslots; j++)
-        Py_SETREF(t->slots[j], Py_NewRef(Py_None));
     return out;
 }
 
 #define OUT_OF_RANGE "trial index out of range 0..2**64 - 1"
 
-/* draw_plan(plan, names, bounds, prefix, first, count) -> the list of
+/* An int that is not a bool, as width, first and count must be. */
+static int plain_int(PyObject *o) { return PyLong_Check(o) && !PyBool_Check(o); }
+
+/* draw_plan(plan, width, bounds, prefix, first, count) -> the list of
  * (size, binding or None) of trials first .. first + count - 1 */
 FASTCALL(draw_plan) {
     i64 b[7];
-    if (arity("draw_plan", nargs, 6) || need_tuple(args[1], "names") || need_tuple(args[2], "bounds"))
+    if (arity("draw_plan", nargs, 6) || need_tuple(args[2], "bounds"))
         return NULL;
     if (PyTuple_GET_SIZE(args[2]) != 7)
         return PyErr_Format(PyExc_ValueError, "bounds must hold 7 values");
@@ -944,36 +932,46 @@ FASTCALL(draw_plan) {
     u64 prefix = PyLong_AsUnsignedLongLongMask(args[3]);
     if (prefix == (u64)-1 && PyErr_Occurred())
         return NULL;
-    if (!PyLong_Check(args[4]) || !PyLong_Check(args[5]))
-        return PyErr_Format(PyExc_TypeError, "first and count must be ints");
+    if (!plain_int(args[1]) || !plain_int(args[4]) || !plain_int(args[5]))
+        return PyErr_Format(PyExc_TypeError, "width, first and count must be ints, not bools");
+    Py_ssize_t width = PyLong_AsSsize_t(args[1]);
+    if (width == -1 && PyErr_Occurred())
+        return NULL;
+    if (width < 0)
+        return PyErr_Format(PyExc_ValueError, "width must be non-negative");
     u64 first = PyLong_AsUnsignedLongLong(args[4]);
     if (first == (u64)-1 && PyErr_Occurred()) { /* an int, so outside 0..2**64 - 1 */
         PyErr_Clear();
         return PyErr_Format(PyExc_OverflowError, OUT_OF_RANGE);
     }
-    Py_ssize_t count = PyLong_AsSsize_t(args[5]);
+    int past; /* the sign of a count outside long long, which then reads -1 */
+    long long count = PyLong_AsLongLongAndOverflow(args[5], &past);
     if (count == -1 && PyErr_Occurred())
         return NULL;
-    if (count < 0)
+    if (past < 0 || (!past && count < 0))
         return PyErr_Format(PyExc_ValueError, "count must be non-negative");
-    if (count > 0 && (u64)(count - 1) > ~first)
+    if (past > 0 || (count > 0 && (u64)(count - 1) > ~first))
         return PyErr_Format(PyExc_OverflowError, OUT_OF_RANGE);
-    trial t = {.den = b[0], .lo = b[3], .hi = b[4], .flo = b[5], .fhi = b[6]};
-    t.nslots = PyTuple_GET_SIZE(args[1]);
-    t.slots = PyMem_New(PyObject *, t.nslots > 0 ? t.nslots : 1);
-    if (!t.slots)
+    trial t = {.den = b[0], .lo = b[3], .hi = b[4], .flo = b[5], .fhi = b[6], .nslots = width};
+    if (!(t.one = PyLong_FromLongLong(b[0])))
+        return NULL;
+    t.slots = PyMem_New(PyObject *, width > 0 ? width : 1);
+    if (!t.slots) {
+        Py_DECREF(t.one);
         return PyErr_NoMemory();
-    for (Py_ssize_t j = 0; j < t.nslots; j++)
+    }
+    for (Py_ssize_t j = 0; j < width; j++)
         t.slots[j] = Py_NewRef(Py_None);
-    PyObject *out = PyList_New(count), *one;
+    PyObject *out = PyList_New((Py_ssize_t)count), *one;
     for (Py_ssize_t k = 0; out && k < count; k++)
-        if ((one = one_trial(&t, args[0], args[1], b, prefix, first + (u64)k)))
+        if ((one = one_trial(&t, args[0], b, prefix, first + (u64)k)))
             PyList_SET_ITEM(out, k, one);
         else
             Py_CLEAR(out);
-    for (Py_ssize_t j = 0; j < t.nslots; j++)
+    for (Py_ssize_t j = 0; j < width; j++)
         Py_DECREF(t.slots[j]);
     PyMem_Free(t.slots);
+    Py_DECREF(t.one);
     return out;
 }
 
@@ -982,12 +980,11 @@ FASTCALL(draw_plan) {
 #define FAST(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef kernel_methods[] = {
-    FAST(e_rel, "The six inclusion relations on descending degree tuples."),
     FAST(u_union, "Union (degrees >= the larger minimum) at every universe position."),
     FAST(u_inter, "Intersection (degrees <= the smaller maximum) at every universe position."),
     FAST(u_compl, "Complement {one - g} at every universe position."),
-    FAST(u_rel, "True iff e_rel holds at every universe position."),
-    FAST(u_sot, "True iff a ⊂s b or a ⊂t b at every universe position."),
+    FAST(u_rel, "True iff a ⊂code b at every universe position; REL_SOT is ⊂s or ⊂t."),
+    FAST(term, "The value of a postfix term program over a tuple of slots."),
     FAST(draw_plan, "Trials first .. first + count - 1 of a law: a list of (universe size, binding or None)."),
     {NULL},
 };
@@ -1001,12 +998,12 @@ static struct PyModuleDef kernel_module = {
 };
 
 PyMODINIT_FUNC PyInit__ckernel(void) {
-    static const char *rel_names[] = {"REL_P", "REL_A", "REL_M", "REL_S", "REL_T", "REL_N"};
+    static const char *rel_names[] = {"REL_P", "REL_A", "REL_M", "REL_S", "REL_T", "REL_N", "REL_SOT"};
     PyObject *m = PyModule_Create(&kernel_module);
     if (!m)
         return NULL;
     int err = PyModule_AddStringConstant(m, "IMPLEMENTATION", "compiled");
-    for (int i = REL_P; !err && i <= REL_N; i++)
+    for (int i = REL_P; !err && i <= REL_SOT; i++)
         err = PyModule_AddIntConstant(m, rel_names[i], i);
     if (err)
         Py_CLEAR(m);

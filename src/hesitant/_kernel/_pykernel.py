@@ -8,10 +8,12 @@ compare, add and subtract degrees, so they are exact rational arithmetic;
 den may exceed a C integer. Every function that reads a degree of an hfe
 raises IndexError for an empty one.
 
-Each set-level function (`u_union`, `u_inter`, `u_compl`, `u_rel`, `u_sot`)
-is one loop over the universe positions, and holds the only copy of its
-semantics: an element value is the one-position case, as `e_rel` is of
-`u_rel`.
+Each set-level function (`u_union`, `u_inter`, `u_compl`, `u_rel`) is one
+loop over the universe positions, and holds the only copy of its semantics:
+an element value is the one-position case, `u_rel(code, (a,), (b,))`.
+`term` evaluates a set term, written as a postfix program over slots, with
+these functions; the law predicates and the `BELOW` move of `draw_plan`
+both run it.
 
 Random generation draws from SplitMix64 streams, and `draw_plan` is its one
 entry: it runs a chunk of consecutive trials of a law in one call. Output i
@@ -42,8 +44,8 @@ from struct import Struct
 
 IMPLEMENTATION = "pure"
 
-# Relation codes, shared with the compiled kernel.
-REL_P, REL_A, REL_M, REL_S, REL_T, REL_N = range(6)
+# Relation codes, shared with the compiled kernel. REL_SOT is ⊂s or ⊂t.
+REL_P, REL_A, REL_M, REL_S, REL_T, REL_N, REL_SOT = range(7)
 
 _MASK = (1 << 64) - 1
 
@@ -151,9 +153,9 @@ def u_compl(A, one):
 
 def u_rel(code, A, B):
     """True iff a ⊂code b at every position; the code is checked once a
-    position is compared. ⊂s and ⊂t hold when b >= a over the shorter hfe,
-    so they compare the first degrees before the lengths, and an empty hfe
-    raises as it does for the other relations."""
+    position is compared. ⊂s, ⊂t and REL_SOT (⊂s or ⊂t) hold when b >= a
+    over the shorter hfe, so they compare the first degrees before the
+    lengths, and an empty hfe raises as it does for the other relations."""
     pairs = zip(A, B)
     if code == REL_P:
         for a, b in pairs:
@@ -182,25 +184,14 @@ def u_rel(code, A, B):
         for a, b in pairs:
             if a[0] > b[-1]:
                 return False
+    elif code == REL_SOT:  # whichever hfe is shorter, b >= a over its length
+        for a, b in pairs:
+            if a[0] > b[0] or not all(map(ge, b, a)):
+                return False
     else:
         for _ in pairs:
             raise ValueError(f"unknown relation code {code}")
     return True
-
-
-def u_sot(A, B):
-    """True iff a ⊂s b or a ⊂t b at every position: whichever hfe is
-    shorter, b >= a over its length."""
-    for a, b in zip(A, B):
-        if a[0] > b[0] or not all(map(ge, b, a)):
-            return False
-    return True
-
-
-def e_rel(code, a, b):
-    """The six inclusion relations on descending degree tuples: `u_rel` at
-    one position."""
-    return u_rel(code, (a,), (b,))
 
 
 # --- a chunk of a law's trials: its draw plan ---
@@ -371,14 +362,17 @@ def _below(buf, deg, i, seed, n, b, code, lo, hi):
     return tuple(v), buf, deg, i + len(v)
 
 
-def _term(program, slots, den):
-    """The value of a postfix term program over the slots."""
+def term(program, slots, one):
+    """The value of a postfix term program over the slots: a slot index
+    pushes that slot's value, and the negative codes of `TERM_OPS` in
+    `laws/generators.py` pop their operands and push the union,
+    intersection, complement (unit `one`), or the ⋂ or ⋃ fold of a family."""
     stack = []
     for t in program:
         if t >= 0:
             stack.append(slots[t])
         elif t == _COMPL:
-            stack.append(u_compl(stack.pop(), den))
+            stack.append(u_compl(stack.pop(), one))
         elif t == _MEET_ALL or t == _JOIN_ALL:
             stack.append(reduce(u_inter if t == _MEET_ALL else u_union, stack.pop()))
         elif t == _UNION or t == _INTER:
@@ -389,21 +383,25 @@ def _term(program, slots, den):
     return stack.pop()
 
 
-def draw_plan(plan, names, bounds, prefix, first, count):
+def draw_plan(plan, width, bounds, prefix, first, count):
     """Trials first .. first + count - 1 of a law: a list of one (universe
-    size, binding of `names`) per trial, the binding None when a move is
-    impossible under the bounds. A trial that raises raises for the chunk.
+    size, binding) per trial. A binding is the tuple of the plan's `width`
+    slots, or None when a move is impossible under the bounds. A trial that
+    raises raises for the chunk.
 
     Trial t's stream is seeded with the FNV-1a state `prefix` extended by
     the 8 little-endian bytes of t; its first output draws the size from
     [size_lo, size_hi]. `bounds` is (den, size_lo, size_hi, card_lo,
     card_hi, family_lo, family_hi), and `plan` holds the moves documented in
-    `laws/generators.py`, each writing the value of the name at its slot.
-    Every trial index must fit 64 bits.
+    `laws/generators.py`, each writing a value into its slot. `width`,
+    `first` and `count` are ints and not bools, and every trial index must
+    fit 64 bits.
     """
     den, ulo, uhi, lo, hi, flo, fhi = bounds
-    if not isinstance(first, int) or not isinstance(count, int):
-        raise TypeError("first and count must be ints")
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (width, first, count)):
+        raise TypeError("width, first and count must be ints, not bools")
+    if width < 0:
+        raise ValueError("width must be non-negative")
     if first < 0 or first >> 64:
         raise OverflowError("trial index out of range 0..2**64 - 1")
     if count < 0:
@@ -415,8 +413,8 @@ def draw_plan(plan, names, bounds, prefix, first, count):
     for start in range(first, last, _PASS):
         for seed, buf, deg in _first_blocks(prefix, start, min(_PASS, last - start), den + 1):
             size = ulo + ((buf[0] * span) >> 64)
-            slots = _run(plan, [None] * len(names), buf, deg, seed, den, size, lo, hi, flo, fhi)
-            out.append((size, None if slots is None else dict(zip(names, slots))))
+            slots = _run(plan, [None] * width, buf, deg, seed, den, size, lo, hi, flo, fhi)
+            out.append((size, None if slots is None else tuple(slots)))
     return out
 
 
@@ -513,7 +511,7 @@ def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
         elif op == _BELOW:  # the term's value, then below it per position
             code, a, program = move[1:4]
             H = []
-            for x in _term(program, slots, den):
+            for x in term(program, slots, den):
                 h, buf, deg, i = _below(buf, deg, i, seed, n, x, code, lo, hi)
                 if h is None:
                     return None

@@ -167,14 +167,15 @@ def cmd_check(args) -> int:
 # --- counterexamples -------------------------------------------------------------
 
 
-def _spec_detail(spec, alg, plain, universe) -> list[str]:
-    """Describe the two sides of a claim/guard (a `Rel`) on one grid binding."""
+def _spec_detail(spec, slot, alg, plain, universe) -> list[str]:
+    """Describe the two sides of a claim/guard (a `Rel`) on one grid binding,
+    its params at `slot`."""
     from .degrees import render_rational
     from .elements import HFE
     from .laws.registry import at
     from .relations import Inclusion
 
-    L, R = spec.sides(alg.kern, alg.one, plain)
+    L, R = spec.sides(slot, alg.kern, alg.one, plain)
     lines = []
     for i, e in enumerate(universe):
         lh, rh = HFE._from_grid(L[i], alg.one), HFE._from_grid(R[i], alg.one)
@@ -209,6 +210,7 @@ def _spec_detail(spec, alg, plain, universe) -> list[str]:
 
 def _print_fixture_trace(law, fixture) -> bool:
     from .laws.engine import exact_binding, fixture_binding, grid_verdict
+    from .laws.generators import slots
 
     binding = fixture_binding(law, fixture)
     alg, plain = exact_binding(law, binding)
@@ -225,7 +227,7 @@ def _print_fixture_trace(law, fixture) -> bool:
     ):
         if spec is not None:
             print(f"  {label} {spec}: {_fmt_bool(holds)}")
-            for line in _spec_detail(spec, alg, plain, fixture.universe):
+            for line in _spec_detail(spec, slots(law.params), alg, plain, fixture.universe):
                 print(line)
     print(f"  => fixture {'falsifies the claim' if falsifies else 'DOES NOT falsify'}")
     print()

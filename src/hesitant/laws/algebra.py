@@ -6,6 +6,8 @@ values* on an integer grid:
     hfe     = non-empty descending tuple of int numerators k, meaning k/den
     hfs     = tuple of hfes (one per universe position)
     family  = tuple of hfs
+    binding = tuple of the law's param values (an hfs or a family each), in
+              `params` order
 
 An `Algebra` holds the two other arguments: `kern`, the kernel module the
 predicates call, and the complement unit `one` = den. Callers read both once

@@ -206,13 +206,14 @@ class Witness:
         }
 
 
-def _witness(law: Law, config: GeneratorConfig, index: int, size: int, binding: dict) -> Witness:
+def _witness(law: Law, config: GeneratorConfig, index: int, size: int, binding: tuple) -> Witness:
     return Witness(
         law_id=law.id,
         trial=index,
         universe=_universe_names(size),
         binding={
-            name: _serialize(binding[name], kind, config.degree_grid) for name, kind in law.params
+            name: _serialize(value, kind, config.degree_grid)
+            for (name, kind), value in zip(law.params, binding)
         },
     )
 
@@ -318,9 +319,10 @@ def fixture_binding(law: Law, fixture: Fixture) -> dict:
     return {name: sets[name] for name, kind in law.params if kind == "set"}
 
 
-def exact_binding(law: Law, binding: Mapping[str, object]) -> tuple[Algebra, dict]:
+def exact_binding(law: Law, binding: Mapping[str, object]) -> tuple[Algebra, tuple]:
     """A binding of public HFS/Family objects as plain values on the lcm of
-    all its denominators, and the exact algebra of that grid."""
+    all its denominators, in `law.params` order, and the exact algebra of
+    that grid."""
     sets_of = {}
     for name, kind in law.params:
         try:
@@ -335,11 +337,11 @@ def exact_binding(law: Law, binding: Mapping[str, object]) -> tuple[Algebra, dic
         raise UniverseMismatchError(f"binding of law {law.id} mixes universes")
     den, grids = _on_lcm(*((s._grid, s._den) for sets_ in sets_of.values() for s in sets_))
     grids = iter(grids)
-    plain = {}
+    plain = []
     for name, kind in law.params:
         hfss = tuple(next(grids) for _ in sets_of[name])
-        plain[name] = hfss[0] if kind == "set" else hfss
-    return Algebra(EXACT.kern, den), plain
+        plain.append(hfss[0] if kind == "set" else hfss)
+    return Algebra(EXACT.kern, den), tuple(plain)
 
 
 def evaluate_law(law: Law | str, binding: Mapping[str, object]) -> dict:
@@ -353,9 +355,9 @@ def evaluate_law(law: Law | str, binding: Mapping[str, object]) -> dict:
     return grid_verdict(law, *exact_binding(law, binding))
 
 
-def grid_verdict(law: Law, alg: Algebra, plain: Mapping[str, object]) -> dict:
+def grid_verdict(law: Law, alg: Algebra, plain: tuple) -> dict:
     """{"guard": bool, "claim": bool} of `law` on a binding of plain grid
-    values under `alg`."""
+    values, in `law.params` order, under `alg`."""
     kern, one = alg.kern, alg.one
     guard = True if law.guard is None else bool(law.guard(kern, one, plain))
     return {"guard": guard, "claim": bool(law.claim(kern, one, plain))}
@@ -388,12 +390,12 @@ def random_hfs(config: GeneratorConfig, stream_index: int) -> HFS:
 
     It is the one-move plan ((SET, 0),) run by the kernel's `draw_plan` as
     trial `stream_index` under the prefix `_mix(seed, "random_hfs")`: the
-    universe size, then one free set. The index must be an int (TypeError)
-    within 0..2**64 - 1 (OverflowError)."""
-    ((size, binding),) = active.draw_plan(
-        _ONE_SET, ("A",), _bounds(config), _mix(config.seed, "random_hfs"), stream_index, 1
+    universe size, then one free set. The index must be an int and not a
+    bool (TypeError), within 0..2**64 - 1 (OverflowError)."""
+    ((size, (plain,)),) = active.draw_plan(
+        _ONE_SET, 1, _bounds(config), _mix(config.seed, "random_hfs"), stream_index, 1
     )
-    return HFS._from_grid(Universe(_universe_names(size)), binding["A"], config.degree_grid)
+    return HFS._from_grid(Universe(_universe_names(size)), plain, config.degree_grid)
 
 
 def run_law(law: Law | str, config: GeneratorConfig) -> LawResult:

@@ -26,11 +26,13 @@ A ⊂t construction leaves room for its steps: a ladder's base has at most
 card_hi - steps degrees and step i at most card_hi - (steps - i), and the set
 under a family at most card_hi - 1. A ⊂m ladder draws free hfes and
 stable-sorts them by exact mean. A `BELOW` term is a postfix program over
-slots: a slot pushes its value, and the negative codes `TERM_OPS` combine
-values. A premise of any other shape is a ValueError, so the registry fails
-at import; the few laws whose plan no premise determines name one: the ⇔
-laws choose among plans with `CHOICE` (one `below(n)` draw picks the plan
-that follows), and thm5.6 builds its members with `ABOVE` `LONGER`.
+slots (`_program`), which the kernels' `term` runs: a slot pushes its value,
+and the negative codes `TERM_OPS` combine values. The registry's guards and
+claims run every compound term through the same programs. A premise of any
+other shape is a ValueError, so the registry fails at import; the few laws
+whose plan no premise determines name one: the ⇔ laws choose among plans
+with `CHOICE` (one `below(n)` draw picks the plan that follows), and thm5.6
+builds its members with `ABOVE` `LONGER`.
 
 All construction happens per universe position on the integer grid. The
 sorting trick used throughout: if values v_1..v_k are drawn with
@@ -43,7 +45,7 @@ a construction bug can only surface as starvation, never as a wrong verdict.
 
 from __future__ import annotations
 
-from ..expressions import Compl, Join, Var, variables
+from ..expressions import Compl, Join, Meet, Var, variables
 from ..relations import Inclusion
 
 M, T = Inclusion.MEAN, Inclusion.TAIL
@@ -57,29 +59,35 @@ ALL, SOME, LONGER = range(3)
 UNION, INTER, COMPL, MEET_ALL, JOIN_ALL = TERM_OPS = range(-1, -6, -1)
 
 
-def runner(plan, names):
-    """The draw of a law whose params are `names`: called as (kern, bounds,
+def runner(plan, width):
+    """The draw of a law with `width` params: called as (kern, bounds,
     prefix, first, count), it returns `kern.draw_plan`'s list of (universe
-    size, binding or None), one per trial from `first` on."""
+    size, binding or None), one per trial from `first` on. A binding is the
+    tuple of the params' values in params order."""
 
     def gen(kern, bounds, prefix, first, count):
-        return kern.draw_plan(plan, names, bounds, prefix, first, count)
+        return kern.draw_plan(plan, width, bounds, prefix, first, count)
 
     return gen
 
 
+def slots(params) -> dict:
+    """Each param's slot: its position in `params`."""
+    return {name: i for i, (name, _) in enumerate(params)}
+
+
 def _program(term, slot) -> tuple:
     """The postfix program of a set term or fold over the params' slots."""
-    from .registry import Fold  # the registry imports this module
-
-    if isinstance(term, Fold):
-        return (slot[term.family], MEET_ALL if term.op == "⋂" else JOIN_ALL)
     if isinstance(term, Var):
         return (slot[term.name],)
     if isinstance(term, Compl):
         return (*_program(term.child, slot), COMPL)
-    op = UNION if isinstance(term, Join) else INTER
-    return (*_program(term.left, slot), *_program(term.right, slot), op)
+    if isinstance(term, (Join, Meet)):
+        op = UNION if isinstance(term, Join) else INTER
+        return (*_program(term.left, slot), *_program(term.right, slot), op)
+    # the one other term is a fold, `registry.Fold`: importing it here would
+    # run once per node, and the registry compiles every term at its import
+    return (slot[term.family], MEET_ALL if term.op == "⋂" else JOIN_ALL)
 
 
 def derive(params, premise) -> tuple:
@@ -88,7 +96,7 @@ def derive(params, premise) -> tuple:
     in the module's table."""
     from .registry import And, Each, Fold, Rel, Subfamily
 
-    slot = {name: i for i, (name, _) in enumerate(params)}
+    slot = slots(params)
 
     def free(names):
         return tuple((SET if kind == "set" else FAMILY, slot[n]) for n, kind in params if n in names)

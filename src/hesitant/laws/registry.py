@@ -12,10 +12,12 @@ documented source for what each law means: `Law.statement` is rendered from
 the spec, and `Law.guard` and `Law.claim` are the closures compiled from it
 once, at import. Each is called as `(kern, one, binding)`: the kernel module
 and the complement unit of an `Algebra`, which callers read once per law,
-and the binding's plain grid values. Relation codes are bound at compile
-time. A law's draw plan is derived from its premise (`generators.derive`)
-unless the law names one; the ⇔ laws and thm5.6 do. `Law.gen` runs the plan
-for one trial.
+and the binding, the tuple of the params' plain grid values in `params`
+order. Relation codes and slots are bound at compile time, and every
+compound set term runs as one postfix program through the kernel's `term`.
+A law's draw plan is derived from its premise (`generators.derive`) unless
+the law names one; the ⇔ laws and thm5.6 do. `Law.gen` runs the plan for a
+chunk of consecutive trials.
 A refuted law's fixture names the worked example (`fixtures.EXAMPLES`) that
 refutes it.
 `render_table()` regenerates docs/laws.md from the statements.
@@ -31,8 +33,9 @@ from enum import Enum
 from functools import cache, reduce
 from typing import Callable, NamedTuple, Optional, Union
 
+from .._kernel._pykernel import REL_SOT
 from ..errors import UnknownLawError
-from ..expressions import Compl, Join, Node, Var, parse_expression
+from ..expressions import Node, Var, parse_expression
 from ..relations import Inclusion
 from . import generators as g
 from .fixtures import Fixture
@@ -53,7 +56,8 @@ class LawStatus(Enum):
 # --------------------------------------------------------------------------
 # The formula type. Terms are set expressions (`expressions.Node`) or folds
 # of a family; formulas are built from the nodes below. Every node renders
-# itself with `str` and compiles itself, once, to a closure
+# itself with `str` and compiles itself, once, with `compile(slot)`, the
+# law's map from each param name to its slot in a binding, to a closure
 # (kern, one, binding) -> value, where `one` is the complement unit. Nodes
 # are NamedTuples because a frozen dataclass costs about 1 ms at import.
 # --------------------------------------------------------------------------
@@ -82,47 +86,23 @@ def at(term: Term, element: str = "x") -> str:
     return f"{term}({element})" if isinstance(term, Var) else f"({term})({element})"
 
 
-def _value(term: Term) -> Callable:
-    """Compile a term to a closure (kern, one, binding) -> its hfs value."""
+def _value(term: Term, slot: dict) -> Callable:
+    """Compile a term to a closure (kern, one, binding) -> its hfs value: a
+    variable reads its slot, and any other term runs its postfix program
+    (`generators._program`) through the kernel's `term`."""
     if isinstance(term, Var):
-        name = term.name
+        i = slot[term.name]
 
         def var(k, one, b):
-            return b[name]
+            return b[i]
 
         return var
-    if isinstance(term, Fold):
-        family = term.family
-        if term.op == "⋂":
+    program = g._program(term, slot)
 
-            def meet_all(k, one, b):
-                return reduce(k.u_inter, b[family])
+    def value(k, one, b):
+        return k.term(program, b, one)
 
-            return meet_all
-
-        def join_all(k, one, b):
-            return reduce(k.u_union, b[family])
-
-        return join_all
-    if isinstance(term, Compl):
-        child = _value(term.child)
-
-        def compl(k, one, b):
-            return k.u_compl(child(k, one, b), one)
-
-        return compl
-    left, right = _value(term.left), _value(term.right)
-    if isinstance(term, Join):
-
-        def join(k, one, b):
-            return k.u_union(left(k, one, b), right(k, one, b))
-
-        return join
-
-    def meet(k, one, b):
-        return k.u_inter(left(k, one, b), right(k, one, b))
-
-    return meet
+    return value
 
 
 class Rel(NamedTuple):
@@ -144,26 +124,20 @@ class Rel(NamedTuple):
             return f"{self.lhs} ⊂s-or-⊂t {self.rhs} at every x"
         return f"{self.lhs} = {self.rhs} as multisets"
 
-    def sides(self, kern, one, binding) -> tuple:
-        """The values of lhs and rhs on one binding."""
-        return tuple(_value(t)(kern, one, binding) for t in (self.lhs, self.rhs))
+    def sides(self, slot, kern, one, binding) -> tuple:
+        """The values of lhs and rhs on one binding, its params at `slot`."""
+        return tuple(_value(t, slot)(kern, one, binding) for t in (self.lhs, self.rhs))
 
-    def compile(self) -> Callable:
-        lhs, rhs = _value(self.lhs), _value(self.rhs)
-        if self.mode == "sot":
-
-            def sot(k, one, b):
-                return k.u_sot(lhs(k, one, b), rhs(k, one, b))
-
-            return sot
+    def compile(self, slot) -> Callable:
+        lhs, rhs = _value(self.lhs, slot), _value(self.rhs, slot)
         if self.mode == "multiset":
 
             def same(k, one, b):
                 return lhs(k, one, b) == rhs(k, one, b)
 
             return same
-        code = self.kind.code
-        if self.mode == "rel":
+        code = REL_SOT if self.mode == "sot" else self.kind.code
+        if self.mode != "eq":
 
             def rel(k, one, b):
                 return k.u_rel(code, lhs(k, one, b), rhs(k, one, b))
@@ -202,8 +176,8 @@ class And(tuple):
     def __str__(self) -> str:
         return " and ".join(map(str, self))
 
-    def compile(self) -> Callable:
-        return reduce(_both, [part.compile() for part in reversed(self)])
+    def compile(self, slot) -> Callable:
+        return reduce(_both, [part.compile(slot) for part in reversed(self)])
 
 
 def _both(rest: Callable, first: Callable) -> Callable:
@@ -220,8 +194,8 @@ class Iff(NamedTuple):
     def __str__(self) -> str:
         return f"{self.left} ⇔ {self.right}"
 
-    def compile(self) -> Callable:
-        left, right = self.left.compile(), self.right.compile()
+    def compile(self, slot) -> Callable:
+        left, right = self.left.compile(slot), self.right.compile(slot)
 
         def iff(k, one, b):
             return left(k, one, b) == right(k, one, b)
@@ -240,12 +214,13 @@ class Each(NamedTuple):
     def __str__(self) -> str:
         return f"{self.body} for {self.quantifier} {self.var} in {self.family}"
 
-    def compile(self) -> Callable:
-        body, var, family = self.body.compile(), self.var, self.family
+    def compile(self, slot) -> Callable:
+        # the member is one slot past the law's params
+        body, family = self.body.compile({**slot, self.var: len(slot)}), slot[self.family]
         test = all if self.quantifier == "all" else any
 
         def each(k, one, b):
-            return test(body(k, one, {**b, var: H}) for H in b[family])
+            return test(body(k, one, (*b, H)) for H in b[family])
 
         return each
 
@@ -269,8 +244,8 @@ class Subfamily(NamedTuple):
     def __str__(self) -> str:
         return f"{self.small} ⊏ {self.big}"
 
-    def compile(self) -> Callable:
-        small, big = self.small, self.big
+    def compile(self, slot) -> Callable:
+        small, big = slot[self.small], slot[self.big]
 
         def subfamily(k, one, b):
             unmatched = list(b[big])
@@ -295,19 +270,20 @@ class EitherAt(NamedTuple):
             f"{at(r.lhs)} ⊂{r.kind.letter} {at(r.rhs)}" for r in (self.first, self.second)
         )
 
-    def compile(self) -> Callable:
+    def compile(self, slot) -> Callable:
         # Each distinct term (prop5.1/5.2 share A ∩ B or A ∪ B) is evaluated once.
         terms = [t for r in (self.first, self.second) for t in (r.lhs, r.rhs)]
         distinct = list(dict.fromkeys(terms))
-        values = [_value(t) for t in distinct]
+        values = [_value(t, slot) for t in distinct]
         picks = [distinct.index(t) for t in terms]
         c1, c2 = self.first.kind.code, self.second.kind.code
 
         def either(k, one, b):
-            e_rel = k.e_rel
+            rel = k.u_rel
             v = [value(k, one, b) for value in values]
             return all(
-                e_rel(c1, a1, b1) or e_rel(c2, a2, b2) for a1, b1, a2, b2 in zip(*(v[i] for i in picks))
+                rel(c1, (a1,), (b1,)) or rel(c2, (a2,), (b2,))
+                for a1, b1, a2, b2 in zip(*(v[i] for i in picks))
             )
 
         return either
@@ -322,8 +298,8 @@ class Coincide(NamedTuple):
     def __str__(self) -> str:
         return f"at every x, all degrees of {self.lhs}(x) and {self.rhs}(x) coincide"
 
-    def compile(self) -> Callable:
-        lhs, rhs = self.lhs, self.rhs
+    def compile(self, slot) -> Callable:
+        lhs, rhs = slot[self.lhs], slot[self.rhs]
 
         def coincide(k, one, b):
             return all(len(set(a) | set(c)) == 1 for a, c in zip(b[lhs], b[rhs]))
@@ -340,8 +316,8 @@ class FewerDegrees(NamedTuple):
     def __str__(self) -> str:
         return f"|{self.name}(x)| < |H(x)| at every x for all H in {self.family}"
 
-    def compile(self) -> Callable:
-        name, family = self.name, self.family
+    def compile(self, slot) -> Callable:
+        name, family = slot[self.name], slot[self.family]
 
         def fewer(k, one, b):
             return all(len(a) < len(h) for H in b[family] for a, h in zip(b[name], H))
@@ -373,7 +349,7 @@ class Law:
     claim: Callable  # (kern, one, binding) -> bool, compiled from the spec's claim
     guard: Optional[Callable]  # the same, compiled from the spec's premise, if any
     plan: tuple  # the moves of its draw (`generators`)
-    gen: Callable  # (kern, bounds, prefix, first, count) -> [(size, binding or None)], runs the plan
+    gen: Callable  # (kern, bounds, prefix, first, count) -> [(size, binding tuple or None)], runs the plan
     fixtures: tuple[Fixture, ...] = ()
     aliases: tuple[str, ...] = ()
     note: str = ""
@@ -405,15 +381,16 @@ def _law(id, params, spec, plan=None, *, status=LawStatus.PROVED, fixtures=(), a
     premise, claim = (spec.premise, spec.claim) if isinstance(spec, Implies) else (None, spec)
     if plan is None:
         plan = g.derive(params, premise)
+    slot = g.slots(params)
     _LAWS.append(Law(
         id=id,
         status=status,
         params=params,
         spec=spec,
-        claim=claim.compile(),
-        guard=None if premise is None else premise.compile(),
+        claim=claim.compile(slot),
+        guard=None if premise is None else premise.compile(slot),
         plan=plan,
-        gen=g.runner(plan, tuple(name for name, _ in params)),
+        gen=g.runner(plan, len(params)),
         fixtures=fixtures,
         aliases=aliases,
         note=note,

@@ -112,7 +112,7 @@ def element_relation(kind: Inclusion, a: HFE, b: HFE) -> bool:
         code = kind.code
     except AttributeError:
         raise _not_a_kind(kind) from None
-    return _ops.e_rel(code, ga, gb)
+    return _ops.u_rel(code, (ga,), (gb,))
 
 
 def _not_a_kind(kind) -> TypeError:
@@ -120,7 +120,7 @@ def _not_a_kind(kind) -> TypeError:
 
 
 def _strong_or_tail(ga: tuple, gb: tuple) -> Optional[Inclusion]:
-    if not _ops.u_sot((ga,), (gb,)):
+    if not _ops.u_rel(_ops.REL_SOT, (ga,), (gb,)):
         return None
     return Inclusion.STRONG if len(ga) >= len(gb) else Inclusion.TAIL
 
@@ -182,7 +182,7 @@ def relation_profile(a: HFE, b: HFE) -> RelationProfile:
     """Evaluate all six relations for the ordered pair (a, b) in one pass,
     on one rescaling of the pair."""
     _, ga, gb = a._with(b)
-    verdicts = {_FIELDS[kind]: _ops.e_rel(kind.code, ga, gb) for kind in Inclusion}
+    verdicts = {_FIELDS[kind]: _ops.u_rel(kind.code, (ga,), (gb,)) for kind in Inclusion}
     return RelationProfile(**verdicts, strong_or_tail=_strong_or_tail(ga, gb))
 
 

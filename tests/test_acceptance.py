@@ -313,10 +313,10 @@ def random_hfs_on(universe: Universe, config: GeneratorConfig, index: int):
 
     den, n = config.degree_grid, len(universe)
     bounds = (den, n, n, *config.cardinality, *config.family_size)
-    ((_, binding),) = active.draw_plan(((SET, 0),), ("A",), bounds, _mix(config.seed, "random_hfs_on"), index, 1)
+    ((_, (plain,)),) = active.draw_plan(((SET, 0),), 1, bounds, _mix(config.seed, "random_hfs_on"), index, 1)
     return HFS(
         universe,
-        {e: [Fraction(num, den) for num in binding["A"][i]] for i, e in enumerate(universe)},
+        {e: [Fraction(num, den) for num in plain[i]] for i, e in enumerate(universe)},
     )
 
 

@@ -95,11 +95,12 @@ def test_random_hfs_pinned(compiled, monkeypatch):
 
 
 def test_random_hfs_rejects_bad_indices(compiled, monkeypatch):
-    """A stream index is an int in 0..2**64 - 1: a str, a float or None is
-    a TypeError, not the stream of its text or of its floor."""
+    """A stream index is an int in 0..2**64 - 1: a str, a float, None or a
+    bool is a TypeError, not the stream of its text, of its floor or of 0
+    or 1."""
     for kernel in (_pykernel, compiled):
         monkeypatch.setattr(engine, "active", kernel)
-        for index in ("3", 1.5, None):
+        for index in ("3", 1.5, None, True, False):
             with pytest.raises(TypeError):
                 random_hfs(SMALL, index)
         for index in (-1, 2**64, -(2**70)):
@@ -325,7 +326,8 @@ def test_evaluate_law_with_family_binding():
 
 def _binding_digest(config) -> str:
     """sha256 over (law id, index, universe size, binding) of every trial
-    `_trials` yields for every law, the binding as its sorted items."""
+    `_trials` yields for every law, the binding as its sorted (name, value)
+    items."""
     import hashlib
 
     from hesitant import law_registry
@@ -336,7 +338,7 @@ def _binding_digest(config) -> str:
     h = hashlib.sha256()
     for law in law_registry():
         for index, size, binding in _trials(law, alg, config):
-            items = None if binding is None else sorted(binding.items())
+            items = None if binding is None else sorted(zip((name for name, _ in law.params), binding))
             h.update(repr((law.id, index, size, items)).encode())
     return h.hexdigest()
 

@@ -11,6 +11,7 @@ non-decimal degrees and denominators whose lcm passes 64 bits.
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from hesitant._kernel import _pykernel
 from hesitant.laws import Witness, replay_witness
 from hesitant.laws.algebra import Algebra
 from hesitant.laws.engine import exact_binding
+from hesitant.laws.generators import COMPL, JOIN_ALL, MEET_ALL, UNION, slots
 
 # --- the oracle: Fraction tuples and Fraction arithmetic -------------------------
 
@@ -44,18 +46,44 @@ def _rel(code, a, b):
         return len(a) >= len(b) and all(b[i] >= a[i] for i in range(len(b)))
     if code == _pykernel.REL_T:
         return len(a) < len(b) and all(b[i] >= a[i] for i in range(len(a)))
+    if code == _pykernel.REL_SOT:
+        return _rel(_pykernel.REL_S, a, b) or _rel(_pykernel.REL_T, a, b)
     return a[0] <= b[-1]
 
 
+def _set_op(op):
+    return lambda A, B: tuple(map(op, A, B))
+
+
+def _complement(A, one):
+    return tuple(tuple(one - g for g in reversed(a)) for a in A)
+
+
+def _term(program, slots, one):
+    """A postfix program's value, read from its end: the last code applies
+    to the values of the subprograms that end before it."""
+
+    def value(end):  # (value, start) of the subprogram that ends at `end`
+        code = program[end - 1]
+        if code >= 0:
+            return slots[code], end - 1
+        operand, start = value(end - 1)
+        if code == COMPL:
+            return _complement(operand, one), start
+        if code in (MEET_ALL, JOIN_ALL):
+            return reduce(_set_op(_inter if code == MEET_ALL else _union), operand), start
+        left, start = value(start)
+        return _set_op(_union if code == UNION else _inter)(left, operand), start
+
+    return value(len(program))[0]
+
+
 _FRACTION_KERNEL = SimpleNamespace(
-    e_rel=_rel,
-    u_union=lambda A, B: tuple(map(_union, A, B)),
-    u_inter=lambda A, B: tuple(map(_inter, A, B)),
-    u_compl=lambda A, one: tuple(tuple(one - g for g in reversed(a)) for a in A),
+    u_union=_set_op(_union),
+    u_inter=_set_op(_inter),
+    u_compl=_complement,
     u_rel=lambda code, A, B: all(map(_rel, [code] * len(A), A, B)),
-    u_sot=lambda A, B: all(
-        _rel(_pykernel.REL_S, a, b) or _rel(_pykernel.REL_T, a, b) for a, b in zip(A, B)
-    ),
+    term=_term,
 )
 _ORACLE = Algebra(_FRACTION_KERNEL, Fraction(1))
 
@@ -64,10 +92,10 @@ def _oracle_values(law, binding):
     def plain(s):
         return tuple(h.degrees for h in s.hfes)
 
-    return {
-        name: plain(binding[name]) if kind == "set" else tuple(map(plain, binding[name].sets))
+    return tuple(
+        plain(binding[name]) if kind == "set" else tuple(map(plain, binding[name].sets))
         for name, kind in law.params
-    }
+    )
 
 
 def _oracle(law, binding):
@@ -145,9 +173,9 @@ def test_relation_sides_match_the_fraction_oracle():
             for rel in rels:
                 sides = [
                     tuple(tuple(Fraction(n, alg.one) for n in h) for h in side)
-                    for side in rel.sides(alg.kern, alg.one, plain)
+                    for side in rel.sides(slots(law.params), alg.kern, alg.one, plain)
                 ]
-                assert sides == list(rel.sides(kern, one, values)), (law.id, str(rel), binding)
+                assert sides == list(rel.sides(slots(law.params), kern, one, values)), (law.id, str(rel), binding)
 
 
 def test_set_and_family_laws_see_denominators_past_64_bits():

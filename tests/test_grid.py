@@ -168,8 +168,7 @@ def test_random_hfs_matches_fraction_construction():
         config = GeneratorConfig(seed=11, degree_grid=grid)
         prefix = _mix(config.seed, "random_hfs")
         for i in range(50):
-            ((size, binding),) = active.draw_plan(((SET, 0),), ("A",), _bounds(config), prefix, i, 1)
-            plain = binding["A"]
+            ((size, (plain,)),) = active.draw_plan(((SET, 0),), 1, _bounds(config), prefix, i, 1)
             uni = Universe(f"x{j}" for j in range(1, size + 1))
             want = HFS(uni, {e: [Fraction(n, grid) for n in plain[j]] for j, e in enumerate(uni)})
             got = random_hfs(config, i)

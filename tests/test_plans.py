@@ -29,21 +29,17 @@ BOUNDS = {
 }
 
 
-def _names(law):
-    return tuple(name for name, _ in law.params)
-
-
-def _draws(kernel, plan, names, bounds, prefix, indices):
+def _draws(kernel, plan, width, bounds, prefix, indices):
     """The trials at `indices`, one call each, then all of them in one
     chunk; a trial or chunk that raises is "raised"."""
     out = []
     for index in indices:
         try:
-            out.extend(kernel.draw_plan(plan, names, bounds, prefix, index, 1))
+            out.extend(kernel.draw_plan(plan, width, bounds, prefix, index, 1))
         except Exception:  # either kernel may name the fault its own way
             out.append("raised")
     try:
-        chunk = kernel.draw_plan(plan, names, bounds, prefix, indices.start, len(indices))
+        chunk = kernel.draw_plan(plan, width, bounds, prefix, indices.start, len(indices))
     except Exception:
         chunk = "raised"
     assert chunk == ("raised" if "raised" in out else out), (kernel.IMPLEMENTATION, plan, bounds)
@@ -78,7 +74,7 @@ def test_draw_plan_identical_for_every_law(compiled, config):
     for law in law_registry():
         prefix = _mix(11, law.id)
         for indices in runs:
-            args = (law.plan, _names(law), bounds, prefix, indices)
+            args = (law.plan, len(law.params), bounds, prefix, indices)
             assert _draws(compiled, *args) == _draws(pure, *args), law.id
 
 
@@ -109,11 +105,11 @@ def test_draw_plan_identical_for_random_plans(compiled, seed):
     raises."""
     rng = random.Random(seed)
     for _ in range(300):
-        names = ("A", "B", "C")[: rng.randrange(1, 4)]
-        plan = _random_plan(rng, len(names))
+        width = rng.randrange(1, 4)
+        plan = _random_plan(rng, width)
         bounds = (rng.choice((1, 100, 10**9)), rng.randrange(3), rng.choice((1, 3, 5)), rng.randrange(3),
                   rng.choice((0, 1, 4, 7)), rng.randrange(3), rng.choice((0, 1, 4)))
-        args = (plan, names, bounds, rng.getrandbits(64), range(rng.randrange(50), 55))
+        args = (plan, width, bounds, rng.getrandbits(64), range(rng.randrange(50), 55))
         assert _draws(compiled, *args) == _draws(pure, *args), (plan, bounds)
 
 
@@ -126,8 +122,8 @@ def test_draw_plan_seeds_each_trial_from_the_law_prefix(compiled):
         for index in (0, 1, 255, 256, 2**40, 2**64 - 1):
             stream = OracleStream(_mix(7, "thm1.1", index))
             size = stream.randint(*bounds[1:3])
-            expected = (size, {"A": oracle_gen_hfs(stream, bounds[0], size, *bounds[3:5])})
-            assert kernel.draw_plan(((g.SET, 0),), ("A",), bounds, _mix(7, "thm1.1"), index, 1) == [expected]
+            expected = (size, (oracle_gen_hfs(stream, bounds[0], size, *bounds[3:5]),))
+            assert kernel.draw_plan(((g.SET, 0),), 1, bounds, _mix(7, "thm1.1"), index, 1) == [expected]
 
 
 def test_pure_codes_are_the_generators_codes():

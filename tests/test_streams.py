@@ -57,7 +57,7 @@ def oracle_gen_hfs(stream, den, size, card_lo, card_hi):
     return tuple(_oracle_gen_hfe(stream, den, card_lo, card_hi) for _ in range(size))
 
 
-def _oracle_draw_plan(plan, names, bounds, prefix, first, count):
+def _oracle_draw_plan(plan, width, bounds, prefix, first, count):
     """`draw_plan` of a plan of `SET`, `FAMILY` and `COINCIDE` moves, one
     oracle stream per trial, seeded with the prefix extended by the trial
     index's 8 little-endian bytes."""
@@ -66,7 +66,7 @@ def _oracle_draw_plan(plan, names, bounds, prefix, first, count):
     for index in range(first, first + count):
         stream = OracleStream(_extend(prefix & _MASK, index.to_bytes(8, "little")))
         size = stream.randint(ulo, uhi)
-        slots = [None] * len(names)
+        slots = [None] * width
         for op, *at in plan:
             if op == SET:
                 slots[at[0]] = oracle_gen_hfs(stream, den, size, lo, hi)
@@ -79,13 +79,13 @@ def _oracle_draw_plan(plan, names, bounds, prefix, first, count):
                     c = (stream.below(den + 1),)
                     pairs.append((c * stream.randint(lo, hi), c * stream.randint(lo, hi)))
                 slots[at[0]], slots[at[1]] = (tuple(p[j] for p in pairs) for j in (0, 1))
-        out.append((size, dict(zip(names, slots))))
+        out.append((size, tuple(slots)))
     return out
 
 
-def _check(plan, names, bounds, prefix, first, count):
-    got = pure.draw_plan(plan, names, bounds, prefix, first, count)
-    assert got == _oracle_draw_plan(plan, names, bounds, prefix, first, count), (plan, bounds, prefix, first)
+def _check(plan, width, bounds, prefix, first, count):
+    got = pure.draw_plan(plan, width, bounds, prefix, first, count)
+    assert got == _oracle_draw_plan(plan, width, bounds, prefix, first, count), (plan, bounds, prefix, first)
     return got
 
 
@@ -96,7 +96,7 @@ DENS = (1, 100, 10**9)
 # `_grow`); den + 1 = 2**64 - 1 is the widest grid drawn from the lanes.
 WIDE_DENS = (2**64 - 2, 2**64 - 1, 2**64, 3**50)
 CARDS = ((1, 1), (3, 3), (64, 64), (1, 6), (1, 64))
-_PAIR = ((COINCIDE, 0, 1),), ("A", "B")
+_PAIR = ((COINCIDE, 0, 1),), 2
 
 
 @pytest.mark.parametrize("seed", SEEDS + (-1, 2**64 + 5))
@@ -105,13 +105,13 @@ def test_single_draws_match(seed):
     size; outputs 2, 5, 8, ... of one stream, past its first block, are a
     `COINCIDE` move's degrees."""
     for n in (1, 2, 101, 10**9 + 1, 2**64, 2**64 + 1):
-        _check((), (), (100, 0, n - 1, 1, 1, 1, 1), seed, 0, 70)
+        _check((), 0, (100, 0, n - 1, 1, 1, 1, 1), seed, 0, 70)
         _check(*_PAIR, (n - 1, 16, 16, 1, 1, 1, 1), seed, 0, 3)
     for lo, hi in ((0, 0), (3, 9), (0, 10**9), (5, 5)):
-        _check((), (), (100, lo, hi, 1, 1, 1, 1), seed, 0, 70)
+        _check((), 0, (100, lo, hi, 1, 1, 1, 1), seed, 0, 70)
     for lo, hi in ((0, 0), (3, 9), (5, 5)):
         _check(*_PAIR, (100, 16, 16, lo, hi, 1, 1), seed, 2**64 - 3, 3)
-    _check((), (), (100, 0, _MASK, 1, 1, 1, 1), seed, 2**64 - 70, 70)  # u64(): the whole output
+    _check((), 0, (100, 0, _MASK, 1, 1, 1, 1), seed, 2**64 - 70, 70)  # u64(): the whole output
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -119,12 +119,12 @@ def test_single_draws_match(seed):
 @pytest.mark.parametrize("card", CARDS)
 def test_generation_matches(seed, den, card):
     lo, hi = card
-    _check(tuple((SET, j) for j in range(5)), tuple("ABCDE"), (den, 1, 1, lo, hi, 1, 1), seed, 0, 2)
-    _check(((SET, 0), (SET, 1)), ("A", "B"), (den, 16, 16, lo, hi, 1, 1), seed, 7, 2)
-    _check(((SET, 0),), ("A",), (den, 1, 16, lo, hi, 1, 1), seed, 2**64 - 3, 3)
+    _check(tuple((SET, j) for j in range(5)), 5, (den, 1, 1, lo, hi, 1, 1), seed, 0, 2)
+    _check(((SET, 0), (SET, 1)), 2, (den, 16, 16, lo, hi, 1, 1), seed, 7, 2)
+    _check(((SET, 0),), 1, (den, 1, 16, lo, hi, 1, 1), seed, 2**64 - 3, 3)
 
 
-_HANDOVER = ((SET, 0), (COINCIDE, 1, 2), (FAMILY, 3), (SET, 4), (COINCIDE, 5, 6)), tuple("ABCDEFG")
+_HANDOVER = ((SET, 0), (COINCIDE, 1, 2), (FAMILY, 3), (SET, 4), (COINCIDE, 5, 6)), 7
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -156,15 +156,14 @@ def test_random_interleavings_match_the_oracle(prefix, ops, den, ulo, uhi, lo, h
         width = 2 if op == COINCIDE else 1
         plan.append((op, *range(slot, slot + width)))
         slot += width
-    names = tuple(f"N{j}" for j in range(slot))
-    _check(tuple(plan), names, (den, ulo, uhi, lo, hi, flo, fhi), prefix, first, count)
+    _check(tuple(plan), slot, (den, ulo, uhi, lo, hi, flo, fhi), prefix, first, count)
 
 
 def test_empty_hfs_draws_nothing():
     """At universe size 0 a set draws nothing: the family after it draws its
     size from output 2."""
-    ((size, binding),) = _check(((SET, 0), (FAMILY, 1)), ("A", "F"), (100, 0, 0, 1, 6, 1, 5), 7, 0, 1)
-    assert size == 0 and binding["A"] == () and set(binding["F"]) == {()}
+    ((size, (A, F)),) = _check(((SET, 0), (FAMILY, 1)), 2, (100, 0, 0, 1, 6, 1, 5), 7, 0, 1)
+    assert size == 0 and A == () and set(F) == {()}
 
 
 @pytest.mark.parametrize("seed", (0, 20250808, 2**64 - 1))
@@ -180,8 +179,8 @@ def test_trial_seed_extends_the_law_prefix(seed):
 def test_state_reads_back_masked(compiled, value):
     """Both kernels read the prefix, an FNV-1a state, modulo 2**64, as the
     oracle reads a seed, and then agree."""
-    plan, names = ((SET, 0), (COINCIDE, 1, 2)), ("A", "B", "C")
+    plan = ((SET, 0), (COINCIDE, 1, 2))
     bounds = (100, 1, 4, 1, 6, 1, 5)
-    want = _check(plan, names, bounds, value & _MASK, 0, 3)
-    assert _check(plan, names, bounds, value, 0, 3) == want
-    assert compiled.draw_plan(plan, names, bounds, value, 0, 3) == want
+    want = _check(plan, 3, bounds, value & _MASK, 0, 3)
+    assert _check(plan, 3, bounds, value, 0, 3) == want
+    assert compiled.draw_plan(plan, 3, bounds, value, 0, 3) == want
