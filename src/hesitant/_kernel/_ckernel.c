@@ -14,6 +14,10 @@
  *   - an hfe or hfs that is not a tuple raises TypeError;
  *   - an empty hfe raises IndexError in every function that reads its
  *     degrees, as pure does.
+ * The pure set functions (`u_union`, `u_inter`, `u_compl`, `u_rel`, `term`)
+ * take ints of any size, for the exact path, where these raise; `draw_plan`
+ * reads its seven bounds as int64 on both kernels, so for a bound outside
+ * int64 both raise OverflowError, and for one that is not an int TypeError.
  * Scratch space is sized from the input. Relations read only the positions
  * the pure kernel reads, and the set-level functions stop at the shorter
  * operand, as `zip` does. The SplitMix64 streams are bit-identical to the

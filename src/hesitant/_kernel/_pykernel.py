@@ -4,9 +4,9 @@ Everything here works on plain tuples of ints over one denominator den: a
 degree k stands for k/den, and the complement unit `one` is den. An element
 value ("hfe") is a non-empty descending tuple of degrees; a set value
 ("hfs") is a tuple of hfes, one per universe position. The functions only
-compare, add and subtract degrees, so they are exact rational arithmetic;
-den may exceed a C integer. Every function that reads a degree of an hfe
-raises IndexError for an empty one.
+compare, add and subtract degrees, so they are exact rational arithmetic,
+and take ints of any size: den may exceed a C integer. Every function that
+reads a degree of an hfe raises IndexError for an empty one.
 
 Each set-level function (`u_union`, `u_inter`, `u_compl`, `u_rel`) is one
 loop over the universe positions, and holds the only copy of its semantics:
@@ -16,22 +16,24 @@ these functions; the law predicates and the `BELOW` move of `draw_plan`
 both run it.
 
 Random generation draws from SplitMix64 streams, and `draw_plan` is its one
-entry: it runs a chunk of consecutive trials of a law in one call. Output i
-of a stream is the mix of state + i·γ, so the kernel computes outputs a
-block at a time, one per 128-bit lane of a single Python int, and reads the
-draws from that buffer. `draw_plan` seeds each trial's stream from the
-law's FNV-1a prefix and the trial index and computes the first block of up
-to 64 trials in one pass over wide ints (32 lanes per trial); then it draws
-each trial's universe size and runs the law's plan (`laws/generators.py`)
-on that trial's buffer, growing it a block at a time. The draws are exactly
-those of one output per draw: `tests/test_streams.py` pins them against a
-method-per-draw oracle.
+entry: it runs a chunk of consecutive trials of a law in one call. Unlike
+the set functions it reads its bounds as int64, as the compiled kernel
+does. Output i of a stream is the mix of state + i·γ, so `_block` computes
+the outputs of many streams a block at a time, one per 128-bit lane of a
+single Python int, with their draws from the grid in the lanes' high
+halves. `draw_plan` seeds each trial's stream from the law's FNV-1a prefix
+and the trial index, computes the first blocks of up to 64 trials in one
+pass, then draws each trial's universe size and runs the law's plan
+(`laws/generators.py`) on that trial's buffer, growing it by passes over
+its one stream. The draws are exactly those of one output per draw:
+`tests/test_streams.py` pins them against a method-per-draw oracle.
 
 The compiled twin, the hand-written C module `_ckernel.c`, has exactly the
 public names of this module, with the identical contract for degrees that
 fit int64, including bit-identical random streams: for every input it
 returns exactly what this module returns or raises a Python exception
-(`OverflowError` outside int64, `TypeError` for an hfe that is not a tuple).
+(`OverflowError` outside int64, `TypeError` for an hfe that is not a tuple);
+for `draw_plan`'s bounds both raise the same.
 `tests/test_kernel.py` pins the names and the equivalence.
 """
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import repeat
-from operator import ge, sub
+from operator import ge, index, sub
 from struct import Struct
 
 IMPLEMENTATION = "pure"
@@ -56,18 +58,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# A block holds the next _BLOCK outputs, output j in bits 128j..128j+63 of
-# one int. A lane's value stays below 2**64 after every mask, so a product
-# with a 64-bit constant fits its 128 bits, and a right shift moves the next
-# lane's bits only into the high half, which the mask that follows clears.
-_BLOCK = 32
-_BYTES = 16 * _BLOCK  # the bytes of one block
-_LANES = sum(1 << (128 * j) for j in range(_BLOCK))  # 1 in every lane
-_LOW = _MASK * _LANES  # the low 64 bits of every lane
-_STEPS = sum(((j + 1) * _GOLDEN & _MASK) << (128 * j) for j in range(_BLOCK))
-_LOW_HALVES = Struct("<" + "Q8x" * _BLOCK).unpack
-_HIGH_HALVES = Struct("<" + "8xQ" * _BLOCK).unpack
-
 
 def _mixed(x: int, low: int) -> int:
     """The SplitMix64 outputs of the states in x's lanes, which `low`, the
@@ -75,26 +65,6 @@ def _mixed(x: int, low: int) -> int:
     x = ((x ^ (x >> 30)) & low) * _MIX1 & low
     x = ((x ^ (x >> 27)) & low) * _MIX2 & low
     return (x ^ (x >> 31)) & low
-
-
-def _lanes(z: int) -> int:
-    """Outputs 1.._BLOCK of the SplitMix64 stream at state z, one a lane."""
-    return _mixed((z * _LANES + _STEPS) & _LOW, _LOW)
-
-
-def _grow(buf: tuple, deg: tuple, seed: int, n: int, need: int) -> tuple:
-    """buf, the outputs of the stream at `seed` from its first on, and deg,
-    their draws from range(n), extended by whole blocks to at least `need`
-    outputs. A lane times an n below 2**64 fits its 128 bits, so a draw,
-    (output * n) >> 64, is the lane's high half."""
-    while len(buf) < need:
-        x = _lanes((seed + len(buf) * _GOLDEN) & _MASK)
-        buf += _LOW_HALVES(x.to_bytes(_BYTES, "little"))
-        if n >> 64:
-            deg += tuple((z * n) >> 64 for z in buf[-_BLOCK:])
-        else:
-            deg += _HIGH_HALVES((x * n).to_bytes(_BYTES, "little"))
-    return buf, deg
 
 
 # --- set level: tuples of hfes, pointwise over universe positions ---
@@ -208,63 +178,89 @@ _UNION, _INTER, _COMPL, _MEET_ALL, _JOIN_ALL = range(-1, -6, -1)
 _FNV_PRIME = 0x100000001B3
 
 
-# The first blocks of a chunk of trials are computed _PASS trials at a time,
-# each pass in wide ints of 128-bit lanes. A *trial int* holds lane t for
-# trial first + t; a *block int* holds _BLOCK trial ints, output j of trial t
-# in lane j * count + t, so a trial's first block is every count-th lane. A
-# pass's ints stay under 64 KB: larger ones, past glibc's 128 KB mmap
-# threshold, made a 256-trial pass no faster than drawing one trial at a
-# time.
+# Blocks of outputs are computed in wide ints of 128-bit lanes. A *trial
+# int* holds one 64-bit state per lane, lane t for stream t of `count`; a
+# *block int* holds _BLOCK trial ints, output j of stream t in lane
+# j * count + t, so a stream's block is every count-th lane. A lane's value
+# stays below 2**64 after every mask, so a product with a 64-bit constant
+# fits its 128 bits, and a right shift moves the next lane's bits only into
+# the high half, which the mask that follows clears. The first blocks of a
+# chunk of trials are computed _PASS trials at a time, and each later block
+# of a trial is the same computation over one stream. A pass's ints stay
+# under 64 KB: larger ones, past glibc's 128 KB mmap threshold, made a
+# 256-trial pass no faster than drawing one trial at a time.
+_BLOCK = 32
 _PASS = 64
 
 
-@lru_cache(maxsize=5)  # a full pass, the last, shorter one, and a hunt's first chunks
+@lru_cache(maxsize=5)  # one stream, a full pass, the last, shorter one, and a hunt's first chunks
 def _wide(count: int) -> tuple:
-    """The constants of a pass over `count` trials: the trial ints of 1, of t
+    """The constants of a pass over `count` streams: the trial ints of 1, of t
     and of 255 in lane t, and that of the low 64 bits of every lane; the
-    block ints of the output steps and of the low 64 bits; the unpacker of
-    a trial int's lanes, and that of trial t's block, at byte offset 16t, as
-    (output, high half) pairs."""
+    unpacker of a trial int's lanes, and that of stream t's block, at byte
+    offset 16t, as (output, draw) pairs; the block ints of the output steps,
+    of the low and the high 64 bits and of bit 127 of every lane."""
     ones = sum(1 << (128 * t) for t in range(count))
-    low = _MASK * ones
-    steps = b"".join((((j + 1) * _GOLDEN & _MASK) * ones).to_bytes(16 * count, "little") for j in range(_BLOCK))
-    pairs = ("QQ%dx" % (16 * count - 16)) * (_BLOCK - 1) + "QQ"
+    spread = sum(1 << (128 * count * j) for j in range(_BLOCK))  # times a trial int: a block int
+    low = _MASK * ones * spread
+    pairs = ("Qq%dx" % (16 * count - 16)) * (_BLOCK - 1) + "Qq"
     return (
         ones,
         sum(t << (128 * t) for t in range(count)),
         255 * ones,
-        low,
-        int.from_bytes(steps, "little"),
-        int.from_bytes(low.to_bytes(16 * count, "little") * _BLOCK, "little"),
+        _MASK * ones,
         Struct(f"<{2 * count}Q").unpack,
         Struct("<" + pairs).unpack_from,
+        sum((((j + 1) * _GOLDEN & _MASK) * ones) << (128 * count * j) for j in range(_BLOCK)),
+        low,
+        ~low,
+        (ones << 127) * spread,
     )
+
+
+def _block(h: int, count: int, n: int) -> bytes:
+    """The bytes of the block int of the next _BLOCK outputs of the `count`
+    streams whose states are the lanes of the trial int h. Each lane holds an
+    output z in its low half and, in its high half, its draw from range(n),
+    (z * n) >> 64, as a signed 64-bit int. An int64 den makes |n| <= 2**63,
+    so z * n lies strictly between -2**127 and 2**127: where n < 0, z * n +
+    2**127 fits the lane, and flipping bit 127 back leaves the draw's two's
+    complement in the high half."""
+    steps, low, high, sign = _wide(count)[6:]
+    for copies in (1, 2, 4, 8, 16):
+        h |= h << (128 * count * copies)
+    x = _mixed((h + steps) & low, low)
+    y = x * n
+    if n < 0:
+        y = (y + sign) ^ sign
+    return (y & high | x).to_bytes(16 * _BLOCK * count, "little")
 
 
 def _first_blocks(prefix, first, count, n):
     """(seed, first block, its draws from range(n)) of trials first ..
     first + count - 1, at most _PASS of them, in one pass. Trial t's seed is
-    FNV-1a from the state `prefix` over the 8 little-endian bytes of t;
-    where n >> 64, the draws are computed output by output."""
-    ones, ramp, byte, low_t, steps, low, lanes, pairs = _wide(count)
-    index = first * ones + ramp
+    FNV-1a from the state `prefix` over the 8 little-endian bytes of t."""
+    ones, ramp, byte, low_t, lanes, pairs = _wide(count)[:6]
+    trials = first * ones + ramp
     h = (prefix & _MASK) * ones
     for shift in range(0, 64, 8):
-        h = ((h ^ ((index >> shift) & byte)) * _FNV_PRIME) & low_t
-    seeds = lanes(h.to_bytes(16 * count, "little"))[::2]
-    for copies in (1, 2, 4, 8, 16):
-        h |= h << (128 * count * copies)
-    x = _mixed((h + steps) & low, low)
-    if n >> 64:
-        data = x.to_bytes(_BYTES * count, "little")
-        for t, seed in enumerate(seeds):
-            buf = pairs(data, 16 * t)[::2]
-            yield seed, buf, tuple((z * n) >> 64 for z in buf)
-    else:  # a draw, (output * n) >> 64, is the high half of its lane times n
-        data = ((x * n) & ~low | x).to_bytes(_BYTES * count, "little")
-        for t, seed in enumerate(seeds):
-            v = pairs(data, 16 * t)
-            yield seed, v[::2], v[1::2]
+        h = ((h ^ ((trials >> shift) & byte)) * _FNV_PRIME) & low_t
+    data = _block(h, count, n)
+    for t, seed in enumerate(lanes(h.to_bytes(16 * count, "little"))[::2]):
+        v = pairs(data, 16 * t)
+        yield seed, v[::2], v[1::2]
+
+
+def _grow(buf: tuple, deg: tuple, seed: int, n: int, need: int) -> tuple:
+    """buf, the outputs of the stream at `seed` from its first on, and deg,
+    their draws from range(n), extended by whole blocks to at least `need`
+    outputs."""
+    pairs = _wide(1)[5]
+    while len(buf) < need:
+        v = pairs(_block((seed + len(buf) * _GOLDEN) & _MASK, 1, n), 0)
+        buf += v[::2]
+        deg += v[1::2]
+    return buf, deg
 
 
 def _hfes(buf, deg, i, seed, n, count, lo, hi):
@@ -393,11 +389,14 @@ def draw_plan(plan, width, bounds, prefix, first, count):
     the 8 little-endian bytes of t; its first output draws the size from
     [size_lo, size_hi]. `bounds` is (den, size_lo, size_hi, card_lo,
     card_hi, family_lo, family_hi), and `plan` holds the moves documented in
-    `laws/generators.py`, each writing a value into its slot. `width`,
-    `first` and `count` are ints and not bools, and every trial index must
-    fit 64 bits.
+    `laws/generators.py`, each writing a value into its slot. The bounds are
+    read as the compiled kernel reads them: ints (TypeError) within int64
+    (OverflowError). `width`, `first` and `count` are ints and not bools,
+    and every trial index must fit 64 bits.
     """
-    den, ulo, uhi, lo, hi, flo, fhi = bounds
+    den, ulo, uhi, lo, hi, flo, fhi = bounds = tuple(map(index, bounds))
+    if not all(-(1 << 63) <= v < 1 << 63 for v in bounds):
+        raise OverflowError("bounds must fit int64")
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (width, first, count)):
         raise TypeError("width, first and count must be ints, not bools")
     if width < 0:

@@ -136,7 +136,12 @@ def cmd_check(args) -> int:
     from .laws.registry import LawStatus
 
     config = _config(args)
-    report = run_suite(config, law_ids=args.law, workers=args.workers)
+    # The report file is opened first, so a path that cannot be written
+    # fails before any law runs.
+    with open(args.report, "wb") if args.report else nullcontext() as handle:
+        report = run_suite(config, law_ids=args.law, workers=args.workers)
+        if handle is not None:
+            handle.write(report.canonical_json())
     for result in report.results:
         flags = []
         if result.status == LawStatus.PROVED.value:
@@ -158,8 +163,6 @@ def cmd_check(args) -> int:
         f"{report.elapsed:.1f}s ({IMPLEMENTATION} kernel)"
     )
     if args.report:
-        with open(args.report, "wb") as handle:
-            handle.write(report.canonical_json())
         print(f"wrote report to {args.report}")
     return 0 if report.ok else 1
 

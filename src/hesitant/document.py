@@ -167,11 +167,13 @@ def _parse_set(name: str, memberships: Mapping, uni: Universe) -> HFS:
 
 
 def load_document(source) -> Document:
-    """Parse a document from bytes, text, or a readable stream."""
+    """Parse a document from bytes, text, or a readable stream; a leading
+    UTF-8 byte-order mark is dropped."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
+    source = source.removeprefix("\ufeff")
     try:
         data = json.loads(source)
     except json.JSONDecodeError as exc:

@@ -23,12 +23,14 @@ from .sets import HFS, Universe
 def ingest_scores(source, set_name: str = "H") -> Document:
     """Build a single-set document from a scores table.
 
-    `source` is CSV text, bytes, or a readable stream.
+    `source` is CSV text, bytes, or a readable stream; a leading UTF-8
+    byte-order mark, as spreadsheets write one, is dropped.
     """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
+    source = source.removeprefix("\ufeff")
     rows = []
     try:
         for row in csv.reader(io.StringIO(source)):

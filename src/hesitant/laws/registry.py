@@ -355,10 +355,6 @@ class Law:
     note: str = ""
 
     @property
-    def arity(self) -> int:
-        return len(self.params)
-
-    @property
     def premise(self):
         return self.spec.premise if isinstance(self.spec, Implies) else None
 

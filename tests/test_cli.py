@@ -130,6 +130,19 @@ def test_check_single_law_and_report(tmp_path, capsys):
     assert {r["id"] for r in data["results"]} == {"prop2.1", "exam-sec2.4-tconv"}
 
 
+def test_check_report_into_an_unwritable_path_runs_no_law(tmp_path, capsys, monkeypatch):
+    """The report file is opened before the suite runs, as `rank --dot` is."""
+
+    def run_suite(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(engine, "run_suite", run_suite)
+    report = tmp_path / "no" / "such" / "report.json"
+    code, out, err = run_cli(capsys, "check", "--trials", "50", "--report", report)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(report) in err
+
+
 def test_check_runs_a_law_named_twice_once(tmp_path, capsys):
     # thm3.idem-p is an alias of thm3.1
     report = tmp_path / "report.json"
@@ -231,6 +244,20 @@ def test_ingest_command(tmp_path, capsys):
     data = json.loads(out_doc.read_text())
     assert data["sets"]["H"]["x1"] == ["0.9", "0.2"]
     assert data["sets"]["H"]["x2"] == ["0.6", "0.6", "0.5"]
+
+
+def test_ingest_and_relate_read_past_a_byte_order_mark(docs_dir, tmp_path, capsys):
+    table = tmp_path / "bom.csv"
+    table.write_bytes(b"\xef\xbb\xbfscheme,expert,score\nx1,e1,0.9\nx2,e1,0.6\n")
+    code, _, err = run_cli(capsys, "ingest", table, "-o", tmp_path / "doc.json")
+    assert (code, err) == (0, "")
+    assert json.loads((tmp_path / "doc.json").read_text())["sets"]["H"]["x1"] == ["0.9"]
+    doc = docs_dir / "expression-types.json"
+    want = run_cli(capsys, "relate", doc, "A", "B")
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + doc.read_bytes())
+    assert run_cli(capsys, "relate", bom, "A", "B") == want
+    assert want[0] == 0
 
 
 def test_ingest_bad_table(tmp_path, capsys):

@@ -46,6 +46,17 @@ def test_load_parses_and_compares_sets():
     assert B == A and C != A
 
 
+def test_load_drops_a_byte_order_mark():
+    """A UTF-8 byte-order mark before the JSON, in bytes, text or a stream,
+    is dropped."""
+    import io
+
+    want = load_document(_abc_doc_text())
+    bom = "\ufeff" + _abc_doc_text()
+    for source in (bom.encode("utf-8"), bom, io.BytesIO(bom.encode("utf-8")), io.StringIO(bom)):
+        assert load_document(source) == want
+
+
 def test_load_validates_totality_with_path():
     with pytest.raises(DocumentError, match="'A'.*'y'"):
         load_document(json.dumps({"universe": ["x", "y"], "sets": {"A": {"x": ["0.5"]}}}))

@@ -50,3 +50,14 @@ def test_ingest_rejects_bad_score_with_row_number():
 def test_ingest_rejects_empty_table():
     with pytest.raises(DocumentError):
         ingest_scores("")
+
+
+def test_ingest_drops_a_byte_order_mark():
+    """Spreadsheets' "CSV UTF-8" starts with a byte-order mark; in bytes,
+    text or a stream it is dropped, so the header still names its columns."""
+    import io
+
+    want = ingest_scores(scores_csv(ROWS))
+    bom = "\ufeff" + scores_csv(ROWS)
+    for source in (bom.encode("utf-8"), bom, io.BytesIO(bom.encode("utf-8")), io.StringIO(bom)):
+        assert ingest_scores(source) == want

@@ -250,6 +250,21 @@ def test_draw_plan_width(compiled):
                 k.draw_plan(plan, bad, _BOUNDS, 1, 0, 1)
 
 
+def test_draw_plan_bounds_are_int64(compiled):
+    """Both kernels read each of the seven bounds as an int64: one just
+    outside it, den = 2**63 among them, raises OverflowError, and one that
+    is not an int TypeError. den = 2**63 - 1 is the widest grid."""
+    for k in (pure, compiled):
+        assert len(k.draw_plan(((0, 0),), 1, (2**63 - 1, *_BOUNDS[1:]), 1, 0, 2)) == 2
+        for at in range(7):
+            for bad in (2**63, -(2**63) - 1):
+                with pytest.raises(OverflowError):
+                    k.draw_plan(((0, 0),), 1, _BOUNDS[:at] + (bad,) + _BOUNDS[at + 1 :], 1, 0, 1)
+            for bad in (1.0, "1", None):
+                with pytest.raises(TypeError):
+                    k.draw_plan(((0, 0),), 1, _BOUNDS[:at] + (bad,) + _BOUNDS[at + 1 :], 1, 0, 1)
+
+
 def test_a_trial_that_raises_raises_for_its_chunk(compiled):
     for k in (pure, compiled):
         ones = [k.draw_plan(*_SOMETIMES_RAISES, index, 1) for index in range(2)]
@@ -361,9 +376,8 @@ PROBES = {
     }.items()},
 }
 MAY_RAISE = {
-    "u_rel_list_hfe", "randint_past_2_63", "below_past_2_63", "e_compl_past_2_63",
-    "e_compl_wraps", "e_rel_degree_past_2_63", "draw_plan_negative_slot",
-    "draw_plan_grid_past_2_63", "draw_plan_deep_choice", "draw_plan_list_plan",
+    "u_rel_list_hfe", "e_compl_past_2_63", "e_compl_wraps", "e_rel_degree_past_2_63",
+    "draw_plan_negative_slot", "draw_plan_deep_choice", "draw_plan_list_plan",
 }
 
 _PROBE = """

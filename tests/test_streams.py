@@ -9,7 +9,8 @@ coinciding degrees, so that each move continues the sequence where the one
 before it stopped. The draws are read through `draw_plan` alone: a trial's
 first output is its universe size, a `COINCIDE` move shows each degree
 (`below(den + 1)`) and two cardinalities in the order drawn, and `SET` and
-`FAMILY` moves show whole hfes.
+`FAMILY` moves show whole hfes. Both kernels must give the oracle's draws
+for bounds within int64, and both raise OverflowError outside it.
 """
 
 import pytest
@@ -83,58 +84,72 @@ def _oracle_draw_plan(plan, width, bounds, prefix, first, count):
     return out
 
 
-def _check(plan, width, bounds, prefix, first, count):
-    got = pure.draw_plan(plan, width, bounds, prefix, first, count)
-    assert got == _oracle_draw_plan(plan, width, bounds, prefix, first, count), (plan, bounds, prefix, first)
-    return got
+@pytest.fixture(scope="session")
+def check(compiled):
+    """Runs `draw_plan` on both kernels: within int64 they return the
+    oracle's draws, which it returns; outside it both raise OverflowError."""
+
+    def run(plan, width, bounds, prefix, first, count):
+        args = plan, width, bounds, prefix, first, count
+        if not all(-(2**63) <= v < 2**63 for v in bounds):
+            for k in (pure, compiled):
+                with pytest.raises(OverflowError):
+                    k.draw_plan(*args)
+            return None
+        want = _oracle_draw_plan(*args)
+        assert pure.draw_plan(*args) == want, (plan, bounds, prefix, first)
+        assert compiled.draw_plan(*args) == want, (plan, bounds, prefix, first)
+        return want
+
+    return run
 
 
 SEEDS = (0, 1, 2**63, 2**64 - 1)
-DENS = (1, 100, 10**9)
-# Grids past a lane: a draw from range(den + 1) for den + 1 >= 2**64 is
-# computed output by output (the `n >> 64` branches of `_first_blocks` and
-# `_grow`); den + 1 = 2**64 - 1 is the widest grid drawn from the lanes.
+# 2**63 - 1 is the widest grid; -2**63 is the other int64 edge of a draw
+# from range(den + 1), where no draw is positive.
+DENS = (1, 100, 10**9, 2**63 - 1, -(2**63))
+# Grids past int64, which both kernels refuse.
 WIDE_DENS = (2**64 - 2, 2**64 - 1, 2**64, 3**50)
 CARDS = ((1, 1), (3, 3), (64, 64), (1, 6), (1, 64))
 _PAIR = ((COINCIDE, 0, 1),), 2
 
 
 @pytest.mark.parametrize("seed", SEEDS + (-1, 2**64 + 5))
-def test_single_draws_match(seed):
+def test_single_draws_match(check, seed):
     """Output 1 of 70 trials' streams, two wide passes, is each trial's
     size; outputs 2, 5, 8, ... of one stream, past its first block, are a
-    `COINCIDE` move's degrees."""
-    for n in (1, 2, 101, 10**9 + 1, 2**64, 2**64 + 1):
-        _check((), 0, (100, 0, n - 1, 1, 1, 1, 1), seed, 0, 70)
-        _check(*_PAIR, (n - 1, 16, 16, 1, 1, 1, 1), seed, 0, 3)
+    `COINCIDE` move's degrees. n - 1 = 2**63 is past int64."""
+    for n in (-(2**63) + 1, -1, 0, 1, 2, 101, 10**9 + 1, 2**63, 2**63 + 1):
+        check((), 0, (100, 0, n - 1, 1, 1, 1, 1), seed, 0, 70)
+        check(*_PAIR, (n - 1, 16, 16, 1, 1, 1, 1), seed, 0, 3)
     for lo, hi in ((0, 0), (3, 9), (0, 10**9), (5, 5)):
-        _check((), 0, (100, lo, hi, 1, 1, 1, 1), seed, 0, 70)
+        check((), 0, (100, lo, hi, 1, 1, 1, 1), seed, 0, 70)
     for lo, hi in ((0, 0), (3, 9), (5, 5)):
-        _check(*_PAIR, (100, 16, 16, lo, hi, 1, 1), seed, 2**64 - 3, 3)
-    _check((), 0, (100, 0, _MASK, 1, 1, 1, 1), seed, 2**64 - 70, 70)  # u64(): the whole output
+        check(*_PAIR, (100, 16, 16, lo, hi, 1, 1), seed, 2**64 - 3, 3)
+    check((), 0, (100, -(2**63), 2**63 - 1, 1, 1, 1, 1), seed, 2**64 - 70, 70)  # u64() - 2**63
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("den", DENS + WIDE_DENS)
 @pytest.mark.parametrize("card", CARDS)
-def test_generation_matches(seed, den, card):
+def test_generation_matches(check, seed, den, card):
     lo, hi = card
-    _check(tuple((SET, j) for j in range(5)), 5, (den, 1, 1, lo, hi, 1, 1), seed, 0, 2)
-    _check(((SET, 0), (SET, 1)), 2, (den, 16, 16, lo, hi, 1, 1), seed, 7, 2)
-    _check(((SET, 0),), 1, (den, 1, 16, lo, hi, 1, 1), seed, 2**64 - 3, 3)
+    check(tuple((SET, j) for j in range(5)), 5, (den, 1, 1, lo, hi, 1, 1), seed, 0, 2)
+    check(((SET, 0), (SET, 1)), 2, (den, 16, 16, lo, hi, 1, 1), seed, 7, 2)
+    check(((SET, 0),), 1, (den, 1, 16, lo, hi, 1, 1), seed, 2**64 - 3, 3)
 
 
 _HANDOVER = ((SET, 0), (COINCIDE, 1, 2), (FAMILY, 3), (SET, 4), (COINCIDE, 5, 6)), 7
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_interleaved_calls_hand_the_state_over(seed):
+def test_interleaved_calls_hand_the_state_over(check, seed):
     """Each move draws on from where the one before it stopped."""
     for step in range(40):
-        den = (DENS + WIDE_DENS)[step % 7]
+        den = DENS[step % len(DENS)]
         lo, hi = CARDS[step % len(CARDS)]
         size = (1, 16, 3)[step % 3]
-        _check(*_HANDOVER, (den, size, size, lo, hi, 1, 4), seed, step, 1)
+        check(*_HANDOVER, (den, size, size, lo, hi, 1, 4), seed, step, 1)
 
 
 _CARD = st.integers(-3, 80)  # past one 32-output block; lo > hi reverses the range
@@ -144,11 +159,11 @@ _MOVES = st.lists(st.sampled_from((SET, FAMILY, COINCIDE)), max_size=12)
 @given(
     st.integers(-(2**64), 2**65),
     _MOVES,
-    st.sampled_from(DENS + WIDE_DENS),
+    st.one_of(st.sampled_from(DENS), st.integers(-(2**63), 2**63 - 1)),
     st.integers(0, 5), st.integers(0, 5), _CARD, _CARD, st.integers(-1, 4), st.integers(-1, 4),
     st.integers(0, _MASK - 2), st.integers(1, 3),
 )
-def test_random_interleavings_match_the_oracle(prefix, ops, den, ulo, uhi, lo, hi, flo, fhi, first, count):
+def test_random_interleavings_match_the_oracle(check, prefix, ops, den, ulo, uhi, lo, hi, flo, fhi, first, count):
     """Any sequence of moves, sizes, cardinalities and family sizes, reversed
     ranges and multi-block hfes included, gives the oracle's draws."""
     plan, slot = [], 0
@@ -156,13 +171,13 @@ def test_random_interleavings_match_the_oracle(prefix, ops, den, ulo, uhi, lo, h
         width = 2 if op == COINCIDE else 1
         plan.append((op, *range(slot, slot + width)))
         slot += width
-    _check(tuple(plan), slot, (den, ulo, uhi, lo, hi, flo, fhi), prefix, first, count)
+    check(tuple(plan), slot, (den, ulo, uhi, lo, hi, flo, fhi), prefix, first, count)
 
 
-def test_empty_hfs_draws_nothing():
+def test_empty_hfs_draws_nothing(check):
     """At universe size 0 a set draws nothing: the family after it draws its
     size from output 2."""
-    ((size, (A, F)),) = _check(((SET, 0), (FAMILY, 1)), 2, (100, 0, 0, 1, 6, 1, 5), 7, 0, 1)
+    ((size, (A, F)),) = check(((SET, 0), (FAMILY, 1)), 2, (100, 0, 0, 1, 6, 1, 5), 7, 0, 1)
     assert size == 0 and A == () and set(F) == {()}
 
 
@@ -176,11 +191,9 @@ def test_trial_seed_extends_the_law_prefix(seed):
 
 
 @pytest.mark.parametrize("value", (0, 5, 2**64 - 1, 2**64, 2**64 + 3, -1, -(2**64) - 7, 2**70 + 1))
-def test_state_reads_back_masked(compiled, value):
+def test_state_reads_back_masked(check, value):
     """Both kernels read the prefix, an FNV-1a state, modulo 2**64, as the
     oracle reads a seed, and then agree."""
     plan = ((SET, 0), (COINCIDE, 1, 2))
     bounds = (100, 1, 4, 1, 6, 1, 5)
-    want = _check(plan, 3, bounds, value & _MASK, 0, 3)
-    assert _check(plan, 3, bounds, value, 0, 3) == want
-    assert compiled.draw_plan(plan, 3, bounds, value, 0, 3) == want
+    assert check(plan, 3, bounds, value, 0, 3) == check(plan, 3, bounds, value & _MASK, 0, 3)
