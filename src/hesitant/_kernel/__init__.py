@@ -1,8 +1,10 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
 The compiled extension is the hand-written C module `_ckernel.c`, built by
-`setup.py` when a C compiler is present; it exports exactly the public names
-of `_pykernel`, its pure-Python twin.
+`setup.py` when a C compiler is present. It defines the relation codes and
+the three entries the law engine calls: `u_rel`, `term` and `draw_plan`.
+`_pykernel`, its pure-Python twin, adds the exact algebra's `u_union`,
+`u_inter` and `u_compl`.
 
 Both kernels take int numerators over a common denominator. `active` is the
 module of the law engine's randomized trials: `laws.algebra.grid_algebra`

@@ -1,12 +1,13 @@
 /* Compiled kernel: the integer-grid twin of `_pykernel`, written against the
  * CPython C API.
  *
- * It has the pure kernel's surface: the relation codes, the set-level
- * `u_union`, `u_inter`, `u_compl` and `u_rel` (an element is the
- * one-position case), `term`, which evaluates a postfix term program over
- * slots, and `draw_plan`, the one generation entry, which runs a chunk of
- * consecutive trials of a law's draw plan in one call, looping over the
- * trials in C. It keeps the pure kernel's contract for degrees that fit a C
+ * It defines the relation codes and the three entries the law engine calls:
+ * the set-level `u_rel` (an element is the one-position case), `term`,
+ * which evaluates a postfix term program over slots, and `draw_plan`, the
+ * one generation entry, which runs a chunk of consecutive trials of a law's
+ * draw plan in one call, looping over the trials in C. The pure kernel adds
+ * the exact algebra's `u_union`, `u_inter` and `u_compl`; here only `term`
+ * runs them. It keeps the pure kernel's contract for degrees that fit a C
  * long long: every call returns exactly what `_pykernel` returns, or raises
  * a Python exception:
  *   - a value outside int64, or a mean cross-product outside __int128,
@@ -14,16 +15,16 @@
  *   - an hfe or hfs that is not a tuple raises TypeError;
  *   - an empty hfe raises IndexError in every function that reads its
  *     degrees, as pure does.
- * The pure set functions (`u_union`, `u_inter`, `u_compl`, `u_rel`, `term`)
- * take ints of any size, for the exact path, where these raise; `draw_plan`
- * reads its seven bounds as int64 on both kernels, so for a bound outside
- * int64 both raise OverflowError, and for one that is not an int TypeError.
- * Scratch space is sized from the input. Relations read only the positions
- * the pure kernel reads, and the set-level functions stop at the shorter
- * operand, as `zip` does. The SplitMix64 streams are bit-identical to the
- * pure ones (Steele, Lea & Flood, OOPSLA 2014); `draw_plan` draws from a
- * local state, and a plan or a term program it cannot read (a slot out of
- * range, a list for a tuple, nesting past the recursion limit) raises.
+ * The pure `u_rel` and `term` take ints of any size, for the exact path,
+ * where these raise; `draw_plan` reads its seven bounds as int64 on both
+ * kernels, so for a bound outside int64 both raise OverflowError, and for
+ * one that is not an int TypeError. Scratch space is sized from the input.
+ * Relations read only the positions the pure kernel reads, and the
+ * set-level operations stop at the shorter operand, as `zip` does. The
+ * SplitMix64 streams are bit-identical to the pure ones (Steele, Lea &
+ * Flood, OOPSLA 2014); `draw_plan` draws from a local state, and a plan or
+ * a term program it cannot read (a slot out of range, a list for a tuple,
+ * nesting past the recursion limit) raises.
  *
  * `setup.py` builds it as an optional extension; by hand:
  *   gcc -O2 -Wall -Werror -shared -fPIC $(python3-config --includes) \
@@ -40,8 +41,7 @@ typedef __int128 i128;
 typedef unsigned __int128 u128;
 
 enum { REL_P, REL_A, REL_M, REL_S, REL_T, REL_N, REL_SOT };
-enum { UNION, INTER, COMPL };
-/* A term program's operators, as `laws/generators.py` writes them */
+/* A term program's operators, as `expressions.program` writes them */
 enum { T_UNION = -1, T_INTER = -2, T_COMPL = -3, T_MEET_ALL = -4, T_JOIN_ALL = -5 };
 
 /* SplitMix64: the state advances by GOLDEN and each output is the state
@@ -228,9 +228,9 @@ static PyObject *compl(PyObject *a, PyObject *one) {
     return t;
 }
 
-/* The union, intersection, or complement (b the unit `one`) of one position */
+/* The term operator op at one position: ∪, ∩, or ᶜ with b the unit `one` */
 static PyObject *elem(int op, PyObject *a, PyObject *b) {
-    return op == COMPL ? compl(a, b) : combine(a, b, op == UNION);
+    return op == T_COMPL ? compl(a, b) : combine(a, b, op == T_UNION);
 }
 
 /* Sets *gt to mean(a) > mean(b), compared as pure compares them: sum(a) *
@@ -314,25 +314,17 @@ static Py_ssize_t zip_len(PyObject *A, PyObject *B) {
     return Py_MIN(PyTuple_GET_SIZE(A), PyTuple_GET_SIZE(B));
 }
 
-/* (elem(op, a, b) for a, b in zip(A, B)) as a tuple; for COMPL, the
+/* (elem(op, a, b) for a, b in zip(A, B)) as a tuple; for T_COMPL, the
  * complement of every hfe of A, with B the unit. */
 static PyObject *set_op(int op, PyObject *A, PyObject *B) {
     PyObject *t;
-    Py_ssize_t n = op != COMPL ? zip_len(A, B) : need_tuple(A, "hfs") ? -1 : PyTuple_GET_SIZE(A);
+    Py_ssize_t n = op != T_COMPL ? zip_len(A, B) : need_tuple(A, "hfs") ? -1 : PyTuple_GET_SIZE(A);
     if (n < 0 || !(t = PyTuple_New(n)))
         return NULL;
     for (Py_ssize_t i = 0; t && i < n; i++)
-        t = put(t, i, elem(op, PyTuple_GET_ITEM(A, i), op == COMPL ? B : PyTuple_GET_ITEM(B, i)));
+        t = put(t, i, elem(op, PyTuple_GET_ITEM(A, i), op == T_COMPL ? B : PyTuple_GET_ITEM(B, i)));
     return t;
 }
-
-static PyObject *u_map(const char *name, int op, PyObject *const *args, Py_ssize_t nargs) {
-    return arity(name, nargs, 2) ? NULL : set_op(op, args[0], args[1]);
-}
-
-FASTCALL(u_union) { return u_map("u_union", UNION, args, nargs); }
-FASTCALL(u_inter) { return u_map("u_inter", INTER, args, nargs); }
-FASTCALL(u_compl) { return u_map("u_compl", COMPL, args, nargs); }
 
 /* all(a ⊂code b for a, b in zip(A, B)). The code is checked only once it
  * is used, as in pure. */
@@ -390,9 +382,9 @@ static PyObject *eval_term(PyObject *program, PyObject *const *slots, Py_ssize_t
         }
         PyObject *x = stack[--top];
         if (op == T_COMPL)
-            v = set_op(COMPL, x, one);
+            v = set_op(op, x, one);
         else if (op == T_UNION || op == T_INTER)
-            v = set_op(op == T_UNION ? UNION : INTER, stack[top - 1], x);
+            v = set_op(op, stack[top - 1], x);
         else if (need_tuple(x, "family"))
             ;
         else if (!PyTuple_GET_SIZE(x))
@@ -400,7 +392,7 @@ static PyObject *eval_term(PyObject *program, PyObject *const *slots, Py_ssize_t
         else { /* the ⋂ or ⋃ fold of a family */
             v = Py_NewRef(PyTuple_GET_ITEM(x, 0));
             for (Py_ssize_t i = 1; v && i < PyTuple_GET_SIZE(x); i++)
-                Py_SETREF(v, set_op(op == T_MEET_ALL ? INTER : UNION, v, PyTuple_GET_ITEM(x, i)));
+                Py_SETREF(v, set_op(op == T_MEET_ALL ? T_INTER : T_UNION, v, PyTuple_GET_ITEM(x, i)));
         }
         Py_DECREF(x);
         if (!v)
@@ -984,9 +976,6 @@ FASTCALL(draw_plan) {
 #define FAST(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef kernel_methods[] = {
-    FAST(u_union, "Union (degrees >= the larger minimum) at every universe position."),
-    FAST(u_inter, "Intersection (degrees <= the smaller maximum) at every universe position."),
-    FAST(u_compl, "Complement {one - g} at every universe position."),
     FAST(u_rel, "True iff a ⊂code b at every universe position; REL_SOT is ⊂s or ⊂t."),
     FAST(term, "The value of a postfix term program over a tuple of slots."),
     FAST(draw_plan, "Trials first .. first + count - 1 of a law: a list of (universe size, binding or None)."),

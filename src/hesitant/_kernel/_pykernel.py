@@ -13,7 +13,7 @@ loop over the universe positions, and holds the only copy of its semantics:
 an element value is the one-position case, `u_rel(code, (a,), (b,))`.
 `term` evaluates a set term, written as a postfix program over slots, with
 these functions; the law predicates and the `BELOW` move of `draw_plan`
-both run it.
+both run it, and the exact algebra calls all four directly.
 
 Random generation draws from SplitMix64 streams, and `draw_plan` is its one
 entry: it runs a chunk of consecutive trials of a law in one call. Unlike
@@ -28,12 +28,13 @@ pass, then draws each trial's universe size and runs the law's plan
 its one stream. The draws are exactly those of one output per draw:
 `tests/test_streams.py` pins them against a method-per-draw oracle.
 
-The compiled twin, the hand-written C module `_ckernel.c`, has exactly the
-public names of this module, with the identical contract for degrees that
-fit int64, including bit-identical random streams: for every input it
-returns exactly what this module returns or raises a Python exception
-(`OverflowError` outside int64, `TypeError` for an hfe that is not a tuple);
-for `draw_plan`'s bounds both raise the same.
+The compiled twin, the hand-written C module `_ckernel.c`, has the public
+names of this module but `u_union`, `u_inter` and `u_compl`, which only its
+`term` runs. It keeps the identical contract for degrees that fit int64,
+including bit-identical random streams: for every input it returns exactly
+what this module returns or raises a Python exception (`OverflowError`
+outside int64, `TypeError` for an hfe that is not a tuple); for
+`draw_plan`'s bounds both raise the same.
 `tests/test_kernel.py` pins the names and the equivalence.
 """
 
@@ -169,8 +170,8 @@ def u_rel(code, A, B):
 # The helpers below draw from `buf[i:]`, the outputs of the stream at state
 # `seed` from `buf[0]` on, and `deg[i:]`, their draws from range(n) for
 # n = den + 1. They compute blocks on as they need them and return what they
-# drew with the new (buf, deg, i). The codes are `laws/generators.py`'s: the
-# moves, an `_ABOVE` move's members and a `_BELOW` term's operators.
+# drew with the new (buf, deg, i). The codes are `laws/generators.py`'s (the
+# moves and an `_ABOVE` move's members) and `expressions.TERM_OPS`.
 _SET, _FAMILY, _LADDER, _COPY, _COINCIDE, _ABOVE, _BELOW, _SUBFAMILY, _CHOICE = range(9)
 _ALL, _SOME, _LONGER = range(3)
 _UNION, _INTER, _COMPL, _MEET_ALL, _JOIN_ALL = range(-1, -6, -1)
@@ -361,7 +362,7 @@ def _below(buf, deg, i, seed, n, b, code, lo, hi):
 def term(program, slots, one):
     """The value of a postfix term program over the slots: a slot index
     pushes that slot's value, and the negative codes of `TERM_OPS` in
-    `laws/generators.py` pop their operands and push the union,
+    `expressions.py` pop their operands and push the union,
     intersection, complement (unit `one`), or the ⋂ or ⋃ fold of a family."""
     stack = []
     for t in program:

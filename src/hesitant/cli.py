@@ -83,14 +83,16 @@ def cmd_ops(args) -> int:
         print(f"error: unknown set {missing[0]!r}", file=sys.stderr)
         return 2
     result = evaluate_on_hfs(node, doc.hfs)
-    print(f"{node} =")
-    for e, h in result.items():
-        print(f"  {e}: {h}")
+    name = args.name or "result"
+    # The output file is opened before anything is printed, as `rank --dot`
+    # opens its DOT file, so a path that cannot be written prints nothing.
+    with open(args.output, "wb") if args.output else nullcontext() as handle:
+        print(f"{node} =")
+        for e, h in result.items():
+            print(f"  {e}: {h}")
+        if handle is not None:
+            handle.write(save_document(doc.with_set(name, result)))
     if args.output:
-        name = args.name or "result"
-        out = doc.with_set(name, result)
-        with open(args.output, "wb") as handle:
-            handle.write(save_document(out))
         print(f"wrote {args.output} with result set {name!r}")
     return 0
 

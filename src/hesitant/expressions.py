@@ -14,19 +14,27 @@ Parsing, evaluation, printing and comparison of trees all recurse, so an
 expression may nest at most MAX_DEPTH levels: parentheses inside
 parentheses, and operators over operators (a chain of n operators is n
 levels deep). Deeper input is a ValueError, not a RecursionError.
+
+A law's terms are these nodes and `Fold`; `program` compiles one to the
+postfix program over slots that both kernels' `term` runs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .sets import HFS
 
 Node = Union["Var", "Compl", "Join", "Meet"]
+Term = Union[Node, "Fold"]
 
 MAX_DEPTH = 100
+
+# A term program's operators, read by `term` in `_pykernel.py` and
+# `_ckernel.c`: ∪, ∩, complement, and the ⋂ and ⋃ folds.
+UNION, INTER, COMPL, MEET_ALL, JOIN_ALL = TERM_OPS = range(-1, -6, -1)
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,16 @@ class Meet:
         left = f"({self.left})" if isinstance(self.left, Join) else str(self.left)
         right = f"({self.right})" if isinstance(self.right, (Join, Meet)) else str(self.right)
         return f"{left} ∩ {right}"
+
+
+class Fold(NamedTuple):
+    """⋂F or ⋃F: the meet or the join of every member of family F."""
+
+    op: str  # "⋂" or "⋃"
+    family: str
+
+    def __str__(self) -> str:
+        return f"{self.op}{self.family}"
 
 
 _TOKEN = re.compile(
@@ -183,9 +201,25 @@ def evaluate_on_hfs(node: Node, resolve: Callable[[str], HFS]) -> HFS:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def variables(node: Node) -> set[str]:
+def variables(node: Term) -> set[str]:
+    """The names a term reads: its variables, or a fold's family."""
     if isinstance(node, Var):
         return {node.name}
+    if isinstance(node, Fold):
+        return {node.family}
     if isinstance(node, Compl):
         return variables(node.child)
     return variables(node.left) | variables(node.right)
+
+
+def program(node: Term, slot: dict) -> tuple:
+    """The postfix program of a term over slots, `slot` mapping each name
+    the term reads to its slot; a name outside it is a KeyError."""
+    if isinstance(node, Var):
+        return (slot[node.name],)
+    if isinstance(node, Fold):
+        return (slot[node.family], MEET_ALL if node.op == "⋂" else JOIN_ALL)
+    if isinstance(node, Compl):
+        return (*program(node.child, slot), COMPL)
+    op = UNION if isinstance(node, Join) else INTER
+    return (*program(node.left, slot), *program(node.right, slot), op)

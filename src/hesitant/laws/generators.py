@@ -26,9 +26,8 @@ A ⊂t construction leaves room for its steps: a ladder's base has at most
 card_hi - steps degrees and step i at most card_hi - (steps - i), and the set
 under a family at most card_hi - 1. A ⊂m ladder draws free hfes and
 stable-sorts them by exact mean. A `BELOW` term is a postfix program over
-slots (`_program`), which the kernels' `term` runs: a slot pushes its value,
-and the negative codes `TERM_OPS` combine values. The registry's guards and
-claims run every compound term through the same programs. A premise of any
+slots (`expressions.program`), which the kernels' `term` runs, as the
+registry's guards and claims run every compound term. A premise of any
 other shape is a ValueError, so the registry fails at import; the few laws
 whose plan no premise determines name one: the ⇔ laws choose among plans
 with `CHOICE` (one `below(n)` draw picks the plan that follows), and thm5.6
@@ -45,7 +44,7 @@ a construction bug can only surface as starvation, never as a wrong verdict.
 
 from __future__ import annotations
 
-from ..expressions import Compl, Join, Meet, Var, variables
+from ..expressions import Var, program, variables
 from ..relations import Inclusion
 
 M, T = Inclusion.MEAN, Inclusion.TAIL
@@ -55,8 +54,6 @@ SET, FAMILY, LADDER, COPY, COINCIDE, ABOVE, BELOW, SUBFAMILY, CHOICE = range(9)
 # The members of an `ABOVE` move: all above the set, one chosen among a free
 # family, or one chosen among members longer than the set at every position.
 ALL, SOME, LONGER = range(3)
-# A `BELOW` term's operators: ∪, ∩, complement, and the ⋂ and ⋃ folds.
-UNION, INTER, COMPL, MEET_ALL, JOIN_ALL = TERM_OPS = range(-1, -6, -1)
 
 
 def runner(plan, width):
@@ -76,33 +73,16 @@ def slots(params) -> dict:
     return {name: i for i, (name, _) in enumerate(params)}
 
 
-def _program(term, slot) -> tuple:
-    """The postfix program of a set term or fold over the params' slots."""
-    if isinstance(term, Var):
-        return (slot[term.name],)
-    if isinstance(term, Compl):
-        return (*_program(term.child, slot), COMPL)
-    if isinstance(term, (Join, Meet)):
-        op = UNION if isinstance(term, Join) else INTER
-        return (*_program(term.left, slot), *_program(term.right, slot), op)
-    # the one other term is a fold, `registry.Fold`: importing it here would
-    # run once per node, and the registry compiles every term at its import
-    return (slot[term.family], MEET_ALL if term.op == "⋂" else JOIN_ALL)
-
-
 def derive(params, premise) -> tuple:
     """The plan of a law over `params` whose spec has this premise (None for
     none). Raises ValueError, naming the premise, for a premise of no shape
     in the module's table."""
-    from .registry import And, Each, Fold, Rel, Subfamily
+    from .registry import And, Each, Rel, Subfamily
 
     slot = slots(params)
 
     def free(names):
         return tuple((SET if kind == "set" else FAMILY, slot[n]) for n, kind in params if n in names)
-
-    def names(term):
-        return {term.family} if isinstance(term, Fold) else variables(term)
 
     match premise:
         case None:
@@ -113,9 +93,9 @@ def derive(params, premise) -> tuple:
             b2 == b and kind2 is kind
         ):
             bound, moves = (a, b, c), ((LADDER, kind.code, slot[a], slot[b], slot[c]),)
-        case Rel("rel", Var(a), term, kind) if kind is not M and a not in names(term):
-            bound = (a, *names(term))
-            moves = (*free(names(term)), (BELOW, kind.code, slot[a], _program(term, slot)))
+        case Rel("rel", Var(a), term, kind) if kind is not M and a not in variables(term):
+            bound = (a, *variables(term))
+            moves = (*free(variables(term)), (BELOW, kind.code, slot[a], program(term, slot)))
         case Rel("multiset", Var(a), Var(b)) | Rel("eq", Var(a), Var(b), Inclusion.STRONG):
             bound, moves = (a, b), ((SET, slot[a]), (COPY, slot[b], slot[a]))
         case Rel("eq", Var(a), Var(b), Inclusion.NECESSARY):

@@ -31,12 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, reduce
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 from .._kernel._pykernel import REL_SOT
 from ..errors import UnknownLawError
-from ..expressions import Node, Var, parse_expression
+from ..expressions import Fold, Term, Var, parse_expression, program
 from ..relations import Inclusion
+from ..sets import is_submultiset
 from . import generators as g
 from .fixtures import Fixture
 
@@ -54,26 +55,13 @@ class LawStatus(Enum):
 
 
 # --------------------------------------------------------------------------
-# The formula type. Terms are set expressions (`expressions.Node`) or folds
-# of a family; formulas are built from the nodes below. Every node renders
-# itself with `str` and compiles itself, once, with `compile(slot)`, the
-# law's map from each param name to its slot in a binding, to a closure
+# The formula type. Terms are set expressions or folds of a family
+# (`expressions.Term`); formulas are built from the nodes below. Every node
+# renders itself with `str` and compiles itself, once, with `compile(slot)`,
+# the law's map from each param name to its slot in a binding, to a closure
 # (kern, one, binding) -> value, where `one` is the complement unit. Nodes
 # are NamedTuples because a frozen dataclass costs about 1 ms at import.
 # --------------------------------------------------------------------------
-
-
-class Fold(NamedTuple):
-    """⋂F or ⋃F: the meet or the join of every member of family F."""
-
-    op: str  # "⋂" or "⋃"
-    family: str
-
-    def __str__(self) -> str:
-        return f"{self.op}{self.family}"
-
-
-Term = Union[Node, Fold]
 
 
 @cache  # the specs repeat a few dozen term texts
@@ -89,7 +77,7 @@ def at(term: Term, element: str = "x") -> str:
 def _value(term: Term, slot: dict) -> Callable:
     """Compile a term to a closure (kern, one, binding) -> its hfs value: a
     variable reads its slot, and any other term runs its postfix program
-    (`generators._program`) through the kernel's `term`."""
+    (`expressions.program`) through the kernel's `term`."""
     if isinstance(term, Var):
         i = slot[term.name]
 
@@ -97,10 +85,10 @@ def _value(term: Term, slot: dict) -> Callable:
             return b[i]
 
         return var
-    program = g._program(term, slot)
+    postfix = program(term, slot)
 
     def value(k, one, b):
-        return k.term(program, b, one)
+        return k.term(postfix, b, one)
 
     return value
 
@@ -248,13 +236,7 @@ class Subfamily(NamedTuple):
         small, big = slot[self.small], slot[self.big]
 
         def subfamily(k, one, b):
-            unmatched = list(b[big])
-            for h in b[small]:
-                try:
-                    unmatched.remove(h)
-                except ValueError:
-                    return False
-            return True
+            return is_submultiset(b[small], b[big])
 
         return subfamily
 

@@ -251,10 +251,16 @@ def is_subfamily(f1: Family, f2: Family) -> bool:
     """
     if f1.universe != f2.universe:
         raise UniverseMismatchError("families live on different universes")
-    unmatched = list(f2.sets)
-    for a in f1.sets:
+    return is_submultiset(f1.sets, f2.sets)
+
+
+def is_submultiset(small, big) -> bool:
+    """True iff each item of `small` equals its own item of `big`: the
+    law registry's ⊏ on plain grid values, and `is_subfamily`."""
+    unmatched = list(big)
+    for item in small:
         try:
-            unmatched.remove(a)
+            unmatched.remove(item)
         except ValueError:
             return False
     return True

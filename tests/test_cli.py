@@ -69,6 +69,23 @@ def test_ops_expression_and_output(docs_dir, tmp_path, capsys):
     assert data["sets"]["AB"]["x"] == ["0.5", "0.4", "0.3", "0.3"]
 
 
+def test_ops_into_an_unwritable_path_prints_nothing(docs_dir, tmp_path, capsys):
+    """The output file is opened before the result is printed, as `rank
+    --dot` opens its DOT file; a bad expression opens no file at all."""
+    out_file = tmp_path / "no" / "such" / "out.json"
+    code, out, err = run_cli(capsys, "ops", docs_dir / "equality-failures.json", "A | B", "-o", out_file)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert str(out_file) in err
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b"kept")
+    for expr in ("A |", "A | Z"):
+        code, out, _ = run_cli(capsys, "ops", docs_dir / "equality-failures.json", expr, "-o", kept)
+        assert (code, out) == (2, "")
+    assert kept.read_bytes() == b"kept"
+
+
 def test_ops_unknown_set(docs_dir, capsys):
     code, _, err = run_cli(capsys, "ops", docs_dir / "equality-failures.json", "A | Z")
     assert code == 2

@@ -17,10 +17,11 @@ from types import SimpleNamespace
 
 from hesitant import Family, Universe, evaluate_law, law_registry, make_hfs, pointwise_leq
 from hesitant._kernel import _pykernel
+from hesitant.expressions import COMPL, JOIN_ALL, MEET_ALL, UNION
 from hesitant.laws import Witness, replay_witness
 from hesitant.laws.algebra import Algebra
 from hesitant.laws.engine import exact_binding
-from hesitant.laws.generators import COMPL, JOIN_ALL, MEET_ALL, UNION, slots
+from hesitant.laws.generators import slots
 
 # --- the oracle: Fraction tuples and Fraction arithmetic -------------------------
 
@@ -78,10 +79,8 @@ def _term(program, slots, one):
     return value(len(program))[0]
 
 
+# The two entries that law predicates call on a kernel.
 _FRACTION_KERNEL = SimpleNamespace(
-    u_union=_set_op(_union),
-    u_inter=_set_op(_inter),
-    u_compl=_complement,
     u_rel=lambda code, A, B: all(map(_rel, [code] * len(A), A, B)),
     term=_term,
 )

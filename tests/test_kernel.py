@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hesitant._kernel import _pykernel as pure
+from hesitant.expressions import COMPL, INTER, UNION
 from hesitant.laws.generators import COINCIDE, FAMILY, SET
 
 int_hfes = st.lists(st.integers(0, 10), min_size=1, max_size=6).map(
@@ -34,11 +35,28 @@ def _all_small(den=2, cmax=3):
     return out
 
 
-# The kernel contract: every name either kernel defines, and nothing else.
+# The kernel contract: the names both kernels define, the entries the law
+# engine calls on the active kernel. The pure kernel also defines the exact
+# algebra's set functions, and neither kernel defines anything else.
 KERNEL_NAMES = {
     "IMPLEMENTATION", "REL_P", "REL_A", "REL_M", "REL_S", "REL_T", "REL_N", "REL_SOT",
-    "u_union", "u_inter", "u_compl", "u_rel", "term", "draw_plan",
+    "u_rel", "term", "draw_plan",
 }
+PURE_SET_FUNCTIONS = {"u_union", "u_inter", "u_compl"}
+
+
+# The compiled kernel's set operations: one-operator `term` programs, which
+# run the C code the engine's terms run. The pure functions are the oracle.
+def union(k, A, B):
+    return k.term((0, 1, UNION), (A, B), 0)
+
+
+def inter(k, A, B):
+    return k.term((0, 1, INTER), (A, B), 0)
+
+
+def compl(k, A, one):
+    return k.term((0, COMPL), (A,), one)
 
 
 def _defined_names(kernel):
@@ -51,7 +69,7 @@ def _defined_names(kernel):
 
 
 def test_kernels_export_the_same_names(compiled):
-    assert _defined_names(pure) == KERNEL_NAMES
+    assert _defined_names(pure) == KERNEL_NAMES | PURE_SET_FUNCTIONS
     assert _defined_names(compiled) == KERNEL_NAMES
 
 
@@ -81,19 +99,19 @@ def test_generation_identical(compiled):
 def test_exhaustive_small_grid_equivalence(compiled):
     hfes = _all_small()
     for a, b in itertools.product(hfes, repeat=2):
-        assert pure.u_union((a,), (b,)) == compiled.u_union((a,), (b,))
-        assert pure.u_inter((a,), (b,)) == compiled.u_inter((a,), (b,))
+        assert pure.u_union((a,), (b,)) == union(compiled, (a,), (b,))
+        assert pure.u_inter((a,), (b,)) == inter(compiled, (a,), (b,))
         for code in range(7):
             assert pure.u_rel(code, (a,), (b,)) == compiled.u_rel(code, (a,), (b,))
     for a in hfes:
-        assert pure.u_compl((a,), 2) == compiled.u_compl((a,), 2)
+        assert pure.u_compl((a,), 2) == compl(compiled, (a,), 2)
 
 
 @given(int_hfes, int_hfes)
 def test_randomized_equivalence(compiled, a, b):
-    assert pure.u_union((a,), (b,)) == compiled.u_union((a,), (b,))
-    assert pure.u_inter((a,), (b,)) == compiled.u_inter((a,), (b,))
-    assert pure.u_compl((a,), 10) == compiled.u_compl((a,), 10)
+    assert pure.u_union((a,), (b,)) == union(compiled, (a,), (b,))
+    assert pure.u_inter((a,), (b,)) == inter(compiled, (a,), (b,))
+    assert pure.u_compl((a,), 10) == compl(compiled, (a,), 10)
     for code in range(7):
         assert pure.u_rel(code, (a,), (b,)) == compiled.u_rel(code, (a,), (b,))
 
@@ -102,9 +120,9 @@ def test_randomized_equivalence(compiled, a, b):
 def test_set_level_equivalence(compiled, A, B):
     n = min(len(A), len(B))
     A, B = tuple(A[:n]), tuple(B[:n])
-    assert pure.u_union(A, B) == compiled.u_union(A, B)
-    assert pure.u_inter(A, B) == compiled.u_inter(A, B)
-    assert pure.u_compl(A, 10) == compiled.u_compl(A, 10)
+    assert pure.u_union(A, B) == union(compiled, A, B)
+    assert pure.u_inter(A, B) == inter(compiled, A, B)
+    assert pure.u_compl(A, 10) == compl(compiled, A, 10)
     for code in range(7):
         assert pure.u_rel(code, A, B) == compiled.u_rel(code, A, B)
 
@@ -182,11 +200,13 @@ def test_unknown_relation_code_raises_value_error(compiled):
 
 # Every function that reads the degrees of an hfe rejects an empty one with
 # IndexError, in both kernels alike. An `e_*` probe runs on one-element
-# sets, and its "sot" is `REL_SOT` (code 6).
+# sets, and its "sot" is `REL_SOT` (code 6). The probes evaluate with
+# `union`, `inter` and `compl` as above in scope, so both kernels run the
+# set operations as `term` programs.
 EMPTY_HFE = {
-    "e_union_empty_a": "k.u_union(((),), ((1,),))",
-    "e_union_empty_b": "k.u_union(((1,),), ((),))",
-    "e_inter_empty_b": "k.u_inter(((1,),), ((),))",
+    "e_union_empty_a": "union(k, ((),), ((1,),))",
+    "e_union_empty_b": "union(k, ((1,),), ((),))",
+    "e_inter_empty_b": "inter(k, ((1,),), ((),))",
     "e_rel_p_empty_a": "k.u_rel(0, ((),), ((1,),))",
     "e_rel_n_empty_b": "k.u_rel(5, ((1,),), ((),))",
     "e_rel_empty_each": "[(k.u_rel(c, ((),), ((1,),)), k.u_rel(c, ((1,),), ((),))) for c in (2, 3, 4, 6)]",
@@ -201,8 +221,8 @@ EMPTY_HFE = {
     "u_rel_m_empty_later": "k.u_rel(2, ((1,), ()), ((1,), (1,)))",
     "e_sot_empty_a": "k.u_rel(6, ((),), ((1,),))",
     "e_sot_empty_b": "k.u_rel(6, ((1,),), ((),))",
-    "e_compl_empty": "k.u_compl(((),), 1)",
-    "u_compl_empty_later": "k.u_compl(((1,), ()), 1)",
+    "e_compl_empty": "compl(k, ((),), 1)",
+    "u_compl_empty_later": "compl(k, ((1,), ()), 1)",
 }
 
 # --- draw_plan over a chunk of trials ---
@@ -307,15 +327,15 @@ def test_failing_chunks_leak_nothing(compiled):
 # function, so the `e_*` probes reach each operation and relation through
 # the set-level function on one-element sets.
 PROBES = {
-    "e_union_1500": "k.u_union((tuple(range(1500, 0, -1)),), (tuple(range(1600, 100, -1)),))",
-    "e_inter_1500": "k.u_inter((tuple(range(1500, 0, -1)),), (tuple(range(1600, 100, -1)),))",
+    "e_union_1500": "union(k, (tuple(range(1500, 0, -1)),), (tuple(range(1600, 100, -1)),))",
+    "e_inter_1500": "inter(k, (tuple(range(1500, 0, -1)),), (tuple(range(1600, 100, -1)),))",
     "gen_hfe_3000": "k.draw_plan(((0, 0),), 1, (100, 1, 1, 3000, 3000, 1, 1), 1, 0, 1)",
     "gen_hfs_3000": "k.draw_plan(((0, 0),), 1, (10**9, 3, 3, 2500, 3000, 1, 1), 2, 0, 1)",
-    "u_union_short_b": "k.u_union(((3, 1), (2,), (5,)), ((2,),))",
-    "u_inter_short_b": "k.u_inter(((3, 1), (2,)), ((2,),))",
+    "u_union_short_b": "union(k, ((3, 1), (2,), (5,)), ((2,),))",
+    "u_inter_short_b": "inter(k, ((3, 1), (2,)), ((2,),))",
     "u_rel_short_b": "[k.u_rel(c, ((3, 1), (2,), (5,)), ((4,),)) for c in range(6)]",
     "u_sot_short_b": "k.u_rel(6, ((3, 1), (2,), (5,)), ((4,),))",
-    "u_union_list_hfe": "k.u_union(([1],), ((1,),))",
+    "u_union_list_hfe": "union(k, ([1],), ((1,),))",
     "u_rel_list_hfe": "k.u_rel(0, ([1],), ((1,),))",
     **EMPTY_HFE,
     "e_rel_m_wraps": "k.u_rel(2, ((2**62, 2**62),), ((1,),))",
@@ -327,9 +347,9 @@ PROBES = {
     "randint_empty_range": "k.draw_plan((), 0, (100, -2**63 + 3, -2**63, 1, 1, 1, 1), 5, 0, 3)",
     "randint_past_2_63": "k.draw_plan((), 0, (100, 0, 2**63, 1, 1, 1, 1), 5, 0, 3)",
     "below_past_2_63": "k.draw_plan((), 0, (100, 0, 2**64 - 1, 1, 1, 1, 1), 5, 0, 3)",
-    "e_compl_int64_edge": "k.u_compl(((2**63 - 1, 0),), 2**63 - 1)",
-    "e_compl_past_2_63": "k.u_compl(((0,),), 2**63)",
-    "e_compl_wraps": "k.u_compl(((-1,),), 2**63 - 1)",
+    "e_compl_int64_edge": "compl(k, ((2**63 - 1, 0),), 2**63 - 1)",
+    "e_compl_past_2_63": "compl(k, ((0,),), 2**63)",
+    "e_compl_wraps": "compl(k, ((-1,),), 2**63 - 1)",
     "e_rel_degree_past_2_63": "k.u_rel(0, ((2**64,),), ((1,),))",
     # every law's plan at the config bounds: grid 10**9, universe 16,
     # cardinality 64, family 8
@@ -388,13 +408,22 @@ compiled = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compiled)
 
 from hesitant import law_registry as _laws
+from hesitant.expressions import COMPL, INTER, UNION
 
 def _law_plan(law):
     return law.plan, len(law.params)
 
+scope = {
+    "_laws": _laws,
+    "_law_plan": _law_plan,
+    "union": lambda k, A, B: k.term((0, 1, UNION), (A, B), 0),
+    "inter": lambda k, A, B: k.term((0, 1, INTER), (A, B), 0),
+    "compl": lambda k, A, one: k.term((0, COMPL), (A,), one),
+}
+
 def run(k):
     try:
-        return "returned", eval(sys.argv[2], {"k": k, "_laws": _laws, "_law_plan": _law_plan})
+        return "returned", eval(sys.argv[2], {**scope, "k": k})
     except Exception as exc:
         return "raised", type(exc).__name__
 
@@ -422,4 +451,4 @@ def test_boundary_probe(compiled, name):
 def test_empty_hfe_raises_index_error(compiled, name):
     for k in (pure, compiled):
         with pytest.raises(IndexError):
-            eval(EMPTY_HFE[name], {"k": k})
+            eval(EMPTY_HFE[name], {"k": k, "union": union, "inter": inter, "compl": compl})

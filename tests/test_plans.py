@@ -15,6 +15,7 @@ import pytest
 
 from hesitant import law_registry
 from hesitant._kernel import _pykernel as pure
+from hesitant.expressions import INTER, MEET_ALL, TERM_OPS
 from hesitant.laws import generators as g
 from hesitant.laws.engine import _mix
 from test_streams import OracleStream, oracle_gen_hfs
@@ -64,7 +65,7 @@ def test_every_move_appears_in_a_law():
         walk(law.plan)
     assert moves == set(range(9))
     assert members == {g.ALL, g.SOME, g.LONGER}
-    assert ops == {g.INTER, g.MEET_ALL}
+    assert ops == {INTER, MEET_ALL}
 
 
 @pytest.mark.parametrize("config", BOUNDS)
@@ -89,7 +90,7 @@ def _random_move(rng, slots, depth=0):
     if op == g.ABOVE:
         return (op, code, pick(), pick(), rng.randrange(3))
     if op == g.BELOW:
-        program = tuple(rng.choice((pick(), pick(), *g.TERM_OPS)) for _ in range(rng.randrange(1, 5)))
+        program = tuple(rng.choice((pick(), pick(), *TERM_OPS)) for _ in range(rng.randrange(1, 5)))
         return (op, code, pick(), program)
     return (op, pick(), pick())
 
@@ -131,4 +132,4 @@ def test_pure_codes_are_the_generators_codes():
             pure._BELOW, pure._SUBFAMILY, pure._CHOICE) == tuple(range(9))
     assert (g.SET, g.FAMILY, g.LADDER, g.COPY, g.COINCIDE, g.ABOVE, g.BELOW, g.SUBFAMILY, g.CHOICE) == tuple(range(9))
     assert (pure._ALL, pure._SOME, pure._LONGER) == (g.ALL, g.SOME, g.LONGER)
-    assert (pure._UNION, pure._INTER, pure._COMPL, pure._MEET_ALL, pure._JOIN_ALL) == tuple(g.TERM_OPS)
+    assert (pure._UNION, pure._INTER, pure._COMPL, pure._MEET_ALL, pure._JOIN_ALL) == tuple(TERM_OPS)

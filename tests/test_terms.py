@@ -1,7 +1,7 @@
 """`term`: both kernels evaluate a set term's postfix program over slots.
 
 The registry compiles every compound term of a law to a program
-(`generators._program`) and runs it through the kernel's `term`, so a term
+(`expressions.program`) and runs it through the kernel's `term`, so a term
 must give what the public set algebra gives for the same expression:
 `expressions.evaluate_on_hfs`, with `family_fold` for ⋂F and ⋃F. A program
 the kernels cannot run raises the same exception type on both.
@@ -12,9 +12,12 @@ import random
 import pytest
 
 from hesitant._kernel import _pykernel as pure
-from hesitant.expressions import Compl, Join, Meet, Var, evaluate_on_hfs
-from hesitant.laws import generators as g
-from hesitant.laws.registry import Fold
+from hesitant.expressions import (
+    COMPL, INTER, JOIN_ALL, MEET_ALL, UNION, Compl, Fold, Join, Meet, Var, evaluate_on_hfs,
+    parse_expression, program, variables,
+)
+from hesitant.laws.registry import Rel, inc
+from hesitant.relations import Inclusion
 from hesitant.sets import HFS, Family, SetOp, Universe, family_fold
 
 DEN = 100
@@ -70,10 +73,10 @@ def test_term_equals_the_set_algebra(compiled, seed):
     rng = random.Random(seed)
     for _ in range(200):
         node, slots = _expression(rng, rng.randint(1, 4)), _slots(rng)
-        program = g._program(_with_folds(node), SLOT)
+        postfix = program(_with_folds(node), SLOT)
         universe, want = _oracle(node, slots)
         for k in (pure, compiled):
-            got = k.term(program, slots, DEN)
+            got = k.term(postfix, slots, DEN)
             assert HFS._from_grid(universe, got, DEN) == want, (k.IMPLEMENTATION, str(node))
 
 
@@ -88,18 +91,18 @@ def test_a_variable_is_its_slot(compiled):
 _EMPTY_FAMILY = 4
 MALFORMED = {
     "empty_program": ((), IndexError),
-    "union_of_nothing": ((g.UNION,), IndexError),
-    "intersection_of_one": ((0, g.INTER), IndexError),
-    "complement_of_nothing": ((g.COMPL,), IndexError),
-    "fold_of_nothing": ((g.MEET_ALL,), IndexError),
+    "union_of_nothing": ((UNION,), IndexError),
+    "intersection_of_one": ((0, INTER), IndexError),
+    "complement_of_nothing": ((COMPL,), IndexError),
+    "fold_of_nothing": ((MEET_ALL,), IndexError),
     "unknown_operator": ((0, -6), ValueError),
     "unknown_operator_first": ((-9, 0), ValueError),
     "slot_out_of_range": ((5,), IndexError),
-    "slot_past_the_operands": ((0, 9, g.UNION), IndexError),
-    "meet_of_an_empty_family": ((_EMPTY_FAMILY, g.MEET_ALL), TypeError),
-    "join_of_an_empty_family": ((_EMPTY_FAMILY, g.JOIN_ALL), TypeError),
-    "union_of_a_set_and_a_family": ((0, 3, g.UNION), TypeError),
-    "complement_of_a_family": ((3, g.COMPL), TypeError),
+    "slot_past_the_operands": ((0, 9, UNION), IndexError),
+    "meet_of_an_empty_family": ((_EMPTY_FAMILY, MEET_ALL), TypeError),
+    "join_of_an_empty_family": ((_EMPTY_FAMILY, JOIN_ALL), TypeError),
+    "union_of_a_set_and_a_family": ((0, 3, UNION), TypeError),
+    "complement_of_a_family": ((3, COMPL), TypeError),
 }
 
 
@@ -129,19 +132,41 @@ def test_random_programs_raise_alike(compiled, seed):
     rng = random.Random(seed)
     for _ in range(500):
         slots = (*_slots(rng), ())
-        program = tuple(rng.randrange(-7, len(slots) + 1) for _ in range(rng.randrange(7)))
-        want, got = _outcome(pure, program, slots), _outcome(compiled, program, slots)
-        assert got == want or want[0] == "returned" and got == ("raised", TypeError), program
+        codes = tuple(rng.randrange(-7, len(slots) + 1) for _ in range(rng.randrange(7)))
+        want, got = _outcome(pure, codes, slots), _outcome(compiled, codes, slots)
+        assert got == want or want[0] == "returned" and got == ("raised", TypeError), codes
 
 
 def test_term_arguments(compiled):
     slots = _slots(random.Random(2))
     for k in (pure, compiled):
-        assert k.term((0, g.COMPL), slots, DEN) == k.u_compl(slots[0], DEN)
+        assert k.term((0, COMPL), slots, DEN) == pure.u_compl(slots[0], DEN)
         with pytest.raises(TypeError):
             k.term((0,), slots)
-    # the compiled kernel reads a complement unit as int64, as `u_compl` does
+    # the compiled kernel reads a complement unit as int64; pure takes any int
+    assert pure.term((0, COMPL), slots, 2**64) == pure.u_compl(slots[0], 2**64)
     with pytest.raises(OverflowError):
-        compiled.term((0, g.COMPL), slots, 2**64)
+        compiled.term((0, COMPL), slots, 2**64)
     with pytest.raises(TypeError):
         compiled.term((0,), list(slots), DEN)
+
+
+def test_program_reads_only_the_slot_map():
+    """A name outside the slot map is a KeyError, so a law whose spec
+    misspells a param fails when the registry compiles it, at import."""
+    slot = {"A": 0, "B": 1, "F": 2}
+    assert program(parse_expression("(A | B)^c & A"), slot) == (0, 1, UNION, COMPL, 0, INTER)
+    assert program(Fold("⋂", "F"), slot) == (2, MEET_ALL)
+    assert program(Fold("⋃", "F"), slot) == (2, JOIN_ALL)
+    for term in (parse_expression("A | Q"), parse_expression("Qᶜ"), Fold("⋂", "G")):
+        with pytest.raises(KeyError):
+            program(term, slot)
+    with pytest.raises(KeyError):
+        inc(Inclusion.POSSIBLE, "A & B", "A | Q").compile(slot)
+    with pytest.raises(KeyError):
+        Rel("rel", Var("A"), Fold("⋃", "G"), Inclusion.POSSIBLE).compile(slot)
+
+
+def test_variables_of_a_fold_is_its_family():
+    assert variables(Fold("⋂", "F1")) == {"F1"} == variables(Fold("⋃", "F1"))
+    assert variables(parse_expression("(A | B)^c & A")) == {"A", "B"}
