@@ -18,7 +18,14 @@
  * The pure `u_rel` and `term` take ints of any size, for the exact path,
  * where these raise; `draw_plan` reads its seven bounds as int64 on both
  * kernels, so for a bound outside int64 both raise OverflowError, and for
- * one that is not an int TypeError. Scratch space is sized from the input.
+ * one that is not an int TypeError. Both take only the draw domain, the
+ * paper's non-empty objects as `GeneratorConfig` allows them: a grid
+ * den >= 1 and 1 <= lo <= hi for the universe size, the cardinality and
+ * the family size, and raise ValueError for any other bounds, at every
+ * count. So no span a draw scales by passes 2**63 and every count is
+ * positive: the draws need only unsigned 64-bit arithmetic, and __int128
+ * serves the exact mean comparison alone. Scratch space is sized from the
+ * input.
  * Relations read only the positions the pure kernel reads, and the
  * set-level operations stop at the shorter operand, as `zip` does. The
  * SplitMix64 streams are bit-identical to the pure ones (Steele, Lea &
@@ -57,13 +64,10 @@ static inline u64 next(u64 *state) {
     return z ^ (z >> 31);
 }
 
-/* floor(z * span / 2**64) for |span| <= 2**64: the pure `(z * n) >> 64`. */
-static inline i128 scale(u64 z, i128 span) {
-    if (span >= 0)
-        return (i128)(((u128)z * (u128)span) >> 64);
-    u128 m = (u128)z * (u128)(-span);
-    return -(i128)((m >> 64) + ((u64)m != 0));
-}
+/* floor(z * span / 2**64), the pure `(z * n) >> 64`: a draw from
+ * range(span). In the draw domain every span is 0 .. 2**63 (0 only where a
+ * longer member's cardinality range is the one value lo). */
+static inline u64 scale(u64 z, u64 span) { return (u64)(((u128)z * span) >> 64); }
 
 /* --- arguments and elements --- */
 
@@ -233,9 +237,9 @@ static PyObject *elem(int op, PyObject *a, PyObject *b) {
     return op == T_COMPL ? compl(a, b) : combine(a, b, op == T_UNION);
 }
 
-/* Sets *gt to mean(a) > mean(b), compared as pure compares them: sum(a) *
- * len(b) > sum(b) * len(a), exactly, where an empty hfe has sum and length
- * 0. 0, or -1 with an exception set. */
+/* Sets *gt to mean(a) > mean(b) for non-empty hfes, compared as pure
+ * compares them: sum(a) * len(b) > sum(b) * len(a), exactly. 0, or -1 with
+ * an exception set. */
 static int mean_gt(PyObject *a, PyObject *b, int *gt) {
     Py_ssize_t na = PyTuple_GET_SIZE(a), nb = PyTuple_GET_SIZE(b), i;
     i128 sa = 0, sb = 0, l, r;
@@ -423,20 +427,16 @@ FASTCALL(term) {
 /* --- random generation on the integer grid --- */
 
 /* One hfe drawn from the state *z, as pure `_hfes` draws each: a
- * cardinality uniform in [lo, hi], then that many degrees uniform on
- * {0, ..., den}. */
+ * cardinality uniform in [lo, hi] (1 <= lo <= hi + 1), then that many
+ * degrees uniform on {0, ..., den}. */
 static PyObject *draw(u64 *z, i64 den, i64 lo, i64 hi) {
-    i128 k = lo + scale(next(z), (i128)hi - lo + 1);
-    if (k <= 0)
-        return PyTuple_New(0);
-    if (k > PY_SSIZE_T_MAX)
-        return PyErr_NoMemory();
+    i64 k = lo + (i64)scale(next(z), (u64)(hi - lo + 1));
     scratch s;
-    deg *v = grab(&s, (Py_ssize_t)k);
+    deg *v = grab(&s, (Py_ssize_t)k); /* MemoryError past what PyMem_New can size */
     PyObject *out = NULL;
     if (v) {
         for (Py_ssize_t i = 0; i < k; i++)
-            v[i] = (deg){(i64)scale(next(z), (i128)den + 1), NULL};
+            v[i] = (deg){(i64)scale(next(z), (u64)den + 1), NULL};
         out = pack_desc(v, (Py_ssize_t)k);
     }
     drop(&s);
@@ -445,7 +445,7 @@ static PyObject *draw(u64 *z, i64 den, i64 lo, i64 hi) {
 
 /* `count` hfes drawn from the state *z, as a tuple. */
 static PyObject *draw_hfes(u64 *z, i64 count, i64 den, i64 lo, i64 hi) {
-    PyObject *t = PyTuple_New(count > 0 ? count : 0);
+    PyObject *t = PyTuple_New(count);
     for (Py_ssize_t i = 0; t && i < count; i++)
         t = put(t, i, draw(z, den, lo, hi));
     return t;
@@ -469,7 +469,7 @@ typedef struct {
     Py_ssize_t nslots;
 } trial;
 
-static i128 randint(trial *t, i128 lo, i128 hi) { return lo + scale(next(&t->z), hi - lo + 1); }
+static i64 randint(trial *t, i64 lo, i64 hi) { return lo + (i64)scale(next(&t->z), (u64)(hi - lo + 1)); }
 
 /* move[j] as a long; IndexError past its end, as `move[j]` raises. */
 static int field(PyObject *move, Py_ssize_t j, long *out) {
@@ -504,8 +504,8 @@ static int store(PyObject **at, PyObject *o) {
 }
 
 static PyObject *family(trial *t) {
-    i128 count = randint(t, t->flo, t->fhi);
-    PyObject *f = PyTuple_New(count > 0 ? (Py_ssize_t)count : 0);
+    i64 count = randint(t, t->flo, t->fhi);
+    PyObject *f = PyTuple_New(count);
     for (Py_ssize_t i = 0; f && i < count; i++)
         f = put(f, i, draw_hfes(&t->z, t->size, t->den, t->lo, t->hi));
     return f;
@@ -521,19 +521,18 @@ static int packed(deg *v, Py_ssize_t n, PyObject **out) {
  * or 1 when ⊂t leaves no room. */
 static int above(trial *t, PyObject *a, long code, i64 hi, PyObject **out) {
     Py_ssize_t na = PyTuple_GET_SIZE(a), n = 0;
-    i64 x, y;
-    i128 den = t->den, k;
+    i64 x, y, den = t->den, k;
     if (code == REL_T && na >= hi)
         return 1;
     u64 z = next(&t->z);
     if (item_at(a, 0, &x))
         return -1;
-    if (code == REL_S)
-        k = t->lo + scale(z, (i128)na - t->lo + 1);
+    if (code == REL_S) /* a has at least lo degrees */
+        k = t->lo + (i64)scale(z, (u64)(na - t->lo + 1));
     else if (code == REL_T)
-        k = na + 1 + scale(z, (i128)hi - na);
+        k = na + 1 + (i64)scale(z, (u64)(hi - na));
     else if (code == REL_P || code == REL_A || code == REL_N)
-        k = t->lo + scale(z, (i128)hi - t->lo + 1);
+        k = t->lo + (i64)scale(z, (u64)(hi - t->lo + 1));
     else {
         PyErr_Format(PyExc_ValueError, "no dominating construction for relation code %ld", code);
         return -1;
@@ -548,15 +547,15 @@ static int above(trial *t, PyObject *a, long code, i64 hi, PyObject **out) {
         for (; n < (code == REL_S ? Py_MIN(k, na) : na); n++) {
             if (item_at(a, n, &y))
                 goto done;
-            v[n] = (deg){(i64)(y + scale(next(&t->z), den - y + 1)), NULL};
+            v[n] = (deg){y + (i64)scale(next(&t->z), (u64)(den - y) + 1), NULL};
         }
     else if (code != REL_N) /* ⊂p, ⊂a: one degree above a's first */
-        v[n++] = (deg){(i64)(x + scale(next(&t->z), den - x + 1)), NULL};
+        v[n++] = (deg){x + (i64)scale(next(&t->z), (u64)(den - x) + 1), NULL};
     if (code == REL_A && item_at(a, na - 1, &x))
         goto done;
     for (; code != REL_S && n < k; n++) /* the rest: above x (⊂n, ⊂a), or anywhere */
-        v[n] = (deg){(i64)(code == REL_N || code == REL_A ? x + scale(next(&t->z), den - x + 1)
-                                                          : scale(next(&t->z), den + 1)),
+        v[n] = (deg){code == REL_N || code == REL_A ? x + (i64)scale(next(&t->z), (u64)(den - x) + 1)
+                                                    : (i64)scale(next(&t->z), (u64)den + 1),
                      NULL};
     r = packed(v, n, out);
 done:
@@ -570,8 +569,7 @@ static int below(trial *t, PyObject *b, long code, PyObject **out) {
     if (need_tuple(b, "hfe"))
         return -1;
     Py_ssize_t nb = PyTuple_GET_SIZE(b), n = 0;
-    i64 lo = t->lo, hi = t->hi, first, last, y;
-    i128 k;
+    i64 lo = t->lo, hi = t->hi, first, last, y, k;
     if ((code == REL_S && nb > hi) || (code == REL_T && lo >= nb))
         return 1;
     u64 z = next(&t->z);
@@ -579,11 +577,11 @@ static int below(trial *t, PyObject *b, long code, PyObject **out) {
         return -1;
     if (code == REL_S) {
         i64 least = lo > nb ? lo : nb;
-        k = least + scale(z, (i128)hi - least + 1);
+        k = least + (i64)scale(z, (u64)(hi - least + 1));
     } else if (code == REL_T)
-        k = lo + scale(z, (i128)(hi < nb ? hi : nb - 1) - lo + 1);
+        k = lo + (i64)scale(z, (u64)((hi < nb ? hi : nb - 1) - lo + 1));
     else if (code == REL_P || code == REL_A || code == REL_N)
-        k = lo + scale(z, (i128)hi - lo + 1);
+        k = lo + (i64)scale(z, (u64)(hi - lo + 1));
     else {
         PyErr_Format(PyExc_ValueError, "no dominated construction for relation code %ld", code);
         return -1;
@@ -600,12 +598,12 @@ static int below(trial *t, PyObject *b, long code, PyObject **out) {
         for (; n < (code == REL_S ? nb : Py_MIN(k, nb)); n++) {
             if (item_at(b, n, &y))
                 goto done;
-            v[n] = (deg){(i64)scale(next(&t->z), (i128)y + 1), NULL};
+            v[n] = (deg){(i64)scale(next(&t->z), (u64)y + 1), NULL};
         }
     else if (code == REL_A)
-        v[n++] = (deg){(i64)scale(next(&t->z), (i128)last + 1), NULL};
+        v[n++] = (deg){(i64)scale(next(&t->z), (u64)last + 1), NULL};
     for (; code != REL_T && n < k; n++) /* the rest: under b's last degree (⊂s, ⊂n) or its first */
-        v[n] = (deg){(i64)scale(next(&t->z), (i128)(code == REL_S || code == REL_N ? last : first) + 1), NULL};
+        v[n] = (deg){(i64)scale(next(&t->z), (u64)(code == REL_S || code == REL_N ? last : first) + 1), NULL};
     r = packed(v, n, out);
 done:
     drop(&s);
@@ -629,7 +627,7 @@ static int ladder(trial *t, PyObject *move, long code) {
     for (j = 0; j < width; j++)
         cols[j] = NULL;
     for (j = 0; j < width; j++)
-        if (!(cols[j] = PyTuple_New(t->size > 0 ? t->size : 0)))
+        if (!(cols[j] = PyTuple_New(t->size)))
             goto done;
     for (p = 0; p < t->size; p++) {
         if (code == REL_M) {
@@ -703,8 +701,7 @@ static int family_above(trial *t, PyObject *move) {
         fam = free ? PySequence_List(free) : NULL;
         Py_XDECREF(free);
     } else {
-        i128 c = randint(t, t->flo, t->fhi);
-        fam = PyList_New(c > 0 ? (Py_ssize_t)c : 0);
+        fam = PyList_New(randint(t, t->flo, t->fhi));
         for (Py_ssize_t j = 0; fam && members != ALL && j < PyList_GET_SIZE(fam); j++) {
             PyObject *H = PyTuple_New(n);
             for (Py_ssize_t p = 0; H && p < n; p++)
@@ -719,7 +716,7 @@ static int family_above(trial *t, PyObject *move) {
     count = PyList_GET_SIZE(fam);
     last = count;
     if (members != ALL) {
-        first = (Py_ssize_t)scale(next(&t->z), count);
+        first = (Py_ssize_t)scale(next(&t->z), (u64)count);
         last = first + 1;
     }
     for (Py_ssize_t j = first; j < last; j++) {
@@ -733,12 +730,9 @@ static int family_above(trial *t, PyObject *move) {
             }
             PyTuple_SET_ITEM(H, p, h);
         }
-        if (!H || PyList_SetItem(fam, j, H)) /* IndexError in an empty family */
+        if (!H || PyList_SetItem(fam, j, H))
             goto done;
     }
-    for (Py_ssize_t j = 0; j < count; j++)
-        if (PyList_GET_ITEM(fam, j) == NULL)
-            PyList_SET_ITEM(fam, j, Py_NewRef(Py_None));
     Py_SETREF(*at_a, Py_NewRef(A));
     r = store(at_f, PyList_AsTuple(fam));
 done:
@@ -753,7 +747,7 @@ static int subfamily(trial *t, PyObject *move) {
     PyObject **at_small = slot(t, move, 1), **at_big = at_small ? slot(t, move, 2) : NULL, *big, *small;
     if (!at_big || !(big = family(t)))
         return -1;
-    Py_ssize_t n = PyTuple_GET_SIZE(big), *idx = PyMem_New(Py_ssize_t, n > 0 ? n : 1), j, k;
+    Py_ssize_t n = PyTuple_GET_SIZE(big), *idx = PyMem_New(Py_ssize_t, n), j, k;
     if (!idx) {
         Py_DECREF(big);
         PyErr_NoMemory();
@@ -762,12 +756,11 @@ static int subfamily(trial *t, PyObject *move) {
     for (j = 0; j < n; j++)
         idx[j] = j;
     for (j = n - 1; j > 0; j--) {
-        Py_ssize_t r = (Py_ssize_t)scale(next(&t->z), j + 1), x = idx[j];
+        Py_ssize_t r = (Py_ssize_t)scale(next(&t->z), (u64)j + 1), x = idx[j];
         idx[j] = idx[r];
         idx[r] = x;
     }
-    k = 1 + (Py_ssize_t)scale(next(&t->z), n);
-    k = Py_MIN(k, n);
+    k = 1 + (Py_ssize_t)scale(next(&t->z), (u64)n);
     small = PyTuple_New(k);
     for (j = 0; small && j < k; j++)
         small = put(small, j, Py_NewRef(PyTuple_GET_ITEM(big, idx[j])));
@@ -810,16 +803,16 @@ static int run(trial *t, PyObject *plan) {
                 Py_SETREF(*at, Py_NewRef(*other));
             break;
         case COINCIDE: { /* one degree c per position, repeated in both */
-            Py_ssize_t size = t->size > 0 ? t->size : 0;
+            Py_ssize_t size = t->size;
             PyObject *pa = NULL, *pb = NULL;
             if (!(at = slot(t, move, 1)) || !(other = slot(t, move, 2)) || !(pa = PyTuple_New(size))
                 || !(pb = PyTuple_New(size)))
                 r = -1;
             for (Py_ssize_t p = 0; !r && p < size; p++) {
-                PyObject *c = Py_BuildValue("(L)", (long long)scale(next(&t->z), (i128)t->den + 1)), *ca, *cb;
-                i128 ka = randint(t, t->lo, t->hi), kb = randint(t, t->lo, t->hi);
-                ca = c ? PySequence_Repeat(c, ka > 0 ? (Py_ssize_t)ka : 0) : NULL;
-                cb = ca ? PySequence_Repeat(c, kb > 0 ? (Py_ssize_t)kb : 0) : NULL;
+                PyObject *c = Py_BuildValue("(L)", (long long)scale(next(&t->z), (u64)t->den + 1)), *ca, *cb;
+                i64 ka = randint(t, t->lo, t->hi), kb = randint(t, t->lo, t->hi);
+                ca = c ? PySequence_Repeat(c, ka) : NULL;
+                cb = ca ? PySequence_Repeat(c, kb) : NULL;
                 Py_XDECREF(c);
                 if (!cb) {
                     Py_XDECREF(ca);
@@ -865,7 +858,7 @@ static int run(trial *t, PyObject *plan) {
             break;
         case CHOICE: { /* one plan among the move's */
             Py_ssize_t n = PyTuple_GET_SIZE(move);
-            Py_ssize_t pick = 1 + (Py_ssize_t)scale(next(&t->z), n - 1);
+            Py_ssize_t pick = 1 + (Py_ssize_t)scale(next(&t->z), (u64)n - 1);
             if (pick >= n) {
                 PyErr_SetString(PyExc_IndexError, "plan move too short");
                 r = -1;
@@ -890,8 +883,7 @@ static PyObject *one_trial(trial *t, PyObject *plan, const i64 *b, u64 prefix, u
     for (int i = 0; i < 8; i++)
         prefix = (prefix ^ ((index >> (8 * i)) & 0xFF)) * FNV_PRIME;
     t->z = prefix;
-    i128 size = randint(t, b[1], b[2]);
-    t->size = (i64)size;
+    t->size = randint(t, b[1], b[2]);
     int r = run(t, plan);
     PyObject *binding = r ? NULL : PyTuple_New(t->nslots), *out = NULL;
     for (Py_ssize_t j = 0; j < t->nslots; j++) {
@@ -905,11 +897,12 @@ static PyObject *one_trial(trial *t, PyObject *plan, const i64 *b, u64 prefix, u
     if (r == 1)
         binding = Py_NewRef(Py_None);
     if (binding)
-        out = Py_BuildValue("(LN)", (long long)size, binding);
+        out = Py_BuildValue("(LN)", (long long)t->size, binding);
     return out;
 }
 
 #define OUT_OF_RANGE "trial index out of range 0..2**64 - 1"
+#define DOMAIN "bounds need den >= 1 and 1 <= lo <= hi for the size, cardinality and family ranges"
 
 /* An int that is not a bool, as width, first and count must be. */
 static int plain_int(PyObject *o) { return PyLong_Check(o) && !PyBool_Check(o); }
@@ -925,6 +918,8 @@ FASTCALL(draw_plan) {
     for (int i = 0; i < 7; i++)
         if (as_i64(PyTuple_GET_ITEM(args[2], i), &b[i]))
             return NULL;
+    if (b[0] < 1 || b[1] < 1 || b[1] > b[2] || b[3] < 1 || b[3] > b[4] || b[5] < 1 || b[5] > b[6])
+        return PyErr_Format(PyExc_ValueError, DOMAIN);
     u64 prefix = PyLong_AsUnsignedLongLongMask(args[3]);
     if (prefix == (u64)-1 && PyErr_Occurred())
         return NULL;

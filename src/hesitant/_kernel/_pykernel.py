@@ -17,16 +17,22 @@ both run it, and the exact algebra calls all four directly.
 
 Random generation draws from SplitMix64 streams, and `draw_plan` is its one
 entry: it runs a chunk of consecutive trials of a law in one call. Unlike
-the set functions it reads its bounds as int64, as the compiled kernel
-does. Output i of a stream is the mix of state + i·γ, so `_block` computes
-the outputs of many streams a block at a time, one per 128-bit lane of a
-single Python int, with their draws from the grid in the lanes' high
-halves. `draw_plan` seeds each trial's stream from the law's FNV-1a prefix
-and the trial index, computes the first blocks of up to 64 trials in one
-pass, then draws each trial's universe size and runs the law's plan
-(`laws/generators.py`) on that trial's buffer, growing it by passes over
-its one stream. The draws are exactly those of one output per draw:
-`tests/test_streams.py` pins them against a method-per-draw oracle.
+the set functions it reads its bounds as int64, as the compiled kernel does,
+and takes only the paper's non-empty objects: a grid den >= 1 and ranges
+1 <= lo <= hi for the universe size, the cardinality and the family size,
+as `GeneratorConfig` allows. Outside int64 it raises OverflowError, for a
+bound that is not an int TypeError, and for any other bound outside that
+domain ValueError, at every count, so no draw spans more than 2**63 values
+and every universe, hfe and family drawn is non-empty. Output i of a stream is
+the mix of state + i·γ, so `_block` computes the outputs of many streams a
+block at a time, one per 128-bit lane of a single Python int, with their
+draws from the grid in the lanes' high halves. `draw_plan` seeds each
+trial's stream from the law's FNV-1a prefix and the trial index, computes
+the first blocks of up to 64 trials in one pass, then draws each trial's
+universe size and runs the law's plan (`laws/generators.py`) on that trial's
+buffer, growing it by passes over its one stream. The draws are exactly
+those of one output per draw: `tests/test_streams.py` pins them against a
+method-per-draw oracle.
 
 The compiled twin, the hand-written C module `_ckernel.c`, has the public
 names of this module but `u_union`, `u_inter` and `u_compl`, which only its
@@ -34,13 +40,13 @@ names of this module but `u_union`, `u_inter` and `u_compl`, which only its
 including bit-identical random streams: for every input it returns exactly
 what this module returns or raises a Python exception (`OverflowError`
 outside int64, `TypeError` for an hfe that is not a tuple); for
-`draw_plan`'s bounds both raise the same.
+`draw_plan`'s bounds both raise the same, ValueError outside the domain.
 `tests/test_kernel.py` pins the names and the equivalence.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cmp_to_key, lru_cache, reduce
 from itertools import repeat
 from operator import ge, index, sub
 from struct import Struct
@@ -177,6 +183,10 @@ _ALL, _SOME, _LONGER = range(3)
 _UNION, _INTER, _COMPL, _MEET_ALL, _JOIN_ALL = range(-1, -6, -1)
 
 _FNV_PRIME = 0x100000001B3
+_DOMAIN = "bounds need den >= 1 and 1 <= lo <= hi for the size, cardinality and family ranges"
+# Orders a ⊂m ladder's hfes by exact mean, cross-multiplied. A stable sort's
+# output is unique, so it equals the compiled kernel's bubble sort.
+_BY_MEAN = cmp_to_key(lambda a, b: sum(a) * len(b) - sum(b) * len(a))
 
 
 # Blocks of outputs are computed in wide ints of 128-bit lanes. A *trial
@@ -199,12 +209,12 @@ def _wide(count: int) -> tuple:
     """The constants of a pass over `count` streams: the trial ints of 1, of t
     and of 255 in lane t, and that of the low 64 bits of every lane; the
     unpacker of a trial int's lanes, and that of stream t's block, at byte
-    offset 16t, as (output, draw) pairs; the block ints of the output steps,
-    of the low and the high 64 bits and of bit 127 of every lane."""
+    offset 16t, as (output, draw) pairs; the block ints of the output steps
+    and of the low and the high 64 bits of every lane."""
     ones = sum(1 << (128 * t) for t in range(count))
     spread = sum(1 << (128 * count * j) for j in range(_BLOCK))  # times a trial int: a block int
     low = _MASK * ones * spread
-    pairs = ("Qq%dx" % (16 * count - 16)) * (_BLOCK - 1) + "Qq"
+    pairs = ("QQ%dx" % (16 * count - 16)) * (_BLOCK - 1) + "QQ"
     return (
         ones,
         sum(t << (128 * t) for t in range(count)),
@@ -215,7 +225,6 @@ def _wide(count: int) -> tuple:
         sum((((j + 1) * _GOLDEN & _MASK) * ones) << (128 * count * j) for j in range(_BLOCK)),
         low,
         ~low,
-        (ones << 127) * spread,
     )
 
 
@@ -223,18 +232,13 @@ def _block(h: int, count: int, n: int) -> bytes:
     """The bytes of the block int of the next _BLOCK outputs of the `count`
     streams whose states are the lanes of the trial int h. Each lane holds an
     output z in its low half and, in its high half, its draw from range(n),
-    (z * n) >> 64, as a signed 64-bit int. An int64 den makes |n| <= 2**63,
-    so z * n lies strictly between -2**127 and 2**127: where n < 0, z * n +
-    2**127 fits the lane, and flipping bit 127 back leaves the draw's two's
-    complement in the high half."""
-    steps, low, high, sign = _wide(count)[6:]
+    (z * n) >> 64: a grid den in 1..2**63 - 1 makes 2 <= n <= 2**63, so z * n
+    fits the lane."""
+    steps, low, high = _wide(count)[6:]
     for copies in (1, 2, 4, 8, 16):
         h |= h << (128 * count * copies)
     x = _mixed((h + steps) & low, low)
-    y = x * n
-    if n < 0:
-        y = (y + sign) ^ sign
-    return (y & high | x).to_bytes(16 * _BLOCK * count, "little")
+    return (x * n & high | x).to_bytes(16 * _BLOCK * count, "little")
 
 
 def _first_blocks(prefix, first, count, n):
@@ -266,16 +270,17 @@ def _grow(buf: tuple, deg: tuple, seed: int, n: int, need: int) -> tuple:
 
 def _hfes(buf, deg, i, seed, n, count, lo, hi):
     """`count` free hfes, each of a cardinality uniform in [lo, hi] and then
-    that many degrees uniform on the grid."""
+    that many degrees uniform on the grid. lo >= 1, and lo = hi + 1, where a
+    longer member must outgrow a set's hfe of hi degrees, draws lo."""
     span = hi - lo + 1
-    most = 1 + max(lo, hi, 0)  # the outputs one hfe can use
+    most = 1 + max(lo, hi)  # the outputs one hfe can use
     out = []
     for _ in range(count):
         if len(buf) - i < most:
             buf, deg = _grow(buf, deg, seed, n, i + most)
         k = lo + ((buf[i] * span) >> 64)
-        h = list(deg[i + 1 : i + 1 + k]) if k > 0 else []
-        i += 1 + len(h)
+        h = list(deg[i + 1 : i + 1 + k])
+        i += 1 + k
         h.sort(reverse=True)
         out.append(tuple(h))
     return tuple(out), buf, deg, i
@@ -304,14 +309,14 @@ def _above(buf, deg, i, seed, n, a, code, lo, hi):
     z, x = buf[i], a[0]
     i += 1
     if code == REL_S:
-        k = max(0, lo + ((z * (len(a) - lo + 1)) >> 64))
+        k = lo + ((z * (len(a) - lo + 1)) >> 64)
         v = [x + ((w * (n - x)) >> 64) for x, w in zip(a, buf[i : i + k])]
     elif code == REL_T:
         k = len(a) + 1 + ((z * (hi - len(a))) >> 64)
         v = [x + ((w * (n - x)) >> 64) for x, w in zip(a, buf[i : i + len(a)])]
         v += deg[i + len(a) : i + k]
     else:
-        k = max(0, lo + ((z * (hi - lo + 1)) >> 64))  # a slice must not count from the end
+        k = lo + ((z * (hi - lo + 1)) >> 64)
         if code == REL_N:
             v = [x + ((w * (n - x)) >> 64) for w in buf[i : i + k]]
         elif code == REL_P:
@@ -338,15 +343,15 @@ def _below(buf, deg, i, seed, n, b, code, lo, hi):
     i += 1
     if code == REL_S:
         least = lo if lo > len(b) else len(b)
-        k = max(0, least + ((z * (hi - least + 1)) >> 64))
+        k = least + ((z * (hi - least + 1)) >> 64)
         v = [(w * (x + 1)) >> 64 for x, w in zip(b, buf[i : i + len(b)])]
         x = b[-1]
         v += [(w * (x + 1)) >> 64 for w in buf[i + len(b) : i + k]]
     elif code == REL_T:
-        k = max(0, lo + ((z * ((hi if hi < len(b) else len(b) - 1) - lo + 1)) >> 64))
+        k = lo + ((z * ((hi if hi < len(b) else len(b) - 1) - lo + 1)) >> 64)
         v = [(w * (x + 1)) >> 64 for x, w in zip(b, buf[i : i + k])]
     else:
-        k = max(0, lo + ((z * (hi - lo + 1)) >> 64))
+        k = lo + ((z * (hi - lo + 1)) >> 64)
         if code == REL_P or code == REL_N:
             x = x + 1 if code == REL_P else b[-1] + 1
             v = [(w * x) >> 64 for w in buf[i : i + k]]
@@ -392,12 +397,15 @@ def draw_plan(plan, width, bounds, prefix, first, count):
     card_hi, family_lo, family_hi), and `plan` holds the moves documented in
     `laws/generators.py`, each writing a value into its slot. The bounds are
     read as the compiled kernel reads them: ints (TypeError) within int64
-    (OverflowError). `width`, `first` and `count` are ints and not bools,
-    and every trial index must fit 64 bits.
+    (OverflowError), with den >= 1 and 1 <= lo <= hi for each range
+    (ValueError, at every count). `width`, `first` and `count` are ints and
+    not bools, and every trial index must fit 64 bits.
     """
     den, ulo, uhi, lo, hi, flo, fhi = bounds = tuple(map(index, bounds))
     if not all(-(1 << 63) <= v < 1 << 63 for v in bounds):
         raise OverflowError("bounds must fit int64")
+    if not (den >= 1 and 1 <= ulo <= uhi and 1 <= lo <= hi and 1 <= flo <= fhi):
+        raise ValueError(_DOMAIN)
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (width, first, count)):
         raise TypeError("width, first and count must be ints, not bools")
     if width < 0:
@@ -437,13 +445,7 @@ def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
             if code == REL_M:  # free hfes, stably sorted by exact mean
                 for _ in range(size):
                     row, buf, deg, i = _hfes(buf, deg, i, seed, n, len(out), lo, hi)
-                    row = list(row)
-                    for end in range(len(row) - 1, 0, -1):
-                        for j in range(end):
-                            a, b = row[j], row[j + 1]
-                            if sum(a) * len(b) > sum(b) * len(a):
-                                row[j], row[j + 1] = b, a
-                    rows.append(row)
+                    rows.append(sorted(row, key=_BY_MEAN))
             else:  # a base, then one step up per further name
                 lift = 1 if code == REL_T else 0  # a ⊂t step adds a degree
                 cap = hi - lift * (len(out) - 1)
@@ -457,7 +459,7 @@ def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
                             return None
                         row += (h,)
                     rows.append(row)
-            for s, col in zip(out, list(zip(*rows)) or [()] * len(out)):
+            for s, col in zip(out, zip(*rows)):
                 slots[s] = col
         elif op == _COPY:
             slots[move[1]] = slots[move[2]]
@@ -470,7 +472,7 @@ def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
                 ka = lo + ((buf[j + 1] * (hi - lo + 1)) >> 64)
                 pairs.append((c * ka, c * (lo + ((buf[j + 2] * (hi - lo + 1)) >> 64))))
             i += 3 * size
-            slots[move[1]], slots[move[2]] = list(zip(*pairs)) or [(), ()]
+            slots[move[1]], slots[move[2]] = zip(*pairs)
         elif op == _ABOVE:  # a set, then members above it
             code, a, f, members = move[1:5]
             cap = hi - 1 if code == REL_T else hi  # room for a ⊂t step

@@ -166,16 +166,21 @@ def _parse_set(name: str, memberships: Mapping, uni: Universe) -> HFS:
     return HFS._from_grid(uni, tuple(grid), SCALE)
 
 
-def load_document(source) -> Document:
-    """Parse a document from bytes, text, or a readable stream; a leading
-    UTF-8 byte-order mark is dropped."""
+def source_text(source) -> str:
+    """The text of bytes (UTF-8), text, or a readable stream of either,
+    without a leading byte-order mark, as spreadsheets write one."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    source = source.removeprefix("\ufeff")
+    return source.removeprefix("\ufeff")
+
+
+def load_document(source) -> Document:
+    """Parse a document from bytes, text, or a readable stream; a leading
+    UTF-8 byte-order mark is dropped."""
     try:
-        data = json.loads(source)
+        data = json.loads(source_text(source))
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
     except RecursionError:

@@ -15,7 +15,7 @@ from typing import Iterable
 # `parse_degree` stays bound here for perfbench/tracing.py, which rebinds it
 # in this module; scores are parsed once, onto the grid.
 from .degrees import SCALE, DegreeError, parse_degree, parse_grid
-from .document import Document
+from .document import Document, source_text
 from .errors import DocumentError, shown
 from .sets import HFS, Universe
 
@@ -26,14 +26,9 @@ def ingest_scores(source, set_name: str = "H") -> Document:
     `source` is CSV text, bytes, or a readable stream; a leading UTF-8
     byte-order mark, as spreadsheets write one, is dropped.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    source = source.removeprefix("\ufeff")
     rows = []
     try:
-        for row in csv.reader(io.StringIO(source)):
+        for row in csv.reader(io.StringIO(source_text(source))):
             if any(cell.strip() for cell in row):
                 rows.append(row)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
@@ -63,6 +58,8 @@ def ingest_scores(source, set_name: str = "H") -> Document:
             members.append(parse_grid(raw))
         except DegreeError as exc:
             raise DocumentError(f"row {lineno}: {exc}") from None
+    if not scores:
+        raise DocumentError("scores table has no score rows, only its header")
     empty = [scheme for scheme, members in scores.items() if not members]
     if empty:
         raise DocumentError(

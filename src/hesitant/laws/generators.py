@@ -33,6 +33,13 @@ whose plan no premise determines name one: the ⇔ laws choose among plans
 with `CHOICE` (one `below(n)` draw picks the plan that follows), and thm5.6
 builds its members with `ABOVE` `LONGER`.
 
+The kernels run a plan only in the draw domain, the bounds a
+`GeneratorConfig` allows: a grid den >= 1 and 1 <= lo <= hi for the universe
+size, cardinality and family size ranges. Any other bounds raise ValueError
+(OverflowError outside int64, TypeError for a bound that is not an int), so
+every universe, hfe and family drawn is non-empty, as the paper's objects
+are.
+
 All construction happens per universe position on the integer grid. The
 sorting trick used throughout: if values v_1..v_k are drawn with
 v_i <= w_i against a descending w (and any extras <= w's last used bound),

@@ -22,34 +22,9 @@ from hesitant.laws import Witness, replay_witness
 from hesitant.laws.algebra import Algebra
 from hesitant.laws.engine import exact_binding
 from hesitant.laws.generators import slots
+from reference import compl, inter, rel, union
 
 # --- the oracle: Fraction tuples and Fraction arithmetic -------------------------
-
-
-def _union(a, b):
-    lo = max(a[-1], b[-1])
-    return tuple(sorted((g for g in a + b if g >= lo), reverse=True))
-
-
-def _inter(a, b):
-    hi = min(a[0], b[0])
-    return tuple(sorted((g for g in a + b if g <= hi), reverse=True))
-
-
-def _rel(code, a, b):
-    if code == _pykernel.REL_P:
-        return a[0] <= b[0]
-    if code == _pykernel.REL_A:
-        return a[0] <= b[0] and a[-1] <= b[-1]
-    if code == _pykernel.REL_M:
-        return sum(a) / len(a) <= sum(b) / len(b)
-    if code == _pykernel.REL_S:
-        return len(a) >= len(b) and all(b[i] >= a[i] for i in range(len(b)))
-    if code == _pykernel.REL_T:
-        return len(a) < len(b) and all(b[i] >= a[i] for i in range(len(a)))
-    if code == _pykernel.REL_SOT:
-        return _rel(_pykernel.REL_S, a, b) or _rel(_pykernel.REL_T, a, b)
-    return a[0] <= b[-1]
 
 
 def _set_op(op):
@@ -57,7 +32,7 @@ def _set_op(op):
 
 
 def _complement(A, one):
-    return tuple(tuple(one - g for g in reversed(a)) for a in A)
+    return tuple(compl(a, one) for a in A)
 
 
 def _term(program, slots, one):
@@ -72,16 +47,16 @@ def _term(program, slots, one):
         if code == COMPL:
             return _complement(operand, one), start
         if code in (MEET_ALL, JOIN_ALL):
-            return reduce(_set_op(_inter if code == MEET_ALL else _union), operand), start
+            return reduce(_set_op(inter if code == MEET_ALL else union), operand), start
         left, start = value(start)
-        return _set_op(_union if code == UNION else _inter)(left, operand), start
+        return _set_op(union if code == UNION else inter)(left, operand), start
 
     return value(len(program))[0]
 
 
 # The two entries that law predicates call on a kernel.
 _FRACTION_KERNEL = SimpleNamespace(
-    u_rel=lambda code, A, B: all(map(_rel, [code] * len(A), A, B)),
+    u_rel=lambda code, A, B: all(map(rel, [code] * len(A), A, B)),
     term=_term,
 )
 _ORACLE = Algebra(_FRACTION_KERNEL, Fraction(1))
@@ -169,12 +144,12 @@ def test_relation_sides_match_the_fraction_oracle():
             binding = _binding(rng, law, pool)
             alg, plain = exact_binding(law, binding)
             values = _oracle_values(law, binding)
-            for rel in rels:
+            for spec in rels:
                 sides = [
                     tuple(tuple(Fraction(n, alg.one) for n in h) for h in side)
-                    for side in rel.sides(slots(law.params), alg.kern, alg.one, plain)
+                    for side in spec.sides(slots(law.params), alg.kern, alg.one, plain)
                 ]
-                assert sides == list(rel.sides(slots(law.params), kern, one, values)), (law.id, str(rel), binding)
+                assert sides == list(spec.sides(slots(law.params), kern, one, values)), (law.id, str(spec), binding)
 
 
 def test_set_and_family_laws_see_denominators_past_64_bits():

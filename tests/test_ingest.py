@@ -52,6 +52,14 @@ def test_ingest_rejects_empty_table():
         ingest_scores("")
 
 
+def test_ingest_rejects_a_header_without_rows():
+    """A table of its header alone (and blank lines) has no scheme to rank:
+    a DocumentError, as every other malformed table gives."""
+    for source in ("scheme,expert,score\n", "scheme,expert,score\n\n , , \n", b"scheme,score"):
+        with pytest.raises(DocumentError, match="no score rows"):
+            ingest_scores(source)
+
+
 def test_ingest_drops_a_byte_order_mark():
     """Spreadsheets' "CSV UTF-8" starts with a byte-order mark; in bytes,
     text or a stream it is dropped, so the header still names its columns."""

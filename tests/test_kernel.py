@@ -19,6 +19,7 @@ from hypothesis import given, strategies as st
 from hesitant._kernel import _pykernel as pure
 from hesitant.expressions import COMPL, INTER, UNION
 from hesitant.laws.generators import COINCIDE, FAMILY, SET
+import reference
 
 int_hfes = st.lists(st.integers(0, 10), min_size=1, max_size=6).map(
     lambda v: tuple(sorted(v, reverse=True))
@@ -75,8 +76,8 @@ def test_kernels_export_the_same_names(compiled):
 
 def test_streams_identical(compiled):
     """Output 1 of 100 trials' streams, each trial's universe size, over the
-    whole int64 range and two narrow ones."""
-    for seed, lo, hi in ((12345, -2**63, 2**63 - 1), (7, 0, 999), (99, 3, 9)):
+    widest range, [1, 2**63 - 1], and two narrow ones."""
+    for seed, lo, hi in ((12345, 1, 2**63 - 1), (7, 1, 999), (99, 3, 9)):
         bounds = (100, lo, hi, 1, 1, 1, 1)
         assert pure.draw_plan((), 0, bounds, seed, 0, 100) == compiled.draw_plan((), 0, bounds, seed, 0, 100)
 
@@ -130,34 +131,9 @@ def test_set_level_equivalence(compiled, A, B):
 # --- the set loops against the per-element definitions ----------------------
 #
 # The pure kernel runs each set-level function as one loop over the universe
-# positions. Below are the element-level definitions they replaced, applied
-# position by position; both must agree on every input, on grids past 2**64.
-
-
-def _union(a, b):
-    lo = a[-1] if a[-1] >= b[-1] else b[-1]
-    return tuple(sorted((g for g in a + b if g >= lo), reverse=True))
-
-
-def _inter(a, b):
-    hi = a[0] if a[0] <= b[0] else b[0]
-    return tuple(sorted((g for g in a + b if g <= hi), reverse=True))
-
-
-def _rel(code, a, b):
-    if code == pure.REL_P:
-        return a[0] <= b[0]
-    if code == pure.REL_A:
-        return a[0] <= b[0] and a[-1] <= b[-1]
-    if code == pure.REL_M:
-        return sum(a) * len(b) <= sum(b) * len(a)
-    if code == pure.REL_S:
-        return len(a) >= len(b) and all(b[i] >= a[i] for i in range(len(b)))
-    if code == pure.REL_T:
-        return len(a) < len(b) and all(b[i] >= a[i] for i in range(len(a)))
-    if code == pure.REL_SOT:
-        return _rel(pure.REL_S, a, b) or _rel(pure.REL_T, a, b)
-    return a[0] <= b[-1]
+# positions. `reference.py` holds the element-level definitions they
+# replaced, applied here position by position; both must agree on every
+# input, on grids past 2**64.
 
 
 @st.composite
@@ -177,13 +153,13 @@ def _hfs_pair(draw):
 def test_set_loops_equal_the_per_element_definitions(pair):
     one, A, B = pair
     pairs = list(zip(A, B))
-    assert pure.u_union(A, B) == tuple(_union(a, b) for a, b in pairs)
-    assert pure.u_inter(A, B) == tuple(_inter(a, b) for a, b in pairs)
-    assert pure.u_compl(A, one) == tuple(tuple(one - g for g in reversed(a)) for a in A)
+    assert pure.u_union(A, B) == tuple(reference.union(a, b) for a, b in pairs)
+    assert pure.u_inter(A, B) == tuple(reference.inter(a, b) for a, b in pairs)
+    assert pure.u_compl(A, one) == tuple(reference.compl(a, one) for a in A)
     for code in range(7):
-        assert pure.u_rel(code, A, B) == all(_rel(code, a, b) for a, b in pairs)
+        assert pure.u_rel(code, A, B) == all(reference.rel(code, a, b) for a, b in pairs)
     for a, b in pairs:
-        assert [pure.u_rel(c, (a,), (b,)) for c in range(7)] == [_rel(c, a, b) for c in range(7)]
+        assert [pure.u_rel(c, (a,), (b,)) for c in range(7)] == [reference.rel(c, a, b) for c in range(7)]
 
 
 def test_unknown_relation_code_raises_value_error(compiled):
@@ -285,6 +261,27 @@ def test_draw_plan_bounds_are_int64(compiled):
                     k.draw_plan(((0, 0),), 1, _BOUNDS[:at] + (bad,) + _BOUNDS[at + 1 :], 1, 0, 1)
 
 
+def test_draw_plan_refuses_bounds_outside_the_draw_domain(compiled):
+    """The draw domain is a grid den >= 1 and 1 <= lo <= hi for the size,
+    cardinality and family ranges. Both kernels raise ValueError for each
+    bound outside it, at every count, and draw at its edges."""
+    plan = ((0, 0), (1, 1))
+    edges = [(1, 1, 1, 1, 1, 1, 1), (2**63 - 1, 1, 4, 1, 6, 1, 5), (100, 3, 3, 6, 6, 5, 5)]
+    refused = [(den, *_BOUNDS[1:]) for den in (0, -1, -(2**63))]
+    for lo_at in (1, 3, 5):  # each lo below 1, and each lo above its hi
+        for lo in (0, -1, -(2**63)):
+            refused.append(_BOUNDS[:lo_at] + (lo,) + _BOUNDS[lo_at + 1 :])
+        refused.append(_BOUNDS[:lo_at] + (_BOUNDS[lo_at + 1] + 1,) + _BOUNDS[lo_at + 1 :])
+        refused.append(_BOUNDS[:lo_at] + (2**63 - 1, -(2**63)) + _BOUNDS[lo_at + 2 :])
+    for k in (pure, compiled):
+        for bounds in edges:
+            assert len(k.draw_plan(plan, 2, bounds, 1, 0, 2)) == 2
+        for bounds in refused:
+            for count in (0, 1, 3):
+                with pytest.raises(ValueError, match="^bounds need den >= 1"):
+                    k.draw_plan(plan, 2, bounds, 1, 0, count)
+
+
 def test_a_trial_that_raises_raises_for_its_chunk(compiled):
     for k in (pure, compiled):
         ones = [k.draw_plan(*_SOMETIMES_RAISES, index, 1) for index in range(2)]
@@ -323,9 +320,11 @@ def test_failing_chunks_leak_nothing(compiled):
 # compiled and on the pure kernel. The compiled kernel must not crash: it
 # returns pure's value, or raises where pure raises. Only the probes in
 # MAY_RAISE, where a value leaves int64 or a list stands for an hfe tuple,
-# may raise where pure returns. Neither kernel has an element-level
-# function, so the `e_*` probes reach each operation and relation through
-# the set-level function on one-element sets.
+# may raise where pure returns, and the probes in REFUSED, whose bounds
+# lie outside the draw domain, must raise ValueError on both. Neither
+# kernel has an element-level function, so the `e_*` probes reach each
+# operation and relation through the set-level function on one-element
+# sets.
 PROBES = {
     "e_union_1500": "union(k, (tuple(range(1500, 0, -1)),), (tuple(range(1600, 100, -1)),))",
     "e_inter_1500": "inter(k, (tuple(range(1500, 0, -1)),), (tuple(range(1600, 100, -1)),))",
@@ -342,7 +341,8 @@ PROBES = {
     "e_rel_m_extremes": "k.u_rel(2, ((2**63 - 1,) * 40,), ((-2**63,) * 3,))",
     "gen_hfe_empty_range": "k.draw_plan(((0, 0),), 1, (100, 1, 1, 5, 1, 1, 1), 7, 0, 1)",
     # a trial's first output, its universe size, drawn from a range at and
-    # past the ends of int64
+    # past the ends of int64 and of the draw domain
+    "randint_widest_range": "k.draw_plan((), 0, (100, 1, 2**63 - 1, 1, 1, 1, 1), 5, 0, 3)",
     "randint_full_int64": "k.draw_plan((), 0, (100, -2**63, 2**63 - 1, 1, 1, 1, 1), 5, 0, 3)",
     "randint_empty_range": "k.draw_plan((), 0, (100, -2**63 + 3, -2**63, 1, 1, 1, 1), 5, 0, 3)",
     "randint_past_2_63": "k.draw_plan((), 0, (100, 0, 2**63, 1, 1, 1, 1), 5, 0, 3)",
@@ -356,8 +356,12 @@ PROBES = {
     "draw_plan_every_law_at_the_bounds": (
         "[k.draw_plan(*_law_plan(law), (10**9, 16, 16, 64, 64, 8, 8), 7, 0, 3) for law in _laws()]"
     ),
+    # and on the widest grid, where a degree's draw spans up to 2**63 values
+    "draw_plan_every_law_on_the_widest_grid": (
+        "[k.draw_plan(*_law_plan(law), (2**63 - 1, 1, 4, 1, 6, 1, 5), 7, 0, 3) for law in _laws()]"
+    ),
     # plans and arguments that no law has: moves, slots and terms out of
-    # range, bounds that no config allows (cardinality 0, reversed ranges)
+    # range, bounds outside the draw domain (cardinality 0, reversed ranges)
     **{f"draw_plan_{name}": f"k.draw_plan({call})" for name, call in {
         "unknown_move": "((9, 0),), 1, (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
         "slot_past_the_names": "((0, 5),), 1, (100, 1, 4, 1, 6, 1, 5), 1, 0, 1",
@@ -394,6 +398,11 @@ PROBES = {
         "count_past_2_64": "((0, 0),), 1, (100, 1, 4, 1, 6, 1, 5), 1, 0, 2**70",
         "chunk_of_a_raising_plan": "((8, ((0, 0),), ((9, 0),)),), 1, (100, 1, 4, 1, 6, 1, 5), 1, 0, 40",
     }.items()},
+}
+REFUSED = {
+    "gen_hfe_empty_range", "randint_full_int64", "randint_empty_range", "draw_plan_fold_of_an_empty_family",
+    "draw_plan_empty_hfes_under_a_ladder", "draw_plan_empty_hfes_under_a_mean_ladder",
+    "draw_plan_reversed_bounds", "draw_plan_member_of_no_family",
 }
 MAY_RAISE = {
     "u_rel_list_hfe", "e_compl_past_2_63", "e_compl_wraps", "e_rel_degree_past_2_63",
@@ -445,6 +454,8 @@ def test_boundary_probe(compiled, name):
     assert proc.returncode == 0, proc.stderr
     verdict = proc.stdout.split()
     assert verdict[0] in (("same", "raised") if name in MAY_RAISE else ("same",)), verdict
+    if name in REFUSED:
+        assert verdict == ["same", "ValueError"]
 
 
 @pytest.mark.parametrize("name", EMPTY_HFE)

@@ -27,6 +27,7 @@ BOUNDS = {
     "grid-1": (1, 1, 2, 1, 3, 1, 2),
     "extreme": (10**9, 1, 16, 1, 64, 1, 8),
     "at-the-bounds": (10**9, 16, 16, 64, 64, 8, 8),
+    "widest-grid": (2**63 - 1, 1, 4, 1, 6, 1, 5),
 }
 
 
@@ -108,8 +109,9 @@ def test_draw_plan_identical_for_random_plans(compiled, seed):
     for _ in range(300):
         width = rng.randrange(1, 4)
         plan = _random_plan(rng, width)
-        bounds = (rng.choice((1, 100, 10**9)), rng.randrange(3), rng.choice((1, 3, 5)), rng.randrange(3),
-                  rng.choice((0, 1, 4, 7)), rng.randrange(3), rng.choice((0, 1, 4)))
+        lo, flo = rng.randrange(1, 3), rng.randrange(1, 3)
+        bounds = (rng.choice((1, 100, 10**9, 2**63 - 1)), rng.randrange(1, 3), rng.choice((3, 5)), lo,
+                  lo + rng.choice((0, 1, 4, 7)), flo, flo + rng.choice((0, 1, 4)))
         args = (plan, width, bounds, rng.getrandbits(64), range(rng.randrange(50), 55))
         assert _draws(compiled, *args) == _draws(pure, *args), (plan, bounds)
 

@@ -10,7 +10,9 @@ before it stopped. The draws are read through `draw_plan` alone: a trial's
 first output is its universe size, a `COINCIDE` move shows each degree
 (`below(den + 1)`) and two cardinalities in the order drawn, and `SET` and
 `FAMILY` moves show whole hfes. Both kernels must give the oracle's draws
-for bounds within int64, and both raise OverflowError outside it.
+for bounds in the draw domain (a grid den >= 1, ranges 1 <= lo <= hi); for
+bounds within int64 but outside the domain both raise ValueError, and
+outside int64 OverflowError.
 """
 
 import pytest
@@ -84,16 +86,25 @@ def _oracle_draw_plan(plan, width, bounds, prefix, first, count):
     return out
 
 
+def in_domain(bounds):
+    """The draw domain: den >= 1 and 1 <= lo <= hi for each of the three
+    ranges."""
+    den, ulo, uhi, lo, hi, flo, fhi = bounds
+    return den >= 1 and 1 <= ulo <= uhi and 1 <= lo <= hi and 1 <= flo <= fhi
+
+
 @pytest.fixture(scope="session")
 def check(compiled):
-    """Runs `draw_plan` on both kernels: within int64 they return the
-    oracle's draws, which it returns; outside it both raise OverflowError."""
+    """Runs `draw_plan` on both kernels: in the draw domain they return the
+    oracle's draws, which it returns; outside int64 both raise
+    OverflowError, and otherwise outside the domain ValueError."""
 
     def run(plan, width, bounds, prefix, first, count):
         args = plan, width, bounds, prefix, first, count
-        if not all(-(2**63) <= v < 2**63 for v in bounds):
+        fits = all(-(2**63) <= v < 2**63 for v in bounds)
+        if not (fits and in_domain(bounds)):
             for k in (pure, compiled):
-                with pytest.raises(OverflowError):
+                with pytest.raises(ValueError if fits else OverflowError):
                     k.draw_plan(*args)
             return None
         want = _oracle_draw_plan(*args)
@@ -105,10 +116,11 @@ def check(compiled):
 
 
 SEEDS = (0, 1, 2**63, 2**64 - 1)
-# 2**63 - 1 is the widest grid; -2**63 is the other int64 edge of a draw
-# from range(den + 1), where no draw is positive.
-DENS = (1, 100, 10**9, 2**63 - 1, -(2**63))
-# Grids past int64, which both kernels refuse.
+# 2**63 - 1 is the widest grid.
+DENS = (1, 100, 10**9, 2**63 - 1)
+# Grids outside the draw domain, which both kernels refuse: the empty grid,
+# the other int64 edge and grids past int64.
+REFUSED_DENS = (0, -(2**63))
 WIDE_DENS = (2**64 - 2, 2**64 - 1, 2**64, 3**50)
 CARDS = ((1, 1), (3, 3), (64, 64), (1, 6), (1, 64))
 _PAIR = ((COINCIDE, 0, 1),), 2
@@ -117,20 +129,21 @@ _PAIR = ((COINCIDE, 0, 1),), 2
 @pytest.mark.parametrize("seed", SEEDS + (-1, 2**64 + 5))
 def test_single_draws_match(check, seed):
     """Output 1 of 70 trials' streams, two wide passes, is each trial's
-    size; outputs 2, 5, 8, ... of one stream, past its first block, are a
-    `COINCIDE` move's degrees. n - 1 = 2**63 is past int64."""
-    for n in (-(2**63) + 1, -1, 0, 1, 2, 101, 10**9 + 1, 2**63, 2**63 + 1):
-        check((), 0, (100, 0, n - 1, 1, 1, 1, 1), seed, 0, 70)
+    size, drawn from range(n) plus 1; outputs 2, 5, 8, ... of one stream,
+    past its first block, are a `COINCIDE` move's degrees, from range(n).
+    n - 1 = 2**63 is past int64."""
+    for n in (2, 3, 101, 10**9 + 1, 2**63, 2**63 + 1):
+        check((), 0, (100, 1, n - 1, 1, 1, 1, 1), seed, 0, 70)
         check(*_PAIR, (n - 1, 16, 16, 1, 1, 1, 1), seed, 0, 3)
-    for lo, hi in ((0, 0), (3, 9), (0, 10**9), (5, 5)):
+    for lo, hi in ((1, 1), (3, 9), (1, 10**9), (5, 5)):
         check((), 0, (100, lo, hi, 1, 1, 1, 1), seed, 0, 70)
-    for lo, hi in ((0, 0), (3, 9), (5, 5)):
+    for lo, hi in ((1, 1), (3, 9), (5, 5)):
         check(*_PAIR, (100, 16, 16, lo, hi, 1, 1), seed, 2**64 - 3, 3)
-    check((), 0, (100, -(2**63), 2**63 - 1, 1, 1, 1, 1), seed, 2**64 - 70, 70)  # u64() - 2**63
+    check((), 0, (100, 1, 2**63 - 1, 1, 1, 1, 1), seed, 2**64 - 70, 70)  # the widest size range
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("den", DENS + WIDE_DENS)
+@pytest.mark.parametrize("den", DENS + REFUSED_DENS + WIDE_DENS)
 @pytest.mark.parametrize("card", CARDS)
 def test_generation_matches(check, seed, den, card):
     lo, hi = card
@@ -152,33 +165,37 @@ def test_interleaved_calls_hand_the_state_over(check, seed):
         check(*_HANDOVER, (den, size, size, lo, hi, 1, 4), seed, step, 1)
 
 
-_CARD = st.integers(-3, 80)  # past one 32-output block; lo > hi reverses the range
+def _range(most):
+    """A range 1 <= lo <= hi <= most."""
+    return st.tuples(st.integers(1, most), st.integers(1, most)).map(sorted)
+
+
 _MOVES = st.lists(st.sampled_from((SET, FAMILY, COINCIDE)), max_size=12)
 
 
 @given(
     st.integers(-(2**64), 2**65),
     _MOVES,
-    st.one_of(st.sampled_from(DENS), st.integers(-(2**63), 2**63 - 1)),
-    st.integers(0, 5), st.integers(0, 5), _CARD, _CARD, st.integers(-1, 4), st.integers(-1, 4),
+    st.one_of(st.sampled_from(DENS), st.integers(1, 2**63 - 1)),
+    _range(5), _range(80), _range(4),  # cardinalities past one 32-output block
     st.integers(0, _MASK - 2), st.integers(1, 3),
 )
-def test_random_interleavings_match_the_oracle(check, prefix, ops, den, ulo, uhi, lo, hi, flo, fhi, first, count):
-    """Any sequence of moves, sizes, cardinalities and family sizes, reversed
-    ranges and multi-block hfes included, gives the oracle's draws."""
+def test_random_interleavings_match_the_oracle(check, prefix, ops, den, size, card, family, first, count):
+    """Any sequence of moves, sizes, cardinalities and family sizes in the
+    draw domain, multi-block hfes included, gives the oracle's draws."""
     plan, slot = [], 0
     for op in ops:
         width = 2 if op == COINCIDE else 1
         plan.append((op, *range(slot, slot + width)))
         slot += width
-    check(tuple(plan), slot, (den, ulo, uhi, lo, hi, flo, fhi), prefix, first, count)
+    check(tuple(plan), slot, (den, *size, *card, *family), prefix, first, count)
 
 
-def test_empty_hfs_draws_nothing(check):
-    """At universe size 0 a set draws nothing: the family after it draws its
-    size from output 2."""
-    ((size, (A, F)),) = check(((SET, 0), (FAMILY, 1)), 2, (100, 0, 0, 1, 6, 1, 5), 7, 0, 1)
-    assert size == 0 and A == () and set(F) == {()}
+def test_empty_universe_is_refused(check):
+    """An empty universe, where a set would draw nothing, is outside the draw
+    domain: both kernels raise ValueError, at every count."""
+    for count in (0, 1):
+        assert check(((SET, 0), (FAMILY, 1)), 2, (100, 0, 0, 1, 6, 1, 5), 7, 0, count) is None
 
 
 @pytest.mark.parametrize("seed", (0, 20250808, 2**64 - 1))
