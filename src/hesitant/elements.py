@@ -63,8 +63,9 @@ def _times(value, f: int):
 def _on_lcm(*values: tuple) -> tuple[int, list]:
     """`(value, den)` pairs on the lcm of their denominators: that lcm, and
     each value over it (a value already over the lcm comes back as it is)."""
-    # Plain loops: every set operation and set relation comes through here,
-    # and on Python 3.11 a comprehension costs a frame of its own per call.
+    # Plain loops: every set relation, and every set operation on two
+    # denominators, comes through here, and on Python 3.11 a comprehension
+    # costs a frame of its own per call.
     den = 1
     for _, d in values:
         if d != den:

@@ -10,10 +10,13 @@ Grammar (whitespace-insensitive)::
 Intersection binds tighter than union; complement is a postfix and binds
 tightest. Names may contain letters, digits, "_", "." and "-".
 
-Parsing, evaluation, printing and comparison of trees all recurse, so an
-expression may nest at most MAX_DEPTH levels: parentheses inside
-parentheses, and operators over operators (a chain of n operators is n
-levels deep). Deeper input is a ValueError, not a RecursionError.
+Parsing does not recurse: one regex scan splits the text into tokens, and
+one loop builds the tree, keeping the pending ∪ and ∩ operands outside each
+open parenthesis. Evaluation, printing, comparison of trees, `variables`
+and `program` do recurse, so an expression may nest at most MAX_DEPTH
+levels: parentheses inside parentheses, and operators over operators (a
+chain of n operators is n levels deep). Deeper input is a ValueError, not a
+RecursionError.
 
 A law's terms are these nodes and `Fold`; `program` compiles one to the
 postfix program over slots that both kernels' `term` runs.
@@ -23,9 +26,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, NamedTuple, Union
 
-from .sets import HFS
+from ._kernel import _pykernel as _ops
+from .sets import HFS, _binary
 
 Node = Union["Var", "Compl", "Join", "Meet"]
 Term = Union[Node, "Fold"]
@@ -89,116 +94,124 @@ class Fold(NamedTuple):
         return f"{self.op}{self.family}"
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_.\-]*)|(?P<union>[∪|])|(?P<inter>[∩&])"
-    r"|(?P<compl>ᶜ|\^c)|(?P<open>\()|(?P<close>\)))"
-)
+_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_.\-]*|\^c|\S)")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# The kind of each operator token, and of "", which `parse_expression`
+# appends as the end of input; any other token is a name if it starts as
+# one, and otherwise a character that no token begins with.
+_KIND = {"∪": "union", "|": "union", "∩": "inter", "&": "inter", "ᶜ": "compl", "^c": "compl",
+         "(": "open", ")": "close", "": "end"}
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"cannot parse expression at {rest[:12]!r}")
-        pos = m.end()
-        kind = m.lastgroup  # the one token group that matched
-        tokens.append((kind, m[kind]))
-    return tokens
-
-
-def _level(height: int) -> int:
-    """The height of a node over a child `height` levels deep, checked."""
-    if height >= MAX_DEPTH:
-        raise ValueError(f"expression nests deeper than {MAX_DEPTH} levels")
-    return height + 1
-
-
-# the token after the last one, so the parser reads past the end without a
-# bounds check
-_END = ("end", "")
-
-
-class _Parser:
-    """Recursive descent over tokens that end in `_END`; each method returns
-    (node, height of the node)."""
-
-    def __init__(self, tokens: list[tuple[str, str]]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.parens = 0  # parentheses open at the current position
-
-    def expr(self) -> tuple[Node, int]:
-        tokens = self.tokens
-        node, height = self.term()
-        while tokens[self.pos][0] == "union":
-            self.pos += 1
-            right, right_height = self.term()
-            node, height = Join(node, right), _level(max(height, right_height))
-        return node, height
-
-    def term(self) -> tuple[Node, int]:
-        tokens = self.tokens
-        node, height = self.factor()
-        while tokens[self.pos][0] == "inter":
-            self.pos += 1
-            right, right_height = self.factor()
-            node, height = Meet(node, right), _level(max(height, right_height))
-        return node, height
-
-    def factor(self) -> tuple[Node, int]:
-        tokens = self.tokens
-        node, height = self.atom()
-        while tokens[self.pos][0] == "compl":
-            self.pos += 1
-            node, height = Compl(node), _level(height)
-        return node, height
-
-    def atom(self) -> tuple[Node, int]:
-        kind, text = self.tokens[self.pos]
-        if kind == "name":
-            self.pos += 1
-            return Var(text), 0
-        if kind == "open":
-            self.pos += 1
-            self.parens = _level(self.parens)
-            found = self.expr()
-            if self.tokens[self.pos][0] != "close":
-                raise ValueError("missing closing parenthesis")
-            self.pos += 1
-            self.parens -= 1
-            return found
-        raise ValueError(f"expected a set name or '(', found {kind}")
+def _at(text: str, k: int) -> str:
+    """The text from its k-th token on, stripped and clipped to 12
+    characters, quoted."""
+    m = next(islice(_TOKEN.finditer(text), k, None))
+    return repr(text[m.start(1):].strip()[:12])
 
 
 def parse_expression(text: str) -> Node:
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ValueError("empty expression")
-    tokens.append(_END)
-    parser = _Parser(tokens)
-    node, _ = parser.expr()
-    if tokens[parser.pos] is not _END:
-        raise ValueError(f"trailing input after expression: {tokens[parser.pos:-1]}")
-    return node
+    tokens.append("")
+    try:
+        return _parse(text, tokens)
+    except ValueError:
+        # a character that begins no token is reported ahead of the parse
+        # error it caused, wherever it stands
+        for k, tok in enumerate(tokens):
+            if tok not in _KIND and tok[0] not in _NAME_START:
+                raise ValueError(f"cannot parse expression at {_at(text, k)}") from None
+        raise
+
+
+def _parse(text: str, tokens: list[str]) -> Node:
+    """The tree of `tokens`, which end in "", in one pass: an operand, then
+    the complements, the pending ∩ and ∪ and the closing parentheses that
+    follow it, until the next operand or the end. Each open parenthesis
+    keeps the pending ∪ and ∩ left operands outside it, with their heights."""
+    frames = []
+    join = meet = None
+    join_height = meet_height = 0
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        kind = _KIND.get(tok)
+        if kind == "open":
+            if len(frames) >= MAX_DEPTH:
+                raise ValueError(_TOO_DEEP)
+            frames.append((join, join_height, meet, meet_height))
+            join = meet = None
+            continue
+        # a character that begins no token fails here as kind None, and
+        # `parse_expression` reports it instead
+        if kind is not None or tok[0] not in _NAME_START:
+            raise ValueError(f"expected a set name or '(', found {kind}")
+        node, height = Var(tok), 0
+        while True:
+            kind = _KIND.get(tokens[i])
+            while kind == "compl":
+                if height >= MAX_DEPTH:
+                    raise ValueError(_TOO_DEEP)
+                node, height = Compl(node), height + 1
+                i += 1
+                kind = _KIND.get(tokens[i])
+            if meet is not None:
+                height = max(meet_height, height)
+                if height >= MAX_DEPTH:
+                    raise ValueError(_TOO_DEEP)
+                node, height = Meet(meet, node), height + 1
+            if kind == "inter":
+                meet, meet_height = node, height
+                break
+            meet = None
+            if join is not None:
+                height = max(join_height, height)
+                if height >= MAX_DEPTH:
+                    raise ValueError(_TOO_DEEP)
+                node, height = Join(join, node), height + 1
+            if kind == "union":
+                join, join_height = node, height
+                break
+            if not frames:
+                if kind == "end":
+                    return node
+                raise ValueError(f"trailing input after expression at {_at(text, i)}")
+            if kind != "close":
+                raise ValueError("missing closing parenthesis")
+            join, join_height, meet, meet_height = frames.pop()
+            i += 1
+        i += 1
 
 
 def evaluate_on_hfs(node: Node, resolve: Callable[[str], HFS]) -> HFS:
-    """Evaluate over public HFS objects, through the `HFS.union`,
-    `intersection` and `complement` attributes as bound at each call."""
+    """Evaluate over public HFS objects, `resolve` mapping each name to its
+    set. A bare name is the resolved set itself; any other tree is evaluated
+    on unreduced (universe, grid, den) triples by the pure kernel's set
+    functions, and its value reduced once into the result."""
     if isinstance(node, Var):
         return resolve(node.name)
+    return HFS._from_grid(*_on_grids(node, resolve))
+
+
+def _on_grids(node: Node, resolve: Callable[[str], HFS]) -> tuple:
+    """The value of `node` as an unreduced (universe, grid, den) triple."""
+    if isinstance(node, Var):
+        s = resolve(node.name)
+        return s._universe, s._grid, s._den
     if isinstance(node, Compl):
-        return HFS.complement(evaluate_on_hfs(node.child, resolve))
+        universe, grid, den = _on_grids(node.child, resolve)
+        return universe, _ops.u_compl(grid, den), den
     if isinstance(node, Join):
-        return HFS.union(evaluate_on_hfs(node.left, resolve), evaluate_on_hfs(node.right, resolve))
-    if isinstance(node, Meet):
-        return HFS.intersection(evaluate_on_hfs(node.left, resolve), evaluate_on_hfs(node.right, resolve))
-    raise TypeError(f"not an expression node: {node!r}")
+        op = _ops.u_union
+    elif isinstance(node, Meet):
+        op = _ops.u_inter
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    return _binary(op, _on_grids(node.left, resolve), _on_grids(node.right, resolve))
 
 
 def variables(node: Term) -> set[str]:

@@ -79,12 +79,19 @@ def _as_universe(universe) -> Universe:
     return universe if isinstance(universe, Universe) else Universe(universe)
 
 
-def _require_same_universe(a, b) -> None:
-    if a.universe != b.universe:
+def _binary(op, a: tuple, b: tuple) -> tuple:
+    """`op`, the pure kernel's `u_union` or `u_inter`, of two unreduced
+    (universe, grid, den) triples on one universe, as such a triple: the
+    grids meet on the lcm of their denominators only where those differ."""
+    universe, grid_a, den = a
+    other, grid_b, den_b = b
+    if other is not universe and other != universe:
         raise UniverseMismatchError(
-            f"operands live on different universes: "
-            f"{list(a.universe.elements)} vs {list(b.universe.elements)}"
+            f"operands live on different universes: {list(universe.elements)} vs {list(other.elements)}"
         )
+    if den_b != den:
+        den, (grid_a, grid_b) = _on_lcm((grid_a, den), (grid_b, den_b))
+    return universe, op(grid_a, grid_b), den
 
 
 class SetOp(Enum):
@@ -135,14 +142,12 @@ class HFS:
         return zip(self._universe, self.hfes)
 
     def union(self, other: "HFS") -> "HFS":
-        _require_same_universe(self, other)
-        den, (a, b) = _on_lcm((self._grid, self._den), (other._grid, other._den))
-        return HFS._from_grid(self._universe, _ops.u_union(a, b), den)
+        return HFS._from_grid(*_binary(_ops.u_union, (self._universe, self._grid, self._den),
+                                       (other._universe, other._grid, other._den)))
 
     def intersection(self, other: "HFS") -> "HFS":
-        _require_same_universe(self, other)
-        den, (a, b) = _on_lcm((self._grid, self._den), (other._grid, other._den))
-        return HFS._from_grid(self._universe, _ops.u_inter(a, b), den)
+        return HFS._from_grid(*_binary(_ops.u_inter, (self._universe, self._grid, self._den),
+                                       (other._universe, other._grid, other._den)))
 
     def complement(self) -> "HFS":
         return HFS._from_grid(self._universe, _ops.u_compl(self._grid, self._den), self._den)

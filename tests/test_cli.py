@@ -97,6 +97,14 @@ def test_ops_parse_error(docs_dir, capsys):
     assert code == 2
 
 
+def test_ops_trailing_input_error_is_one_short_line(docs_dir, capsys):
+    code, out, err = run_cli(capsys, "ops", docs_dir / "equality-failures.json", "A " + "B " * 5000)
+    assert code == 2
+    assert out == ""
+    assert err == "error: trailing input after expression at 'B B B B B B '\n"
+    assert len(err) < 100
+
+
 def test_rank_with_dot(docs_dir, tmp_path, capsys):
     dot = tmp_path / "order.dot"
     code, out, _ = run_cli(

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_parser
 from hesitant import Universe, hfe, make_hfs, parse_expression
 from hesitant.expressions import MAX_DEPTH, evaluate_on_hfs, variables
 
@@ -84,3 +86,50 @@ def test_depth_limit(shape):
     for deeper in (_nested(shape, MAX_DEPTH + 1), f"({text})^c"):
         with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH} levels"):
             parse_expression(deeper)
+
+
+def _outcome(parse, text):
+    """The tree `parse` gives for `text`, or its ValueError's message."""
+    try:
+        return parse(text)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+# tokens of both spellings, and pieces that begin no token or only look like one
+_PIECES = ["A", "x1", "a.b-c", "_", "∪", "|", "∩", "&", "ᶜ", "^c", "(", ")", "^", "^C", "7", "é"]
+_GAPS = ["", "", " ", "\t", " \t "]
+
+_piece_texts = st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from(_GAPS)), max_size=14).map(
+    lambda parts: "".join(gap + piece for piece, gap in parts)
+)
+
+
+def _spelled(children):
+    """Well-formed expressions over the pieces' names, in either spelling,
+    sometimes parenthesized, with tabs and spaces between tokens."""
+    gap = st.sampled_from(_GAPS)
+    return st.one_of(
+        st.tuples(children, gap, st.sampled_from(["ᶜ", "^c"])).map("".join),
+        st.tuples(children, gap, st.sampled_from(["∪", "|", "∩", "&"]), gap, children).map("".join),
+        st.tuples(gap, children, gap).map(lambda t: "(" + "".join(t) + ")"),
+    )
+
+
+_expression_texts = st.recursive(st.sampled_from(["A", "x1", "a.b-c", "_"]), _spelled, max_leaves=12)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(_piece_texts, _expression_texts, st.tuples(_expression_texts, _piece_texts).map("".join)))
+def test_parser_matches_the_reference_parser(text):
+    assert _outcome(parse_expression, text) == _outcome(reference_parser.parse, text)
+
+
+@pytest.mark.parametrize("shape", ["parentheses", "complements", "unions", "intersections"])
+@pytest.mark.parametrize("depth", [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1])
+def test_depth_edges_match_the_reference_parser(shape, depth):
+    # wrapped in (…)ᶜ, every shape is one level deeper
+    for text, levels in ((_nested(shape, depth), depth), (f"({_nested(shape, depth)})ᶜ", depth + 1)):
+        got = _outcome(parse_expression, text)
+        assert got == _outcome(reference_parser.parse, text)
+        assert isinstance(got, str) == (levels > MAX_DEPTH), text[:20]

@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
+import pytest
+
 from hesitant import (
     HFE,
     HFS,
@@ -35,6 +37,7 @@ from hesitant import (
     set_relation,
 )
 from hesitant._kernel._pykernel import REL_A, REL_M, REL_N, REL_P, REL_S, REL_T
+from hesitant.errors import UniverseMismatchError
 from hesitant.relations import classify_strong_or_tail, is_subsequence
 from reference import compl, inter, rel, union
 
@@ -202,7 +205,21 @@ def _evaluate(node, resolve):
     return left.union(right) if type(node).__name__ == "Join" else left.intersection(right)
 
 
-_EXPRESSIONS = [parse_expression(t) for t in ("(A | B) & Cᶜ", "A & (B | C)ᶜ", "(A ∩ B)ᶜ ∪ (B ∩ C)")]
+# A, B and C mostly sit on different denominators, so the deeper trees run
+# their inner nodes on unreduced grids over lcms of them.
+_EXPRESSIONS = [
+    parse_expression(t)
+    for t in (
+        "(A | B) & Cᶜ",
+        "A & (B | C)ᶜ",
+        "(A ∩ B)ᶜ ∪ (B ∩ C)",
+        "((A ∪ Bᶜ) ∩ (C ∪ A)ᶜ) ∪ (B ∩ C)ᶜ",
+        "((A & B) | C)ᶜ & (Aᶜ | (B & Cᶜ))",
+        "(((Aᶜ | B) & C)ᶜ | (A & B)) & (C | Bᶜ)ᶜ",
+    )
+]
+# C and D on universes of their own, other than A's and B's
+_MISMATCH = parse_expression("(A ∪ B) ∩ (C ∪ D)")
 
 
 def _fields(s):
@@ -278,6 +295,13 @@ def test_set_algebra_matches_per_element_oracle():
         resolve_oracle = {n: o for n, (_, o) in sets.items()}.__getitem__
         for node in _EXPRESSIONS:
             _check_set(evaluate_on_hfs(node, resolve), _evaluate(node, resolve_oracle))
+        apart = {"A": A, "B": B}
+        for name in "CD":
+            other = Universe([name, *uni])
+            apart[name] = HFS(other, {e: C[e] if e in uni else [Fraction(1, 3)] for e in other})
+        with pytest.raises(UniverseMismatchError) as raised:
+            evaluate_on_hfs(_MISMATCH, apart.__getitem__)
+        assert str(raised.value) == f"operands live on different universes: {['C', *uni]} vs {['D', *uni]}"
     assert widest >= 2**64
 
 
