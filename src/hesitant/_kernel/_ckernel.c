@@ -1,37 +1,20 @@
 /* Compiled kernel: the integer-grid twin of `_pykernel`, written against the
- * CPython C API.
+ * CPython C API. The contract both kernels keep is stated once, in the
+ * module docstring of `_pykernel.py`; this header holds only its C facts.
  *
- * It defines the relation codes and the three entries the law engine calls:
- * the set-level `u_rel` (an element is the one-position case), `term`,
- * which evaluates a postfix term program over slots, and `draw_plan`, the
- * one generation entry, which runs a chunk of consecutive trials of a law's
- * draw plan in one call, looping over the trials in C. The pure kernel adds
- * the exact algebra's `u_union`, `u_inter` and `u_compl`; here only `term`
- * runs them. It keeps the pure kernel's contract for degrees that fit a C
- * long long: every call returns exactly what `_pykernel` returns, or raises
- * a Python exception:
- *   - a value outside int64, or a mean cross-product outside __int128,
- *     raises OverflowError;
- *   - an hfe or hfs that is not a tuple raises TypeError;
- *   - an empty hfe raises IndexError in every function that reads its
- *     degrees, as pure does.
- * The pure `u_rel` and `term` take ints of any size, for the exact path,
- * where these raise; `draw_plan` reads its seven bounds as int64 on both
- * kernels, so for a bound outside int64 both raise OverflowError, and for
- * one that is not an int TypeError. Both take only the draw domain, the
- * paper's non-empty objects as `GeneratorConfig` allows them: a grid
- * den >= 1 and 1 <= lo <= hi for the universe size, the cardinality and
- * the family size, and raise ValueError for any other bounds, at every
- * count. So no span a draw scales by passes 2**63 and every count is
- * positive: the draws need only unsigned 64-bit arithmetic, and __int128
- * serves the exact mean comparison alone. Scratch space is sized from the
- * input.
- * Relations read only the positions the pure kernel reads, and the
- * set-level operations stop at the shorter operand, as `zip` does. The
- * SplitMix64 streams are bit-identical to the pure ones (Steele, Lea &
- * Flood, OOPSLA 2014); `draw_plan` draws from a local state, and a plan or
- * a term program it cannot read (a slot out of range, a list for a tuple,
- * nesting past the recursion limit) raises.
+ * It exports the relation codes and the three entries the law engine calls:
+ * `u_rel`, `term` and `draw_plan`. Its union, intersection and complement
+ * run only inside `term`.
+ *   - Degrees and bounds are read as C long long: a value outside int64
+ *     raises OverflowError. The exact mean comparison cross-multiplies in
+ *     __int128 and raises OverflowError past it. In the draw domain no span
+ *     a draw scales by passes 2**63 and every count is positive, so the
+ *     draws need only unsigned 64-bit arithmetic.
+ *   - Scratch space is sized from the input: on the stack up to STACK
+ *     degrees, from PyMem_New past that (MemoryError where it cannot size).
+ *   - `draw_plan` draws from a local state, and a plan or a term program it
+ *     cannot read (a slot out of range, a list for a tuple, nesting past
+ *     the recursion limit, which Py_EnterRecursiveCall guards) raises.
  *
  * `setup.py` builds it as an optional extension; by hand:
  *   gcc -O2 -Wall -Werror -shared -fPIC $(python3-config --includes) \
@@ -427,8 +410,8 @@ FASTCALL(term) {
 /* --- random generation on the integer grid --- */
 
 /* One hfe drawn from the state *z, as pure `_hfes` draws each: a
- * cardinality uniform in [lo, hi] (1 <= lo <= hi + 1), then that many
- * degrees uniform on {0, ..., den}. */
+ * cardinality uniform in [lo, hi] (lo >= 1, and lo = hi + 1 draws lo),
+ * then that many degrees uniform on {0, ..., den}. */
 static PyObject *draw(u64 *z, i64 den, i64 lo, i64 hi) {
     i64 k = lo + (i64)scale(next(z), (u64)(hi - lo + 1));
     scratch s;

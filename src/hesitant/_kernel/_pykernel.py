@@ -1,47 +1,50 @@
-"""Pure-Python kernel: the reference implementation of the hot primitives.
+"""Pure-Python kernel, and the contract both kernels keep.
 
-Everything here works on plain tuples of ints over one denominator den: a
-degree k stands for k/den, and the complement unit `one` is den. An element
-value ("hfe") is a non-empty descending tuple of degrees; a set value
-("hfs") is a tuple of hfes, one per universe position. The functions only
-compare, add and subtract degrees, so they are exact rational arithmetic,
-and take ints of any size: den may exceed a C integer. Every function that
-reads a degree of an hfe raises IndexError for an empty one.
+Representation. Everything here works on plain tuples of ints over one
+denominator den: a degree k stands for k/den, and the complement unit `one`
+is den. An element value ("hfe") is a non-empty descending tuple of degrees;
+a set value ("hfs") is a tuple of hfes, one per universe position. The
+functions only compare, add and subtract degrees, so they are exact rational
+arithmetic, and take ints of any size: den may exceed a C integer.
 
 Each set-level function (`u_union`, `u_inter`, `u_compl`, `u_rel`) is one
-loop over the universe positions, and holds the only copy of its semantics:
-an element value is the one-position case, `u_rel(code, (a,), (b,))`.
-`term` evaluates a set term, written as a postfix program over slots, with
-these functions; the law predicates and the `BELOW` move of `draw_plan`
-both run it, and the exact algebra calls all four directly.
+loop over the universe positions, stops at the shorter operand as `zip`
+does, and holds the only copy of its semantics: an element value is the
+one-position case, `u_rel(code, (a,), (b,))`. `term` evaluates a set term,
+written as a postfix program over slots, with these functions; the law
+predicates and the `BELOW` move of `draw_plan` both run it, and the exact
+algebra calls all four directly. Every function that reads a degree of an
+hfe raises IndexError for an empty one.
 
-Random generation draws from SplitMix64 streams, and `draw_plan` is its one
-entry: it runs a chunk of consecutive trials of a law in one call. Unlike
-the set functions it reads its bounds as int64, as the compiled kernel does,
+The draw domain. Random generation draws from SplitMix64 streams, and
+`draw_plan` is its one entry: it runs a chunk of consecutive trials of a law
+in one call. Unlike the set functions it reads its seven bounds as int64,
 and takes only the paper's non-empty objects: a grid den >= 1 and ranges
-1 <= lo <= hi for the universe size, the cardinality and the family size,
-as `GeneratorConfig` allows. Outside int64 it raises OverflowError, for a
-bound that is not an int TypeError, and for any other bound outside that
-domain ValueError, at every count, so no draw spans more than 2**63 values
-and every universe, hfe and family drawn is non-empty. Output i of a stream is
-the mix of state + i·γ, so `_block` computes the outputs of many streams a
-block at a time, one per 128-bit lane of a single Python int, with their
-draws from the grid in the lanes' high halves. `draw_plan` seeds each
-trial's stream from the law's FNV-1a prefix and the trial index, computes
-the first blocks of up to 64 trials in one pass, then draws each trial's
-universe size and runs the law's plan (`laws/generators.py`) on that trial's
-buffer, growing it by passes over its one stream. The draws are exactly
-those of one output per draw: `tests/test_streams.py` pins them against a
-method-per-draw oracle.
+1 <= lo <= hi for the universe size, the cardinality and the family size, as
+`GeneratorConfig` allows. Outside int64 it raises OverflowError, for a bound
+that is not an int TypeError, and for any other bound outside that domain
+ValueError, at every count, so no draw spans more than 2**63 values and
+every universe, hfe and family drawn is non-empty.
 
-The compiled twin, the hand-written C module `_ckernel.c`, has the public
-names of this module but `u_union`, `u_inter` and `u_compl`, which only its
-`term` runs. It keeps the identical contract for degrees that fit int64,
-including bit-identical random streams: for every input it returns exactly
-what this module returns or raises a Python exception (`OverflowError`
-outside int64, `TypeError` for an hfe that is not a tuple); for
-`draw_plan`'s bounds both raise the same, ValueError outside the domain.
-`tests/test_kernel.py` pins the names and the equivalence.
+Output i of a stream is the mix of state + i·γ, so `_block` computes the
+outputs of many streams a block at a time, one per 128-bit lane of a single
+Python int, with their draws from the grid in the lanes' high halves.
+`draw_plan` seeds each trial's stream from the law's FNV-1a prefix and the
+trial index, computes the first blocks of up to 64 trials in one pass, then
+draws each trial's universe size and runs the law's plan
+(`laws/generators.py`) on that trial's buffer, growing it by passes over its
+one stream. The draws are exactly those of one output per draw:
+`tests/test_streams.py` pins them against a method-per-draw oracle.
+
+The twin. The compiled kernel, the hand-written C module `_ckernel.c`, has
+the public names of this module but `u_union`, `u_inter` and `u_compl`,
+which only its `term` runs. It keeps this contract for degrees that fit
+int64, bit-identical random streams included: for every input it returns
+exactly what this module returns, or raises a Python exception:
+`OverflowError` for a value outside int64, where this module computes with
+ints of any size, and `TypeError` for an hfe or hfs that is not a tuple. For
+`draw_plan`'s bounds both raise the same. `tests/test_kernel.py` pins the
+names and the equivalence.
 """
 
 from __future__ import annotations
@@ -395,11 +398,10 @@ def draw_plan(plan, width, bounds, prefix, first, count):
     the 8 little-endian bytes of t; its first output draws the size from
     [size_lo, size_hi]. `bounds` is (den, size_lo, size_hi, card_lo,
     card_hi, family_lo, family_hi), and `plan` holds the moves documented in
-    `laws/generators.py`, each writing a value into its slot. The bounds are
-    read as the compiled kernel reads them: ints (TypeError) within int64
-    (OverflowError), with den >= 1 and 1 <= lo <= hi for each range
-    (ValueError, at every count). `width`, `first` and `count` are ints and
-    not bools, and every trial index must fit 64 bits.
+    `laws/generators.py`, each writing a value into its slot. The bounds
+    must lie in the draw domain of the module docstring. `width`, `first`
+    and `count` are ints and not bools, and every trial index must fit 64
+    bits.
     """
     den, ulo, uhi, lo, hi, flo, fhi = bounds = tuple(map(index, bounds))
     if not all(-(1 << 63) <= v < 1 << 63 for v in bounds):

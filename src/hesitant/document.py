@@ -173,6 +173,8 @@ def source_text(source) -> str:
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
+    if not isinstance(source, str):
+        raise TypeError(f"source must be bytes, str or a readable stream, not {type(source).__name__}")
     return source.removeprefix("\ufeff")
 
 

@@ -36,10 +36,11 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
-from ._kernel import _pykernel as _ops
+from ._kernel import exact as _ops
 # `coerce_degree` stays bound here for perfbench/tracing.py, which rebinds it
 # in this module; the constructor reads degrees through `degree_ratio`.
 from .degrees import DegreeError, coerce_degree, degree_ratio, format_grid
+from .errors import collection
 
 
 def _fmt(num: int, den: int) -> str:
@@ -102,7 +103,7 @@ class HFE:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, values: Iterable) -> None:
-        nums, den = _row(values)
+        nums, den = _row(collection(values, "HFE values", "degrees"))
         (self._nums,), self._den = _reduced((nums,), den)
 
     @classmethod
@@ -114,6 +115,8 @@ class HFE:
 
     def _with(self, other: "HFE") -> tuple[int, tuple, tuple]:
         """The lcm of the two denominators, and the numerators of each over it."""
+        if not isinstance(other, HFE):
+            raise TypeError(f"operand must be an HFE, not {type(other).__name__}")
         den, (a, b) = _on_lcm((self._nums, self._den), (other._nums, other._den))
         return den, a, b
 
@@ -144,6 +147,8 @@ class HFE:
 
     def best(self, q: int) -> "HFE":
         """The q largest degrees with multiplicity (1 <= q <= len(self))."""
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise TypeError(f"q must be an int, not {type(q).__name__}")
         if not 1 <= q <= len(self._nums):
             raise ValueError(f"q={q} out of range 1..{len(self._nums)}")
         return HFE._from_grid(self._nums[:q], self._den)
@@ -159,8 +164,12 @@ class HFE:
     def complement(self) -> "HFE":
         return HFE._from_grid(_ops.u_compl((self._nums,), self._den)[0], self._den)
 
-    __or__ = union
-    __and__ = intersection
+    def __or__(self, other):
+        return self.union(other) if isinstance(other, HFE) else NotImplemented
+
+    def __and__(self, other):
+        return self.intersection(other) if isinstance(other, HFE) else NotImplemented
+
     __invert__ = complement
 
     def __len__(self) -> int:

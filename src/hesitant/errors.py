@@ -15,6 +15,14 @@ def shown(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def collection(value, name: str, items: str):
+    """`value`, which must be a collection of `items`: a str or bytes, which
+    would iterate as its characters, is a TypeError that names it."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"{name} must be a collection of {items}, not {type(value).__name__}")
+    return value
+
+
 class HesitantError(Exception):
     """Base class for all errors raised by this package."""
 

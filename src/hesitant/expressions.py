@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, NamedTuple, Union
 
-from ._kernel import _pykernel as _ops
+from ._kernel import exact as _ops
 from .sets import HFS, _binary
 
 Node = Union["Var", "Compl", "Join", "Meet"]
@@ -37,8 +37,8 @@ Term = Union[Node, "Fold"]
 
 MAX_DEPTH = 100
 
-# A term program's operators, read by `term` in `_pykernel.py` and
-# `_ckernel.c`: ∪, ∩, complement, and the ⋂ and ⋃ folds.
+# A term program's operators, read by both kernels' `term`: ∪, ∩,
+# complement, and the ⋂ and ⋃ folds.
 UNION, INTER, COMPL, MEET_ALL, JOIN_ALL = TERM_OPS = range(-1, -6, -1)
 
 

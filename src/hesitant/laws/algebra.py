@@ -1,26 +1,21 @@
 """Evaluation contexts for law predicates.
 
-Laws are compiled once, to predicates `(kern, one, binding)` over *plain
-values* on an integer grid:
-
-    hfe     = non-empty descending tuple of int numerators k, meaning k/den
-    hfs     = tuple of hfes (one per universe position)
-    family  = tuple of hfs
-    binding = tuple of the law's param values (an hfs or a family each), in
-              `params` order
+Laws are compiled once, to predicates `(kern, one, binding)` over the plain
+values of the kernel contract, which the docstring of `_kernel.pure` states:
+a binding is the tuple of a law's param values, an hfs or a family (a tuple
+of hfs) each, in `params` order.
 
 An `Algebra` holds the two other arguments: `kern`, the kernel module the
 predicates call, and the complement unit `one` = den. Callers read both once
 per law, or once per exact evaluation. The randomized suite draws on the
-grid 1/degree_grid and runs the fastest kernel (`grid_algebra`). Exact
+grid 1/degree_grid and runs the active kernel (`grid_algebra`). Exact
 evaluation (`evaluate_law`, fixture and witness replay) puts a binding on
-the lcm of its denominators, which can outgrow a C integer, and so runs the
-pure kernel, `EXACT.kern`.
+the lcm of its denominators and runs `_kernel.exact` (`EXACT.kern`).
 """
 
 from __future__ import annotations
 
-from .._kernel import _pykernel, active
+from .._kernel import active, exact
 
 
 class Algebra:
@@ -34,11 +29,11 @@ class Algebra:
         self.one = one
 
 
-#: Exact evaluation's kernel is `EXACT.kern`, the pure one; each evaluation
-#: pairs it with its binding's denominator.
-EXACT = Algebra(_pykernel, 1)
+#: Exact evaluation's kernel; each evaluation pairs it with its binding's
+#: denominator.
+EXACT = Algebra(exact, 1)
 
 
 def grid_algebra(denominator: int) -> Algebra:
-    """Integer-grid algebra over the fastest available kernel."""
+    """Integer-grid algebra over the active kernel."""
     return Algebra(active, denominator)

@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional
 
-from .._kernel import IMPLEMENTATION, active
+from .._kernel import active
 from ..degrees import format_grid
 from ..elements import _on_lcm
-from ..errors import UniverseMismatchError
+from ..errors import UniverseMismatchError, collection
 from ..sets import HFS, Family, Universe
 from .algebra import EXACT, Algebra, grid_algebra
 from .fixtures import Fixture
@@ -285,17 +285,12 @@ class SuiteReport:
         raise KeyError(f"law {law_id!r} was not part of this run")
 
     def as_dict(self) -> dict:
-        cfg = self.config
+        config = {}
+        for f in fields(GeneratorConfig):
+            value = getattr(self.config, f.name)
+            config[f.name] = list(value) if isinstance(value, tuple) else value
         return {
-            "config": {
-                "seed": cfg.seed,
-                "universe_size": list(cfg.universe_size),
-                "cardinality": list(cfg.cardinality),
-                "degree_grid": cfg.degree_grid,
-                "trials": cfg.trials,
-                "family_size": list(cfg.family_size),
-                "max_attempts": cfg.max_attempts,
-            },
+            "config": config,
             "laws": len(self.results),
             "ok": self.ok,
             "results": [r.as_dict() for r in self.results],
@@ -456,6 +451,7 @@ def run_suite(
     if law_ids is None:
         laws = list(law_registry())
     else:
+        law_ids = collection(law_ids, "law_ids", "law ids")
         laws = list({law.id: law for law in map(get_law, law_ids)}.values())
     workers = min(workers, len(laws), os.cpu_count() or 1)
     if workers > 1:
@@ -490,21 +486,3 @@ def replay_witness(witness: Witness) -> dict:
     stored verdicts bit-exactly."""
     return evaluate_law(witness.law_id, witness.to_objects())
 
-
-__all__ = [
-    "DEFAULT_SEED",
-    "GeneratorConfig",
-    "Witness",
-    "FixtureResult",
-    "LawResult",
-    "SuiteReport",
-    "evaluate_law",
-    "fixture_binding",
-    "hunt_counterexample",
-    "random_hfs",
-    "replay_fixtures",
-    "replay_witness",
-    "run_law",
-    "run_suite",
-    "IMPLEMENTATION",
-]

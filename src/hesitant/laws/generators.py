@@ -33,12 +33,9 @@ whose plan no premise determines name one: the ⇔ laws choose among plans
 with `CHOICE` (one `below(n)` draw picks the plan that follows), and thm5.6
 builds its members with `ABOVE` `LONGER`.
 
-The kernels run a plan only in the draw domain, the bounds a
-`GeneratorConfig` allows: a grid den >= 1 and 1 <= lo <= hi for the universe
-size, cardinality and family size ranges. Any other bounds raise ValueError
-(OverflowError outside int64, TypeError for a bound that is not an int), so
-every universe, hfe and family drawn is non-empty, as the paper's objects
-are.
+The kernels run a plan only in the draw domain that the docstring of
+`_kernel.pure` states, so every universe, hfe and family drawn is non-empty,
+as the paper's objects are.
 
 All construction happens per universe position on the integer grid. The
 sorting trick used throughout: if values v_1..v_k are drawn with
@@ -56,7 +53,7 @@ from ..relations import Inclusion
 
 M, T = Inclusion.MEAN, Inclusion.TAIL
 
-# Move codes, read by `draw_plan` in `_pykernel.py` and `_ckernel.c`.
+# Move codes, read by both kernels' `draw_plan`.
 SET, FAMILY, LADDER, COPY, COINCIDE, ABOVE, BELOW, SUBFAMILY, CHOICE = range(9)
 # The members of an `ABOVE` move: all above the set, one chosen among a free
 # family, or one chosen among members longer than the set at every position.

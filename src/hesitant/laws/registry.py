@@ -33,7 +33,7 @@ from enum import Enum
 from functools import cache, reduce
 from typing import Callable, NamedTuple, Optional
 
-from .._kernel._pykernel import REL_SOT
+from .._kernel import exact
 from ..errors import UnknownLawError
 from ..expressions import Fold, Term, Var, parse_expression, program
 from ..relations import Inclusion
@@ -124,7 +124,7 @@ class Rel(NamedTuple):
                 return lhs(k, one, b) == rhs(k, one, b)
 
             return same
-        code = REL_SOT if self.mode == "sot" else self.kind.code
+        code = exact.REL_SOT if self.mode == "sot" else self.kind.code
         if self.mode != "eq":
 
             def rel(k, one, b):

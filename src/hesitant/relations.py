@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from ._kernel import _pykernel as _ops
+from ._kernel import exact as _ops
 from .degrees import degree_ratio
 from .elements import HFE, _on_lcm
 from .errors import UniverseMismatchError
@@ -162,27 +162,19 @@ class RelationProfile:
             raise AssertionError(f"inconsistent relation profile: {self}")
 
     def __getitem__(self, kind: Inclusion) -> bool:
-        return getattr(self, _FIELDS[kind])
+        if not isinstance(kind, Inclusion):
+            raise KeyError(kind)
+        return getattr(self, kind.name.lower())
 
     def as_dict(self) -> dict[Inclusion, bool]:
         return {kind: self[kind] for kind in Inclusion}
-
-
-_FIELDS = {
-    Inclusion.POSSIBLE: "possible",
-    Inclusion.ACCEPTABLE: "acceptable",
-    Inclusion.MEAN: "mean",
-    Inclusion.STRONG: "strong",
-    Inclusion.TAIL: "tail",
-    Inclusion.NECESSARY: "necessary",
-}
 
 
 def relation_profile(a: HFE, b: HFE) -> RelationProfile:
     """Evaluate all six relations for the ordered pair (a, b) in one pass,
     on one rescaling of the pair."""
     _, ga, gb = a._with(b)
-    verdicts = {_FIELDS[kind]: _ops.u_rel(kind.code, (ga,), (gb,)) for kind in Inclusion}
+    verdicts = {kind.name.lower(): _ops.u_rel(kind.code, (ga,), (gb,)) for kind in Inclusion}
     return RelationProfile(**verdicts, strong_or_tail=_strong_or_tail(ga, gb))
 
 

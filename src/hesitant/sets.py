@@ -21,9 +21,9 @@ from enum import Enum
 from functools import reduce
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._kernel import _pykernel as _ops
+from ._kernel import exact as _ops
 from .elements import HFE, _on_lcm, _reduced, _row
-from .errors import UniverseMismatchError, shown
+from .errors import UniverseMismatchError, collection, shown
 
 
 class Universe:
@@ -32,7 +32,7 @@ class Universe:
     __slots__ = ("_elements", "_index")
 
     def __init__(self, elements: Iterable[str]) -> None:
-        elems = tuple(elements)
+        elems = tuple(collection(elements, "universe elements", "element ids"))
         if not elems:
             raise ValueError("a universe needs at least one element")
         for e in elems:
@@ -109,6 +109,9 @@ class HFS:
         for e in uni:
             if e not in memberships:
                 raise ValueError(f"missing membership for element {shown(e)}")
+            if isinstance(memberships[e], (str, bytes)):  # it would iterate as characters
+                kind = type(memberships[e]).__name__
+                raise TypeError(f"membership of element {shown(e)} must be a collection of degrees, not {kind}")
         if len(memberships) != len(uni):  # then some key is not in the universe
             extra = next(e for e in memberships if e not in uni)
             raise ValueError(f"unknown element {shown(extra)}")
@@ -141,19 +144,27 @@ class HFS:
     def items(self) -> Iterator[tuple[str, HFE]]:
         return zip(self._universe, self.hfes)
 
+    def _operands(self, other: "HFS") -> tuple:
+        """The (universe, grid, den) triples of self and other."""
+        if not isinstance(other, HFS):
+            raise TypeError(f"operand must be an HFS, not {type(other).__name__}")
+        return (self._universe, self._grid, self._den), (other._universe, other._grid, other._den)
+
     def union(self, other: "HFS") -> "HFS":
-        return HFS._from_grid(*_binary(_ops.u_union, (self._universe, self._grid, self._den),
-                                       (other._universe, other._grid, other._den)))
+        return HFS._from_grid(*_binary(_ops.u_union, *self._operands(other)))
 
     def intersection(self, other: "HFS") -> "HFS":
-        return HFS._from_grid(*_binary(_ops.u_inter, (self._universe, self._grid, self._den),
-                                       (other._universe, other._grid, other._den)))
+        return HFS._from_grid(*_binary(_ops.u_inter, *self._operands(other)))
 
     def complement(self) -> "HFS":
         return HFS._from_grid(self._universe, _ops.u_compl(self._grid, self._den), self._den)
 
-    __or__ = union
-    __and__ = intersection
+    def __or__(self, other):
+        return self.union(other) if isinstance(other, HFS) else NotImplemented
+
+    def __and__(self, other):
+        return self.intersection(other) if isinstance(other, HFS) else NotImplemented
+
     __invert__ = complement
 
     def __eq__(self, other) -> bool:
@@ -199,6 +210,9 @@ class Family:
         names = tuple(name for name, _ in members)
         if len(set(names)) != len(names):
             raise ValueError("family member names must be distinct")
+        for name, s in members:
+            if not isinstance(s, HFS):
+                raise TypeError(f"family member {shown(name)} must be an HFS, not {type(s).__name__}")
         sets_ = tuple(s for _, s in members)
         uni = sets_[0].universe
         for s in sets_[1:]:

@@ -1,8 +1,9 @@
 """The hand-written `_ckernel.c` must build warning-free.
 
 The `ckernel_build` fixture (see `conftest.py`) compiles it with
-`gcc -O2 -Wall -Werror` into a temporary directory, the way the CI job builds
-the compiled kernel. It skips where gcc or `Python.h` is missing.
+`gcc -O2 -Wall -Werror` into a temporary directory. This is the warning gate:
+CI builds the kernel it tests through `setup.py`, whose flags do not fail on
+a warning. It skips where gcc or `Python.h` is missing.
 """
 
 

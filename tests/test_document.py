@@ -57,6 +57,18 @@ def test_load_drops_a_byte_order_mark():
         assert load_document(source) == want
 
 
+@pytest.mark.parametrize("source", [3, None, ["{}"]])
+def test_a_source_must_be_bytes_text_or_a_stream(source):
+    """load_document(3) raised AttributeError: 'int' object has no attribute
+    'removeprefix'; ingest_scores shares the reader."""
+    from hesitant import ingest_scores
+
+    message = f"^source must be bytes, str or a readable stream, not {type(source).__name__}$"
+    for read in (load_document, ingest_scores):
+        with pytest.raises(TypeError, match=message):
+            read(source)
+
+
 def test_load_validates_totality_with_path():
     with pytest.raises(DocumentError, match="'A'.*'y'"):
         load_document(json.dumps({"universe": ["x", "y"], "sets": {"A": {"x": ["0.5"]}}}))

@@ -1,9 +1,10 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from hesitant import HFE, hfe
+from hesitant import HFE, hfe, make_hfe
 
 from conftest import hfes
 
@@ -75,6 +76,33 @@ def test_best_subsequence_bounds_checked():
         w.best(0)
     with pytest.raises(ValueError):
         w.best(7)
+
+
+@pytest.mark.parametrize("q", [True, 1.0, "1"])
+def test_best_refuses_a_bool_or_non_int_q(q):
+    """best(True) returned one degree, and best(1.0) failed inside slicing."""
+    with pytest.raises(TypeError, match=f"^q must be an int, not {type(q).__name__}$"):
+        hfe("0.9", "0.8").best(q)
+
+
+@pytest.mark.parametrize("values", ["10", b"1"])
+def test_text_is_not_a_collection_of_degrees(values):
+    """HFE("10") was the membership {1, 0}: a str iterated as characters."""
+    kind = type(values).__name__
+    for build in (HFE, make_hfe):
+        with pytest.raises(TypeError, match=f"^HFE values must be a collection of degrees, not {kind}$"):
+            build(values)
+    assert hfe("0.5") == HFE(["0.5"])  # varargs: each argument is one degree
+
+
+def test_operators_refuse_a_foreign_operand():
+    a = hfe("0.5", "0.2")
+    for op, symbol in ((operator.or_, "|"), (operator.and_, "&")):
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \{symbol}: 'HFE' and 'int'$"):
+            op(a, 3)
+    for method in (a.union, a.intersection):
+        with pytest.raises(TypeError, match="^operand must be an HFE, not int$"):
+            method(3)
 
 
 def test_float_degrees_rejected():

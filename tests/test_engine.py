@@ -144,6 +144,12 @@ def test_suite_restriction_and_alias():
     assert report.results[0].law_id == "thm3.4"
 
 
+def test_run_suite_refuses_a_law_id_for_law_ids():
+    """law_ids="thm1.1" failed with "unknown law id 't'"."""
+    with pytest.raises(TypeError, match="^law_ids must be a collection of law ids, not str$"):
+        run_suite(SMALL, law_ids="thm1.1")
+
+
 def test_hunt_finds_mean_counterexamples():
     cfg = GeneratorConfig(trials=100_000)
     for law_id in ("exam-sec2.3-m-intersection", "exam-sec2.3-m-union"):

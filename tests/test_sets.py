@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -114,6 +115,54 @@ def test_family_validation():
     other = make_hfs(Universe(["y"]), {"y": ["0.5"]})
     with pytest.raises(UniverseMismatchError):
         Family([("A", A), ("B", other)])
+
+
+
+def test_family_refuses_a_member_that_is_not_an_hfs():
+    A, _, _ = _abc_on_x()
+    with pytest.raises(TypeError, match="^family member 'b' must be an HFS, not int$"):
+        Family([("a", A), ("b", 3)])
+
+
+@pytest.mark.parametrize("membership", ["10", "0.5", b"1"])
+def test_a_membership_must_not_be_text(membership):
+    """make_hfs(U, {"x": "10"}) was the membership {1, 0}."""
+    uni = Universe(["x"])
+    kind = type(membership).__name__
+    for build in (HFS, make_hfs):
+        with pytest.raises(TypeError, match=f"^membership of element 'x' must be a collection of degrees, not {kind}$"):
+            build(uni, {"x": membership})
+
+
+@pytest.mark.parametrize("elements", ["x1", b"x1"])
+def test_a_universe_must_not_be_text(elements):
+    """Universe("x1") was the universe of 'x' and '1'."""
+    kind = type(elements).__name__
+    with pytest.raises(TypeError, match=f"^universe elements must be a collection of element ids, not {kind}$"):
+        Universe(elements)
+
+
+def test_operators_refuse_a_foreign_operand():
+    A, _, _ = _abc_on_x()
+    for op, symbol in ((operator.or_, "|"), (operator.and_, "&")):
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \{symbol}: 'HFS' and 'int'$"):
+            op(A, 3)
+    for method in (A.union, A.intersection):
+        with pytest.raises(TypeError, match="^operand must be an HFS, not HFE$"):
+            method(hfe("0.5"))
+
+
+def test_operators_call_the_methods_at_call_time(monkeypatch):
+    """`|` and `&` look `union` and `intersection` up when they run, so a
+    wrapper bound over a method also sees the operator."""
+    A, B, _ = _abc_on_x()
+    calls = []
+    for name in ("union", "intersection"):
+        method = getattr(HFS, name)
+        monkeypatch.setattr(HFS, name, lambda a, b, method=method, name=name: calls.append(name) or method(a, b))
+    assert A | B == combine(SetOp.UNION, A, B)
+    assert A & B == combine(SetOp.INTERSECTION, A, B)
+    assert calls == ["union", "union", "intersection", "intersection"]
 
 
 def test_family_fold_reduces_to_binary():
