@@ -28,13 +28,17 @@ every universe, hfe and family drawn is non-empty.
 
 Output i of a stream is the mix of state + i·γ, so `_block` computes the
 outputs of many streams a block at a time, one per 128-bit lane of a single
-Python int, with their draws from the grid in the lanes' high halves.
-`draw_plan` seeds each trial's stream from the law's FNV-1a prefix and the
-trial index, computes the first blocks of up to 64 trials in one pass, then
-draws each trial's universe size and runs the law's plan
-(`laws/generators.py`) on that trial's buffer, growing it by passes over its
-one stream. The draws are exactly those of one output per draw:
-`tests/test_streams.py` pins them against a method-per-draw oracle.
+Python int, with their draws from the grid in the lanes' high halves, and
+reads that int's bytes as one `array("Q")` of 64-bit words. `draw_plan`
+seeds each trial's stream from the law's FNV-1a prefix and the trial index,
+computes the first blocks of up to 64 trials in one pass, and gives each
+trial two strided slices of that array: its outputs and their draws. It
+then draws the trial's universe size and runs the law's plan
+(`laws/generators.py`) on those two arrays, which later blocks of the
+trial's one stream extend in place. No array reaches a binding: every value
+drawn is a tuple of ints. The draws are exactly those of one output per
+draw: `tests/test_streams.py` pins every move's against a method-per-draw
+oracle.
 
 The twin. The compiled kernel, the hand-written C module `_ckernel.c`, has
 the public names of this module but `u_union`, `u_inter` and `u_compl`,
@@ -49,10 +53,11 @@ names and the equivalence.
 
 from __future__ import annotations
 
+from array import array
 from functools import cmp_to_key, lru_cache, reduce
 from itertools import repeat
 from operator import ge, index, sub
-from struct import Struct
+from sys import byteorder as _byteorder
 
 IMPLEMENTATION = "pure"
 
@@ -178,9 +183,10 @@ def u_rel(code, A, B):
 #
 # The helpers below draw from `buf[i:]`, the outputs of the stream at state
 # `seed` from `buf[0]` on, and `deg[i:]`, their draws from range(n) for
-# n = den + 1. They compute blocks on as they need them and return what they
-# drew with the new (buf, deg, i). The codes are `laws/generators.py`'s (the
-# moves and an `_ABOVE` move's members) and `expressions.TERM_OPS`.
+# n = den + 1. They extend both arrays in place by the blocks they need
+# (`_grow`) and return what they drew with the new i. The codes are
+# `laws/generators.py`'s (the moves and an `_ABOVE` move's members) and
+# `expressions.TERM_OPS`.
 _SET, _FAMILY, _LADDER, _COPY, _COINCIDE, _ABOVE, _BELOW, _SUBFAMILY, _CHOICE = range(9)
 _ALL, _SOME, _LONGER = range(3)
 _UNION, _INTER, _COMPL, _MEET_ALL, _JOIN_ALL = range(-1, -6, -1)
@@ -198,77 +204,84 @@ _BY_MEAN = cmp_to_key(lambda a, b: sum(a) * len(b) - sum(b) * len(a))
 # j * count + t, so a stream's block is every count-th lane. A lane's value
 # stays below 2**64 after every mask, so a product with a 64-bit constant
 # fits its 128 bits, and a right shift moves the next lane's bits only into
-# the high half, which the mask that follows clears. The first blocks of a
-# chunk of trials are computed _PASS trials at a time, and each later block
-# of a trial is the same computation over one stream. A pass's ints stay
-# under 64 KB: larger ones, past glibc's 128 KB mmap threshold, made a
-# 256-trial pass no faster than drawing one trial at a time.
+# the high half, which the mask that follows clears. A block int's bytes are
+# read as one array("Q") of its lanes' halves, so stream t's outputs are
+# the words 2t, 2t + 2·count, ... and their draws the words after them:
+# each trial's `buf` and `deg` are two strided slices of that array, and a
+# later block of a trial, the same computation over one stream, extends
+# them in place. The first blocks of a chunk of trials are computed _PASS
+# trials at a time. A pass's ints stay under 64 KB: larger ones, past
+# glibc's 128 KB mmap threshold, made a 256-trial pass no faster than
+# drawing one trial at a time.
 _BLOCK = 32
 _PASS = 64
+_SWAP = _byteorder == "big"  # a block's bytes are little-endian
+
+
+def _words(data: bytes) -> array:
+    """The 64-bit words of little-endian bytes, in order."""
+    words = array("Q", data)
+    if _SWAP:
+        words.byteswap()
+    return words
 
 
 @lru_cache(maxsize=5)  # one stream, a full pass, the last, shorter one, and a hunt's first chunks
 def _wide(count: int) -> tuple:
     """The constants of a pass over `count` streams: the trial ints of 1, of t
     and of 255 in lane t, and that of the low 64 bits of every lane; the
-    unpacker of a trial int's lanes, and that of stream t's block, at byte
-    offset 16t, as (output, draw) pairs; the block ints of the output steps
-    and of the low and the high 64 bits of every lane."""
+    block ints of the output steps and of the low and the high 64 bits of
+    every lane."""
     ones = sum(1 << (128 * t) for t in range(count))
     spread = sum(1 << (128 * count * j) for j in range(_BLOCK))  # times a trial int: a block int
     low = _MASK * ones * spread
-    pairs = ("QQ%dx" % (16 * count - 16)) * (_BLOCK - 1) + "QQ"
     return (
         ones,
         sum(t << (128 * t) for t in range(count)),
         255 * ones,
         _MASK * ones,
-        Struct(f"<{2 * count}Q").unpack,
-        Struct("<" + pairs).unpack_from,
         sum((((j + 1) * _GOLDEN & _MASK) * ones) << (128 * count * j) for j in range(_BLOCK)),
         low,
         ~low,
     )
 
 
-def _block(h: int, count: int, n: int) -> bytes:
-    """The bytes of the block int of the next _BLOCK outputs of the `count`
+def _block(h: int, count: int, n: int) -> array:
+    """The words of the block int of the next _BLOCK outputs of the `count`
     streams whose states are the lanes of the trial int h. Each lane holds an
     output z in its low half and, in its high half, its draw from range(n),
     (z * n) >> 64: a grid den in 1..2**63 - 1 makes 2 <= n <= 2**63, so z * n
     fits the lane."""
-    steps, low, high = _wide(count)[6:]
+    steps, low, high = _wide(count)[4:]
     for copies in (1, 2, 4, 8, 16):
         h |= h << (128 * count * copies)
     x = _mixed((h + steps) & low, low)
-    return (x * n & high | x).to_bytes(16 * _BLOCK * count, "little")
+    return _words((x * n & high | x).to_bytes(16 * _BLOCK * count, "little"))
 
 
 def _first_blocks(prefix, first, count, n):
     """(seed, first block, its draws from range(n)) of trials first ..
     first + count - 1, at most _PASS of them, in one pass. Trial t's seed is
     FNV-1a from the state `prefix` over the 8 little-endian bytes of t."""
-    ones, ramp, byte, low_t, lanes, pairs = _wide(count)[:6]
+    ones, ramp, byte, low_t = _wide(count)[:4]
     trials = first * ones + ramp
     h = (prefix & _MASK) * ones
     for shift in range(0, 64, 8):
         h = ((h ^ ((trials >> shift) & byte)) * _FNV_PRIME) & low_t
-    data = _block(h, count, n)
-    for t, seed in enumerate(lanes(h.to_bytes(16 * count, "little"))[::2]):
-        v = pairs(data, 16 * t)
-        yield seed, v[::2], v[1::2]
+    data, step = _block(h, count, n), 2 * count
+    seeds = _words(h.to_bytes(16 * count, "little"))
+    for t in range(0, step, 2):
+        yield seeds[t], data[t::step], data[t + 1 :: step]
 
 
-def _grow(buf: tuple, deg: tuple, seed: int, n: int, need: int) -> tuple:
-    """buf, the outputs of the stream at `seed` from its first on, and deg,
-    their draws from range(n), extended by whole blocks to at least `need`
+def _grow(buf: array, deg: array, seed: int, n: int, need: int) -> None:
+    """Extends buf, the outputs of the stream at `seed` from its first on,
+    and deg, their draws from range(n), by whole blocks to at least `need`
     outputs."""
-    pairs = _wide(1)[5]
     while len(buf) < need:
-        v = pairs(_block((seed + len(buf) * _GOLDEN) & _MASK, 1, n), 0)
+        v = _block((seed + len(buf) * _GOLDEN) & _MASK, 1, n)
         buf += v[::2]
         deg += v[1::2]
-    return buf, deg
 
 
 def _hfes(buf, deg, i, seed, n, count, lo, hi):
@@ -280,91 +293,107 @@ def _hfes(buf, deg, i, seed, n, count, lo, hi):
     out = []
     for _ in range(count):
         if len(buf) - i < most:
-            buf, deg = _grow(buf, deg, seed, n, i + most)
+            _grow(buf, deg, seed, n, i + most)
         k = lo + ((buf[i] * span) >> 64)
-        h = list(deg[i + 1 : i + 1 + k])
+        out.append(tuple(sorted(deg[i + 1 : i + 1 + k], reverse=True)))
         i += 1 + k
-        h.sort(reverse=True)
-        out.append(tuple(h))
-    return tuple(out), buf, deg, i
+    return tuple(out), i
 
 
 def _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi):
     """A free family: a size uniform in [flo, fhi], then that many sets."""
     if i == len(buf):
-        buf, deg = _grow(buf, deg, seed, n, i + 1)
+        _grow(buf, deg, seed, n, i + 1)
     count = flo + ((buf[i] * (fhi - flo + 1)) >> 64)
     i, fam = i + 1, []
     for _ in range(count):
-        hfs, buf, deg, i = _hfes(buf, deg, i, seed, n, size, lo, hi)
+        hfs, i = _hfes(buf, deg, i, seed, n, size, lo, hi)
         fam.append(hfs)
-    return tuple(fam), buf, deg, i
+    return tuple(fam), i
 
 
 def _above(buf, deg, i, seed, n, a, code, lo, hi):
     """One hfe b with a ⊂code b and at most hi degrees (⊂s: at most
     len(a)), or None when ⊂t leaves no room."""
     if code == REL_T and len(a) >= hi:
-        return None, buf, deg, i
+        return None, i
     most = max(lo, hi, len(a))
     if len(buf) - i <= most + 1:
-        buf, deg = _grow(buf, deg, seed, n, i + 2 + most)
+        _grow(buf, deg, seed, n, i + 2 + most)
     z, x = buf[i], a[0]
     i += 1
-    if code == REL_S:
-        k = lo + ((z * (len(a) - lo + 1)) >> 64)
-        v = [x + ((w * (n - x)) >> 64) for x, w in zip(a, buf[i : i + k])]
-    elif code == REL_T:
-        k = len(a) + 1 + ((z * (hi - len(a))) >> 64)
-        v = [x + ((w * (n - x)) >> 64) for x, w in zip(a, buf[i : i + len(a)])]
-        v += deg[i + len(a) : i + k]
+    v = []
+    if code == REL_S or code == REL_T:  # above a's degrees, position by position
+        if code == REL_S:
+            a = a[: lo + ((z * (len(a) - lo + 1)) >> 64)]
+        else:
+            extra = 1 + ((z * (hi - len(a))) >> 64)
+        for x in a:
+            v.append(x + ((buf[i] * (n - x)) >> 64))
+            i += 1
+        if code == REL_T:  # and free degrees past them
+            v += deg[i : i + extra]
+            i += extra
     else:
-        k = lo + ((z * (hi - lo + 1)) >> 64)
-        if code == REL_N:
-            v = [x + ((w * (n - x)) >> 64) for w in buf[i : i + k]]
-        elif code == REL_P:
-            v = [x + ((buf[i] * (n - x)) >> 64), *deg[i + 1 : i + k]]
-        elif code == REL_A:
-            v = [x + ((buf[i] * (n - x)) >> 64)]
-            x = a[-1]
-            v += [x + ((w * (n - x)) >> 64) for w in buf[i + 1 : i + k]]
+        end = i + lo + ((z * (hi - lo + 1)) >> 64)
+        if code == REL_P or code == REL_A:  # the first degree above a's first
+            v.append(x + ((buf[i] * (n - x)) >> 64))
+            i += 1
+        if code == REL_P:
+            v += deg[i:end]
+        elif code == REL_A or code == REL_N:  # the rest above a's last, or all above a's first
+            if code == REL_A:
+                x = a[-1]
+            room = n - x
+            for j in range(i, end):
+                v.append(x + ((buf[j] * room) >> 64))
         else:
             raise ValueError(f"no dominating construction for relation code {code}")
+        i = end
     v.sort(reverse=True)
-    return tuple(v), buf, deg, i + len(v)
+    return tuple(v), i
 
 
 def _below(buf, deg, i, seed, n, b, code, lo, hi):
     """One hfe a with a ⊂code b and lo <= |a| <= hi, or None if the bounds
     make it impossible."""
     if code == REL_S and len(b) > hi or code == REL_T and lo >= len(b):
-        return None, buf, deg, i
+        return None, i
     most = max(lo, hi, len(b))
     if len(buf) - i <= most + 1:
-        buf, deg = _grow(buf, deg, seed, n, i + 2 + most)
-    z, x = buf[i], b[0]
+        _grow(buf, deg, seed, n, i + 2 + most)
+    z = buf[i]
     i += 1
-    if code == REL_S:
-        least = lo if lo > len(b) else len(b)
-        k = least + ((z * (hi - least + 1)) >> 64)
-        v = [(w * (x + 1)) >> 64 for x, w in zip(b, buf[i : i + len(b)])]
-        x = b[-1]
-        v += [(w * (x + 1)) >> 64 for w in buf[i + len(b) : i + k]]
-    elif code == REL_T:
-        k = lo + ((z * ((hi if hi < len(b) else len(b) - 1) - lo + 1)) >> 64)
-        v = [(w * (x + 1)) >> 64 for x, w in zip(b, buf[i : i + k])]
+    v = []
+    if code == REL_S or code == REL_T:  # below b's degrees, position by position
+        if code == REL_S:
+            least = lo if lo > len(b) else len(b)
+            end = i + least + ((z * (hi - least + 1)) >> 64)
+        else:
+            b = b[: lo + ((z * ((hi if hi < len(b) else len(b) - 1) - lo + 1)) >> 64)]
+        for x in b:
+            v.append((buf[i] * (x + 1)) >> 64)
+            i += 1
+        if code == REL_S:  # and below b's last past them
+            x = b[-1] + 1
+            for j in range(i, end):
+                v.append((buf[j] * x) >> 64)
+            i = end
     else:
-        k = lo + ((z * (hi - lo + 1)) >> 64)
-        if code == REL_P or code == REL_N:
-            x = x + 1 if code == REL_P else b[-1] + 1
-            v = [(w * x) >> 64 for w in buf[i : i + k]]
-        elif code == REL_A:
-            v = [(buf[i] * (b[-1] + 1)) >> 64]
-            v += [(w * (x + 1)) >> 64 for w in buf[i + 1 : i + k]]
+        end = i + lo + ((z * (hi - lo + 1)) >> 64)
+        if code == REL_P or code == REL_N:  # all below b's first, or its last
+            x = (b[0] if code == REL_P else b[-1]) + 1
+        elif code == REL_A:  # the first below b's last, the rest below its first
+            v.append((buf[i] * (b[-1] + 1)) >> 64)
+            i += 1
+            x = b[0] + 1
         else:
             raise ValueError(f"no dominated construction for relation code {code}")
+        for j in range(i, end):
+            v.append((buf[j] * x) >> 64)
+        i = end
     v.sort(reverse=True)
-    return tuple(v), buf, deg, i + len(v)
+    return tuple(v), i
 
 
 def term(program, slots, one):
@@ -431,22 +460,29 @@ def draw_plan(plan, width, bounds, prefix, first, count):
 def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
     """Runs one trial's plan from its first block (buf, deg), output 1 on,
     and returns the slots, or None when a move is impossible."""
-    i, n = 1, den + 1
+    i, n, span = 1, den + 1, hi - lo + 1
     moves, m = plan, 0
     while m < len(moves):
         move = moves[m]
         m += 1
         op = move[0]
-        if op == _SET:
-            slots[move[1]], buf, deg, i = _hfes(buf, deg, i, seed, n, size, lo, hi)
+        if op == _SET:  # `_hfes` inline: size free hfes
+            H = []
+            for _ in range(size):
+                if len(buf) - i <= hi:
+                    _grow(buf, deg, seed, n, i + 1 + hi)
+                k = lo + ((buf[i] * span) >> 64)
+                H.append(tuple(sorted(deg[i + 1 : i + 1 + k], reverse=True)))
+                i += 1 + k
+            slots[move[1]] = tuple(H)
         elif op == _FAMILY:
-            slots[move[1]], buf, deg, i = _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi)
+            slots[move[1]], i = _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi)
         elif op == _LADDER:
             code, out = move[1], move[2:]
             rows = []
             if code == REL_M:  # free hfes, stably sorted by exact mean
                 for _ in range(size):
-                    row, buf, deg, i = _hfes(buf, deg, i, seed, n, len(out), lo, hi)
+                    row, i = _hfes(buf, deg, i, seed, n, len(out), lo, hi)
                     rows.append(sorted(row, key=_BY_MEAN))
             else:  # a base, then one step up per further name
                 lift = 1 if code == REL_T else 0  # a ⊂t step adds a degree
@@ -454,12 +490,17 @@ def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
                 if lo > cap:
                     return None
                 for _ in range(size):
-                    row, buf, deg, i = _hfes(buf, deg, i, seed, n, 1, lo, cap)
+                    if len(buf) - i <= cap:  # the base: `_hfes` inline
+                        _grow(buf, deg, seed, n, i + 1 + cap)
+                    k = lo + ((buf[i] * (cap - lo + 1)) >> 64)
+                    h = tuple(sorted(deg[i + 1 : i + 1 + k], reverse=True))
+                    i += 1 + k
+                    row = [h]
                     for step in range(1, len(out)):
-                        h, buf, deg, i = _above(buf, deg, i, seed, n, row[-1], code, lo, cap + lift * step)
+                        h, i = _above(buf, deg, i, seed, n, h, code, lo, cap + lift * step)
                         if h is None:
                             return None
-                        row += (h,)
+                        row.append(h)
                     rows.append(row)
             for s, col in zip(out, zip(*rows)):
                 slots[s] = col
@@ -467,12 +508,11 @@ def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
             slots[move[1]] = slots[move[2]]
         elif op == _COINCIDE:  # one degree c per position, repeated in both
             if len(buf) - i < 3 * size:
-                buf, deg = _grow(buf, deg, seed, n, i + 3 * size)
+                _grow(buf, deg, seed, n, i + 3 * size)
             pairs = []
             for j in range(i, i + 3 * size, 3):
                 c = (deg[j],)
-                ka = lo + ((buf[j + 1] * (hi - lo + 1)) >> 64)
-                pairs.append((c * ka, c * (lo + ((buf[j + 2] * (hi - lo + 1)) >> 64))))
+                pairs.append((c * (lo + ((buf[j + 1] * span) >> 64)), c * (lo + ((buf[j + 2] * span) >> 64))))
             i += 3 * size
             slots[move[1]], slots[move[2]] = zip(*pairs)
         elif op == _ABOVE:  # a set, then members above it
@@ -480,25 +520,25 @@ def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
             cap = hi - 1 if code == REL_T else hi  # room for a ⊂t step
             if lo > cap:
                 return None
-            A, buf, deg, i = _hfes(buf, deg, i, seed, n, size, lo, cap)
+            A, i = _hfes(buf, deg, i, seed, n, size, lo, cap)
             if members == _SOME:
-                fam, buf, deg, i = _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi)
+                fam, i = _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi)
                 fam = list(fam)
             else:
                 if i == len(buf):
-                    buf, deg = _grow(buf, deg, seed, n, i + 1)
+                    _grow(buf, deg, seed, n, i + 1)
                 fam = [None] * (flo + ((buf[i] * (fhi - flo + 1)) >> 64))
                 i += 1
                 if members != _ALL:  # longer than A at every position
                     for j in range(len(fam)):
                         H = []
                         for x in A:
-                            (h,), buf, deg, i = _hfes(buf, deg, i, seed, n, 1, len(x) + 1, hi)
+                            (h,), i = _hfes(buf, deg, i, seed, n, 1, len(x) + 1, hi)
                             H.append(h)
                         fam[j] = tuple(H)
             if members != _ALL:
                 if i == len(buf):
-                    buf, deg = _grow(buf, deg, seed, n, i + 1)
+                    _grow(buf, deg, seed, n, i + 1)
                 picks = ((buf[i] * len(fam)) >> 64,)
                 i += 1
             else:
@@ -506,7 +546,7 @@ def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
             for p in picks:
                 H = []
                 for x in A:
-                    h, buf, deg, i = _above(buf, deg, i, seed, n, x, code, lo, hi)
+                    h, i = _above(buf, deg, i, seed, n, x, code, lo, hi)
                     if h is None:
                         return None
                     H.append(h)
@@ -516,15 +556,15 @@ def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
             code, a, program = move[1:4]
             H = []
             for x in term(program, slots, den):
-                h, buf, deg, i = _below(buf, deg, i, seed, n, x, code, lo, hi)
+                h, i = _below(buf, deg, i, seed, n, x, code, lo, hi)
                 if h is None:
                     return None
                 H.append(h)
             slots[a] = tuple(H)
         elif op == _SUBFAMILY:  # a free family and a selection of its members
-            big, buf, deg, i = _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi)
+            big, i = _family(buf, deg, i, seed, n, size, lo, hi, flo, fhi)
             if len(buf) - i < len(big):
-                buf, deg = _grow(buf, deg, seed, n, i + len(big))
+                _grow(buf, deg, seed, n, i + len(big))
             idx = list(range(len(big)))
             for j in range(len(idx) - 1, 0, -1):  # partial Fisher-Yates
                 r = (buf[i] * (j + 1)) >> 64
@@ -535,7 +575,7 @@ def _run(plan, slots, buf, deg, seed, den, size, lo, hi, flo, fhi):
             slots[move[1]], slots[move[2]] = tuple(big[j] for j in idx[:k]), big
         elif op == _CHOICE:  # one plan among the move's
             if i == len(buf):
-                buf, deg = _grow(buf, deg, seed, n, i + 1)
+                _grow(buf, deg, seed, n, i + 1)
             moves, m = move[1 + ((buf[i] * (len(move) - 1)) >> 64)] + moves[m:], 0
             i += 1
         else:

@@ -30,14 +30,14 @@ names must be strings.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as quote
-from typing import Mapping, Sequence
 
 # `format_degree` and `parse_degree` stay bound here for perfbench/tracing.py,
 # which rebinds them in this module; documents parse and format on the grid.
 from .degrees import SCALE, DegreeError, format_degree, format_grid, parse_degree, parse_grid_row
-from .errors import DocumentError, shown
+from .errors import DocumentError, require, shown
 from .sets import HFS, Family, Universe
 
 
@@ -135,10 +135,16 @@ class Document:
 
 def document_of(sets: Mapping[str, HFS], families: Mapping[str, Sequence[str]] | None = None) -> Document:
     """Build a document from HFS objects sharing one universe."""
-    if not sets:
-        raise DocumentError("a document needs at least one set")
+    try:
+        if not sets:
+            raise DocumentError("a document needs at least one set")
+        universe = next(iter(sets.values())).universe.elements
+    except AttributeError:
+        require(Mapping, "a mapping of set names to HFSs", sets=sets)
+        require(HFS, "an HFS", **{f"set {shown(name)}": s for name, s in sets.items()})
+        raise
     return Document(
-        universe=next(iter(sets.values())).universe.elements,
+        universe=universe,
         sets=sets,
         families={name: tuple(members) for name, members in (families or {}).items()},
     )
@@ -217,22 +223,27 @@ def save_document(doc: Document) -> bytes:
     through the string escaper that call uses; degrees are digits and a
     point, which need no escaping.
     """
-    universe = [quote(e) for e in doc.universe]
+    try:
+        universe, sets, families = doc.universe, doc.sets, doc.families
+    except AttributeError:
+        require(Document, "a Document", doc=doc)
+        raise
+    universe = [quote(e) for e in universe]
     out = ['{\n  "universe": [\n    ', ",\n    ".join(universe), '\n  ],\n  "sets": {']
     heads = [f'      {e}: [\n        "' for e in universe]
     between = '",\n        "'
     sep = "\n    "
-    for name, s in doc.sets.items():
+    for name, s in sets.items():
         out += sep, quote(name), ": {\n"
         for head, row in zip(heads, _decimals(s)):
             out += head, between.join(row), '"\n      ],\n'
         out[-1] = '"\n      ]\n    }'  # no comma after the last membership
         sep = ",\n    "
-    out.append("\n  }" if doc.sets else "}")
-    if doc.families:
+    out.append("\n  }" if sets else "}")
+    if families:
         out.append(',\n  "families": {')
         sep = "\n    "
-        for name, members in doc.families.items():
+        for name, members in families.items():
             out += sep, quote(name), ": [\n      ", ",\n      ".join(map(quote, members)), "\n    ]"
             sep = ",\n    "
         out.append("\n  }")

@@ -23,6 +23,16 @@ def collection(value, name: str, items: str):
     return value
 
 
+def require(cls: type, what: str, **args) -> None:
+    """Raise a TypeError naming the first keyword argument that is not a
+    `cls`, which `what` names with its article. Entry points call it only
+    once reading their arguments has failed, so that a well-typed call
+    checks no types; the TypeError replaces that failure."""
+    for name, value in args.items():
+        if not isinstance(value, cls):
+            raise TypeError(f"{name} must be {what}, not {type(value).__name__}") from None
+
+
 class HesitantError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -30,6 +30,7 @@ from itertools import islice
 from typing import Callable, NamedTuple, Union
 
 from ._kernel import exact as _ops
+from .errors import shown
 from .sets import HFS, _binary
 
 Node = Union["Var", "Compl", "Join", "Meet"]
@@ -193,15 +194,25 @@ def evaluate_on_hfs(node: Node, resolve: Callable[[str], HFS]) -> HFS:
     on unreduced (universe, grid, den) triples by the pure kernel's set
     functions, and its value reduced once into the result."""
     if isinstance(node, Var):
-        return resolve(node.name)
+        s = resolve(node.name)
+        if not isinstance(s, HFS):
+            raise _not_resolved(node.name, s)
+        return s
     return HFS._from_grid(*_on_grids(node, resolve))
+
+
+def _not_resolved(name: str, value) -> TypeError:
+    return TypeError(f"resolve must return an HFS, but returned {type(value).__name__} for {shown(name)}")
 
 
 def _on_grids(node: Node, resolve: Callable[[str], HFS]) -> tuple:
     """The value of `node` as an unreduced (universe, grid, den) triple."""
     if isinstance(node, Var):
         s = resolve(node.name)
-        return s._universe, s._grid, s._den
+        try:
+            return s._universe, s._grid, s._den
+        except AttributeError:
+            raise _not_resolved(node.name, s) from None
     if isinstance(node, Compl):
         universe, grid, den = _on_grids(node.child, resolve)
         return universe, _ops.u_compl(grid, den), den

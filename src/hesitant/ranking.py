@@ -71,6 +71,8 @@ from itertools import accumulate, chain, compress, groupby, islice, product, rep
 from math import lcm
 from operator import index, itemgetter, or_
 
+from .errors import require
+
 # `element_relation` stays bound here for perfbench/tracing.py, which rebinds
 # it in this module to count calls; ranking itself never calls it.
 from .relations import Inclusion, _not_a_kind, element_relation
@@ -274,8 +276,14 @@ def rank_schemes(scores, kind: Inclusion) -> Ranking:
             f"relation {kind.letter!r} is not rankable; choose one of "
             + ", ".join(k.letter for k in RANKABLE)
         )
-    schemes = scores.universe.elements
-    matrix = _Matrix(schemes, *_relation(scores._grid, kind))
+    try:
+        schemes, grid = scores.universe.elements, scores._grid
+    except AttributeError:
+        from .sets import HFS
+
+        require(HFS, "an HFS", scores=scores)
+        raise
+    matrix = _Matrix(schemes, *_relation(grid, kind))
     layers: list[list[str]] = [[] for _ in matrix.layers]
     for s, d in zip(schemes, matrix.depth):
         layers[d - 1].append(s)

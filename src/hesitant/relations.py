@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from ._kernel import exact as _ops
 from .degrees import degree_ratio
 from .elements import HFE, _on_lcm
-from .errors import UniverseMismatchError
+from .errors import UniverseMismatchError, require
 
 
 class Inclusion(Enum):
@@ -180,9 +180,16 @@ def relation_profile(a: HFE, b: HFE) -> RelationProfile:
 
 def set_relation(kind: Inclusion, A, B) -> bool:
     """A ⊂kind B at set level: the element relation holds at every x."""
-    if A.universe != B.universe:
-        raise UniverseMismatchError("set relation needs a shared universe")
-    _, (ga, gb) = _on_lcm((A._grid, A._den), (B._grid, B._den))
+    try:
+        if A.universe != B.universe:
+            raise UniverseMismatchError("set relation needs a shared universe")
+        rows = (A._grid, A._den), (B._grid, B._den)
+    except AttributeError:
+        from .sets import HFS
+
+        require(HFS, "an HFS", A=A, B=B)
+        raise
+    _, (ga, gb) = _on_lcm(*rows)
     try:
         code = kind.code
     except AttributeError:

@@ -17,13 +17,13 @@ functions; `hfes`, `items()` and `hfs[e]` build their HFEs on access.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from functools import reduce
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._kernel import exact as _ops
 from .elements import HFE, _on_lcm, _reduced, _row
-from .errors import UniverseMismatchError, collection, shown
+from .errors import UniverseMismatchError, collection, require, shown
 
 
 class Universe:
@@ -106,6 +106,9 @@ class HFS:
 
     def __init__(self, universe, memberships: Mapping[str, object]) -> None:
         uni = _as_universe(universe)
+        if not isinstance(memberships, Mapping):  # a str would answer `in` and fail on indexing
+            kind = type(memberships).__name__
+            raise TypeError(f"memberships must be a mapping of element ids to degrees, not {kind}")
         for e in uni:
             if e not in memberships:
                 raise ValueError(f"missing membership for element {shown(e)}")
@@ -187,15 +190,23 @@ def make_hfs(universe, assignments: Mapping[str, Iterable]) -> HFS:
 
 def combine(op: SetOp, a: HFS, b: HFS) -> HFS:
     """Pointwise union or intersection of two sets on one universe."""
-    if op is SetOp.UNION:
-        return a.union(b)
-    if op is SetOp.INTERSECTION:
-        return a.intersection(b)
+    try:
+        if op is SetOp.UNION:
+            return a.union(b)
+        if op is SetOp.INTERSECTION:
+            return a.intersection(b)
+    except AttributeError:
+        require(HFS, "an HFS", a=a)
+        raise
     raise ValueError(f"unknown operation {op!r}")
 
 
 def complement(a: HFS) -> HFS:
-    return a.complement()
+    try:
+        return a.complement()
+    except AttributeError:
+        require(HFS, "an HFS", a=a)
+        raise
 
 
 class Family:
@@ -254,10 +265,15 @@ def family_fold(op: SetOp, fam: Family) -> HFS:
     operations are commutative and associative); a property test folds in
     shuffled order and compares.
     """
+    try:
+        sets_ = fam.sets
+    except AttributeError:
+        require(Family, "a Family", fam=fam)
+        raise
     if op is SetOp.UNION:
-        return reduce(HFS.union, fam.sets)
+        return reduce(HFS.union, sets_)
     if op is SetOp.INTERSECTION:
-        return reduce(HFS.intersection, fam.sets)
+        return reduce(HFS.intersection, sets_)
     raise ValueError(f"unknown operation {op!r}")
 
 
@@ -268,9 +284,14 @@ def is_subfamily(f1: Family, f2: Family) -> bool:
     Multiplicity counts: each member of f2 matches at most one member of f1,
     so a family holding X twice is not a subfamily of one holding X once.
     """
-    if f1.universe != f2.universe:
-        raise UniverseMismatchError("families live on different universes")
-    return is_submultiset(f1.sets, f2.sets)
+    try:
+        if f1.universe != f2.universe:
+            raise UniverseMismatchError("families live on different universes")
+        small, big = f1.sets, f2.sets
+    except AttributeError:
+        require(Family, "a Family", f1=f1, f2=f2)
+        raise
+    return is_submultiset(small, big)
 
 
 def is_submultiset(small, big) -> bool:

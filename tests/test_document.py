@@ -295,3 +295,19 @@ def test_load_parses_each_list_as_parse_grid_does(texts):
         assert str(info.value) == f"set 'A', element 'x': {exc}"
     else:
         assert load_document(text).hfs("A") == HFS._from_grid(Universe(["x"]), (tuple(expected),), SCALE)
+
+
+def test_save_document_refuses_what_is_not_a_document():
+    """save_document(3) raised AttributeError."""
+    for value, kind in ((3, "int"), (load_document(_abc_doc_text()).hfs("A"), "HFS")):
+        with pytest.raises(TypeError, match=f"^doc must be a Document, not {kind}$"):
+            save_document(value)
+
+
+def test_document_of_refuses_sets_that_are_not_hfss():
+    """document_of({"A": 3}) raised AttributeError."""
+    with pytest.raises(TypeError, match="^set 'A' must be an HFS, not int$"):
+        document_of({"A": 3})
+    A = load_document(_abc_doc_text()).hfs("A")
+    with pytest.raises(TypeError, match="^sets must be a mapping of set names to HFSs, not list$"):
+        document_of([A])

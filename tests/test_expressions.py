@@ -133,3 +133,11 @@ def test_depth_edges_match_the_reference_parser(shape, depth):
         got = _outcome(parse_expression, text)
         assert got == _outcome(reference_parser.parse, text)
         assert isinstance(got, str) == (levels > MAX_DEPTH), text[:20]
+
+
+@pytest.mark.parametrize("text", ["A", "A | B", "Aᶜ"], ids=["name", "union", "complement"])
+def test_evaluate_on_hfs_refuses_a_resolved_value_that_is_not_an_hfs(text):
+    """A resolver returning something else raised AttributeError, or, for a
+    bare name, was returned as the value."""
+    with pytest.raises(TypeError, match="^resolve must return an HFS, but returned int for 'A'$"):
+        evaluate_on_hfs(parse_expression(text), lambda name: 3)

@@ -13,10 +13,10 @@ import random
 
 import pytest
 
-from hesitant import law_registry
+from hesitant import GeneratorConfig, law_registry, proved_laws, random_hfs
 from hesitant._kernel import _pykernel as pure
 from hesitant.expressions import INTER, MEET_ALL, TERM_OPS
-from hesitant.laws import generators as g
+from hesitant.laws import engine, generators as g
 from hesitant.laws.engine import _mix
 from test_streams import OracleStream, oracle_gen_hfs
 
@@ -127,6 +127,37 @@ def test_draw_plan_seeds_each_trial_from_the_law_prefix(compiled):
             size = stream.randint(*bounds[1:3])
             expected = (size, (oracle_gen_hfs(stream, bounds[0], size, *bounds[3:5]),))
             assert kernel.draw_plan(((g.SET, 0),), 1, bounds, _mix(7, "thm1.1"), index, 1) == [expected]
+
+
+def _plain(value) -> bool:
+    """True iff value is built of tuples and ints only: no bool, list or
+    array slice anywhere."""
+    if type(value) is tuple:
+        return all(map(_plain, value))
+    return type(value) is int
+
+
+# The default config, and a full universe, cardinality and family, which
+# grow each trial's buffer several times.
+PLAIN_CONFIGS = {
+    "default": GeneratorConfig(),
+    "full": GeneratorConfig(universe_size=(4, 4), cardinality=(6, 6), family_size=(5, 5)),
+}
+
+
+@pytest.mark.parametrize("config", PLAIN_CONFIGS)
+def test_pure_bindings_are_plain_tuples(monkeypatch, config):
+    """Guards, claims, witnesses and `term` read bindings as tuples of
+    tuples of ints: every binding the pure kernel draws for a proved law is
+    one, and so is the grid of `random_hfs`."""
+    cfg = PLAIN_CONFIGS[config]
+    bounds = engine._bounds(cfg)
+    for law in proved_laws():
+        for size, binding in pure.draw_plan(law.plan, len(law.params), bounds, _mix(cfg.seed, law.id), 0, 70):
+            assert type(size) is int and (binding is None or _plain(binding)), law.id
+    monkeypatch.setattr(engine, "active", pure)
+    for index in range(70):
+        assert _plain(random_hfs(cfg, index)._grid), index
 
 
 def test_pure_codes_are_the_generators_codes():

@@ -432,3 +432,9 @@ def test_dot_escapes_quotes_and_backslashes():
     quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', dot.split("\n", 2)[2])
     names = [re.sub(r"\\(.)", r"\1", q) for q in quoted]
     assert names == ids + ['a"b', "c\\", "c\\", "d"]
+
+
+def test_rank_schemes_refuses_what_is_not_an_hfs():
+    """rank_schemes(3, kind) raised AttributeError."""
+    with pytest.raises(TypeError, match="^scores must be an HFS, not int$"):
+        rank_schemes(3, Inclusion.POSSIBLE)

@@ -166,3 +166,14 @@ def test_a_kind_that_is_no_inclusion_is_a_type_error(kind):
     for call in calls:
         with pytest.raises(TypeError, match="kind must be an Inclusion"):
             call()
+
+
+@pytest.mark.parametrize("relate", [set_relation, set_equality])
+def test_set_relations_refuse_what_is_not_an_hfs(relate):
+    """set_relation(kind, A, 3) and set_equality(kind, A, 3) raised
+    AttributeError."""
+    A, _ = _pair_doc()
+    with pytest.raises(TypeError, match="^B must be an HFS, not int$"):
+        relate(Inclusion.POSSIBLE, A, 3)
+    with pytest.raises(TypeError, match="^A must be an HFS, not HFE$"):
+        relate(Inclusion.MEAN, hfe("0.5"), A)

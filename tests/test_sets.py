@@ -11,6 +11,7 @@ from hesitant import (
     SetOp,
     Universe,
     combine,
+    complement,
     family_fold,
     hfe,
     is_subfamily,
@@ -210,3 +211,42 @@ def test_family_fold_order_independent(data):
     fam2 = Family(shuffled)
     assert family_fold(SetOp.UNION, fam) == family_fold(SetOp.UNION, fam2)
     assert family_fold(SetOp.INTERSECTION, fam) == family_fold(SetOp.INTERSECTION, fam2)
+
+
+@pytest.mark.parametrize("memberships", ["x", b"x", ["x"], 3])
+def test_memberships_must_be_a_mapping(memberships):
+    """HFS(U, "x") failed with "string indices must be integers"."""
+    kind = type(memberships).__name__
+    with pytest.raises(TypeError, match=f"^memberships must be a mapping of element ids to degrees, not {kind}$"):
+        HFS(Universe(["x"]), memberships)
+
+
+def test_complement_refuses_what_is_not_an_hfs():
+    """complement(3) raised AttributeError."""
+    with pytest.raises(TypeError, match="^a must be an HFS, not int$"):
+        complement(3)
+
+
+def test_combine_refuses_what_is_not_an_hfs():
+    A, _, _ = _abc_on_x()
+    with pytest.raises(TypeError, match="^a must be an HFS, not int$"):
+        combine(SetOp.UNION, 3, A)
+    with pytest.raises(TypeError, match="^operand must be an HFS, not int$"):
+        combine(SetOp.INTERSECTION, A, 3)
+
+
+def test_family_fold_refuses_what_is_not_a_family():
+    """family_fold(SetOp.UNION, [A]) raised AttributeError."""
+    A, _, _ = _abc_on_x()
+    with pytest.raises(TypeError, match="^fam must be a Family, not list$"):
+        family_fold(SetOp.UNION, [A])
+
+
+def test_is_subfamily_refuses_what_is_not_a_family():
+    """is_subfamily(F, 3) raised AttributeError."""
+    A, _, _ = _abc_on_x()
+    F = Family([("a", A)])
+    with pytest.raises(TypeError, match="^f2 must be a Family, not int$"):
+        is_subfamily(F, 3)
+    with pytest.raises(TypeError, match="^f1 must be a Family, not HFS$"):
+        is_subfamily(A, F)
