@@ -547,21 +547,18 @@ done:
 }
 
 /* One hfe a with a ⊂code b and lo <= |a| <= hi, or 1 if the bounds make
- * it impossible. */
+ * it impossible, for ⊂p, ⊂a, ⊂t and ⊂n; ⊂m and ⊂s are a ValueError. */
 static int below(trial *t, PyObject *b, long code, PyObject **out) {
     if (need_tuple(b, "hfe"))
         return -1;
     Py_ssize_t nb = PyTuple_GET_SIZE(b), n = 0;
     i64 lo = t->lo, hi = t->hi, first, last, y, k;
-    if ((code == REL_S && nb > hi) || (code == REL_T && lo >= nb))
+    if (code == REL_T && lo >= nb)
         return 1;
     u64 z = next(&t->z);
     if (item_at(b, 0, &first))
         return -1;
-    if (code == REL_S) {
-        i64 least = lo > nb ? lo : nb;
-        k = least + (i64)scale(z, (u64)(hi - least + 1));
-    } else if (code == REL_T)
+    if (code == REL_T)
         k = lo + (i64)scale(z, (u64)((hi < nb ? hi : nb - 1) - lo + 1));
     else if (code == REL_P || code == REL_A || code == REL_N)
         k = lo + (i64)scale(z, (u64)(hi - lo + 1));
@@ -571,22 +568,21 @@ static int below(trial *t, PyObject *b, long code, PyObject **out) {
     }
     if (item_at(b, nb - 1, &last))
         return -1;
-    Py_ssize_t most = k > nb ? (k > PY_SSIZE_T_MAX - 1 ? PY_SSIZE_T_MAX - 1 : (Py_ssize_t)k) : nb;
     scratch s;
-    deg *v = grab(&s, most + 1);
+    deg *v = grab(&s, (Py_ssize_t)k);
     int r = -1;
     if (!v)
         return -1;
-    if (code == REL_S || code == REL_T) /* under b, position by position */
-        for (; n < (code == REL_S ? nb : Py_MIN(k, nb)); n++) {
+    if (code == REL_T) /* under a prefix of b, position by position */
+        for (; n < k; n++) {
             if (item_at(b, n, &y))
                 goto done;
             v[n] = (deg){(i64)scale(next(&t->z), (u64)y + 1), NULL};
         }
     else if (code == REL_A)
         v[n++] = (deg){(i64)scale(next(&t->z), (u64)last + 1), NULL};
-    for (; code != REL_T && n < k; n++) /* the rest: under b's last degree (⊂s, ⊂n) or its first */
-        v[n] = (deg){(i64)scale(next(&t->z), (u64)(code == REL_S || code == REL_N ? last : first) + 1), NULL};
+    for (; n < k; n++) /* the rest: under b's last degree (⊂n) or its first */
+        v[n] = (deg){(i64)scale(next(&t->z), (u64)(code == REL_N ? last : first) + 1), NULL};
     r = packed(v, n, out);
 done:
     drop(&s);

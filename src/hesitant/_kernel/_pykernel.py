@@ -24,7 +24,10 @@ and takes only the paper's non-empty objects: a grid den >= 1 and ranges
 `GeneratorConfig` allows. Outside int64 it raises OverflowError, for a bound
 that is not an int TypeError, and for any other bound outside that domain
 ValueError, at every count, so no draw spans more than 2**63 values and
-every universe, hfe and family drawn is non-empty.
+every universe, hfe and family drawn is non-empty. A plan move that builds
+an hfe in a relation builds only those some law's premise asks for: a
+`LADDER` any of the six, an `ABOVE` all but ⊂m, and a `BELOW` ⊂p, ⊂a, ⊂t
+and ⊂n; any other relation code is a ValueError.
 
 Output i of a stream is the mix of state + i·γ, so `_block` computes the
 outputs of many streams a block at a time, one per 128-bit lane of a single
@@ -356,29 +359,19 @@ def _above(buf, deg, i, seed, n, a, code, lo, hi):
 
 def _below(buf, deg, i, seed, n, b, code, lo, hi):
     """One hfe a with a ⊂code b and lo <= |a| <= hi, or None if the bounds
-    make it impossible."""
-    if code == REL_S and len(b) > hi or code == REL_T and lo >= len(b):
+    make it impossible, for ⊂p, ⊂a, ⊂t and ⊂n: the relations of the
+    premises `A ⊂k term` in the registry. ⊂m and ⊂s are a ValueError."""
+    if code == REL_T and lo >= len(b):
         return None, i
-    most = max(lo, hi, len(b))
-    if len(buf) - i <= most + 1:
-        _grow(buf, deg, seed, n, i + 2 + most)
+    if len(buf) - i <= hi + 1:  # it draws at most 1 + hi outputs
+        _grow(buf, deg, seed, n, i + 2 + hi)
     z = buf[i]
     i += 1
     v = []
-    if code == REL_S or code == REL_T:  # below b's degrees, position by position
-        if code == REL_S:
-            least = lo if lo > len(b) else len(b)
-            end = i + least + ((z * (hi - least + 1)) >> 64)
-        else:
-            b = b[: lo + ((z * ((hi if hi < len(b) else len(b) - 1) - lo + 1)) >> 64)]
-        for x in b:
+    if code == REL_T:  # below a prefix of b, position by position
+        for x in b[: lo + ((z * ((hi if hi < len(b) else len(b) - 1) - lo + 1)) >> 64)]:
             v.append((buf[i] * (x + 1)) >> 64)
             i += 1
-        if code == REL_S:  # and below b's last past them
-            x = b[-1] + 1
-            for j in range(i, end):
-                v.append((buf[j] * x) >> 64)
-            i = end
     else:
         end = i + lo + ((z * (hi - lo + 1)) >> 64)
         if code == REL_P or code == REL_N:  # all below b's first, or its last

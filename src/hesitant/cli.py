@@ -213,33 +213,33 @@ def _spec_detail(spec, slot, alg, plain, universe) -> list[str]:
     return lines
 
 
-def _print_fixture_trace(law, fixture) -> bool:
-    from .laws.engine import exact_binding, fixture_binding, grid_verdict
+def _print_fixture_trace(law, fixture, result) -> None:
+    """Print a refuted law's replay on one fixture: its `FixtureResult`, and
+    the values of the premise's and the claim's sides."""
+    from .laws.engine import exact_binding, fixture_binding
     from .laws.generators import slots
 
     binding = fixture_binding(law, fixture)
     alg, plain = exact_binding(law, binding)
-    verdict = grid_verdict(law, alg, plain)
-    falsifies = verdict["guard"] and not verdict["claim"]
     print(f"{law.id}: {law.statement}")
     print(f"  fixture {fixture.name}, universe {{{', '.join(fixture.universe)}}}")
     for var, hfs in binding.items():
         memberships = " + ".join(f"{hfs[e]}/{e}" for e in fixture.universe)
         print(f"    {var} = {memberships}")
     for label, spec, holds in (
-        ("premise", law.premise, verdict["guard"]),
-        ("claim", law.conclusion, verdict["claim"]),
+        ("premise", law.premise, result.guard),
+        ("claim", law.conclusion, result.claim),
     ):
         if spec is not None:
             print(f"  {label} {spec}: {_fmt_bool(holds)}")
             for line in _spec_detail(spec, slots(law.params), alg, plain, fixture.universe):
                 print(line)
-    print(f"  => fixture {'falsifies the claim' if falsifies else 'DOES NOT falsify'}")
+    print(f"  => fixture {'falsifies the claim' if result.confirmed else 'DOES NOT falsify'}")
     print()
-    return falsifies
 
 
 def cmd_counterexamples(args) -> int:
+    from .laws.engine import replay_fixtures
     from .laws.registry import LawStatus, get_law, refuted_laws
 
     if args.law:
@@ -251,8 +251,9 @@ def cmd_counterexamples(args) -> int:
         laws = list(refuted_laws())
     all_ok = True
     for law in laws:
-        for fixture in law.fixtures:
-            all_ok &= _print_fixture_trace(law, fixture)
+        for fixture, result in zip(law.fixtures, replay_fixtures(law)):
+            _print_fixture_trace(law, fixture, result)
+            all_ok &= result.confirmed
     print(f"{'PASS' if all_ok else 'FAIL'}: {len(laws)} refuted law(s) replayed")
     return 0 if all_ok else 1
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DegreeError, shown
+from .errors import DegreeError, attribute, shown
 
 #: Maximum number of fractional digits accepted on input.
 MAX_FRACTION_DIGITS = 9
@@ -140,7 +140,8 @@ def format_grid(num: int, den: int) -> str:
 
 def format_degree(value: Fraction) -> str:
     """Render a degree as its minimal exact decimal; see `format_grid`."""
-    return format_grid(value.numerator, value.denominator)
+    num = attribute(value, "numerator", Fraction, "a Fraction", "value")
+    return format_grid(num, value.denominator)
 
 
 def render_rational(value: Fraction, places: int = 4) -> str:
@@ -149,10 +150,11 @@ def render_rational(value: Fraction, places: int = 4) -> str:
     Terminating decimals print exactly ("9/20 = 0.45"); non-terminating ones
     print an approximation ("8/15 ≈ 0.5333").
     """
-    if value.denominator == 1:
-        return str(value.numerator)
+    num, den = attribute(value, "numerator", Fraction, "a Fraction", "value"), value.denominator
+    if den == 1:
+        return str(num)
     try:
-        return f"{value.numerator}/{value.denominator} = {format_degree(value)}"
+        return f"{num}/{den} = {format_grid(num, den)}"
     except DegreeError:
         approx = float(value)
-        return f"{value.numerator}/{value.denominator} ≈ {approx:.{places}f}"
+        return f"{num}/{den} ≈ {approx:.{places}f}"

@@ -37,7 +37,7 @@ from json.encoder import encode_basestring as quote
 # `format_degree` and `parse_degree` stay bound here for perfbench/tracing.py,
 # which rebinds them in this module; documents parse and format on the grid.
 from .degrees import SCALE, DegreeError, format_degree, format_grid, parse_degree, parse_grid_row
-from .errors import DocumentError, require, shown
+from .errors import DocumentError, attribute, require, shown
 from .sets import HFS, Family, Universe
 
 
@@ -143,11 +143,9 @@ def document_of(sets: Mapping[str, HFS], families: Mapping[str, Sequence[str]] |
         require(Mapping, "a mapping of set names to HFSs", sets=sets)
         require(HFS, "an HFS", **{f"set {shown(name)}": s for name, s in sets.items()})
         raise
-    return Document(
-        universe=universe,
-        sets=sets,
-        families={name: tuple(members) for name, members in (families or {}).items()},
-    )
+    what = "a mapping of family names to set names"
+    items = attribute(families or {}, "items", Mapping, what, "families")
+    return Document(universe=universe, sets=sets, families={name: tuple(m) for name, m in items()})
 
 
 def _parse_set(name: str, memberships: Mapping, uni: Universe) -> HFS:
@@ -175,10 +173,13 @@ def _parse_set(name: str, memberships: Mapping, uni: Universe) -> HFS:
 def source_text(source) -> str:
     """The text of bytes (UTF-8), text, or a readable stream of either,
     without a leading byte-order mark, as spreadsheets write one."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    try:
+        if hasattr(source, "read"):
+            source = source.read()
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if not isinstance(source, str):
         raise TypeError(f"source must be bytes, str or a readable stream, not {type(source).__name__}")
     return source.removeprefix("\ufeff")

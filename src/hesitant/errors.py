@@ -33,6 +33,17 @@ def require(cls: type, what: str, **args) -> None:
             raise TypeError(f"{name} must be {what}, not {type(value).__name__}") from None
 
 
+def attribute(value, name: str, cls: type, what: str, arg: str):
+    """`value.name`, read as an entry point reads its argument `arg`: when
+    the read fails, a TypeError naming `arg` if `value` is not a `cls`
+    (`what` names it with its article), otherwise the AttributeError."""
+    try:
+        return getattr(value, name)
+    except AttributeError:
+        require(cls, what, **{arg: value})
+        raise
+
+
 class HesitantError(Exception):
     """Base class for all errors raised by this package."""
 

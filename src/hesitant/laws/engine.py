@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional
 from .._kernel import active
 from ..degrees import format_grid
 from ..elements import _on_lcm
-from ..errors import UniverseMismatchError, collection
+from ..errors import UniverseMismatchError, attribute, collection, require
 from ..sets import HFS, Family, Universe
 from .algebra import EXACT, Algebra, grid_algebra
 from .fixtures import Fixture
@@ -122,7 +122,8 @@ def _extend(h: int, data: bytes) -> int:
 def _bounds(config: GeneratorConfig) -> tuple:
     """The bounds `draw_plan` reads: (grid, universe size range, cardinality
     range, family size range)."""
-    return (config.degree_grid, *config.universe_size, *config.cardinality, *config.family_size)
+    grid = attribute(config, "degree_grid", GeneratorConfig, "a GeneratorConfig", "config")
+    return (grid, *config.universe_size, *config.cardinality, *config.family_size)
 
 
 def _trials(law: Law, alg: Algebra, config: GeneratorConfig, lead: tuple = ()):
@@ -180,7 +181,7 @@ class Witness:
 
     def to_objects(self) -> dict:
         """Rebuild public HFS/Family objects from the serialized binding."""
-        law = get_law(self.law_id)
+        law = _law(self.law_id)
         uni = Universe(self.universe)
         out = {}
         for name, kind in law.params:
@@ -278,7 +279,7 @@ class SuiteReport:
         return tuple(r.law_id for r in self.results if r.starvation_warning)
 
     def result(self, law_id: str) -> LawResult:
-        law = get_law(law_id)
+        law = _law(law_id)
         for r in self.results:
             if r.law_id == law.id:
                 return r
@@ -305,6 +306,17 @@ class SuiteReport:
 
 
 # --- fixtures and public evaluation -----------------------------------------
+
+
+def _law(law: Law | str) -> Law:
+    """The law itself, or the registered law of that id. A `Law` passes
+    through unchanged, so a caller may run a law whose gen, guard or claim
+    it has replaced."""
+    if isinstance(law, Law):
+        return law
+    if isinstance(law, str):
+        return get_law(law)
+    raise TypeError(f"law must be a Law or a law id, not {type(law).__name__}")
 
 
 def fixture_binding(law: Law, fixture: Fixture) -> dict:
@@ -345,35 +357,25 @@ def evaluate_law(law: Law | str, binding: Mapping[str, object]) -> dict:
     Returns {"guard": bool, "claim": bool}; a violation is guard true and
     claim false.
     """
-    if isinstance(law, str):
-        law = get_law(law)
-    return grid_verdict(law, *exact_binding(law, binding))
-
-
-def grid_verdict(law: Law, alg: Algebra, plain: tuple) -> dict:
-    """{"guard": bool, "claim": bool} of `law` on a binding of plain grid
-    values, in `law.params` order, under `alg`."""
+    law = _law(law)
+    alg, plain = exact_binding(law, binding)
     kern, one = alg.kern, alg.one
     guard = True if law.guard is None else bool(law.guard(kern, one, plain))
     return {"guard": guard, "claim": bool(law.claim(kern, one, plain))}
 
 
-def replay_fixtures(law: Law) -> tuple[FixtureResult, ...]:
+def replay_fixtures(law: Law | str) -> tuple[FixtureResult, ...]:
+    """The law's verdicts on each of its fixtures. A fixture confirms a
+    refuted law when it falsifies the claim (guard true, claim false), and
+    a proved law when the guard implies the claim."""
+    law = _law(law)
+    refuted = law.status is LawStatus.REFUTED
     out = []
     for fixture in law.fixtures:
         verdict = evaluate_law(law, fixture_binding(law, fixture))
-        if law.status is LawStatus.REFUTED:
-            confirmed = verdict["guard"] and not verdict["claim"]
-        else:
-            confirmed = (not verdict["guard"]) or verdict["claim"]
-        out.append(
-            FixtureResult(
-                name=fixture.name,
-                guard=verdict["guard"],
-                claim=verdict["claim"],
-                confirmed=confirmed,
-            )
-        )
+        guard, claim = verdict["guard"], verdict["claim"]
+        confirmed = guard and not claim if refuted else not guard or claim
+        out.append(FixtureResult(fixture.name, guard, claim, confirmed))
     return tuple(out)
 
 
@@ -396,10 +398,9 @@ def random_hfs(config: GeneratorConfig, stream_index: int) -> HFS:
 def run_law(law: Law | str, config: GeneratorConfig) -> LawResult:
     """Run one law: randomized trials for proved laws, fixture replay for
     both statuses."""
-    if isinstance(law, str):
-        law = get_law(law)
+    law = _law(law)
     started = time.perf_counter()
-    alg = grid_algebra(config.degree_grid)
+    alg = grid_algebra(_bounds(config)[0])
     claim, kern, one = law.claim, alg.kern, alg.one
     violations = 0
     starved = 0
@@ -445,6 +446,9 @@ def run_suite(
     selection order with each law once however often it is named. At most
     one worker process runs per law and per CPU.
     """
+    require(GeneratorConfig, "a GeneratorConfig", config=config)
+    if not _is_int(workers):
+        raise TypeError(f"workers must be an int, not {type(workers).__name__}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     started = time.perf_counter()
@@ -452,7 +456,7 @@ def run_suite(
         laws = list(law_registry())
     else:
         law_ids = collection(law_ids, "law_ids", "law ids")
-        laws = list({law.id: law for law in map(get_law, law_ids)}.values())
+        laws = list({law.id: law for law in map(_law, law_ids)}.values())
     workers = min(workers, len(laws), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: `concurrent.futures.process` is a noticeable share
@@ -466,14 +470,14 @@ def run_suite(
     return SuiteReport(config=config, results=results, elapsed=time.perf_counter() - started)
 
 
-def hunt_counterexample(law_id: str, config: GeneratorConfig) -> Optional[Witness]:
+def hunt_counterexample(law: Law | str, config: GeneratorConfig) -> Optional[Witness]:
     """Search for a guard-true, claim-false binding within config.trials.
 
     Deterministic given config; returns the first witness or None. Proved
     laws never yield one (that is exactly what the suite asserts).
     """
-    law = get_law(law_id)
-    alg = grid_algebra(config.degree_grid)
+    law = _law(law)
+    alg = grid_algebra(_bounds(config)[0])
     claim, kern, one = law.claim, alg.kern, alg.one
     for index, size, binding in _trials(law, alg, config, HUNT_CHUNKS):
         if binding is not None and not claim(kern, one, binding):
@@ -484,5 +488,6 @@ def hunt_counterexample(law_id: str, config: GeneratorConfig) -> Optional[Witnes
 def replay_witness(witness: Witness) -> dict:
     """Re-evaluate a witness through the exact path; must reproduce the
     stored verdicts bit-exactly."""
-    return evaluate_law(witness.law_id, witness.to_objects())
+    law_id = attribute(witness, "law_id", Witness, "a Witness", "witness")
+    return evaluate_law(law_id, witness.to_objects())
 

@@ -14,7 +14,7 @@ consecutive trials in one call (`runner`):
 | none | `SET`/`FAMILY` per param: drawn free, in params order |
 | A ⊂k B | `LADDER` k: per position a base hfe, then one step up |
 | A ⊂k B and B ⊂k C | `LADDER` k with two steps |
-| A ⊂k term, term not a variable | the term's params free, then `BELOW` k: below the term's value per position |
+| A ⊂k term, term not a variable, k ∈ p, a, t, n | the term's params free, then `BELOW` k: below the term's value per position |
 | A = B, A =s B | `SET` A, then `COPY` it to B |
 | A =n B | `COINCIDE`: per position one degree c; A(x) and B(x) repeat c |
 | A ⊂k H for all H in F | `ABOVE` k `ALL`: A, then every member above A |
@@ -52,6 +52,8 @@ from ..expressions import Var, program, variables
 from ..relations import Inclusion
 
 M, T = Inclusion.MEAN, Inclusion.TAIL
+# The relations a `BELOW` move builds: those of the premises `A ⊂k term`.
+BELOW_KINDS = (Inclusion.POSSIBLE, Inclusion.ACCEPTABLE, Inclusion.TAIL, Inclusion.NECESSARY)
 
 # Move codes, read by both kernels' `draw_plan`.
 SET, FAMILY, LADDER, COPY, COINCIDE, ABOVE, BELOW, SUBFAMILY, CHOICE = range(9)
@@ -97,7 +99,7 @@ def derive(params, premise) -> tuple:
             b2 == b and kind2 is kind
         ):
             bound, moves = (a, b, c), ((LADDER, kind.code, slot[a], slot[b], slot[c]),)
-        case Rel("rel", Var(a), term, kind) if kind is not M and a not in variables(term):
+        case Rel("rel", Var(a), term, kind) if kind in BELOW_KINDS and a not in variables(term):
             bound = (a, *variables(term))
             moves = (*free(variables(term)), (BELOW, kind.code, slot[a], program(term, slot)))
         case Rel("multiset", Var(a), Var(b)) | Rel("eq", Var(a), Var(b), Inclusion.STRONG):

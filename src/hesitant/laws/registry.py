@@ -34,7 +34,7 @@ from functools import cache, reduce
 from typing import Callable, NamedTuple, Optional
 
 from .._kernel import exact
-from ..errors import UnknownLawError
+from ..errors import UnknownLawError, shown
 from ..expressions import Fold, Term, Var, parse_expression, program
 from ..relations import Inclusion
 from ..sets import is_submultiset
@@ -606,7 +606,7 @@ def get_law(law_id: str) -> Law:
     try:
         return _BY_ID[law_id]
     except KeyError:
-        raise UnknownLawError(f"unknown law id {law_id!r}") from None
+        raise UnknownLawError(f"unknown law id {shown(law_id)}") from None
 
 
 def proved_laws() -> tuple[Law, ...]:

@@ -71,7 +71,7 @@ from itertools import accumulate, chain, compress, groupby, islice, product, rep
 from math import lcm
 from operator import index, itemgetter, or_
 
-from .errors import require
+from .errors import attribute, require
 
 # `element_relation` stays bound here for perfbench/tracing.py, which rebinds
 # it in this module to count calls; ranking itself never calls it.
@@ -326,7 +326,7 @@ def ranking_dot_lines(ranking: Ranking):
     header lines, one line per scheme node, one piece per scheme holding
     its edge lines to all its covers, and the closing brace. A caller can
     write them out one at a time."""
-    schemes = ranking.schemes
+    schemes = attribute(ranking, "schemes", Ranking, "a Ranking", "ranking")
     view = _bitsets(ranking)
     strict, layers = view.strict, view.layers
     # beyond[k]: the schemes below layers 1 to k + 1
@@ -400,7 +400,7 @@ def ranking_report(ranking: Ranking):
     """The pieces of the human-readable ranking report, in order, each one
     or more whole lines or a part of the unresolved-pairs line; a caller can
     write them out one at a time."""
-    schemes = ranking.schemes
+    schemes = attribute(ranking, "schemes", Ranking, "a Ranking", "ranking")
     n = len(schemes)
     width = max(len(s) for s in schemes)
     yield f"pairwise ⊂{ranking.kind.letter} (row ⊂ column):\n"

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from ._kernel import exact as _ops
 from .degrees import degree_ratio
 from .elements import HFE, _on_lcm
-from .errors import UniverseMismatchError, require
+from .errors import UniverseMismatchError, attribute, require
 
 
 class Inclusion(Enum):
@@ -91,13 +91,23 @@ def pointwise_leq(v: Sequence, w: Sequence) -> bool:
 
 def best_subsequence(h: HFE, q: int) -> HFE:
     """The best q-subsequence: the q largest degrees with multiplicity."""
-    return h.best(q)
+    return attribute(h, "best", HFE, "an HFE", "h")(q)
+
+
+def _grids(a: HFE, b: HFE, names=("a", "b")) -> tuple[tuple, tuple]:
+    """The numerators of two HFEs on their common integer grid; a TypeError
+    names the argument, of these `names`, that is not an HFE."""
+    try:
+        return a._with(b)[1:]
+    except (AttributeError, TypeError):
+        require(HFE, "an HFE", **dict(zip(names, (a, b))))
+        raise
 
 
 def is_subsequence(sub: HFE, whole: HFE) -> bool:
     """Multiset containment: every degree of sub occurs in whole with at
     least the same multiplicity."""
-    _, s, w = sub._with(whole)
+    s, w = _grids(sub, whole, ("sub", "whole"))
     return Counter(s) <= Counter(w)
 
 
@@ -107,28 +117,28 @@ def element_relation(kind: Inclusion, a: HFE, b: HFE) -> bool:
     The relations only compare and add degrees, so they hold on the common
     integer grid of the two exactly when they hold on the degrees.
     """
-    _, ga, gb = a._with(b)
+    ga, gb = _grids(a, b)
+    return _ops.u_rel(_code(kind), (ga,), (gb,))
+
+
+def _code(kind: Inclusion) -> int:
     try:
-        code = kind.code
+        return kind.code
     except AttributeError:
         raise _not_a_kind(kind) from None
-    return _ops.u_rel(code, (ga,), (gb,))
 
 
 def _not_a_kind(kind) -> TypeError:
     return TypeError(f"kind must be an Inclusion, not {type(kind).__name__}")
 
 
-def _strong_or_tail(ga: tuple, gb: tuple) -> Optional[Inclusion]:
+def classify_strong_or_tail(a: HFE, b: HFE) -> Optional[Inclusion]:
+    """STRONG if a ⊂s b, TAIL if a ⊂t b, None otherwise (never both): one
+    ⊂s-or-⊂t test, then the cardinalities say which."""
+    ga, gb = _grids(a, b)
     if not _ops.u_rel(_ops.REL_SOT, (ga,), (gb,)):
         return None
     return Inclusion.STRONG if len(ga) >= len(gb) else Inclusion.TAIL
-
-
-def classify_strong_or_tail(a: HFE, b: HFE) -> Optional[Inclusion]:
-    """STRONG if a ⊂s b, TAIL if a ⊂t b, None otherwise (never both)."""
-    _, ga, gb = a._with(b)
-    return _strong_or_tail(ga, gb)
 
 
 @dataclass(frozen=True)
@@ -171,11 +181,13 @@ class RelationProfile:
 
 
 def relation_profile(a: HFE, b: HFE) -> RelationProfile:
-    """Evaluate all six relations for the ordered pair (a, b) in one pass,
-    on one rescaling of the pair."""
-    _, ga, gb = a._with(b)
+    """Evaluate all six relations for the ordered pair (a, b), one kernel
+    call each on one rescaling of the pair. ⊂s and ⊂t exclude each other,
+    so their two verdicts give the strong-or-tail classification."""
+    ga, gb = _grids(a, b)
     verdicts = {kind.name.lower(): _ops.u_rel(kind.code, (ga,), (gb,)) for kind in Inclusion}
-    return RelationProfile(**verdicts, strong_or_tail=_strong_or_tail(ga, gb))
+    sot = Inclusion.STRONG if verdicts["strong"] else Inclusion.TAIL if verdicts["tail"] else None
+    return RelationProfile(**verdicts, strong_or_tail=sot)
 
 
 def set_relation(kind: Inclusion, A, B) -> bool:
@@ -190,11 +202,7 @@ def set_relation(kind: Inclusion, A, B) -> bool:
         require(HFS, "an HFS", A=A, B=B)
         raise
     _, (ga, gb) = _on_lcm(*rows)
-    try:
-        code = kind.code
-    except AttributeError:
-        raise _not_a_kind(kind) from None
-    return _ops.u_rel(code, ga, gb)
+    return _ops.u_rel(_code(kind), ga, gb)
 
 
 def set_equality(kind: Inclusion, A, B) -> bool:

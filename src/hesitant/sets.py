@@ -23,7 +23,7 @@ from functools import reduce
 
 from ._kernel import exact as _ops
 from .elements import HFE, _on_lcm, _reduced, _row
-from .errors import UniverseMismatchError, collection, require, shown
+from .errors import UniverseMismatchError, attribute, collection, require, shown
 
 
 class Universe:
@@ -202,11 +202,7 @@ def combine(op: SetOp, a: HFS, b: HFS) -> HFS:
 
 
 def complement(a: HFS) -> HFS:
-    try:
-        return a.complement()
-    except AttributeError:
-        require(HFS, "an HFS", a=a)
-        raise
+    return attribute(a, "complement", HFS, "an HFS", "a")()
 
 
 class Family:
@@ -218,7 +214,10 @@ class Family:
         members = tuple(members)
         if not members:
             raise ValueError("a family needs at least one member")
-        names = tuple(name for name, _ in members)
+        try:
+            names = tuple(name for name, _ in members)
+        except (TypeError, ValueError, KeyError):  # what unpacking a non-pair raises
+            raise TypeError("family members must be (name, HFS) pairs") from None
         if len(set(names)) != len(names):
             raise ValueError("family member names must be distinct")
         for name, s in members:
@@ -265,11 +264,7 @@ def family_fold(op: SetOp, fam: Family) -> HFS:
     operations are commutative and associative); a property test folds in
     shuffled order and compares.
     """
-    try:
-        sets_ = fam.sets
-    except AttributeError:
-        require(Family, "a Family", fam=fam)
-        raise
+    sets_ = attribute(fam, "sets", Family, "a Family", "fam")
     if op is SetOp.UNION:
         return reduce(HFS.union, sets_)
     if op is SetOp.INTERSECTION:

@@ -350,6 +350,14 @@ def test_check_unknown_law_message(capsys):
     assert err == "error: unknown law id 'nope'\n"
 
 
+@pytest.mark.parametrize("command", [["check", "--law"], ["hunt"], ["counterexamples"]])
+def test_a_long_unknown_law_id_is_quoted_briefly(capsys, command):
+    """A 3,000-character id was echoed whole in the error line."""
+    code, out, err = run_cli(capsys, *command, "x" * 3000)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown law id '" + "x" * 17 + "..." + "x" * 18 + "'\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_check_rejects_fewer_than_one_worker(capsys, workers):
     code, out, err = run_cli(capsys, "check", "--law", "thm1.1", "--workers", workers)

@@ -311,3 +311,13 @@ def test_document_of_refuses_sets_that_are_not_hfss():
     A = load_document(_abc_doc_text()).hfs("A")
     with pytest.raises(TypeError, match="^sets must be a mapping of set names to HFSs, not list$"):
         document_of([A])
+
+
+def test_load_refuses_bytes_that_are_not_utf8():
+    """load_document(b"\xff") raised UnicodeDecodeError; a stream of such
+    bytes too."""
+    import io
+
+    for source in (b"\xff", io.BytesIO(b'{"universe": ["\xe9"]}')):
+        with pytest.raises(DocumentError, match="^not UTF-8 text: invalid .* at byte [0-9]+$"):
+            load_document(source)

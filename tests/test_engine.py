@@ -5,6 +5,7 @@ import pytest
 from hesitant import (
     GeneratorConfig,
     UnknownLawError,
+    get_law,
     hunt_counterexample,
     random_hfs,
     run_suite,
@@ -185,6 +186,27 @@ def test_run_law_accepts_law_or_id():
     assert r1.law_id == "prop3.1"
 
 
+def test_replay_and_hunt_take_a_law_or_its_id():
+    """One lookup serves every engine entry point: a law id, or the `Law`."""
+    for law_id in ("exam-sec2.3-m-union", "exam-sec2.5-s-union-m", "prop3.1"):
+        law = get_law(law_id)
+        assert replay_fixtures(law) == replay_fixtures(law_id)
+        cfg = GeneratorConfig(trials=2000)
+        assert hunt_counterexample(law, cfg) == hunt_counterexample(law_id, cfg)
+    assert hunt_counterexample(get_law("exam-sec2.3-m-union"), cfg) is not None
+
+
+def test_a_law_passes_through_unchanged():
+    """run_law runs the `Law` it is given, not the registry's copy, so a
+    caller may replace its claim."""
+    import dataclasses
+
+    law = dataclasses.replace(get_law("prop3.1"), claim=lambda kern, one, binding: False)
+    result = run_law(law, SMALL)
+    assert result.violations == result.trials == SMALL.trials
+    assert hunt_counterexample(law, SMALL).trial == 0
+
+
 def test_refuted_fixture_results_reported():
     result = run_law("exam-sec2.4-tconv", SMALL)
     assert result.ok
@@ -241,6 +263,14 @@ def test_workers_capped_by_laws_and_cpus(monkeypatch, cpus, expected):
 @pytest.mark.parametrize("workers", [0, -3])
 def test_run_suite_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_suite(GeneratorConfig(trials=1), law_ids=["thm1.1"], workers=workers)
+
+
+@pytest.mark.parametrize("workers", [True, "2", 2.0, None])
+def test_run_suite_refuses_workers_that_are_not_ints(workers):
+    """workers=True ran one worker, and workers="2" failed comparing str
+    and int."""
+    with pytest.raises(TypeError, match=f"^workers must be an int, not {type(workers).__name__}$"):
         run_suite(GeneratorConfig(trials=1), law_ids=["thm1.1"], workers=workers)
 
 

@@ -69,3 +69,10 @@ def test_ingest_drops_a_byte_order_mark():
     bom = "\ufeff" + scores_csv(ROWS)
     for source in (bom.encode("utf-8"), bom, io.BytesIO(bom.encode("utf-8")), io.StringIO(bom)):
         assert ingest_scores(source) == want
+
+
+def test_ingest_refuses_bytes_that_are_not_utf8():
+    """ingest_scores(b"\xff") raised UnicodeDecodeError."""
+    for source in (b"\xff", b"scheme,score\nx1,0.5\n\xc3(\n"):
+        with pytest.raises(DocumentError, match="^not UTF-8 text: invalid .* at byte [0-9]+$"):
+            ingest_scores(source)

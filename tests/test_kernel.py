@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from hesitant._kernel import _pykernel as pure
 from hesitant.expressions import COMPL, INTER, UNION
-from hesitant.laws.generators import COINCIDE, FAMILY, SET
+from hesitant.laws.generators import BELOW, COINCIDE, FAMILY, SET
 import reference
 
 int_hfes = st.lists(st.integers(0, 10), min_size=1, max_size=6).map(
@@ -290,6 +290,21 @@ def test_a_trial_that_raises_raises_for_its_chunk(compiled):
         assert k.draw_plan(*_SOMETIMES_RAISES, 0, 2) == ones[0] + ones[1]
         with pytest.raises(ValueError, match="unknown plan move 9"):
             k.draw_plan(*_SOMETIMES_RAISES, 0, 40)
+
+
+def test_below_builds_no_mean_or_strong_inclusion(compiled):
+    """A `BELOW` move builds ⊂p, ⊂a, ⊂t and ⊂n under a term's value, the
+    relations of the registry's premises `A ⊂k term`. Both kernels refuse ⊂m
+    and ⊂s with the same ValueError, where a wide set or one degree would
+    leave no room as well as where there is."""
+    for k in (pure, compiled):
+        for code in (pure.REL_M, pure.REL_S):
+            plan = ((SET, 1), (BELOW, code, 0, (1, 1, UNION)))
+            for bounds in (_BOUNDS, (100, 4, 4, 1, 1, 1, 1), (100, 4, 4, 6, 6, 1, 1)):
+                with pytest.raises(ValueError, match=f"^no dominated construction for relation code {code}$"):
+                    k.draw_plan(plan, 2, bounds, 1, 0, 3)
+        for code in (pure.REL_P, pure.REL_A, pure.REL_T, pure.REL_N):
+            assert len(k.draw_plan(((SET, 1), (BELOW, code, 0, (1,))), 2, _BOUNDS, 1, 0, 3)) == 3
 
 
 def test_failing_chunks_leak_nothing(compiled):

@@ -294,6 +294,7 @@ _UNDERIVABLE = [
     And(inc(K.POSSIBLE, "A", "B"), inc(K.ACCEPTABLE, "B", "C")),
     And(inc(K.POSSIBLE, "A", "B"), inc(K.POSSIBLE, "C", "B")),
     inc(K.MEAN, "A", "B & C"),
+    inc(K.STRONG, "A", "B & C"),
     inc(K.POSSIBLE, "A", "A | B"),
     inc(K.POSSIBLE, "A & B", "C"),
     eq(K.POSSIBLE, "A", "B"),

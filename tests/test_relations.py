@@ -1,3 +1,7 @@
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 
@@ -122,6 +126,34 @@ def _pair_doc():
     A = make_hfs(uni, {"x": ["0.1", "0.3", "0.5"]})
     B = make_hfs(uni, {"x": ["0.2", "0.4", "0.6"]})
     return A, B
+
+
+# The 19 hfes of one to three degrees on the grid {0, 1/2, 1}.
+SMALL_HFES = [
+    hfe(*(Fraction(n, 2) for n in nums))
+    for k in (1, 2, 3)
+    for nums in combinations_with_replacement((2, 1, 0), k)
+]
+
+
+def test_relation_profile_calls_the_kernel_once_per_relation(monkeypatch):
+    """Six `u_rel` calls per profile: ⊂s and ⊂t exclude each other, so
+    their verdicts give strong_or_tail, which agrees with
+    classify_strong_or_tail on every ordered pair."""
+    from hesitant import relations
+
+    calls = []
+    ops = relations._ops
+    counting = SimpleNamespace(**{name: getattr(ops, name) for name in dir(ops) if name.isupper()})
+    counting.u_rel = lambda *args: calls.append(args[0]) or ops.u_rel(*args)
+    monkeypatch.setattr(relations, "_ops", counting)
+    assert len(SMALL_HFES) == 19
+    for a, b in product(SMALL_HFES, repeat=2):
+        profile = relation_profile(a, b)
+        assert sorted(calls) == sorted(kind.code for kind in Inclusion)
+        assert profile.strong_or_tail == classify_strong_or_tail(a, b)
+        assert calls[6:] == [ops.REL_SOT]
+        calls.clear()
 
 
 def test_set_relation_and_universe_mismatch():

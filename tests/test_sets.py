@@ -119,6 +119,15 @@ def test_family_validation():
 
 
 
+@pytest.mark.parametrize("shape", ["bare set", "triple", "name alone"])
+def test_family_members_must_be_pairs(shape):
+    """Family([A]) raised KeyError: 'element 0 is not in the universe'."""
+    A, _, _ = _abc_on_x()
+    member = {"bare set": A, "triple": ("a", A, A), "name alone": "a"}[shape]
+    with pytest.raises(TypeError, match=r"^family members must be \(name, HFS\) pairs$"):
+        Family([member])
+
+
 def test_family_refuses_a_member_that_is_not_an_hfs():
     A, _, _ = _abc_on_x()
     with pytest.raises(TypeError, match="^family member 'b' must be an HFS, not int$"):

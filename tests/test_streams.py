@@ -68,8 +68,10 @@ def oracle_gen_hfs(stream, den, size, card_lo, card_hi):
 
 
 P, A, M, S, T, N = (k.code for k in Inclusion)
-# The relations `ABOVE` and `BELOW` construct: every one but ⊂m.
-CONSTRUCTED = (P, A, S, T, N)
+# The relations `ABOVE` constructs, every one but ⊂m, and those `BELOW`
+# constructs, the relations of the registry's premises `A ⊂k term`.
+ABOVE_CODES = (P, A, S, T, N)
+BELOW_CODES = (P, A, T, N)
 
 
 def _oracle_above(stream, den, a, code, lo, hi):
@@ -97,17 +99,13 @@ def _oracle_above(stream, den, a, code, lo, hi):
 def _oracle_below(stream, den, b, code, lo, hi):
     """One hfe a with a ⊂code b and lo <= |a| <= hi, or None if the bounds
     make it impossible: its cardinality, then per degree a draw from 0 up
-    to a degree x of b (`below(x + 1)`). ⊂s lowers all of b's degrees and
-    adds more under b's last; ⊂t lowers a prefix of b shorter than b; ⊂p
-    and ⊂n draw every degree under b's first or under its last; ⊂a draws
-    one under b's last and the rest under its first."""
-    if code == S and len(b) > hi or code == T and lo >= len(b):
+    to a degree x of b (`below(x + 1)`). ⊂t lowers a prefix of b shorter
+    than b; ⊂p and ⊂n draw every degree under b's first or under its last;
+    ⊂a draws one under b's last and the rest under its first."""
+    if code == T and lo >= len(b):
         return None
     under = lambda x: stream.below(x + 1)  # noqa: E731
-    if code == S:
-        k = stream.randint(max(lo, len(b)), hi)
-        v = [under(x) for x in b] + [under(b[-1]) for _ in range(k - len(b))]
-    elif code == T:
+    if code == T:
         v = [under(x) for x in b[: stream.randint(lo, min(hi, len(b) - 1))]]
     else:
         k = stream.randint(lo, hi)
@@ -295,8 +293,8 @@ _MOVES = st.lists(
     st.one_of(
         st.sampled_from(((SET,), (FAMILY,), (COINCIDE,))),
         st.tuples(st.just(LADDER), st.sampled_from((P, A, M, S, T, N)), st.integers(2, 3)),
-        st.tuples(st.just(ABOVE), st.sampled_from(CONSTRUCTED), st.sampled_from((ALL, SOME, LONGER))),
-        st.tuples(st.just(BELOW), st.sampled_from(CONSTRUCTED)),
+        st.tuples(st.just(ABOVE), st.sampled_from(ABOVE_CODES), st.sampled_from((ALL, SOME, LONGER))),
+        st.tuples(st.just(BELOW), st.sampled_from(BELOW_CODES)),
     ),
     max_size=12,
 )
@@ -362,7 +360,7 @@ def test_ladders_match(check, code, bounds):
 
 @pytest.mark.parametrize("bounds", CONSTRUCTION_BOUNDS)
 @pytest.mark.parametrize("members", (ALL, SOME, LONGER))
-@pytest.mark.parametrize("code", CONSTRUCTED)
+@pytest.mark.parametrize("code", ABOVE_CODES)
 def test_members_above_match(check, code, members, bounds):
     """`ABOVE` with each kind of members, for every relation it builds."""
     plan, width = _plan(((ABOVE, code, members), (SET,)))
@@ -379,7 +377,7 @@ _TERMS = (  # (moves drawing the term's slots, its program over them)
 
 
 @pytest.mark.parametrize("bounds", CONSTRUCTION_BOUNDS)
-@pytest.mark.parametrize("code", CONSTRUCTED)
+@pytest.mark.parametrize("code", BELOW_CODES)
 def test_below_matches(check, code, bounds):
     """`BELOW` a set, a union, a complement and a family's folds, for every
     relation it builds, followed by a free set."""
